@@ -23,6 +23,7 @@ import argparse
 import glob
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,6 +112,22 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _u64(value) -> int:
+    """`value` as a seed: an integer in [0, 2**64), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    """argparse type of --seed."""
+    try:
+        return _u64(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {text!r}")
+
+
 def _load_config(path_str: str) -> tuple[dict, Path]:
     path = Path(path_str)
     if not path.exists():
@@ -166,28 +183,56 @@ def _load_captures(ctx: RunContext):
     return ingest_captures(path)
 
 
-def _load_pair_tables(ctx: RunContext, captures) -> tuple[ComparisonTable, ComparisonTable]:
-    out = []
-    for stem in ("pairs_genuine.csv", "pairs_impostor.csv"):
-        path = ctx.outdir / stem
-        if not path.exists():
-            raise CliError(EXIT_MISSING_INPUT,
-                           f"{path} does not exist (run the pairs subcommand first)")
-        ctx.record_input(path)
-        out.append(read_pairs(path, captures))
-    return out[0], out[1]
+def _load_pairs(ctx: RunContext, captures, kind: str) -> ComparisonTable:
+    """The `kind` ("genuine" or "impostor") pair table written by `pairs`."""
+    path = ctx.outdir / f"pairs_{kind}.csv"
+    if not path.exists():
+        raise CliError(EXIT_MISSING_INPUT,
+                       f"{path} does not exist (run the pairs subcommand first)")
+    ctx.record_input(path)
+    return read_pairs(path, captures)
+
+
+def _finite(value) -> float | None:
+    """`value` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
+    """One finite threshold per profile: config 'thresholds', then
+    thresholds.json from `calibrate`, then each profile's default."""
     conf = ctx.config.get("thresholds")
     if conf:
-        return {name: float(v) for name, v in conf.items()}
-    artifact = ctx.outdir / "thresholds.json"
-    if artifact.exists():
+        source = "config 'thresholds'"
+    else:
+        artifact = ctx.outdir / "thresholds.json"
+        if not artifact.exists():
+            return {p.name: p.default_threshold for p in profiles}
         ctx.record_input(artifact)
-        return {k: float(v) for k, v in
-                json.loads(artifact.read_text(encoding="utf-8")).items()}
-    return {p.name: p.default_threshold for p in profiles}
+        source = str(artifact)
+        try:
+            conf = json.loads(artifact.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise CliError(EXIT_CONFIG_INVALID, f"{source} is not valid JSON: {exc}")
+    if not isinstance(conf, dict):
+        raise CliError(EXIT_CONFIG_INVALID, f"{source} must map matcher names to thresholds")
+    out = {}
+    for p in profiles:
+        if p.name not in conf:
+            raise CliError(EXIT_CONFIG_INVALID,
+                           f"{source} has no threshold for matcher {p.name!r}")
+        out[p.name] = _finite(conf[p.name])
+        if out[p.name] is None:
+            raise CliError(EXIT_CONFIG_INVALID,
+                           f"{source} threshold for matcher {p.name!r} must be a finite "
+                           f"number, got {conf[p.name]!r}")
+    return out
 
 
 def _model_spec(ctx: RunContext, outcome_override=None) -> ModelSpec:
@@ -320,7 +365,8 @@ def cmd_pairs(ctx: RunContext) -> None:
 def cmd_calibrate(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, impostor = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
+    impostor = _load_pairs(ctx, captures, "impostor")
     raw = ctx.config.get("calibration", {})
     target = float(raw.get("target_fmr", 0.001))
     names = raw.get("matchers") or [p.name for p in profiles]
@@ -343,7 +389,7 @@ def cmd_calibrate(ctx: RunContext) -> None:
 def cmd_fnmr(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, _ = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
     thresholds = _thresholds(ctx, profiles)
     raw = ctx.config.get("fnmr", {})
     bin_width = int(raw.get("bin_width_months", 6))
@@ -370,7 +416,8 @@ def cmd_fnmr(ctx: RunContext) -> None:
 def cmd_det(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, impostor = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
+    impostor = _load_pairs(ctx, captures, "impostor")
     summary_rows = []
     lines = []
     for profile in profiles:
@@ -403,7 +450,7 @@ def _two_matchers(ctx: RunContext, profiles):
 def cmd_failures(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, _ = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
     thresholds = _thresholds(ctx, profiles)
     pa, pb, raw = _two_matchers(ctx, profiles)
     report = failure_analysis(genuine, pa, thresholds[pa.name], pb,
@@ -440,7 +487,8 @@ def cmd_failures(ctx: RunContext) -> None:
 def cmd_fuse(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, impostor = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
+    impostor = _load_pairs(ctx, captures, "impostor")
     thresholds = _thresholds(ctx, profiles)
     pa, pb, _ = _two_matchers(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
@@ -462,7 +510,7 @@ def cmd_fuse(ctx: RunContext) -> None:
 def cmd_lmm(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine_all, _ = _load_pair_tables(ctx, captures)
+    genuine_all = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx)
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in ctx.config.get("model", {}).get("eyes", ["pooled"]):
@@ -540,7 +588,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, suffix: str) -> None:
 def cmd_apc(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, _ = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx)
     report = compare_apc(genuine, spec)
     rows = []
@@ -568,7 +616,7 @@ def cmd_apc(ctx: RunContext) -> None:
 def cmd_cv(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine, _ = _load_pair_tables(ctx, captures)
+    genuine = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx)
     raw = ctx.config.get("cv", {})
     k = int(raw.get("k", 5))
@@ -699,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON run config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config 'out')")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed_arg, default=None,
                        help="unsigned 64-bit master seed (overrides config 'seed')")
         p.set_defaults(handler=handler)
     return parser
@@ -730,7 +778,13 @@ def main(argv=None) -> int:
         config, config_path = _load_config(args.config)
         outdir = Path(args.out) if args.out else Path(config.get("out", "."))
         outdir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        if args.seed is not None:
+            seed = args.seed
+        else:
+            try:
+                seed = _u64(config.get("seed", 0))
+            except ValueError as exc:
+                raise CliError(EXIT_CONFIG_INVALID, f"config {exc}")
         ctx = RunContext(config=config, config_path=config_path, outdir=outdir,
                          seed=seed, inputs={}, outputs={})
         args.handler(ctx)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     GENUINE, HIGHER_IS_BETTER, ComparisonTable, DataError, MatcherProfile,
@@ -52,7 +51,9 @@ def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, fl
         raise ValueError("k must satisfy 0 <= k <= n")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    from scipy import special
+
+    z = special.ndtri(0.5 + confidence / 2.0)
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -345,6 +346,8 @@ def _pearson(x: np.ndarray, y: np.ndarray):
         return None
     if np.std(x) == 0.0 or np.std(y) == 0.0:
         return None   # undefined for a constant column, flagged as None
+    from scipy import stats
+
     r, p = stats.pearsonr(x, y)
     return float(r), float(p)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import CaptureRecord, CaptureTable, ComparisonTable, MatcherProfile
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
@@ -163,12 +162,19 @@ class SynthResult:
     profiles: tuple
 
 
+def _normal_mass(low, high, mean, sd):
+    """P(low <= X <= high) for X ~ normal(mean, sd); `mean` may be an array."""
+    from scipy import special
+
+    return special.ndtr((high - mean) / sd) - special.ndtr((low - mean) / sd)
+
+
 def _truncated_normal(rng, mean, sd, low, high, size):
     if sd == 0.0:
         if not (low <= mean <= high):
             raise SynthConfigError(f"degenerate covariate mean {mean} outside [{low}, {high}]")
         return np.full(size, float(mean))
-    mass = sps.norm.cdf(high, mean, sd) - sps.norm.cdf(low, mean, sd)
+    mass = _normal_mass(low, high, mean, sd)
     if mass < 1e-6:
         raise SynthConfigError(
             f"infeasible bounds: [{low}, {high}] carries ~zero mass under "
@@ -264,7 +270,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         if spec.sd == 0.0:
             image_cov[name] = np.clip(base, spec.low, spec.high)
             continue
-        mass = sps.norm.cdf(spec.high, base, spec.sd) - sps.norm.cdf(spec.low, base, spec.sd)
+        mass = _normal_mass(spec.low, spec.high, base, spec.sd)
         if np.min(mass) < 1e-6:
             raise SynthConfigError(f"infeasible bounds for covariate {name!r}")
         vals = rng.normal(base, spec.sd)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import ComparisonTable
 from .lmm import FittedModel, ModelSpec, build_design, fit_reml
@@ -122,11 +121,13 @@ def residual_diagnostics(fit: FittedModel, y=None, X=None,
     else:
         tested = resid
         subsampled = False
+    from scipy import special, stats
+
     w, p = stats.shapiro(tested)
 
     standardized = np.sort((resid - resid.mean()) / sd)
     ranks = np.arange(1, n + 1)
-    theo = stats.norm.ppf((ranks - 0.375) / (n + 0.25))
+    theo = special.ndtri((ranks - 0.375) / (n + 0.25))
     return DiagnosticsReport(
         shapiro_w=float(w), shapiro_p=float(p), n_residuals=n,
         n_used=len(tested), subsampled=subsampled,

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from longmatch.cli import main
+import longmatch
+from longmatch.cli import build_parser, main
 
 
 def write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -175,3 +179,84 @@ def test_seed_override_changes_outputs(tmp_path):
     assert main(["synth", "--config", str(cfg1)]) == 0
     assert main(["synth", "--config", str(cfg2), "--seed", "999"]) == 0
     assert (out1 / "captures.csv").read_bytes() != (out2 / "captures.csv").read_bytes()
+
+
+def test_import_loads_no_heavy_scipy():
+    # scipy.stats and scipy.optimize cost over a second per process; only the
+    # subcommands that call them may load them
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, longmatch.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _one_error_line(capsys, code_name: str) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error code={code_name}: "), err
+    return err[0]
+
+
+def test_thresholds_from_partial_calibration_exit_three(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir,
+                       calibration={"target_fmr": 0.01, "matchers": ["simA"]})
+    run_pipeline(cfg, ["synth", "pairs", "calibrate"])
+    assert json.loads((outdir / "thresholds.json").read_text()).keys() == {"simA"}
+    capsys.readouterr()
+    for command in ("fnmr", "failures", "fuse"):
+        assert main([command, "--config", str(cfg)]) == 3
+        assert "'simB'" in _one_error_line(capsys, "config-invalid")
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"simA": 150.0},
+    {"simA": 150.0, "simB": "high"},
+    {"simA": 150.0, "simB": None},
+    {"simA": 150.0, "simB": True},
+    {"simA": 150.0, "simB": float("nan")},
+])
+def test_config_thresholds_need_a_number_per_matcher(tmp_path, capsys, thresholds):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir, thresholds=thresholds)
+    run_pipeline(cfg, ["synth", "pairs"])
+    capsys.readouterr()
+    assert main(["fnmr", "--config", str(cfg)]) == 3
+    assert "'simB'" in _one_error_line(capsys, "config-invalid")
+
+
+def test_genuine_only_subcommands_do_not_read_impostor_pairs(tmp_path):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    run_pipeline(cfg, ["synth", "pairs"])
+    (outdir / "pairs_impostor.csv").unlink()
+    run_pipeline(cfg, ["fnmr", "failures", "lmm", "apc", "cv"])
+    for command in ("fnmr", "failures", "lmm", "apc", "cv"):
+        inputs = json.loads((outdir / f"manifest_{command}.json").read_text())["inputs"]
+        assert "pairs_genuine.csv" in inputs
+        assert "pairs_impostor.csv" not in inputs
+    assert main(["det", "--config", str(cfg)]) == 4
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 2**64, 1.5, True, None, [1]])
+def test_config_seed_must_be_u64(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "run", seed=seed)
+    assert main(["synth", "--config", str(cfg)]) == 3
+    assert "seed" in _one_error_line(capsys, "config-invalid")
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", str(2**64), "1.5", ""])
+def test_seed_flag_must_be_u64(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--config", "x.json", "--seed", seed])
+    assert exc.value.code == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_seed_range_ends_accepted():
+    for seed in (0, 2**64 - 1):
+        args = build_parser().parse_args(["synth", "--config", "x.json", "--seed", str(seed)])
+        assert args.seed == seed
