@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .core import (
     GENUINE, IMPOSTOR, HIGHER_IS_BETTER, LOWER_IS_BETTER,
-    CaptureRecord, CaptureTable, ComparisonRecord, ComparisonTable,
+    CaptureRecord, CaptureTable, ComparisonTable,
     MatcherProfile, ValidationReport, DataError, ScoreRangeError,
     dilation_ratio, dilation_constancy, validate_dataset,
 )
@@ -32,7 +32,7 @@ from .metrics import (
     fuse_and_rule, rule_of_three, wilson_interval,
 )
 from .lmm import (
-    AgeGroups, ApcReport, Categorical, Continuous, DesignMatrices, FittedModel,
+    AgeGroups, ApcReport, Continuous, DesignMatrices, FittedModel,
     Interaction, LrtResult, ModelError, ModelSpec, RankDeficientError,
     build_design, compare_apc, fit_reml, fit_spec, format_fit_report, icc,
     likelihood_ratio_test, marginal_r2, matcher_comparison, vif,

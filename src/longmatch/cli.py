@@ -183,14 +183,40 @@ def _load_captures(ctx: RunContext):
     return ingest_captures(path)
 
 
-def _load_pairs(ctx: RunContext, captures, kind: str) -> ComparisonTable:
-    """The `kind` ("genuine" or "impostor") pair table written by `pairs`."""
+def _load_pairs(ctx: RunContext, captures, kind: str, profiles=()) -> ComparisonTable:
+    """The `kind` ("genuine" or "impostor") pair table written by `pairs`,
+    holding a score column for each of `profiles`."""
     path = ctx.outdir / f"pairs_{kind}.csv"
     if not path.exists():
         raise CliError(EXIT_MISSING_INPUT,
                        f"{path} does not exist (run the pairs subcommand first)")
     ctx.record_input(path)
-    return read_pairs(path, captures)
+    table = read_pairs(path, captures)
+    for p in profiles:
+        if p.name not in table.scores:
+            raise CliError(EXIT_DATA_INVALID,
+                           f"{path} has no scores for matcher {p.name!r} declared in "
+                           f"config 'matchers' (re-run the pairs subcommand)")
+    return table
+
+
+def _setting(ctx: RunContext, section: str, key: str, default, convert,
+             requirement: str, ok=lambda value: True):
+    """Config `section.key` (or `default`) through `convert`, exit 3 naming
+    the key unless it converts and passes `ok`."""
+    raw = ctx.config.get(section, {})
+    if not isinstance(raw, dict):
+        raise CliError(EXIT_CONFIG_INVALID, f"config {section} must be a JSON object")
+    value = raw.get(key, default)
+    try:
+        parsed = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if ok(parsed):
+            return parsed
+    raise CliError(EXIT_CONFIG_INVALID,
+                   f"config {section}.{key} must be {requirement}, got {value!r}")
 
 
 def _finite(value) -> float | None:
@@ -235,15 +261,31 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     return out
 
 
-def _model_spec(ctx: RunContext, outcome_override=None) -> ModelSpec:
+def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
+    """The config's model, every column of which `table` must have."""
     raw = ctx.config.get("model", {})
-    outcome = outcome_override or raw.get("outcome")
+    outcome = raw.get("outcome")
     if not outcome:
         raise CliError(EXIT_CONFIG_INVALID, "config model.outcome is required")
-    terms = tuple(Continuous(c) for c in raw.get(
-        "quality_terms",
-        ["Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery", "C_probe", "DC"]))
-    terms += tuple(Interaction(a, b) for a, b in raw.get("interactions", []))
+    try:
+        columns = list(raw.get(
+            "quality_terms",
+            ["Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery", "C_probe", "DC"]))
+        pairs = [(a, b) for a, b in raw.get("interactions", [])]
+    except (TypeError, ValueError):
+        raise CliError(EXIT_CONFIG_INVALID,
+                       "config model.quality_terms must be a list of columns and "
+                       "model.interactions a list of [column, column] pairs")
+    named = [("outcome", outcome)] + [("quality_terms", c) for c in columns] + [
+        ("interactions", c) for pair in pairs for c in pair]
+    for key, name in named:
+        try:
+            table.column(name)
+        except (KeyError, TypeError):
+            raise CliError(EXIT_CONFIG_INVALID,
+                           f"config model.{key} names unknown column {name!r}")
+    terms = tuple(Continuous(c) for c in columns)
+    terms += tuple(Interaction(a, b) for a, b in pairs)
     try:
         return ModelSpec(
             outcome=outcome, fixed_terms=terms,
@@ -365,11 +407,11 @@ def cmd_pairs(ctx: RunContext) -> None:
 def cmd_calibrate(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
-    impostor = _load_pairs(ctx, captures, "impostor")
-    raw = ctx.config.get("calibration", {})
-    target = float(raw.get("target_fmr", 0.001))
-    names = raw.get("matchers") or [p.name for p in profiles]
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    impostor = _load_pairs(ctx, captures, "impostor", profiles)
+    target = _setting(ctx, "calibration", "target_fmr", 0.001, float,
+                      "a number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
+    names = ctx.config.get("calibration", {}).get("matchers") or [p.name for p in profiles]
 
     thresholds = {}
     lines = [f"target FMR: {target}"]
@@ -389,11 +431,12 @@ def cmd_calibrate(ctx: RunContext) -> None:
 def cmd_fnmr(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
     thresholds = _thresholds(ctx, profiles)
-    raw = ctx.config.get("fnmr", {})
-    bin_width = int(raw.get("bin_width_months", 6))
-    confidence = float(raw.get("confidence", 0.95))
+    bin_width = _setting(ctx, "fnmr", "bin_width_months", 6, int,
+                         "an integer >= 1", lambda b: b >= 1)
+    confidence = _setting(ctx, "fnmr", "confidence", 0.95, float,
+                          "a number in (0, 1)", lambda c: 0.0 < c < 1.0)
 
     lines = []
     for profile in profiles:
@@ -416,8 +459,8 @@ def cmd_fnmr(ctx: RunContext) -> None:
 def cmd_det(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
-    impostor = _load_pairs(ctx, captures, "impostor")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    impostor = _load_pairs(ctx, captures, "impostor", profiles)
     summary_rows = []
     lines = []
     for profile in profiles:
@@ -450,7 +493,7 @@ def _two_matchers(ctx: RunContext, profiles):
 def cmd_failures(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
     thresholds = _thresholds(ctx, profiles)
     pa, pb, raw = _two_matchers(ctx, profiles)
     report = failure_analysis(genuine, pa, thresholds[pa.name], pb,
@@ -487,8 +530,8 @@ def cmd_failures(ctx: RunContext) -> None:
 def cmd_fuse(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
-    impostor = _load_pairs(ctx, captures, "impostor")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    impostor = _load_pairs(ctx, captures, "impostor", profiles)
     thresholds = _thresholds(ctx, profiles)
     pa, pb, _ = _two_matchers(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
@@ -511,7 +554,7 @@ def cmd_lmm(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine_all = _load_pairs(ctx, captures, "genuine")
-    spec = _model_spec(ctx)
+    spec = _model_spec(ctx, genuine_all)
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in ctx.config.get("model", {}).get("eyes", ["pooled"]):
         if eye == "pooled":
@@ -589,7 +632,7 @@ def cmd_apc(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
-    spec = _model_spec(ctx)
+    spec = _model_spec(ctx, genuine)
     report = compare_apc(genuine, spec)
     rows = []
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
@@ -617,11 +660,11 @@ def cmd_cv(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
-    spec = _model_spec(ctx)
-    raw = ctx.config.get("cv", {})
-    k = int(raw.get("k", 5))
+    spec = _model_spec(ctx, genuine)
+    k = _setting(ctx, "cv", "k", 5, int, "an integer >= 2", lambda k: k >= 2)
+    seed = _setting(ctx, "cv", "seed", ctx.seed, _u64, "an integer in [0, 2**64)")
     try:
-        report = kfold_subject_cv(genuine, spec, k, int(raw.get("seed", ctx.seed)))
+        report = kfold_subject_cv(genuine, spec, k, seed)
     except ValueError as exc:
         raise CliError(EXIT_DATA_INVALID, str(exc))
     write_table(ctx.outdir / "cv_report.csv",

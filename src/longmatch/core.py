@@ -1,12 +1,13 @@
 """Canonical data model: captures, matcher profiles, comparison pairs.
 
-All record types are immutable value objects; tables are read-only after
+Captures are immutable records. Comparison pairs exist only as the columnar
+ComparisonTable, from pairing onward. Tables are read-only after
 construction and safe to share across parallel workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -194,52 +195,16 @@ def validate_dataset(captures: CaptureTable) -> ValidationReport:
     return ValidationReport(tuple(findings), counts, len(captures), len(flagged))
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One gallery/probe pair with covariates; scores attach later."""
-
-    gallery_image_id: str
-    probe_image_id: str
-    gallery_subject: str
-    probe_subject: str
-    eye: str
-    kind: str                      # GENUINE or IMPOSTOR
-    gap_T_months: int              # genuine: probe - gallery; impostor: |difference|
-    delta_age_years: int
-    dc: float
-    covariates: dict[str, float] = field(default_factory=dict)
-    scores: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind == GENUINE and self.gallery_subject != self.probe_subject:
-            raise ValueError("genuine pair across different subjects")
-        if self.kind == IMPOSTOR and self.gallery_subject == self.probe_subject:
-            raise ValueError("impostor pair within one subject")
-        if self.gap_T_months < 0:
-            raise ValueError("gap_T_months must be >= 0")
-
-
-def pair_covariates(gallery: CaptureRecord, probe: CaptureRecord) -> tuple[float, dict[str, float]]:
-    """DC plus the named covariate map for a gallery/probe capture pair."""
-    d_g = gallery.dilation()
-    d_p = probe.dilation()
-    dc = dilation_constancy(d_g, d_p)
-    cov = {
-        "Q_gallery": gallery.quality, "Q_probe": probe.quality,
-        "U_gallery": gallery.usable_area, "U_probe": probe.usable_area,
-        "C_gallery": gallery.circularity, "C_probe": probe.circularity,
-        "R_gallery": d_g, "R_probe": d_p,
-        "A_gallery": float(gallery.age_years), "A_probe": float(probe.age_years),
-    }
-    return dc, cov
-
-
 class ComparisonTable:
-    """Columnar, read-only view over comparison pairs.
+    """Columnar, read-only table of comparison pairs, one row per pair.
 
-    Metric and model code works on numpy columns; `from_records` is the
-    bridge from the record-level pairing output.
+    Pairing builds it unscored, `attach_scores` adds one score column per
+    matcher, and metric and model code reads its numpy columns.
     """
+
+    # the per-pair columns besides the covariate and score maps
+    _COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id",
+                "gallery_subject", "probe_subject", "gap_t", "delta_age", "dc")
 
     def __init__(self, *, kind, eye, gallery_image_id, probe_image_id,
                  gallery_subject, probe_subject, gap_t, delta_age, dc,
@@ -266,34 +231,6 @@ class ComparisonTable:
                     *self.scores.values()):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_records(cls, records: Iterable[ComparisonRecord],
-                     matchers: Iterable[str] = ()) -> "ComparisonTable":
-        records = list(records)
-        matchers = tuple(matchers)
-        cov_names = set()
-        for rec in records:
-            cov_names.update(rec.covariates)
-        covariates = {name: [rec.covariates.get(name, np.nan) for rec in records]
-                      for name in sorted(cov_names)}
-        if not matchers and records:
-            matchers = tuple(sorted(set().union(*(rec.scores.keys() for rec in records))))
-        scores = {name: [rec.scores.get(name, np.nan) for rec in records]
-                  for name in matchers}
-        return cls(
-            kind=[r.kind for r in records],
-            eye=[r.eye for r in records],
-            gallery_image_id=[r.gallery_image_id for r in records],
-            probe_image_id=[r.probe_image_id for r in records],
-            gallery_subject=[r.gallery_subject for r in records],
-            probe_subject=[r.probe_subject for r in records],
-            gap_t=[r.gap_T_months for r in records],
-            delta_age=[r.delta_age_years for r in records],
-            dc=[r.dc for r in records],
-            covariates=covariates,
-            scores=scores,
-        )
-
     def __len__(self) -> int:
         return len(self.kind)
 
@@ -307,15 +244,16 @@ class ComparisonTable:
         if mask.dtype != bool:
             mask = np.asarray(mask, dtype=np.intp)
         return ComparisonTable(
-            kind=self.kind[mask], eye=self.eye[mask],
-            gallery_image_id=self.gallery_image_id[mask],
-            probe_image_id=self.probe_image_id[mask],
-            gallery_subject=self.gallery_subject[mask],
-            probe_subject=self.probe_subject[mask],
-            gap_t=self.gap_t[mask], delta_age=self.delta_age[mask],
-            dc=self.dc[mask],
+            **{name: getattr(self, name)[mask] for name in self._COLUMNS},
             covariates={k: v[mask] for k, v in self.covariates.items()},
             scores={k: v[mask] for k, v in self.scores.items()},
+        )
+
+    def with_scores(self, scores: dict[str, np.ndarray]) -> "ComparisonTable":
+        """The same pairs with `scores` (matcher -> column) as their scores."""
+        return ComparisonTable(
+            **{name: getattr(self, name) for name in self._COLUMNS},
+            covariates=self.covariates, scores=scores,
         )
 
     @classmethod
@@ -330,15 +268,8 @@ class ComparisonTable:
             return store[name] if name in store else np.full(n, np.nan)
 
         return cls(
-            kind=np.concatenate([t.kind for t in tables]),
-            eye=np.concatenate([t.eye for t in tables]),
-            gallery_image_id=np.concatenate([t.gallery_image_id for t in tables]),
-            probe_image_id=np.concatenate([t.probe_image_id for t in tables]),
-            gallery_subject=np.concatenate([t.gallery_subject for t in tables]),
-            probe_subject=np.concatenate([t.probe_subject for t in tables]),
-            gap_t=np.concatenate([t.gap_t for t in tables]),
-            delta_age=np.concatenate([t.delta_age for t in tables]),
-            dc=np.concatenate([t.dc for t in tables]),
+            **{name: np.concatenate([getattr(t, name) for t in tables])
+               for name in cls._COLUMNS},
             covariates={name: np.concatenate([col(name, t, len(t)) for t in tables])
                         for name in cov_names},
             scores={name: np.concatenate([col(name, t, len(t)) for t in tables])

@@ -67,13 +67,6 @@ class Continuous:
 
 
 @dataclass(frozen=True)
-class Categorical:
-    column: str
-    reference: str
-    levels: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
 class AgeGroups:
     """Integer-age bins expanded to dummies against the reference bin."""
     column: str = "A_gallery"
@@ -152,8 +145,8 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     """Assemble (y, X, random structure, grouping) from a genuine-pair table.
 
     X gets an intercept column, the APC variable pair (when apc_mode is set),
-    then one column per fixed term; categorical factors expand to dummies
-    against their reference level and interactions are elementwise products
+    then one column per fixed term; age groups expand to dummies against
+    their reference bin and interactions are elementwise products
     of the parent columns. Rows with any missing value are dropped and
     counted. Standardization of the outcome (when requested) uses the mean
     and sample sd within the modeled rows, or the training design's values
@@ -191,17 +184,6 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
                 if idx == term.reference:
                     continue
                 add(f"{term.column}[{label}]", (level == idx).astype(np.float64))
-        elif isinstance(term, Categorical):
-            raw = table.eye if term.column == "eye" else None
-            if raw is None:
-                raise ModelError(f"no categorical source column {term.column!r}")
-            levels = term.levels or tuple(sorted(set(raw)))
-            if term.reference not in levels:
-                raise ModelError(f"reference level {term.reference!r} not among {levels}")
-            for level in levels:
-                if level == term.reference:
-                    continue
-                add(f"{term.column}[{level}]", (raw == level).astype(np.float64))
         else:
             raise ModelError(f"unknown term {term!r}")
 

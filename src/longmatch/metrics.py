@@ -86,6 +86,8 @@ def assign_interval(gap_months: np.ndarray, bin_width: int = 6) -> np.ndarray:
 
     Integer arithmetic, so 45 months -> 48 exactly.
     """
+    if bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     gap = np.asarray(gap_months, dtype=np.int64)
     if np.any(gap < 0):
         raise ValueError("gaps must be non-negative")
@@ -105,6 +107,8 @@ def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
     Each genuine pair is assigned to the nearest bin_width-month increment of
     its enrollment-to-probe gap. Empty bins are omitted, never emitted 0/0.
     """
+    if not (0.0 < confidence < 1.0):
+        raise ValueError("confidence must lie in (0, 1)")
     _require_kind(table, GENUINE, "fnmr_by_interval")
     bins = assign_interval(table.gap_t, bin_width)
     matches = match_mask(table.score(profile.name), threshold, profile.orientation)

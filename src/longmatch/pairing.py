@@ -1,5 +1,9 @@
 """Comparison protocols: fixed-gallery genuine pairs, seeded impostor pairs.
 
+Both protocols return an unscored ComparisonTable (no score columns), one
+row per pair in protocol order; `attach_scores` then joins one score per
+matcher onto it.
+
 Genuine protocol: for each subject and eye, every image from the subject's
 first attended collection is a gallery template, compared against every
 same-eye image from strictly later collections.
@@ -17,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
-    GENUINE, IMPOSTOR, CaptureRecord, CaptureTable, ComparisonRecord,
-    ComparisonTable, DataError, MatcherProfile, ScoreRangeError,
-    pair_covariates,
+    GENUINE, IMPOSTOR, CaptureRecord, CaptureTable, ComparisonTable, DataError,
+    MatcherProfile, ScoreRangeError,
 )
 from .rng import sample_indices
 from .tableio import ScoreTable
@@ -30,64 +35,88 @@ from .tableio import ScoreTable
 class PairingConfig:
     max_impostor_probes: int = 10
     base_seed: int = 0
-    eye_policy: str = "same-eye-only"
 
     def __post_init__(self):
         if self.max_impostor_probes < 1:
             raise ValueError("max_impostor_probes must be >= 1")
-        if self.eye_policy != "same-eye-only":
-            raise ValueError("cross-eye comparisons are excluded by construction")
 
 
-def _genuine_record(gallery: CaptureRecord, probe: CaptureRecord) -> ComparisonRecord:
-    gap = probe.capture_time_months - gallery.capture_time_months
-    if gap <= 0:
-        raise DataError(
-            f"probe {probe.image_id} in a later collection than gallery "
-            f"{gallery.image_id} but not later in time")
-    dc, cov = pair_covariates(gallery, probe)
-    return ComparisonRecord(
-        gallery_image_id=gallery.image_id, probe_image_id=probe.image_id,
-        gallery_subject=gallery.subject_id, probe_subject=probe.subject_id,
-        eye=gallery.eye, kind=GENUINE, gap_T_months=gap,
-        delta_age_years=probe.age_years - gallery.age_years, dc=dc,
-        covariates=cov,
+def _pair_table(ordered: list[CaptureRecord], gallery: list[int],
+                probe: list[int], kind: str) -> ComparisonTable:
+    """Unscored table of the pairs (ordered[gallery[i]], ordered[probe[i]]).
+
+    Genuine gaps are probe minus gallery time and must be positive; impostor
+    gaps are absolute. Every capture in a pair needs 0 < pupil < iris; the
+    first offending pair raises, as `dilation_ratio` does.
+    """
+    g = np.asarray(gallery, dtype=np.intp)
+    p = np.asarray(probe, dtype=np.intp)
+
+    def column(attr, dtype=np.float64):
+        return np.array([getattr(rec, attr) for rec in ordered], dtype=dtype)
+
+    months = column("capture_time_months", np.int64)
+    age = column("age_years", np.int64)
+    pupil = column("pupil_radius")
+    iris = column("iris_radius")
+    gap = months[p] - months[g]
+    bad_radii = ~((pupil > 0.0) & (iris > 0.0) & (pupil < iris))
+    bad = bad_radii[g] | bad_radii[p]
+    if kind == GENUINE:
+        bad |= gap <= 0
+    else:
+        gap = np.abs(gap)
+    if bad.any():
+        i = int(np.argmax(bad))
+        first_gallery, first_probe = ordered[g[i]], ordered[p[i]]
+        if kind == GENUINE and gap[i] <= 0:
+            raise DataError(
+                f"probe {first_probe.image_id} in a later collection than gallery "
+                f"{first_gallery.image_id} but not later in time")
+        (first_gallery if bad_radii[g[i]] else first_probe).dilation()
+
+    sides = {"gallery": g, "probe": p}
+    values = {"Q": column("quality"), "U": column("usable_area"),
+              "C": column("circularity"), "A": age.astype(np.float64)}
+    covariates = {f"{name}_{side}": col[rows]
+                  for name, col in values.items() for side, rows in sides.items()}
+    d_g = covariates["R_gallery"] = pupil[g] / iris[g]
+    d_p = covariates["R_probe"] = pupil[p] / iris[p]
+    image_id = column("image_id", object)
+    subject_id = column("subject_id", object)
+    return ComparisonTable(
+        kind=np.full(len(g), kind, dtype=object), eye=column("eye", object)[g],
+        gallery_image_id=image_id[g], probe_image_id=image_id[p],
+        gallery_subject=subject_id[g], probe_subject=subject_id[p],
+        gap_t=gap, delta_age=age[p] - age[g], dc=1.0 - np.abs(d_g - d_p),
+        covariates=covariates, scores={},
     )
 
 
-def generate_genuine_pairs(captures: CaptureTable) -> list[ComparisonRecord]:
+def generate_genuine_pairs(captures: CaptureTable) -> ComparisonTable:
     """Fixed-gallery genuine pairs; subjects with one collection contribute none."""
-    by_subject: dict[str, list[CaptureRecord]] = {}
-    for rec in captures.sorted_records():
-        by_subject.setdefault(rec.subject_id, []).append(rec)
+    ordered = captures.sorted_records()
+    # rows of each subject, subjects in sorted order (the table is sorted)
+    by_subject: dict[str, list[int]] = {}
+    for idx, rec in enumerate(ordered):
+        by_subject.setdefault(rec.subject_id, []).append(idx)
 
-    out: list[ComparisonRecord] = []
-    for subject in sorted(by_subject):
-        recs = by_subject[subject]
-        first = min(r.collection_index for r in recs)
+    gallery: list[int] = []
+    probe: list[int] = []
+    for rows in by_subject.values():
+        first = min(ordered[r].collection_index for r in rows)
         for eye in ("L", "R"):
-            galleries = [r for r in recs if r.eye == eye and r.collection_index == first]
-            probes = [r for r in recs if r.eye == eye and r.collection_index > first]
-            for g in galleries:
-                for p in probes:
-                    out.append(_genuine_record(g, p))
-    return out
-
-
-def _impostor_record(gallery: CaptureRecord, probe: CaptureRecord) -> ComparisonRecord:
-    dc, cov = pair_covariates(gallery, probe)
-    return ComparisonRecord(
-        gallery_image_id=gallery.image_id, probe_image_id=probe.image_id,
-        gallery_subject=gallery.subject_id, probe_subject=probe.subject_id,
-        eye=gallery.eye, kind=IMPOSTOR,
-        gap_T_months=abs(probe.capture_time_months - gallery.capture_time_months),
-        delta_age_years=probe.age_years - gallery.age_years, dc=dc,
-        covariates=cov,
-    )
+            same_eye = [r for r in rows if ordered[r].eye == eye]
+            probes = [r for r in same_eye if ordered[r].collection_index > first]
+            for r in same_eye:
+                if ordered[r].collection_index == first:
+                    gallery += [r] * len(probes)
+                    probe += probes
+    return _pair_table(ordered, gallery, probe, GENUINE)
 
 
 def generate_impostor_pairs(captures: CaptureTable,
-                            cfg: PairingConfig) -> list[ComparisonRecord]:
+                            cfg: PairingConfig) -> ComparisonTable:
     """Seeded same-eye impostor sampling over the globally sorted table.
 
     Each gallery row's pool is every same-eye image of a different subject,
@@ -108,10 +137,11 @@ def generate_impostor_pairs(captures: CaptureTable,
         lst.append(idx)
         spans[key] = (a, len(lst))
 
-    out: list[ComparisonRecord] = []
-    for row_index, gallery in enumerate(ordered):
-        lst = eye_rows[gallery.eye]
-        a, b = spans[(gallery.subject_id, gallery.eye)]
+    gallery: list[int] = []
+    probe: list[int] = []
+    for row_index, rec in enumerate(ordered):
+        lst = eye_rows[rec.eye]
+        a, b = spans[(rec.subject_id, rec.eye)]
         own = b - a
         pool_size = len(lst) - own
         if pool_size == 0:
@@ -119,10 +149,10 @@ def generate_impostor_pairs(captures: CaptureTable,
         k = min(pool_size, cfg.max_impostor_probes)
         seed = cfg.base_seed ^ row_index
         for pos in sample_indices(pool_size, k, seed):
+            gallery.append(row_index)
             # skip over the gallery subject's own contiguous block
-            j = pos if pos < a else pos + own
-            out.append(_impostor_record(gallery, ordered[lst[j]]))
-    return out
+            probe.append(lst[pos if pos < a else pos + own])
+    return _pair_table(ordered, gallery, probe, IMPOSTOR)
 
 
 @dataclass(frozen=True)
@@ -138,42 +168,37 @@ class AttachResult:
     incomplete: tuple[IncompletePair, ...] = field(default_factory=tuple)
 
 
-def attach_scores(pairs: list[ComparisonRecord], scores: ScoreTable,
+def attach_scores(pairs: ComparisonTable, scores: ScoreTable,
                   profiles: list[MatcherProfile]) -> AttachResult:
     """Join one score per declared matcher onto every pair.
 
     Pairs with any missing (gallery, probe, matcher) cell are returned on the
-    incomplete list, never silently dropped. A score outside its profile's
-    range raises ScoreRangeError naming the offending row.
+    incomplete list in pair order, never silently dropped; the table holds
+    the complete pairs with one score column per profile, in profile order.
+    A score outside its profile's range raises ScoreRangeError naming the
+    offending pair.
     """
-    complete: list[ComparisonRecord] = []
+    n = len(pairs)
+    columns = {profile.name: np.empty(n) for profile in profiles}
+    complete = np.ones(n, dtype=bool)
     incomplete: list[IncompletePair] = []
-    for rec in pairs:
-        row_scores: dict[str, float] = {}
+    for i, (gallery, probe) in enumerate(zip(pairs.gallery_image_id,
+                                             pairs.probe_image_id)):
         missing: list[str] = []
         for profile in profiles:
-            value = scores.get(rec.gallery_image_id, rec.probe_image_id, profile.name)
+            value = scores.get(gallery, probe, profile.name)
             if value is None:
                 missing.append(profile.name)
                 continue
             if not (profile.score_min <= value <= profile.score_max):
                 raise ScoreRangeError(
                     f"score {value} for matcher {profile.name!r} on pair "
-                    f"({rec.gallery_image_id}, {rec.probe_image_id}) outside "
+                    f"({gallery}, {probe}) outside "
                     f"[{profile.score_min}, {profile.score_max}]")
-            row_scores[profile.name] = value
+            columns[profile.name][i] = value
         if missing:
-            incomplete.append(IncompletePair(rec.gallery_image_id,
-                                             rec.probe_image_id, tuple(missing)))
-            continue
-        complete.append(ComparisonRecord(
-            gallery_image_id=rec.gallery_image_id,
-            probe_image_id=rec.probe_image_id,
-            gallery_subject=rec.gallery_subject,
-            probe_subject=rec.probe_subject,
-            eye=rec.eye, kind=rec.kind, gap_T_months=rec.gap_T_months,
-            delta_age_years=rec.delta_age_years, dc=rec.dc,
-            covariates=dict(rec.covariates), scores=row_scores,
-        ))
-    table = ComparisonTable.from_records(complete, [p.name for p in profiles])
+            complete[i] = False
+            incomplete.append(IncompletePair(gallery, probe, tuple(missing)))
+    table = pairs.select(complete).with_scores(
+        {name: col[complete] for name, col in columns.items()})
     return AttachResult(table, tuple(incomplete))

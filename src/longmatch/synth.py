@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CaptureRecord, CaptureTable, ComparisonTable, MatcherProfile
+from .core import CaptureRecord, CaptureTable, MatcherProfile
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 from .tableio import ScoreTable
 
@@ -299,8 +299,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         ))
     captures = CaptureTable(records)
 
-    genuine = generate_genuine_pairs(captures)
-    gen_table = ComparisonTable.from_records(genuine)
+    gen_table = generate_genuine_pairs(captures)
     subj_index = {sid: i for i, sid in enumerate(subject_ids)}
     gi = np.fromiter((subj_index[s] for s in gen_table.gallery_subject),
                      dtype=np.int64, count=len(gen_table))
@@ -320,9 +319,9 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
             else np.zeros(len(gen_table))
         vals = lin + u[gi, 0] + u[gi, 1] * gap + eps
         observed[sim.name].append(vals)
-        for idx, rec in enumerate(genuine):
-            scores.add(rec.gallery_image_id, rec.probe_image_id, sim.name,
-                       float(vals[idx]))
+        for gid, pid, value in zip(gen_table.gallery_image_id,
+                                   gen_table.probe_image_id, vals.tolist()):
+            scores.add(gid, pid, sim.name, value)
 
     n_impostor = 0
     if cfg.include_impostors:
@@ -331,9 +330,9 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         for sim in cfg.matchers:
             vals = sim.impostor.draw(rng, n_impostor)
             observed[sim.name].append(vals)
-            for idx, rec in enumerate(impostor):
-                scores.add(rec.gallery_image_id, rec.probe_image_id, sim.name,
-                           float(vals[idx]))
+            for gid, pid, value in zip(impostor.gallery_image_id,
+                                       impostor.probe_image_id, vals.tolist()):
+                scores.add(gid, pid, sim.name, value)
 
     profiles = tuple(
         _profile_from_scores(sim.name, sim.orientation,
@@ -345,7 +344,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         betas={sim.name: dict(sim.beta) for sim in cfg.matchers},
         sigmas={sim.name: sim.sigma_matrix() for sim in cfg.matchers},
         sigma2s={sim.name: sim.sigma2 for sim in cfg.matchers},
-        seed=cfg.seed, n_genuine=len(genuine), n_impostor=n_impostor,
+        seed=cfg.seed, n_genuine=len(gen_table), n_impostor=n_impostor,
     )
     return SynthResult(captures, scores, truth, profiles)
 

@@ -274,38 +274,43 @@ def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
     cov = {name: [] for name in PAIR_COVARIATES}
     scores = {m: [] for m in matchers}
     for row_number, row in enumerate(rows, start=1):
-        k = row[col["kind"]]
-        if k not in (GENUINE, IMPOSTOR):
-            raise IngestError(f"{path}: bad kind {k!r} at data row {row_number}")
-        kind.append(k)
-        eye.append(row[col["eye"]])
-        g = row[col["gallery_image_id"]]
-        p = row[col["probe_image_id"]]
-        gid.append(g)
-        pid.append(p)
-        gap.append(int(row[col["gap_T_months"]]))
-        dage.append(int(row[col["delta_age_years"]]))
-        dc.append(float(row[col["DC"]]))
-        for name in QUALITY_COVARIATES:
-            cov[name].append(float(row[col[name]]))
-        if captures is not None:
-            grec = captures.get(g)
-            prec = captures.get(p)
-            if grec is None or prec is None:
-                raise IngestError(
-                    f"{path}: data row {row_number} references image ids "
-                    f"missing from the capture table")
-            gsub.append(grec.subject_id)
-            psub.append(prec.subject_id)
-            cov["A_gallery"].append(float(grec.age_years))
-            cov["A_probe"].append(float(prec.age_years))
-        else:
-            gsub.append("")
-            psub.append("")
-            cov["A_gallery"].append(np.nan)
-            cov["A_probe"].append(np.nan)
-        for m in matchers:
-            scores[m].append(float(row[col[f"score_{m}"]]))
+        # a damaged cell (ValueError) or a short row (IndexError) names its row
+        try:
+            k = row[col["kind"]]
+            if k not in (GENUINE, IMPOSTOR):
+                raise IngestError(f"{path}: bad kind {k!r} at data row {row_number}")
+            kind.append(k)
+            eye.append(row[col["eye"]])
+            g = row[col["gallery_image_id"]]
+            p = row[col["probe_image_id"]]
+            gid.append(g)
+            pid.append(p)
+            gap.append(int(row[col["gap_T_months"]]))
+            dage.append(int(row[col["delta_age_years"]]))
+            dc.append(float(row[col["DC"]]))
+            for name in QUALITY_COVARIATES:
+                cov[name].append(float(row[col[name]]))
+            if captures is not None:
+                grec = captures.get(g)
+                prec = captures.get(p)
+                if grec is None or prec is None:
+                    raise IngestError(
+                        f"{path}: data row {row_number} references image ids "
+                        f"missing from the capture table")
+                gsub.append(grec.subject_id)
+                psub.append(prec.subject_id)
+                cov["A_gallery"].append(float(grec.age_years))
+                cov["A_probe"].append(float(prec.age_years))
+            else:
+                gsub.append("")
+                psub.append("")
+                cov["A_gallery"].append(np.nan)
+                cov["A_probe"].append(np.nan)
+            for m in matchers:
+                scores[m].append(float(row[col[f"score_{m}"]]))
+        except (ValueError, IndexError) as exc:
+            raise IngestError(
+                f"{path}: bad or missing cell at data row {row_number}: {exc}")
 
     return ComparisonTable(
         kind=kind, eye=eye, gallery_image_id=gid, probe_image_id=pid,

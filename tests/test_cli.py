@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -260,3 +261,113 @@ def test_seed_range_ends_accepted():
     for seed in (0, 2**64 - 1):
         args = build_parser().parse_args(["synth", "--config", "x.json", "--seed", str(seed)])
         assert args.seed == seed
+
+
+# SHA-256 of the synth and pairs outputs on the write_config config; a change
+# to any of them is a change to the program's output and says why
+GOLDEN_SYNTH_PAIRS = {
+    "captures.csv": "07e8231f4f6f141eb51416176da9f0c09d6dee9503e2a149c31b2ed3bcda5550",
+    "scores.csv": "3a5db7b442ef6fbce7a963228a017eab7f46fe78db293cd7ee6ce408c1f19b80",
+    "pairs_genuine.csv": "2c7f3347d2e563e75c43bae9662c3aac0c0d10faeee1cd9f2082bf85391d25c3",
+    "pairs_impostor.csv": "3615c2f13cd733ec572af733bbdbb6ed542f5ecbd57f467a32195f7a2cc60690",
+    "pairs_incomplete.csv": "da8e4b693bdd113b5e524c8f979798ce7a0167141f58e1c6cbf86cc8f8dce1ad",
+}
+
+
+def test_synth_and_pairs_golden_digests(tmp_path):
+    outdir = tmp_path / "run"
+    run_pipeline(write_config(tmp_path / "config.json", outdir), ["synth", "pairs"])
+    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SYNTH_PAIRS}
+    assert digests == GOLDEN_SYNTH_PAIRS
+
+
+@pytest.mark.parametrize("fnmr, key", [
+    ({"bin_width_months": 0}, "fnmr.bin_width_months"),
+    ({"bin_width_months": "x"}, "fnmr.bin_width_months"),
+    ({"bin_width_months": 6, "confidence": 2.0}, "fnmr.confidence"),
+])
+def test_fnmr_settings_out_of_range_exit_three(tmp_path, capsys, fnmr, key):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir, fnmr=fnmr)
+    run_pipeline(cfg, ["synth", "pairs"])
+    capsys.readouterr()
+    assert main(["fnmr", "--config", str(cfg)]) == 3
+    assert key in _one_error_line(capsys, "config-invalid")
+    assert not list(outdir.glob("interval_fnmr_*.csv"))
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("cv", {"cv": {"k": "x", "seed": 5}}, "cv.k"),
+    ("cv", {"cv": {"k": 3, "seed": "abc"}}, "cv.seed"),
+    ("calibrate", {"calibration": {"target_fmr": "x"}}, "calibration.target_fmr"),
+])
+def test_bad_config_values_exit_three(tmp_path, capsys, command, overrides, key):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir, **overrides)
+    run_pipeline(cfg, ["synth", "pairs"])
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 3
+    assert key in _one_error_line(capsys, "config-invalid")
+
+
+def test_unknown_model_outcome_exit_three(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir,
+                       model={"outcome": "nope", "quality_terms": ["Q_gallery"]})
+    run_pipeline(cfg, ["synth", "pairs"])
+    capsys.readouterr()
+    for command in ("lmm", "apc", "cv"):
+        assert main([command, "--config", str(cfg)]) == 3
+        line = _one_error_line(capsys, "config-invalid")
+        assert "model.outcome" in line and "'nope'" in line
+
+
+@pytest.mark.parametrize("model, key", [
+    ({"quality_terms": ["Q_gallery", "nope"]}, "model.quality_terms"),
+    ({"interactions": [5]}, "model.interactions"),
+])
+def test_bad_model_columns_exit_three(tmp_path, capsys, model, key):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir, model={"outcome": "simA", **model})
+    run_pipeline(cfg, ["synth", "pairs"])
+    capsys.readouterr()
+    assert main(["lmm", "--config", str(cfg)]) == 3
+    assert key in _one_error_line(capsys, "config-invalid")
+
+
+def test_matcher_missing_from_pair_tables_exit_five(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    run_pipeline(cfg, ["synth", "pairs"])
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config["matchers"].append({"name": "nope", "orientation": "higher",
+                               "score_min": 0.0, "score_max": 1.0,
+                               "default_threshold": 0.5})
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("calibrate", "fnmr", "det", "failures", "fuse"):
+        assert main([command, "--config", str(cfg)]) == 5
+        line = _one_error_line(capsys, "data-invalid")
+        assert "'nope'" in line and "pairs_genuine.csv" in line
+        assert "re-run the pairs subcommand" in line
+
+
+@pytest.mark.parametrize("damage", ["non-numeric", "truncated"])
+def test_damaged_pair_file_exit_five(tmp_path, capsys, damage):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    run_pipeline(cfg, ["synth", "pairs"])
+    path = outdir / "pairs_genuine.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    if damage == "non-numeric":
+        cells[4] = "six"          # gap_T_months
+    else:
+        cells = cells[:9]
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fnmr", "--config", str(cfg)]) == 5
+    line = _one_error_line(capsys, "data-invalid")
+    assert "pairs_genuine.csv" in line and "data row 3" in line

@@ -107,6 +107,11 @@ class TestIntervalAssignment:
         expected = [6 * math.floor(g / 6 + 0.5) for g in gaps]
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("bin_width", [0, -6])
+    def test_rejects_bin_width_below_one(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width must be >= 1"):
+            assign_interval(np.array([6, 12]), bin_width)
+
 
 class TestFnmrByInterval:
     def test_zero_errors_rule_of_three(self, similarity_profile):
@@ -137,6 +142,20 @@ class TestFnmrByInterval:
                        matchers=("simmatch",))
         with pytest.raises(DataError):
             fnmr_by_interval(table, similarity_profile, 34.0)
+
+    @pytest.mark.parametrize("bin_width, confidence, message", [
+        (0, 0.95, "bin_width"),
+        (6, 2.0, "confidence"),
+        (6, 0.0, "confidence"),
+        (6, float("nan"), "confidence"),
+    ])
+    def test_rejects_bad_settings_without_errors(self, similarity_profile, bin_width,
+                                                 confidence, message):
+        # every pair matches, so no interval reaches the Wilson bound
+        table = _table(GENUINE, gaps=[6, 12], scores={"simmatch": [50.0, 60.0]},
+                       matchers=("simmatch",))
+        with pytest.raises(ValueError, match=message):
+            fnmr_by_interval(table, similarity_profile, 34.0, bin_width, confidence)
 
 
 class TestFmr:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from longmatch.core import MatcherProfile
+from longmatch.core import ComparisonTable, MatcherProfile
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
 from longmatch.tableio import (
@@ -139,10 +139,10 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     genuine = generate_genuine_pairs(captures)
     impostor = generate_impostor_pairs(captures, PairingConfig(max_impostor_probes=3,
                                                                base_seed=9))
-    for rec in genuine + impostor:
-        scores.add(rec.gallery_image_id, rec.probe_image_id, "m1",
-                   float(rng.normal(50, 10)))
-    table = attach_scores(genuine + impostor, scores, [profile]).table
+    pairs = ComparisonTable.concat([genuine, impostor])
+    for gid, pid in zip(pairs.gallery_image_id, pairs.probe_image_id):
+        scores.add(gid, pid, "m1", float(rng.normal(50, 10)))
+    table = attach_scores(pairs, scores, [profile]).table
 
     path = tmp_path / "pairs.csv"
     write_pairs(table, path)
