@@ -165,8 +165,16 @@ def _profile_by_name(profiles, name) -> MatcherProfile:
     raise CliError(EXIT_CONFIG_INVALID, f"matcher {name!r} is not declared in config")
 
 
+def _section(ctx: RunContext, name: str) -> dict:
+    """Config section `name` ({} when absent), exit 3 unless a JSON object."""
+    raw = ctx.config.get(name, {})
+    if not isinstance(raw, dict):
+        raise CliError(EXIT_CONFIG_INVALID, f"config {name} must be a JSON object")
+    return raw
+
+
 def _pairing_config(ctx: RunContext) -> PairingConfig:
-    raw = ctx.config.get("pairing", {})
+    raw = _section(ctx, "pairing")
     try:
         return PairingConfig(
             max_impostor_probes=int(raw.get("max_impostor_probes", 10)),
@@ -204,10 +212,7 @@ def _setting(ctx: RunContext, section: str, key: str, default, convert,
              requirement: str, ok=lambda value: True):
     """Config `section.key` (or `default`) through `convert`, exit 3 naming
     the key unless it converts and passes `ok`."""
-    raw = ctx.config.get(section, {})
-    if not isinstance(raw, dict):
-        raise CliError(EXIT_CONFIG_INVALID, f"config {section} must be a JSON object")
-    value = raw.get(key, default)
+    value = _section(ctx, section).get(key, default)
     try:
         parsed = convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -263,7 +268,7 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
 
 def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
     """The config's model, every column of which `table` must have."""
-    raw = ctx.config.get("model", {})
+    raw = _section(ctx, "model")
     outcome = raw.get("outcome")
     if not outcome:
         raise CliError(EXIT_CONFIG_INVALID, "config model.outcome is required")
@@ -306,7 +311,7 @@ def _write_text(ctx: RunContext, name: str, text: str) -> None:
 # subcommands
 
 def cmd_synth(ctx: RunContext) -> None:
-    raw = ctx.config.get("synth", {})
+    raw = _section(ctx, "synth")
     try:
         covariates = {k: CovariateSpec(**v) for k, v in raw.get("covariates", {}).items()} \
             or None
@@ -411,7 +416,7 @@ def cmd_calibrate(ctx: RunContext) -> None:
     impostor = _load_pairs(ctx, captures, "impostor", profiles)
     target = _setting(ctx, "calibration", "target_fmr", 0.001, float,
                       "a number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
-    names = ctx.config.get("calibration", {}).get("matchers") or [p.name for p in profiles]
+    names = _section(ctx, "calibration").get("matchers") or [p.name for p in profiles]
 
     thresholds = {}
     lines = [f"target FMR: {target}"]
@@ -478,7 +483,7 @@ def cmd_det(ctx: RunContext) -> None:
 
 
 def _two_matchers(ctx: RunContext, profiles):
-    raw = ctx.config.get("fusion", {})
+    raw = _section(ctx, "fusion")
     if "matcher_a" in raw and "matcher_b" in raw:
         names = (raw["matcher_a"], raw["matcher_b"])
     elif len(profiles) >= 2:
@@ -486,8 +491,7 @@ def _two_matchers(ctx: RunContext, profiles):
     else:
         raise CliError(EXIT_CONFIG_INVALID,
                        "fusion/failure analysis needs two matchers (config 'fusion')")
-    return (_profile_by_name(profiles, names[0]),
-            _profile_by_name(profiles, names[1]), raw)
+    return _profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1])
 
 
 def cmd_failures(ctx: RunContext) -> None:
@@ -495,10 +499,10 @@ def cmd_failures(ctx: RunContext) -> None:
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     thresholds = _thresholds(ctx, profiles)
-    pa, pb, raw = _two_matchers(ctx, profiles)
-    report = failure_analysis(genuine, pa, thresholds[pa.name], pb,
-                              thresholds[pb.name],
-                              float(raw.get("min_quality_cut", 45.0)))
+    pa, pb = _two_matchers(ctx, profiles)
+    cut = _setting(ctx, "fusion", "min_quality_cut", 45.0, float, "a finite number",
+                   math.isfinite)
+    report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], cut)
     rows = []
     for cat in report.categories:
         rows.append((cat.name, cat.n_pairs, cat.n_subjects,
@@ -533,7 +537,7 @@ def cmd_fuse(ctx: RunContext) -> None:
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     impostor = _load_pairs(ctx, captures, "impostor", profiles)
     thresholds = _thresholds(ctx, profiles)
-    pa, pb, _ = _two_matchers(ctx, profiles)
+    pa, pb = _two_matchers(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
     report = fuse_and_rule(combined, pa, thresholds[pa.name], pb, thresholds[pb.name])
     ia = report.impostor_accepts
@@ -555,19 +559,28 @@ def cmd_lmm(ctx: RunContext) -> None:
     captures = _load_captures(ctx).table
     genuine_all = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx, genuine_all)
+    raw = _section(ctx, "model")
+    eyes = raw.get("eyes", ["pooled"])
+    if not isinstance(eyes, list) or not all(e in ("L", "R", "pooled") for e in eyes):
+        raise CliError(EXIT_CONFIG_INVALID, "config model.eyes must be a list of 'L', "
+                       f"'R' or 'pooled', got {eyes!r}")
+    bins = raw.get("age_groups", [[4, 5], [6, 7], [8, 9], [10, 12]])
+    if not (isinstance(bins, list) and bins and all(
+            isinstance(b, list) and len(b) == 2 and all(_finite(v) is not None for v in b)
+            for b in bins)):
+        raise CliError(EXIT_CONFIG_INVALID, "config model.age_groups must be a non-empty list "
+                       f"of [low, high] number pairs, got {bins!r}")
+    age_term = AgeGroups(column="A_gallery", bins=tuple(tuple(b) for b in bins))
     # eyes are independent biometric instances; fit pooled or per eye
-    for eye in ctx.config.get("model", {}).get("eyes", ["pooled"]):
+    for eye in eyes:
         if eye == "pooled":
-            _fit_and_report(ctx, genuine_all, spec, suffix="")
-        elif eye in ("L", "R"):
-            _fit_and_report(ctx, genuine_all.select(genuine_all.eye == eye),
-                            spec, suffix=f"_{eye}")
+            _fit_and_report(ctx, genuine_all, spec, age_term, suffix="")
         else:
-            raise CliError(EXIT_CONFIG_INVALID,
-                           f"model.eyes entries must be 'L', 'R' or 'pooled', got {eye!r}")
+            _fit_and_report(ctx, genuine_all.select(genuine_all.eye == eye),
+                            spec, age_term, suffix=f"_{eye}")
 
 
-def _fit_and_report(ctx: RunContext, genuine, spec, suffix: str) -> None:
+def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> None:
     fit = fit_spec(genuine, spec)
     name = spec.outcome + suffix
     diag = residual_diagnostics(fit)
@@ -587,9 +600,6 @@ def _fit_and_report(ctx: RunContext, genuine, spec, suffix: str) -> None:
     ctx.record_output(ctx.outdir / f"coefficients_{name}.csv")
 
     # enrollment age-group companion model and predicted trajectories
-    raw = ctx.config.get("model", {})
-    bins = tuple(tuple(b) for b in raw.get("age_groups", [[4, 5], [6, 7], [8, 9], [10, 12]]))
-    age_term = AgeGroups(column="A_gallery", bins=bins)
     group_spec = ModelSpec(
         outcome=spec.outcome,
         fixed_terms=(Continuous("T"), age_term) + tuple(

@@ -6,21 +6,25 @@ The model is
     (u_0i, u_1i) ~ N(0, Sigma),  e_ij ~ N(0, sigma2),
 
 with subjects i as the grouping factor. Fixed effects are profiled out by
-GLS and sigma2 is profiled analytically, so the numerical optimization runs
-only over the log-Cholesky factor of the relative covariance Sigma/sigma2
-(unconstrained, PSD by construction). Per-subject blocks are collapsed to
-q x q summaries via the Woodbury identity, which makes one criterion
-evaluation O(n) regardless of subject count.
+GLS and sigma2 is profiled analytically, so the numerical optimization
+runs only over the log-Cholesky factor of the relative covariance
+Sigma/sigma2 (unconstrained, PSD by construction). One evaluator returns
+the profiled criterion with its exact gradient and Hessian; the Woodbury
+identity collapses each subject to 1x1 or 2x2 blocks, written out as
+formulas, so an evaluation is O(n) regardless of subject count.
 
-Optimization is quasi-Newton (L-BFGS-B) on the analytic gradient,
-iteration cap 500, followed by a Newton polish that solves grad = 0 with a
-finite-difference Hessian of that gradient. With `check_optimum` (the
-default) the optimum must then beat 20 seeded perturbation probes of the
-variance parameters (`diagnostics["local_optimum_ok"]`). The outcome is
-scaled to unit variance internally and results are mapped back exactly, so
-fits are equivariant under affine rescaling of the outcome. Rows are put in
-a canonical content-based order before any summation, so a row-permuted
-table refits to bitwise-identical estimates.
+The fit is a damped Newton iteration from a moment start: Hessian
+eigenvalues shifted up where it is not positive definite, backtracking on
+the criterion, parameters clipped to a box whose edges mark zero
+variances. It stops once the predicted decrease is below the criterion's
+rounding, typically after 3-8 evaluations. `converged` and
+`diagnostics["local_optimum_ok"]` follow from the certificate of the
+returned point: the projected-gradient norm and the smallest Hessian
+eigenvalue of the free parameters. The outcome is scaled to unit variance
+internally and results are mapped back exactly, so fits are equivariant
+under affine rescaling of the outcome. Rows are put in a canonical
+content-based order before any summation, so a row-permuted table refits
+to bitwise-identical estimates.
 
 Wald inference uses the profiled GLS covariance with a standard normal
 reference; appropriate for the designs this targets (hundreds of subjects,
@@ -31,12 +35,12 @@ subjects.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import GENUINE, ComparisonTable, DataError
-from .rng import SplitMix64
 
 INTERCEPT_ONLY = "intercept"
 INTERCEPT_AND_SLOPE = "intercept_slope"
@@ -120,23 +124,23 @@ class DesignMatrices:
 
 
 def _independent_columns(X: np.ndarray) -> np.ndarray:
-    """Greedy mask of columns linearly independent of their predecessors."""
+    """Mask of the nonzero columns independent of the kept columns before
+    them: |R_jj| > 1e-8 ||x_j||, R_jj the residual of x_j against those
+    columns by Gram-Schmidt reorthogonalized once; matrix-vector products
+    only, as LAPACK's QR of a tall design is slow under threaded BLAS."""
     n, p = X.shape
     keep = np.zeros(p, dtype=bool)
-    basis = np.zeros((n, 0))
-    for j in range(p):
-        col = X[:, j]
-        scale = np.linalg.norm(col)
-        if scale == 0.0:
-            continue
-        if basis.shape[1]:
-            coef, *_ = np.linalg.lstsq(basis, col, rcond=None)
-            resid = col - basis @ coef
-        else:
-            resid = col
-        if np.linalg.norm(resid) > 1e-8 * scale:
+    basis = np.empty((p, n))   # orthonormal rows, the first k spanning the kept columns
+    k = 0
+    for j, col in enumerate(X.T):
+        resid = col
+        for _ in range(2):
+            resid = resid - basis[:k].T @ (basis[:k] @ resid)
+        norm = np.linalg.norm(resid)
+        if norm > 1e-8 * np.linalg.norm(col):
             keep[j] = True
-            basis = np.column_stack([basis, col])
+            basis[k] = resid / norm
+            k += 1
     return keep
 
 
@@ -244,214 +248,236 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
 # profiled REML machinery
 
 class _GroupStats:
-    """Per-subject sufficient statistics for the Woodbury-collapsed criterion."""
+    """Per-subject sums of the random-effects design Z = [1] or [1, t], one
+    length-m array per entry: zz[a][b] = sum z_a z_b, zx[a] = sum z_a x', zy[a] = sum z_a y."""
 
     def __init__(self, y, X, t, group_index):
         self.n, self.p = X.shape
-        self.q = 1 if t is None else 2
-        m = int(group_index.max()) + 1
-        self.m = m
-        zcols = [np.ones(self.n)] if t is None else [np.ones(self.n), t]
-        q = self.q
+        self.m = m = int(group_index.max()) + 1
+        self.zcols = [np.ones(self.n)] if t is None else [np.ones(self.n), t]
+        self.q = len(self.zcols)
 
-        self.ZtZ = np.empty((m, q, q))
-        for a in range(q):
-            for b in range(a, q):
-                s = np.bincount(group_index, weights=zcols[a] * zcols[b], minlength=m)
-                self.ZtZ[:, a, b] = s
-                self.ZtZ[:, b, a] = s
-        self.ZtX = np.empty((m, q, self.p))
-        for a in range(q):
-            for j in range(self.p):
-                self.ZtX[:, a, j] = np.bincount(group_index, weights=zcols[a] * X[:, j],
-                                                minlength=m)
-        self.Zty = np.empty((m, q))
-        for a in range(q):
-            self.Zty[:, a] = np.bincount(group_index, weights=zcols[a] * y, minlength=m)
+        def sums(weights):
+            return np.bincount(group_index, weights=weights, minlength=m)
 
+        self.zz = [[sums(za * zb) for zb in self.zcols] for za in self.zcols]
+        self.zx = [np.column_stack([sums(z * X[:, j]) for j in range(self.p)])
+                   for z in self.zcols]
+        self.zy = [sums(z * y) for z in self.zcols]
         self.XtX = X.T @ X
         self.Xty = X.T @ y
-        self.yty = float(y @ y)
-        self.zcols = zcols
         self.group_index = group_index
         self.y = y
         self.X = X
 
-    def _ainv_logdet(self, A):
-        q = self.q
-        if q == 1:
-            det = A[:, 0, 0]
-            inv = (1.0 / det)[:, None, None]
-        else:
-            det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-            inv = np.empty_like(A)
-            inv[:, 0, 0] = A[:, 1, 1]
-            inv[:, 1, 1] = A[:, 0, 0]
-            inv[:, 0, 1] = -A[:, 0, 1]
-            inv[:, 1, 0] = -A[:, 1, 0]
-            inv /= det[:, None, None]
-        return inv, float(np.log(det).sum())
 
-    def whitened_normal_equations(self, factor):
-        """X'W^-1X, X'W^-1y, y'W^-1y, logdet W for W = I + Z F F' Z'."""
-        A = np.einsum("ji,mjk->mik", factor, np.einsum("mij,jk->mik", self.ZtZ, factor))
-        A[:, np.arange(self.q), np.arange(self.q)] += 1.0
-        Ainv, logdet = self._ainv_logdet(A)
-        ZtXt = np.einsum("ji,mjp->mip", factor, self.ZtX)
-        Ztyt = np.einsum("ji,mj->mi", factor, self.Zty)
-        Bx = np.einsum("mij,mjp->mip", Ainv, ZtXt)
-        By = np.einsum("mij,mj->mi", Ainv, Ztyt)
-        XtWX = self.XtX - np.einsum("mip,miq->pq", ZtXt, Bx)
-        XtWy = self.Xty - np.einsum("mip,mi->p", ZtXt, By)
-        yWy = self.yty - float(np.einsum("mi,mi->", Ztyt, By))
-        return XtWX, XtWy, yWy, logdet, (A, Ainv, factor)
-
-    def residual_quadform(self, factor, beta):
-        """e'W^-1 e computed from the residual vector (cancellation-safe)."""
-        e = self.y - self.X @ beta
-        q = self.q
-        m = self.m
-        Zte = np.empty((m, q))
-        for a in range(q):
-            Zte[:, a] = np.bincount(self.group_index, weights=self.zcols[a] * e,
-                                    minlength=m)
-        A = np.einsum("ji,mjk->mik", factor, np.einsum("mij,jk->mik", self.ZtZ, factor))
-        A[:, np.arange(q), np.arange(q)] += 1.0
-        Ainv, _ = self._ainv_logdet(A)
-        Ztet = np.einsum("ji,mj->mi", factor, Zte)
-        Be = np.einsum("mij,mj->mi", Ainv, Ztet)
-        return float(e @ e - np.einsum("mi,mi->", Ztet, Be))
+def _congruence(L, S):
+    """Per-subject L' S L for a constant q x q matrix L."""
+    Q = range(len(L))
+    return [[sum(L[c, a] * L[d, b] * S[c][d] for c in Q for d in Q) for b in Q] for a in Q]
 
 
-_BIG = 1e30
+def _times(S, D):
+    """Per-subject S D for a constant q x q matrix D."""
+    Q = range(len(D))
+    return [[sum(S[a][c] * D[c, b] for c in Q) for b in Q] for a in Q]
+
+
+def _trace_sum(S, T):
+    """tr(S T) summed over subjects."""
+    Q = range(len(S))
+    return sum(float(S[a][b] @ T[b][a]) for a in Q for b in Q)
+
+
 _LOG_BOUND = 14.0
 
 
 def _unpack_factor(params, q):
-    if q == 1:
-        return np.array([[np.exp(params[0])]])
-    return np.array([[np.exp(params[0]), 0.0],
-                     [params[1], np.exp(params[2])]])
+    """The lower-triangular factor L of log-Cholesky parameters."""
+    return np.array([[np.exp(params[0])]]) if q == 1 else \
+        np.array([[np.exp(params[0]), 0.0], [params[1], np.exp(params[2])]])
 
 
-def _evaluate(params, gs: _GroupStats, reml: bool, with_grad: bool = False):
-    """Profiled criterion (-2 loglik) and, optionally, its exact gradient.
+def _pack_factor(L):
+    """The log-Cholesky parameters of a lower-triangular factor L."""
+    return np.log(np.diag(L)) if len(L) == 1 else \
+        np.array([np.log(L[0, 0]), L[1, 0], np.log(L[1, 1])])
 
-    The gradient follows from d tr log W = tr(Z'W^-1 Z dGamma), the envelope
-    theorem at the GLS beta-hat, and the chain rule through Gamma =
-    factor factor'; everything collapses to per-group q x q blocks.
+
+def _factor_derivatives(L):
+    """dGamma, d2Gamma of Gamma = L L' in the parameters log L00[, L10, log L11]."""
+    entries = [(0, 0)] if len(L) == 1 else [(0, 0), (1, 0), (1, 1)]
+    dL = [np.zeros_like(L) for _ in entries]
+    for D, (i, j) in zip(dL, entries):
+        D[i, j] = L[i, j] if i == j else 1.0
+    dG = [D @ L.T + L @ D.T for D in dL]
+    # d2L vanishes but for d2L / d(log L_ii)^2 = dL, whose share of d2Gamma
+    # is dGamma itself
+    return dG, [[dL[k] @ dL[l].T + dL[l] @ dL[k].T + (dG[k] if k == l and i == j else 0.0)
+                 for l in range(len(dL))] for k, (i, j) in enumerate(entries)]
+
+
+@dataclass
+class _Evaluation:
+    crit: float             # profiled -2 loglik
+    grad: np.ndarray
+    hess: np.ndarray
+    beta: np.ndarray        # GLS fixed effects
+    quadform: float         # e'W^-1 e of the GLS residual e, formed from e itself
+    XtWX_inv: np.ndarray
+
+
+def _evaluate(params, gs: _GroupStats, reml: bool) -> _Evaluation | None:
+    """Profiled criterion with its exact gradient and Hessian, or None where
+    the criterion is not finite.
+
+    W = I + Z Gamma Z' with Gamma = L L' relative to sigma2, r = e'W^-1 e at
+    the GLS beta-hat, c = dof / r and P the REML projection (W^-1 for ML).
+    By the envelope theorem at beta-hat,
+        df   = tr(P dW_k) - c y'P dW_k P y
+        d2f  = tr(P d2W_kl) - tr(P dW_l P dW_k)
+               - c (y'P d2W_kl P y - 2 y'P dW_l P dW_k P y)
+               - (dof / r^2) (y'P dW_k P y) (y'P dW_l P y),
+    and every term collapses to per-subject q x q blocks through
+    M = Z'W^-1 Z, B = Z'W^-1 X, v = Z'W^-1 e and E = B (X'W^-1 X)^-1 B'.
     """
     q = gs.q
-    factor = _unpack_factor(params, q)
-    T1 = np.einsum("mij,jk->mik", gs.ZtZ, factor)
-    A = np.einsum("ji,mjk->mik", factor, T1)
-    A[:, np.arange(q), np.arange(q)] += 1.0
-    Ainv, logdetW = gs._ainv_logdet(A)
-    ZtXt = np.einsum("ji,mjp->mip", factor, gs.ZtX)
-    Ztyt = np.einsum("ji,mj->mi", factor, gs.Zty)
-    XtWX = gs.XtX - np.einsum("mip,mij,mjq->pq", ZtXt, Ainv, ZtXt)
-    XtWy = gs.Xty - np.einsum("mip,mij,mj->p", ZtXt, Ainv, Ztyt)
-    yWy = gs.yty - float(np.einsum("mi,mij,mj->", Ztyt, Ainv, Ztyt))
+    Q = range(q)
+    L = _unpack_factor(params, q)
+    # Woodbury per subject: A = I + L'Z'Z L, N = L A^-1 L', W^-1 = I - Z N Z'
+    A = _congruence(L, gs.zz)
+    for a in Q:
+        A[a][a] = A[a][a] + 1.0
+    det = A[0][0] if q == 1 else A[0][0] * A[1][1] - A[0][1] * A[0][1]
+    adj = [[1.0]] if q == 1 else [[A[1][1], -A[0][1]], [-A[0][1], A[0][0]]]
+    N = _congruence(L.T, [[entry / det for entry in row] for row in adj])
+    NX = [sum(N[a][b][:, None] * gs.zx[b] for b in Q) for a in Q]
+    XtWX = gs.XtX - sum(gs.zx[a].T @ NX[a] for a in Q)
+    XtWy = gs.Xty - sum(NX[a].T @ gs.zy[a] for a in Q)
+    sign, logdet_XtWX = np.linalg.slogdet(XtWX)
+    if sign <= 0 or not np.isfinite(logdet_XtWX):
+        return None
+    beta = np.linalg.solve(XtWX, XtWy)
+    K = np.linalg.inv(XtWX)
 
-    bad = (_BIG, np.zeros_like(params)) if with_grad else (_BIG, None)
-    sign, logdetXtWX = np.linalg.slogdet(XtWX)
-    if sign <= 0 or not np.isfinite(logdetXtWX):
-        return bad
-    try:
-        beta = np.linalg.solve(XtWX, XtWy)
-    except np.linalg.LinAlgError:
-        return bad
-    ryWy = max(yWy - float(XtWy @ beta), 1e-300)
-    n, p = gs.n, gs.p
-    dof = n - p
-    if reml:
-        crit = dof * np.log(2.0 * np.pi) + logdetW + logdetXtWX \
-            + dof * (1.0 + np.log(ryWy / dof))
-    else:
-        crit = n * np.log(2.0 * np.pi) + logdetW + n * (1.0 + np.log(ryWy / n))
+    # residual quadratic form from the residual vector (cancellation-safe)
+    e = gs.y - gs.X @ beta
+    ze = [np.bincount(gs.group_index, weights=z * e, minlength=gs.m) for z in gs.zcols]
+    Nze = [sum(N[a][b] * ze[b] for b in Q) for a in Q]
+    r = max(float(e @ e) - sum(float(ze[a] @ Nze[a]) for a in Q), 1e-300)
+    dof = gs.n - gs.p if reml else gs.n
+    crit = dof * np.log(2.0 * np.pi) + float(np.log(det).sum()) \
+        + (logdet_XtWX if reml else 0.0) + dof * (1.0 + np.log(r / dof))
     if not np.isfinite(crit):
-        return bad
-    if not with_grad:
-        return crit, None
+        return None
 
-    TA = np.einsum("mab,mbc->mac", T1, Ainv)
-    S = gs.ZtZ.sum(axis=0) - np.einsum("mab,mcb->ac", TA, T1)   # sum Z'W^-1 Z
-    Zte = gs.Zty - gs.ZtX @ beta
-    Ztet = np.einsum("ji,mj->mi", factor, Zte)
-    v = Zte - np.einsum("mab,mb->ma", TA, Ztet)                 # Z'W^-1 e
-    c = (dof if reml else n) / ryWy
-    S = S - c * np.einsum("ma,mb->ab", v, v)
+    zz = gs.zz
+    M = [[zz[a][b] - sum(zz[a][c] * N[c][d] * zz[d][b] for c in Q for d in Q)
+          for b in Q] for a in Q]
+    B = [gs.zx[a] - sum(zz[a][c][:, None] * NX[c] for c in Q) for a in Q]
+    v = [ze[a] - sum(zz[a][c] * Nze[c] for c in Q) for a in Q]
     if reml:
-        B = gs.ZtX - np.einsum("mab,mbp->map", TA, ZtXt)        # Z'W^-1 X
-        XtWX_inv = np.linalg.inv(XtWX)
-        S = S - np.einsum("map,pr,mbr->ab", B, XtWX_inv, B)
-    G = 2.0 * (S @ factor)
-    if q == 1:
-        grad = np.array([G[0, 0] * factor[0, 0]])
+        BK = [B[a] @ K for a in Q]
+        E = [[np.sum(BK[a] * B[b], axis=1) for b in Q] for a in Q]
+        Mp = [[M[a][b] - E[a][b] for b in Q] for a in Q]     # diagonal blocks of Z'PZ
     else:
-        grad = np.array([G[0, 0] * factor[0, 0], G[1, 0], G[1, 1] * factor[1, 1]])
-    return crit, grad
+        Mp = M
+    c = dof / r
+    V = np.array([[float(v[a] @ v[b]) for b in Q] for a in Q])
+    S = np.array([[float(Mp[a][b].sum()) for b in Q] for a in Q]) - c * V
+
+    dG, d2G = _factor_derivatives(L)
+    grad = np.array([np.sum(S * D) for D in dG])
+    w = [np.sum(V * D) for D in dG]                                   # y'P dW_k P y
+    G = [_times(Mp, D) for D in dG]
+    h = [[sum(D[a, b] * v[b] for b in Q) for a in Q] for D in dG]     # dGamma_k v
+    Bh = [sum(B[a].T @ hk[a] for a in Q) for hk in h]
+    if reml:
+        GE = [_times(E, D) for D in dG]
+        R = [[B[a].T @ B[b] for b in Q] for a in Q]
+        KC = [K @ sum(D[a, b] * R[a][b] for a in Q for b in Q) for D in dG]
+    hess = np.empty((len(dG), len(dG)))
+    for k in range(len(dG)):
+        for l in range(k + 1):
+            trace = _trace_sum(G[l], G[k])                            # tr(P dW_l P dW_k)
+            if reml:
+                trace += float(np.sum(KC[l] * KC[k].T)) - _trace_sum(GE[l], GE[k])
+            quad = sum(float((h[l][a] * M[a][b]) @ h[k][b]) for a in Q for b in Q) \
+                - float(Bh[l] @ K @ Bh[k])                            # y'P dW_l P dW_k P y
+            hess[k, l] = hess[l, k] = (float(np.sum(S * d2G[k][l])) - trace
+                                       + 2.0 * c * quad - dof / r**2 * w[k] * w[l])
+    return _Evaluation(float(crit), grad, hess, beta, r, K)
 
 
-def _criterion(params, gs: _GroupStats, reml: bool) -> float:
-    return _evaluate(params, gs, reml, with_grad=False)[0]
+def _box(q):
+    """Bounds of the log-Cholesky parameters."""
+    hi = np.array([_LOG_BOUND] if q == 1 else [_LOG_BOUND, 1e4, _LOG_BOUND])
+    return -hi, hi
 
 
-def _newton_polish(x, gs: _GroupStats, reml: bool, lo, hi, max_steps: int = 50):
-    """Pin the optimum by Newton steps on the analytic gradient.
+def _held(x, grad, lo, hi):
+    """Parameters held at a bound by a gradient pointing out of the box."""
+    return ((x <= lo) & (grad >= 0.0)) | ((x >= hi) & (grad <= 0.0))
 
-    Quasi-Newton stops inside a small criterion-flat region; solving
-    grad = 0 with a finite-difference Jacobian of the exact gradient
-    localizes the optimum to ~1e-11 in the parameters, which is what makes
-    refits reproducible at the 1e-8 level demanded of the inference.
+
+def _newton(x, gs: _GroupStats, reml: bool, max_iter: int):
+    """Damped Newton iteration on the profiled criterion inside the box.
+
+    Each step solves with the exact Hessian of the free parameters, its
+    eigenvalues shifted up to a positive floor where it is not positive
+    definite, and backtracks on the criterion. Returns (x, evaluation at x,
+    Newton steps, evaluator calls).
     """
-    d = len(x)
-    fx, gx = _evaluate(x, gs, reml, with_grad=True)
-    f_best = fx
-    steps = 0
-    for _ in range(max_steps):
-        H = np.empty((d, d))
-        for i in range(d):
-            h = 1e-5 * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            H[:, i] = (_evaluate(xp, gs, reml, True)[1]
-                       - _evaluate(xm, gs, reml, True)[1]) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        try:
-            w_min = float(np.linalg.eigvalsh(H).min())
-        except np.linalg.LinAlgError:
+    lo, hi = _box(gs.q)
+    logs = [0] if gs.q == 1 else [0, 2]
+    ev = _evaluate(x, gs, reml)
+    if ev is None:
+        raise ModelError("the REML criterion is not finite at the starting values")
+    calls, steps, interior = 1, 0, set()
+    while steps < max_iter:
+        free = ~_held(x, ev.grad, lo, hi)
+        step = np.zeros_like(x)
+        if free.any():
+            w, U = np.linalg.eigh(ev.hess[np.ix_(free, free)])
+            floor = 1e-8 * max(1.0, float(np.abs(w).max()))
+            w = w + max(0.0, floor - float(w.min()))
+            step[free] = -U @ ((U.T @ ev.grad[free]) / w)
+        size = float(np.abs(step).max())
+        if size <= 1e-9:
             break
-        if w_min < 1e-10:
-            H = H + (1e-10 + 1.5 * abs(w_min)) * np.eye(d)
-        try:
-            step = np.linalg.solve(H, -gx)
-        except np.linalg.LinAlgError:
-            break
-        norm = float(np.max(np.abs(step)))
-        if norm > 1.0:   # polish stage only: cap the move
-            step = step / norm
-        accepted = False
-        for _ in range(12):
-            x_new = np.clip(x + step, lo, hi)
-            f_new, g_new = _evaluate(x_new, gs, reml, with_grad=True)
-            # near the fixed point f comparisons are roundoff noise; accept
-            # anything that does not genuinely climb
-            if np.isfinite(f_new) and f_new <= f_best + 1e-9 * max(1.0, abs(f_best)):
-                accepted = True
+        # predicted decrease below the criterion's rounding: this step is the last
+        slack = 1e-10 * max(1.0, abs(ev.crit))
+        last = -float(ev.grad @ step) <= slack
+        if size > 4.0:   # far from the optimum: cap the move
+            step *= 4.0 / size
+        trials = (np.clip(x + 0.5 ** j * step, lo, hi) for j in range(31))
+        # A variance heading for zero: in u = L_ii^2 the 1-D Newton step is
+        # du = -2u g / (h - 2g), and h <= 3g puts the minimum of that model
+        # at u + du <= -u. Once the other parameters have settled, try the
+        # bound first; keep it only if the gradient there still points out of
+        # the box, else the variance has an interior optimum: no more tries.
+        pinned = [i for i in logs if step[i] < 0.0 and x[i] > lo[i] and i not in interior
+                  and 0.0 < ev.hess[i, i] <= 3.0 * ev.grad[i]]
+        if pinned and np.abs(np.delete(step, pinned)).max(initial=0.0) <= 0.1:
+            jump = np.clip(x + step, lo, hi)
+            jump[pinned] = lo[pinned]
+            trials = itertools.chain([jump], trials)
+        for x_new in trials:
+            new = _evaluate(x_new, gs, reml)
+            calls += 1
+            if new is None or new.crit > ev.crit + 1e-4 * float(ev.grad @ (x_new - x)) + slack:
+                continue
+            inward = {i for i in pinned if x_new[i] == lo[i] and new.grad[i] < 0.0}
+            if not inward:
                 break
-            step = step * 0.5
-        if not accepted:
-            break
-        delta = float(np.max(np.abs(x_new - x)))
-        x, fx, gx = x_new, f_new, g_new
-        f_best = min(f_best, fx)
+            interior |= inward
+        else:
+            break   # no descent left within rounding
+        x, ev = x_new, new
         steps += 1
-        if delta < 1e-12:
+        if last:
             break
-    return x, fx, steps
+    return x, ev, steps, calls
 
 
 def central_diff_grad(fun, x):
@@ -520,27 +546,36 @@ def _canonical_order(y, X, t, group_index):
     return np.lexsort(tuple(keys))
 
 
-def _start_params(y, X, t, group_index, q):
-    beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta0
-    v = float(np.var(resid))
-    m = int(group_index.max()) + 1
-    counts = np.bincount(group_index, minlength=m).astype(np.float64)
-    means = np.bincount(group_index, weights=resid, minlength=m) / np.maximum(counts, 1.0)
-    vb = float(np.var(means))
-    vw = max(v - vb, 0.25 * v, 1e-12)
-    lam11 = np.sqrt(max(vb, 0.05 * v, 1e-12) / vw)
-    params = [np.clip(np.log(lam11), -_LOG_BOUND, _LOG_BOUND)]
-    if q == 2:
-        rms_t = float(np.sqrt(np.mean(t * t))) if t is not None else 1.0
-        lam22 = lam11 / max(rms_t, 1.0)
-        params += [0.0, np.clip(np.log(max(lam22, 1e-12)), -_LOG_BOUND, _LOG_BOUND)]
-    return np.array(params)
+def _start_params(gs: _GroupStats):
+    """Moment start from per-subject least-squares fits b of the OLS residuals
+    on [1(, t)]: the second moment of b less its sampling part, relative to
+    the pooled within-subject variance, its eigenvalues floored at 1e-2."""
+    q = gs.q
+    resid = gs.y - gs.X @ np.linalg.solve(gs.XtX, gs.Xty)
+    rs = _GroupStats(resid, np.ones((gs.n, 1)), gs.zcols[1] if q == 2 else None, gs.group_index)
+    S = np.array(rs.zz).transpose(2, 0, 1)                    # m x q x q
+    counts = rs.zz[0][0]
+    ok = (counts > q) & (np.linalg.det(S) > 1e-8 * np.prod(np.diagonal(S, 0, 1, 2), axis=1))
+    if ok.sum() < 2:
+        return np.zeros(1 if q == 1 else 3)
+    Sinv = np.linalg.inv(S[ok])
+    zr = np.array(rs.zy).T[ok]
+    b = (Sinv @ zr[:, :, None])[:, :, 0]
+    rr = np.bincount(gs.group_index, weights=resid * resid, minlength=gs.m)[ok]
+    within = max(float((rr - (zr * b).sum(axis=1)).sum() / (counts[ok] - q).sum()), 1e-12)
+    # random effects have mean zero: the fixed intercept takes the mean
+    # intercept, a mean slope left in the residuals belongs to the random slope
+    mean = b.mean(axis=0)
+    mean[0] = 0.0
+    G = (np.cov(b.T).reshape(q, q) + np.outer(mean, mean) - within * Sinv.mean(axis=0)) / within
+    w, U = np.linalg.eigh(G)
+    L = np.linalg.cholesky(U @ np.diag(np.maximum(w, 1e-2)) @ U.T)
+    return np.clip(_pack_factor(L), *_box(q))
 
 
 def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
              max_iter: int = 500, check_optimum: bool = True,
-             design: DesignMatrices | None = None) -> FittedModel:
+             design: DesignMatrices | None = None, start=None) -> FittedModel:
     """Fit the random-intercept(-and-slope) model by profiled REML (or ML).
 
     Parameters
@@ -549,11 +584,15 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     t : slope column of the random design (None for intercept-only).
     group_index : int array mapping rows to subject index.
     method : "reml" (default) or "ml".
+    max_iter : cap on the Newton steps.
+    check_optimum : report diagnostics["local_optimum_ok"] (else None).
+    start : log-Cholesky parameters on the internal scale to start from
+        (refit passes the other method's optimum); default _start_params.
 
-    Returns a FittedModel; if the iteration cap is hit, converged is False
-    and diagnostics carry the optimizer states, but estimates are still
-    returned. Boundary variance estimates (a component collapsing to zero)
-    are flagged in diagnostics["boundary"], never raised.
+    Returns a FittedModel; if the step cap is hit or the iteration stalls
+    short of a stationary point, converged is False, but estimates are
+    still returned. Boundary variance estimates (a component collapsing to
+    zero) are flagged in diagnostics["boundary"], never raised.
     """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -565,8 +604,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
 
     n, p = X.shape
     q = 1 if t is None else 2
-    n_varpar = q * (q + 1) // 2 + 1
-    n_params = p + n_varpar
+    n_params = p + q * (q + 1) // 2 + 1
     m = int(group_index.max()) + 1 if len(group_index) else 0
     if m < 2:
         raise ModelError("at least 2 subjects are required")
@@ -574,7 +612,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
         raise ModelError("n_obs must exceed the parameter count")
     if float(np.std(y)) == 0.0:
         raise ModelError("outcome is constant (all-identical y)")
-    if np.linalg.matrix_rank(X) < p:
+    if not _independent_columns(X).all():
         raise ModelError("singular fixed-effects design")
 
     # canonical content order: permutation-invariant sums, bitwise refits
@@ -589,55 +627,40 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     ys = yc / y_scale
     # unit-RMS slope column: keeps the Cholesky parameters of the relative
     # covariance on a common scale (months run to ~100, intercepts are O(1))
-    if tc is not None:
-        t_scale = float(np.sqrt(np.mean(tc * tc)))
-        t_scale = t_scale if t_scale > 0 else 1.0
-        tc_int = tc / t_scale
-    else:
-        t_scale = 1.0
-        tc_int = None
+    t_scale = 1.0 if tc is None else float(np.sqrt(np.mean(tc * tc))) or 1.0
+    tc_int = None if tc is None else tc / t_scale
     gs = _GroupStats(ys, Xc, tc_int, gc)
 
-    x0 = _start_params(ys, Xc, tc_int, gc, q)
-    bounds = [(-_LOG_BOUND, _LOG_BOUND)]
-    if q == 2:
-        bounds += [(-1e4, 1e4), (-_LOG_BOUND, _LOG_BOUND)]
+    lo, hi = _box(q)
+    x0 = _start_params(gs) if start is None else np.clip(start, lo, hi)
+    x_hat, ev, newton_steps, evaluations = _newton(x0, gs, reml, max_iter)
 
-    from scipy import optimize, special
-
-    res = optimize.minimize(
-        lambda params: _evaluate(params, gs, reml, with_grad=True), x0,
-        jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9, "maxcor": 12},
-    )
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    x_hat, f_hat, newton_steps = _newton_polish(res.x, gs, reml, lo, hi)
-    if f_hat > res.fun + 1e-9 * max(1.0, abs(res.fun)):
-        x_hat, f_hat = res.x, float(res.fun)
-    polish_gain = max(0.0, float(res.fun - f_hat))
-    hit_cap = res.nit >= max_iter
-    converged = (polish_gain <= 1e-6 * max(1.0, abs(f_hat))) and not (hit_cap and not res.success)
+    # second-order certificate on the parameters not held at a bound
+    free = ~_held(x_hat, ev.grad, lo, hi)
+    grad_norm = float(np.abs(ev.grad[free]).max(initial=0.0))
+    eigs = np.linalg.eigvalsh(ev.hess[np.ix_(free, free)]) if free.any() else np.zeros(1)
+    min_eig = float(eigs.min())
+    converged = grad_norm <= 1e-6 * max(1.0, abs(ev.crit))
+    local_ok = (converged and min_eig >= -1e-8 * max(1.0, float(np.abs(eigs).max()))) \
+        if check_optimum else None
 
     factor = _unpack_factor(x_hat, q)
-    XtWX, XtWy, yWy, logdetW, _ = gs.whitened_normal_equations(factor)
-    beta_s = np.linalg.solve(XtWX, XtWy)
-    ryWy = max(gs.residual_quadform(factor, beta_s), 1e-300)
     dof = n - p if reml else n
-    sigma2_s = ryWy / dof
+    sigma2_s = ev.quadform / dof
     Sigma_s = sigma2_s * (factor @ factor.T)
     if q == 2:
         unscale = np.diag([1.0, 1.0 / t_scale])
         Sigma_s = unscale @ Sigma_s @ unscale
-    cov_beta_s = sigma2_s * np.linalg.inv(XtWX)
 
     # map back to the original outcome scale
-    beta = beta_s * y_scale
-    cov_beta = cov_beta_s * y_scale**2
+    beta = ev.beta * y_scale
+    cov_beta = sigma2_s * ev.XtWX_inv * y_scale**2
     sigma2 = float(sigma2_s * y_scale**2)
     Sigma = Sigma_s * y_scale**2
-    loglik = -0.5 * (f_hat + 2.0 * dof * np.log(y_scale))
+    loglik = -0.5 * (ev.crit + 2.0 * dof * np.log(y_scale))
     aic = 2.0 * n_params - 2.0 * loglik
+
+    from scipy import special
 
     se = np.sqrt(np.diag(cov_beta))
     zs = beta / se
@@ -650,44 +673,30 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     boundary = bool(np.any(diag_rel < 1e-9) or
                     np.any(np.abs(log_params) >= _LOG_BOUND - 1e-6))
 
-    local_ok = None
-    if check_optimum:
-        # the returned optimum must beat 20 seeded perturbations of the
-        # variance parameters (cheap guard against line-search stalls)
-        rng = SplitMix64(0xACCE55 ^ (n << 16) ^ p)
-        local_ok = True
-        for _ in range(20):
-            probe = np.array([xi + (rng.unit() - 0.5) * 0.4 * max(0.25, abs(xi))
-                              for xi in x_hat])
-            if _criterion(probe, gs, reml) < f_hat - 1e-6 * max(1.0, abs(f_hat)):
-                local_ok = False
-                break
-
     diagnostics = {
-        "optimizer_status": int(res.status),
-        "optimizer_message": str(res.message),
-        "polish_gain": polish_gain,
         "newton_steps": int(newton_steps),
+        "evaluations": int(evaluations),
+        "projected_gradient_norm": grad_norm,
+        "min_hessian_eigenvalue": min_eig,
         "boundary": boundary,
         "local_optimum_ok": local_ok,
         "y_scale": y_scale,
-        "criterion": float(f_hat + 2.0 * dof * np.log(y_scale)),
+        "criterion": float(ev.crit + 2.0 * dof * np.log(y_scale)),
         "n_dropped_missing": design.n_dropped_missing if design is not None else 0,
     }
 
     names = list(column_names) if column_names is not None else \
         (design.column_names if design is not None else [f"x{j}" for j in range(p)])
-    fit = FittedModel(
+    return FittedModel(
         method=method,
         random_structure=INTERCEPT_ONLY if q == 1 else INTERCEPT_AND_SLOPE,
         column_names=names, beta=beta, se=se, z_stats=zs, p_values=pvals,
         cov_beta=cov_beta, Sigma=Sigma, sigma2=sigma2, loglik=float(loglik),
         aic=float(aic), n_obs=n, n_subjects=m, n_params=n_params,
-        converged=bool(converged), iterations=int(res.nit + newton_steps),
+        converged=bool(converged), iterations=int(newton_steps),
         diagnostics=diagnostics, design=design,
-        _internal={"y": y, "X": X, "t": t, "group_index": group_index},
+        _internal={"y": y, "X": X, "t": t, "group_index": group_index, "params": x_hat},
     )
-    return fit
 
 
 def fit_spec(table: ComparisonTable, spec: ModelSpec, *, method: str = "reml",
@@ -699,31 +708,31 @@ def fit_spec(table: ComparisonTable, spec: ModelSpec, *, method: str = "reml",
 
 
 def refit(fit: FittedModel, method: str) -> FittedModel:
+    """The same model on the same rows by `method`, started at `fit`'s optimum."""
     if fit.method == method:
         return fit
     inner = fit._internal
     return fit_reml(inner["y"], inner["X"], inner["t"], inner["group_index"],
                     column_names=fit.column_names, method=method,
-                    design=fit.design)
+                    design=fit.design, start=inner["params"])
 
 
 def gls_beta(y, X, t, group_index, Sigma, sigma2):
     """Closed-form GLS fixed effects with the variance components frozen.
 
-    Returns (beta, cov_beta). Used as the inner step of the fit and exposed
-    so it can be checked against a dense weighted-least-squares oracle.
+    Returns (beta, cov_beta) for a positive-definite Sigma, from the fit's
+    evaluator at the log-Cholesky parameters of Sigma / sigma2. Exposed so
+    it can be checked against a dense weighted-least-squares oracle.
     """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     t = None if t is None else np.asarray(t, dtype=np.float64)
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=np.float64))
+    L = np.linalg.cholesky(np.atleast_2d(np.asarray(Sigma, dtype=np.float64)) / sigma2)
     gs = _GroupStats(y, X, t, np.asarray(group_index, dtype=np.int64))
-    w, U = np.linalg.eigh(Sigma / sigma2)
-    factor = U @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    XtWX, XtWy, _, _, _ = gs.whitened_normal_equations(factor)
-    beta = np.linalg.solve(XtWX, XtWy)
-    cov = sigma2 * np.linalg.inv(XtWX)
-    return beta, cov
+    ev = _evaluate(_pack_factor(L), gs, reml=True)
+    if ev is None:
+        raise ModelError("singular GLS normal equations")
+    return ev.beta, sigma2 * ev.XtWX_inv
 
 
 # ---------------------------------------------------------------------------
@@ -913,28 +922,18 @@ def compare_apc(table: ComparisonTable, base_spec: ModelSpec) -> ApcReport:
     diagnostic purposes only and reported with its VIFs.
     """
     entries = []
-    for mode in APC_MODES:
-        spec = dataclasses.replace(base_spec, apc_mode=mode)
-        fit = fit_spec(table, spec)
+    for mode, (_, temporal_name) in APC_MODES.items():
+        fit = fit_spec(table, dataclasses.replace(base_spec, apc_mode=mode))
         fit_ml = refit(fit, "ml")
-        temporal_name = APC_MODES[mode][1]
-        age_names = [c for c in ("A_gallery", "A_probe") if c in fit.column_names]
-        entries.append(dict(
-            mode=mode, fit=fit,
-            n_obs=fit.n_obs,
-            outcome_checksum=float(np.sum(fit.design.y)),
-            loglik_ml=fit_ml.loglik, aic_ml=fit_ml.aic,
+        entries.append(ApcModelEntry(
+            mode=mode, n_obs=fit.n_obs, outcome_checksum=float(np.sum(fit.design.y)),
+            loglik_ml=fit_ml.loglik, aic_ml=fit_ml.aic, delta_aic=0.0,
             temporal=_coef_summary(fit, temporal_name),
-            age=tuple(_coef_summary(fit, nm) for nm in age_names),
-        ))
-    best = min(e["aic_ml"] for e in entries)
-    model_entries = tuple(
-        ApcModelEntry(mode=e["mode"], n_obs=e["n_obs"],
-                      outcome_checksum=e["outcome_checksum"],
-                      loglik_ml=e["loglik_ml"], aic_ml=e["aic_ml"],
-                      delta_aic=e["aic_ml"] - best, temporal=e["temporal"],
-                      age=e["age"], fit=e["fit"])
-        for e in entries)
+            age=tuple(_coef_summary(fit, nm) for nm in ("A_gallery", "A_probe")
+                      if nm in fit.column_names),
+            fit=fit))
+    best = min(e.aic_ml for e in entries)
+    model_entries = tuple(dataclasses.replace(e, delta_aic=e.aic_ml - best) for e in entries)
 
     over_terms = (Continuous("A_gallery"), Continuous("A_probe"), Continuous("T"))
     over_spec = dataclasses.replace(base_spec, apc_mode=None,

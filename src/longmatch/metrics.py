@@ -346,14 +346,20 @@ class FailureReport:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray):
+    """(r, two-sided p) of the Pearson correlation, as scipy.stats.pearsonr:
+    under independence (r + 1) / 2 is Beta(n/2 - 1, n/2 - 1)."""
     if x.size < 2:
         return None
     if np.std(x) == 0.0 or np.std(y) == 0.0:
         return None   # undefined for a constant column, flagged as None
-    from scipy import stats
+    from scipy import special
 
-    r, p = stats.pearsonr(x, y)
-    return float(r), float(p)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    r = float(np.clip((xc / np.linalg.norm(xc)) @ (yc / np.linalg.norm(yc)), -1.0, 1.0))
+    a = x.size / 2.0 - 1.0
+    p = 1.0 if x.size == 2 else 2.0 * float(special.betainc(a, a, (1.0 - abs(r)) / 2.0))
+    return r, p
 
 
 def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: float,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -371,3 +372,61 @@ def test_damaged_pair_file_exit_five(tmp_path, capsys, damage):
     assert main(["fnmr", "--config", str(cfg)]) == 5
     line = _one_error_line(capsys, "data-invalid")
     assert "pairs_genuine.csv" in line and "data row 3" in line
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("failures", {"fusion": {"min_quality_cut": "x"}}, "fusion.min_quality_cut"),
+    ("lmm", {"model": {"outcome": "simA", "age_groups": [[4]]}}, "model.age_groups"),
+    ("lmm", {"model": {"outcome": "simA", "age_groups": "x"}}, "model.age_groups"),
+    ("pairs", {"pairing": "x"}, "config pairing"),
+    ("lmm", {"model": "x"}, "config model"),
+    ("lmm", {"model": {"outcome": "simA", "eyes": "L"}}, "model.eyes"),
+])
+def test_malformed_config_values_exit_three(tmp_path, capsys, command, overrides, key):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    run_pipeline(cfg, ["synth", "pairs"])
+    write_config(cfg, outdir, **overrides)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 3
+    assert key in _one_error_line(capsys, "config-invalid")
+
+
+def test_subcommands_but_lmm_load_no_heavy_scipy(tmp_path):
+    # lmm needs scipy.stats for Shapiro-Wilk; no other subcommand may load it
+    # or scipy.optimize
+    cfg = write_config(tmp_path / "config.json", tmp_path / "run")
+    commands = [c for c in PIPELINE if c != "lmm"]
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys\nfrom longmatch.cli import main\n"
+             f"for command in {commands!r}:\n"
+             f"    assert main([command, '--config', {str(cfg)!r}]) == 0, command\n"
+             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_model_outputs_match_golden(tmp_path):
+    # numeric cells of the model tables on the write_config config, written
+    # by the L-BFGS-B fitter this package used before its Newton fitter; a
+    # fitter change may move them only within rtol 1e-6
+    outdir = tmp_path / "run"
+    run_pipeline(write_config(tmp_path / "config.json", outdir),
+                 ["synth", "pairs", "lmm", "apc", "cv"])
+    golden = json.loads(Path(__file__).with_name("golden_model_outputs.json").read_text())
+    for name, rows in golden.items():
+        with open(outdir / name, newline="", encoding="utf-8") as fh:
+            got = list(csv.reader(fh))
+        assert [len(r) for r in got] == [len(r) for r in rows], name
+        for want_row, got_row in zip(rows, got):
+            for want, cell in zip(want_row, got_row):
+                try:
+                    expected = float(want)
+                except ValueError:
+                    assert cell == want, (name, want_row[0])
+                    continue
+                assert float(cell) == pytest.approx(expected, rel=1e-6, abs=1e-12), \
+                    (name, want_row[0], want, cell)

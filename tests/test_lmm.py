@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from longmatch import lmm
 from longmatch.core import GENUINE, ComparisonTable
 from longmatch.lmm import (
     AgeGroups, Continuous, Interaction, ModelError, ModelSpec,
@@ -105,6 +106,62 @@ class TestBuildDesign:
         assert "T" in err.value.columns
 
 
+def _greedy_independent_columns(X):
+    """The rank check build_design made before its QR version: one least
+    squares per column against the columns kept so far. Kept as the oracle."""
+    n, p = X.shape
+    keep = np.zeros(p, dtype=bool)
+    basis = np.zeros((n, 0))
+    for j in range(p):
+        col = X[:, j]
+        scale = np.linalg.norm(col)
+        if scale == 0.0:
+            continue
+        if basis.shape[1]:
+            coef, *_ = np.linalg.lstsq(basis, col, rcond=None)
+            resid = col - basis @ coef
+        else:
+            resid = col
+        if np.linalg.norm(resid) > 1e-8 * scale:
+            keep[j] = True
+            basis = np.column_stack([basis, col])
+    return keep
+
+
+class TestRankCheck:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_qr_mask_matches_greedy_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(6, 80)), int(rng.integers(2, 10))
+        X = rng.normal(0, 1, (n, p)) * rng.uniform(0.01, 100.0, p)
+        X[:, 0] = 1.0
+        X[:, rng.integers(1, p)] = rng.integers(0, 13, n)   # integer-valued ages
+        for _ in range(int(rng.integers(1, 4))):
+            j, k, l = rng.integers(1, p), rng.integers(p), rng.integers(p)
+            kind = rng.integers(3)
+            if kind == 0:
+                X[:, j] = 0.0
+            elif kind == 1:
+                X[:, j] = X[:, k]
+            else:
+                X[:, j] = 2.5 * X[:, k] - 0.75 * X[:, l]
+        np.testing.assert_array_equal(lmm._independent_columns(X),
+                                      _greedy_independent_columns(X))
+
+    def test_offending_columns_match_greedy_oracle(self, monkeypatch):
+        table = make_model_table(np.random.default_rng(33))
+        table.covariates["U_gallery"] = 2.0 * table.covariates["Q_gallery"] + 3.0
+        spec = ModelSpec(outcome="m1", apc_mode="gallery_age_plus_t",
+                         fixed_terms=(Continuous("Q_gallery"), Continuous("U_gallery"),
+                                      Continuous("T")))
+        with pytest.raises(RankDeficientError) as qr:
+            build_design(table, spec)
+        monkeypatch.setattr(lmm, "_independent_columns", _greedy_independent_columns)
+        with pytest.raises(RankDeficientError) as greedy:
+            build_design(table, spec)
+        assert qr.value.columns == greedy.value.columns == ("U_gallery", "T")
+
+
 class TestFitReml:
     def test_balanced_anova_oracle(self):
         rng = np.random.default_rng(5)
@@ -159,14 +216,34 @@ class TestFitReml:
             for reml in (True, False):
                 for trial in range(5):
                     params = rng.uniform(-1.0, 0.5, 1 if q == 1 else 3)
-                    _, grad = _evaluate(params, gs, reml, with_grad=True)
+                    grad = _evaluate(params, gs, reml).grad
                     fd = central_diff_grad(
-                        lambda prm: _evaluate(prm, gs, reml)[0], params)
+                        lambda prm: _evaluate(prm, gs, reml).crit, params)
                     np.testing.assert_allclose(grad, fd, rtol=2e-5, atol=1e-6)
+
+    def test_analytic_hessian_matches_central_differences(self):
+        from longmatch.lmm import _GroupStats, _evaluate, central_diff_grad
+        rng = np.random.default_rng(32)
+        m, n_per = 15, 6
+        n = m * n_per
+        g = np.repeat(np.arange(m), n_per)
+        t = rng.uniform(0, 3, n)
+        X = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
+        y = 2.0 + 0.4 * np.repeat(rng.normal(0, 1, m), n_per) + rng.normal(0, 1, n)
+        for q, tt in ((1, None), (2, t)):
+            gs = _GroupStats(y, X, tt, g)
+            for reml in (True, False):
+                for trial in range(5):
+                    params = rng.uniform(-1.0, 0.5, 1 if q == 1 else 3)
+                    hess = _evaluate(params, gs, reml).hess
+                    fd = np.array([central_diff_grad(
+                        lambda prm, k=k: _evaluate(prm, gs, reml).grad[k], params)
+                        for k in range(len(params))])
+                    np.testing.assert_allclose(hess, fd, rtol=2e-5, atol=1e-6)
 
     def test_reml_criterion_against_dense_formula(self):
         # the collapsed per-subject criterion must equal the textbook dense one
-        from longmatch.lmm import _GroupStats, _criterion, _unpack_factor
+        from longmatch.lmm import _GroupStats, _evaluate, _unpack_factor
         rng = np.random.default_rng(7)
         m, n_per = 12, 5
         n = m * n_per
@@ -176,7 +253,7 @@ class TestFitReml:
         y = rng.normal(0, 1, n)
         params = np.array([0.3, -0.2, -0.5])
         gs = _GroupStats(y, X, t, g)
-        fast = _criterion(params, gs, reml=True)
+        fast = _evaluate(params, gs, reml=True).crit
 
         lam = _unpack_factor(params, 2)
         Z = np.zeros((n, 2 * m))
@@ -472,3 +549,48 @@ def test_refit_method_round_trip():
     assert fit_ml.method == "ml"
     assert fit_ml.loglik != fit.loglik
     assert refit(fit, "reml") is fit
+
+
+def _interior_fits():
+    """The interior (non-boundary) fits of this module's tests, rebuilt from
+    the same seeds: intercept-only, random slope, misspecified nested models
+    and their ML refits."""
+    rng = np.random.default_rng(5)
+    m, n_per = 80, 8
+    y = np.repeat(rng.normal(0, 1.4, m), n_per) + rng.normal(0, 0.9, m * n_per) + 3.0
+    fits = [fit_reml(y, np.ones((m * n_per, 1)), None, np.repeat(np.arange(m), n_per))]
+    table = make_model_table(np.random.default_rng(10), n_subjects=30, obs_per=8,
+                             Sigma=[[1.0, 0.0], [0.0, 0.001]])
+    fits.append(fit_spec(table, ModelSpec(outcome="m1", fixed_terms=(Continuous("Q_gallery"),))))
+    fits.append(fit_spec(make_model_table(np.random.default_rng(13)), ModelSpec(outcome="m1")))
+    fits += TestLrt()._fits(np.random.default_rng(14))
+    full, nested = TestLrt()._fits(np.random.default_rng(15), beta={"intercept": 10.0, "T": -0.5})
+    fits += [full, nested, refit(full, "ml"), refit(nested, "ml")]
+    rng = np.random.default_rng(17)
+    fits += TestLrt()._fits(rng) + TestLrt()._fits(rng)
+    table = make_model_table(np.random.default_rng(16), Sigma=[[2.0, 0.0], [0.0, 0.01]])
+    fits.append(fit_spec(table, ModelSpec(outcome="m1", random_structure="intercept")))
+    fits.append(fit_spec(table, ModelSpec(outcome="m1")))
+    rng = np.random.default_rng(19)
+    m, n_per = 200, 20
+    y = np.repeat(rng.normal(0, np.sqrt(0.65), m), n_per) + rng.normal(0, np.sqrt(0.35), m * n_per)
+    fits.append(fit_reml(y, np.ones((m * n_per, 1)), None, np.repeat(np.arange(m), n_per)))
+    table = make_model_table(np.random.default_rng(26), n_subjects=50, obs_per=15,
+                             beta={"intercept": 100.0, "T": -0.5},
+                             Sigma=[[25.0, 0], [0, 0.01]], sigma2=9.0, score_name="A")
+    table.scores["B"] = 0.004 * table.gap_t + np.random.default_rng(27).normal(0, 0.05, len(table))
+    fits.append(matcher_comparison(table, "A", "B").fit)
+    return fits
+
+
+def test_interior_fits_take_at_most_ten_evaluations():
+    fits = _interior_fits()
+    assert len(fits) == 17
+    for fit in fits:
+        diag = fit.diagnostics
+        assert not diag["boundary"]
+        assert fit.converged and diag["local_optimum_ok"]
+        assert diag["evaluations"] <= 10, diag
+        assert fit.iterations == diag["newton_steps"]
+        assert diag["projected_gradient_norm"] <= 1e-6 * abs(diag["criterion"])
+        assert diag["min_hessian_eigenvalue"] > 0.0

@@ -7,7 +7,7 @@ import pytest
 from scipy import special, stats
 
 from longmatch.lmm import ModelSpec, fit_reml, fit_spec, likelihood_ratio_test
-from longmatch.metrics import wilson_interval
+from longmatch.metrics import _pearson, wilson_interval
 from longmatch.synth import _normal_mass
 from longmatch.validation import residual_diagnostics
 
@@ -87,3 +87,21 @@ def test_truncated_normal_mass():
         assert same_bits(_normal_mass(low, high, base, sd), expected)
         scalar = stats.norm.cdf(high, 50.0, sd) - stats.norm.cdf(low, 50.0, sd)
         assert same_bits(_normal_mass(low, high, 50.0, sd), scalar)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12, 50, 333, 7000])
+def test_pearson_matches_scipy_stats(n):
+    # numpy r and a regularized-beta p against scipy.stats.pearsonr; the
+    # report prints them as r:+.3f and p:.3g
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        x = rng.normal(0.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0) * x + rng.normal(0.0, rng.uniform(0.01, 3.0), n)
+        if trial % 4 == 0:   # tied, integer-valued scores
+            x, y = np.round(3.0 * x), np.round(2.0 * y)
+        got = _pearson(x, y)
+        if got is None:
+            continue
+        r, p = stats.pearsonr(x, y)
+        assert got[0] == pytest.approx(r, abs=1e-14)
+        assert got[1] == pytest.approx(p, rel=1e-11, abs=1e-300)
