@@ -28,7 +28,7 @@ from .pairing import (
 from .metrics import (
     CalibrationInfeasibleError, CalibrationResult, DetCurve, FailureReport,
     FusionReport, IntervalStat, calibrate_threshold, decide, det_curve,
-    failure_analysis, fmr_at_threshold, fnmr_at_threshold, fnmr_by_interval,
+    failure_analysis, fmr_at_threshold, fnmr_by_interval,
     fuse_and_rule, rule_of_three, wilson_interval,
 )
 from .lmm import (

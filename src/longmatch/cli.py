@@ -20,10 +20,12 @@ Errors print one machine-parsable line to stderr: "error code=<name>: <msg>".
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import glob
 import hashlib
 import json
-import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,12 +49,12 @@ from .pairing import PairingConfig, attach_scores, generate_genuine_pairs, \
     generate_impostor_pairs
 from .svgplot import Chart, Series, render
 from .synth import (
-    CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
+    DEFAULT_COVARIATES, CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
     generate_longitudinal,
 )
 from .tableio import (
-    IngestError, ingest_captures, ingest_scores, read_pairs, write_captures,
-    write_pairs, write_scores, write_table,
+    IngestError, ingest_captures, ingest_scores, open_text, read_pairs,
+    write_captures, write_pairs, write_scores, write_table,
 )
 from .validation import kfold_subject_cv, residual_diagnostics
 
@@ -88,7 +90,7 @@ class RunContext:
     outputs: dict
 
     def resolve(self, name: str, default: str) -> Path:
-        p = Path(self.config.get(name, default))
+        p = Path(_setting(self, name, default, TEXT))
         return p if p.is_absolute() else self.outdir / p
 
     def record_input(self, path: Path) -> Path:
@@ -112,50 +114,103 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _u64(value) -> int:
-    """`value` as a seed: an integer in [0, 2**64), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {value!r}")
-    return value
-
-
 def _seed_arg(text: str) -> int:
     """argparse type of --seed."""
-    try:
-        return _u64(int(text))
-    except ValueError:
+    if not (text.isdecimal() and int(text) < 2**64):
         raise argparse.ArgumentTypeError(
             f"seed must be an integer in [0, 2**64), got {text!r}")
+    return int(text)
 
 
-def _load_config(path_str: str) -> tuple[dict, Path]:
-    path = Path(path_str)
-    if not path.exists():
-        raise CliError(EXIT_MISSING_INPUT, f"config file {path} does not exist")
+def _read_json(path: Path):
+    with open_text(path, functools.partial(CliError, EXIT_CONFIG_INVALID)) as fh:
+        text = fh.read()
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_CONFIG_INVALID, f"config is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise CliError(EXIT_CONFIG_INVALID, "config root must be a JSON object")
-    return config, path
+        return json.loads(text)
+    except ValueError as exc:   # also an integer past int()'s digit limit
+        raise CliError(EXIT_CONFIG_INVALID, f"{path} is not valid JSON: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# config reading: every config value passes through _setting and one of these
+# strict converters, each a function (value, label) -> value that exits 3
+# naming `label` when the JSON value has the wrong type
+
+def _kind(requirement: str, accepts, convert=None):
+    def parse(value, label: str):
+        if not accepts(value):
+            raise CliError(EXIT_CONFIG_INVALID,
+                           f"{label} must be {requirement}, got {value!r}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+INTEGER = _kind("an integer", lambda v: type(v) is int)
+NUMBER = _kind("a finite number",   # NaN fails the comparison; a huge int is exact
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
+TEXT = _kind("a non-empty string", lambda v: type(v) is str and v != "")
+BOOL = _kind("true or false", lambda v: type(v) is bool)
+SEED = _kind("an integer in [0, 2**64)", lambda v: type(v) is int and 0 <= v < 2**64)
+OBJECT = _kind("a JSON object", lambda v: type(v) is dict)
+LIST = _kind("a list", lambda v: type(v) is list)
+
+
+def _list_of(kind):
+    return lambda value, label: tuple(
+        kind(v, f"{label}[{i}]") for i, v in enumerate(LIST(value, label)))
+
+
+def _map_of(kind):
+    return lambda value, label: {
+        k: kind(v, f"{label}[{k!r}]") for k, v in OBJECT(value, label).items()}
+
+
+REQUIRED = object()   # the default of a key that must be present
+_ABSENT = object()
+
+
+def _setting(ctx: RunContext, path: str, default, kind, ok=None):
+    """Config value at `path` (keys and list indexes, "synth.matchers[0].sigma2")
+    through the strict converter `kind`, or `default` when absent.
+
+    Exits 3 naming the path when a container on the way is not an object or
+    list, a REQUIRED value is absent, `kind` rejects the value, or it fails
+    `ok`, a (requirement, predicate) pair. The only reader of ctx.config.
+    """
+    value = ctx.config
+    for step in re.finditer(r"\[(\d+)\]|[^.\[]+", path):
+        where = f"config {path[:step.start()].rstrip('.')}"
+        if step[1] is None:
+            value = OBJECT(value, where).get(step[0], _ABSENT)
+        else:
+            value = LIST(value, where)[int(step[1])]
+        if value is _ABSENT:
+            if default is REQUIRED:
+                raise CliError(EXIT_CONFIG_INVALID, f"config {path} is required")
+            return default
+    parsed = kind(value, f"config {path}")
+    if ok is not None and not ok[1](parsed):
+        raise CliError(EXIT_CONFIG_INVALID, f"config {path} must be {ok[0]}, got {value!r}")
+    return parsed
+
+
+def _build(ctx: RunContext, path: str, cls, given=None, **fields):
+    """`cls(**given, **fields)`, each of `fields` a (default, kind) pair read
+    at config `path.<field>`; exit 3 naming `path` when cls rejects them."""
+    values = {name: _setting(ctx, f"{path}.{name}", default, kind)
+              for name, (default, kind) in fields.items()}
+    try:
+        return cls(**(given or {}), **values)
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG_INVALID, f"config {path}: {exc}")
 
 
 def _profiles(ctx: RunContext) -> list[MatcherProfile]:
-    raw = ctx.config.get("matchers")
-    if not raw:
-        raise CliError(EXIT_CONFIG_INVALID, "config needs a non-empty 'matchers' list")
-    out = []
-    for entry in raw:
-        try:
-            out.append(MatcherProfile(
-                name=entry["name"], orientation=entry["orientation"],
-                score_min=float(entry["score_min"]),
-                score_max=float(entry["score_max"]),
-                default_threshold=float(entry["default_threshold"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG_INVALID, f"bad matcher profile entry: {exc}")
-    return out
+    n = len(_setting(ctx, "matchers", REQUIRED, LIST, ("a non-empty list", len)))
+    return [_build(ctx, f"matchers[{i}]", MatcherProfile, name=(REQUIRED, TEXT),
+                   orientation=(REQUIRED, TEXT), score_min=(REQUIRED, NUMBER),
+                   score_max=(REQUIRED, NUMBER), default_threshold=(REQUIRED, NUMBER))
+            for i in range(n)]
 
 
 def _profile_by_name(profiles, name) -> MatcherProfile:
@@ -165,22 +220,9 @@ def _profile_by_name(profiles, name) -> MatcherProfile:
     raise CliError(EXIT_CONFIG_INVALID, f"matcher {name!r} is not declared in config")
 
 
-def _section(ctx: RunContext, name: str) -> dict:
-    """Config section `name` ({} when absent), exit 3 unless a JSON object."""
-    raw = ctx.config.get(name, {})
-    if not isinstance(raw, dict):
-        raise CliError(EXIT_CONFIG_INVALID, f"config {name} must be a JSON object")
-    return raw
-
-
 def _pairing_config(ctx: RunContext) -> PairingConfig:
-    raw = _section(ctx, "pairing")
-    try:
-        return PairingConfig(
-            max_impostor_probes=int(raw.get("max_impostor_probes", 10)),
-            base_seed=int(raw.get("base_seed", ctx.seed)))
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG_INVALID, f"bad pairing config: {exc}")
+    return _build(ctx, "pairing", PairingConfig, max_impostor_probes=(10, INTEGER),
+                  base_seed=(ctx.seed, SEED))
 
 
 def _load_captures(ctx: RunContext):
@@ -208,97 +250,46 @@ def _load_pairs(ctx: RunContext, captures, kind: str, profiles=()) -> Comparison
     return table
 
 
-def _setting(ctx: RunContext, section: str, key: str, default, convert,
-             requirement: str, ok=lambda value: True):
-    """Config `section.key` (or `default`) through `convert`, exit 3 naming
-    the key unless it converts and passes `ok`."""
-    value = _section(ctx, section).get(key, default)
-    try:
-        parsed = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
-        if ok(parsed):
-            return parsed
-    raise CliError(EXIT_CONFIG_INVALID,
-                   f"config {section}.{key} must be {requirement}, got {value!r}")
-
-
-def _finite(value) -> float | None:
-    """`value` as a float if it is a finite JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     """One finite threshold per profile: config 'thresholds', then
     thresholds.json from `calibrate`, then each profile's default."""
-    conf = ctx.config.get("thresholds")
-    if conf:
-        source = "config 'thresholds'"
-    else:
+    conf = _setting(ctx, "thresholds", {}, _map_of(NUMBER))
+    source = "config thresholds"
+    if not conf:
         artifact = ctx.outdir / "thresholds.json"
         if not artifact.exists():
             return {p.name: p.default_threshold for p in profiles}
         ctx.record_input(artifact)
         source = str(artifact)
-        try:
-            conf = json.loads(artifact.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_CONFIG_INVALID, f"{source} is not valid JSON: {exc}")
-    if not isinstance(conf, dict):
-        raise CliError(EXIT_CONFIG_INVALID, f"{source} must map matcher names to thresholds")
-    out = {}
+        conf = _map_of(NUMBER)(_read_json(artifact), source)
     for p in profiles:
         if p.name not in conf:
             raise CliError(EXIT_CONFIG_INVALID,
                            f"{source} has no threshold for matcher {p.name!r}")
-        out[p.name] = _finite(conf[p.name])
-        if out[p.name] is None:
-            raise CliError(EXIT_CONFIG_INVALID,
-                           f"{source} threshold for matcher {p.name!r} must be a finite "
-                           f"number, got {conf[p.name]!r}")
-    return out
+    return {p.name: conf[p.name] for p in profiles}
 
 
 def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
     """The config's model, every column of which `table` must have."""
-    raw = _section(ctx, "model")
-    outcome = raw.get("outcome")
-    if not outcome:
-        raise CliError(EXIT_CONFIG_INVALID, "config model.outcome is required")
-    try:
-        columns = list(raw.get(
-            "quality_terms",
-            ["Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery", "C_probe", "DC"]))
-        pairs = [(a, b) for a, b in raw.get("interactions", [])]
-    except (TypeError, ValueError):
-        raise CliError(EXIT_CONFIG_INVALID,
-                       "config model.quality_terms must be a list of columns and "
-                       "model.interactions a list of [column, column] pairs")
+    outcome = _setting(ctx, "model.outcome", REQUIRED, TEXT)
+    columns = _setting(ctx, "model.quality_terms", ("Q_gallery", "Q_probe", "U_gallery",
+                       "U_probe", "C_gallery", "C_probe", "DC"), _list_of(TEXT))
+    pairs = _setting(ctx, "model.interactions", (), _list_of(_list_of(TEXT)),
+                     ("a list of [column, column] pairs", lambda ps: all(len(p) == 2 for p in ps)))
     named = [("outcome", outcome)] + [("quality_terms", c) for c in columns] + [
         ("interactions", c) for pair in pairs for c in pair]
     for key, name in named:
         try:
             table.column(name)
-        except (KeyError, TypeError):
+        except KeyError:
             raise CliError(EXIT_CONFIG_INVALID,
                            f"config model.{key} names unknown column {name!r}")
     terms = tuple(Continuous(c) for c in columns)
     terms += tuple(Interaction(a, b) for a, b in pairs)
-    try:
-        return ModelSpec(
-            outcome=outcome, fixed_terms=terms,
-            apc_mode=raw.get("apc_mode", "gallery_age_plus_t"),
-            random_structure=raw.get("random_structure", "intercept_slope"),
-            standardize_outcome=bool(raw.get("standardize_outcome", False)))
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG_INVALID, f"bad model config: {exc}")
+    return _build(ctx, "model", ModelSpec, {"outcome": outcome, "fixed_terms": terms},
+                  apc_mode=("gallery_age_plus_t", TEXT),
+                  random_structure=("intercept_slope", TEXT),
+                  standardize_outcome=(False, BOOL))
 
 
 def _write_text(ctx: RunContext, name: str, text: str) -> None:
@@ -311,38 +302,37 @@ def _write_text(ctx: RunContext, name: str, text: str) -> None:
 # subcommands
 
 def cmd_synth(ctx: RunContext) -> None:
-    raw = _section(ctx, "synth")
-    try:
-        covariates = {k: CovariateSpec(**v) for k, v in raw.get("covariates", {}).items()} \
-            or None
-        matchers = tuple(
-            MatcherSim(name=m["name"], orientation=m.get("orientation", "higher"),
-                       beta={k: float(v) for k, v in m["beta"].items()},
-                       Sigma=tuple(tuple(row) for row in m["Sigma"]),
-                       sigma2=float(m["sigma2"]),
-                       impostor=DistSpec(**m["impostor"]))
-            for m in raw.get("matchers", [])) or None
-        kwargs = dict(
-            n_subjects=int(raw.get("n_subjects", 100)),
-            enrollment_age_low=int(raw.get("enrollment_age_low", 4)),
-            enrollment_age_high=int(raw.get("enrollment_age_high", 12)),
-            session_schedule=tuple(raw.get(
-                "session_schedule", SynthConfig.session_schedule)),
-            images_per_eye_per_session=int(raw.get("images_per_eye_per_session", 2)),
-            attrition_rate=float(raw.get("attrition_rate", 0.134)),
-            include_impostors=bool(raw.get("include_impostors", True)),
-            pairing=_pairing_config(ctx),
-            seed=ctx.seed,
-        )
-        if covariates:
-            kwargs["covariates"] = covariates
-        if matchers:
-            kwargs["matchers"] = matchers
-        cfg = SynthConfig(**kwargs)
-    except (KeyError, TypeError, ValueError, SynthConfigError) as exc:
-        raise CliError(EXIT_CONFIG_INVALID, f"bad synth config: {exc}")
+    """Generate a synthetic capture/score dataset from known ground truth."""
+    def matcher(at):
+        impostor = _build(ctx, f"{at}.impostor", DistSpec, family=(REQUIRED, TEXT),
+                          loc=(REQUIRED, NUMBER), scale=(REQUIRED, NUMBER))
+        return _build(ctx, at, MatcherSim, {"impostor": impostor}, name=(REQUIRED, TEXT),
+                      orientation=("higher", TEXT), beta=(REQUIRED, _map_of(NUMBER)),
+                      Sigma=(REQUIRED, _list_of(_list_of(NUMBER))), sigma2=(REQUIRED, NUMBER))
 
-    result = generate_longitudinal(cfg)
+    n_matchers = len(_setting(ctx, "synth.matchers", (), LIST))
+    named = _setting(ctx, "synth.covariates", {}, OBJECT,
+                     (f"an object keyed by some of {sorted(DEFAULT_COVARIATES)}",
+                      lambda c: set(c) <= set(DEFAULT_COVARIATES)))
+    covariates = {name: _build(ctx, f"synth.covariates.{name}", CovariateSpec,
+                               mean=(REQUIRED, NUMBER), sd=(REQUIRED, NUMBER),
+                               low=(REQUIRED, NUMBER), high=(REQUIRED, NUMBER),
+                               between_sd=(0.0, NUMBER)) for name in named}
+    cfg = _build(ctx, "synth", SynthConfig, {
+        "covariates": {**DEFAULT_COVARIATES, **covariates},
+        "matchers": tuple(matcher(f"synth.matchers[{i}]") for i in range(n_matchers))
+        or SynthConfig.matchers,
+        "pairing": _pairing_config(ctx), "seed": ctx.seed},
+        n_subjects=(100, INTEGER), enrollment_age_low=(4, INTEGER),
+        enrollment_age_high=(12, INTEGER),
+        session_schedule=(SynthConfig.session_schedule, _list_of(INTEGER)),
+        images_per_eye_per_session=(2, INTEGER), attrition_rate=(0.134, NUMBER),
+        include_impostors=(True, BOOL))
+
+    try:
+        result = generate_longitudinal(cfg)
+    except SynthConfigError as exc:   # covariate bounds found infeasible while drawing
+        raise CliError(EXIT_CONFIG_INVALID, f"config synth: {exc}")
     captures_path = ctx.resolve("captures", "captures.csv")
     scores_path = ctx.resolve("scores", "scores.csv")
     write_captures(result.captures, captures_path)
@@ -363,6 +353,7 @@ def cmd_synth(ctx: RunContext) -> None:
 
 
 def cmd_ingest(ctx: RunContext) -> None:
+    """Ingest and validate a capture table."""
     result = _load_captures(ctx)
     report = validate_dataset(result.table)
     write_table(ctx.outdir / "ingest_rejections.csv",
@@ -379,6 +370,7 @@ def cmd_ingest(ctx: RunContext) -> None:
 
 
 def cmd_pairs(ctx: RunContext) -> None:
+    """Build genuine/impostor pairs and join matcher scores."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     scores_path = ctx.resolve("scores", "scores.csv")
@@ -410,13 +402,15 @@ def cmd_pairs(ctx: RunContext) -> None:
 
 
 def cmd_calibrate(ctx: RunContext) -> None:
+    """Sweep thresholds to hit a target FMR."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     impostor = _load_pairs(ctx, captures, "impostor", profiles)
-    target = _setting(ctx, "calibration", "target_fmr", 0.001, float,
-                      "a number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
-    names = _section(ctx, "calibration").get("matchers") or [p.name for p in profiles]
+    target = _setting(ctx, "calibration.target_fmr", 0.001, NUMBER,
+                      ("in [0, 1]", lambda t: 0.0 <= t <= 1.0))
+    names = _setting(ctx, "calibration.matchers", (), _list_of(TEXT)) or [
+        p.name for p in profiles]
 
     thresholds = {}
     lines = [f"target FMR: {target}"]
@@ -434,14 +428,14 @@ def cmd_calibrate(ctx: RunContext) -> None:
 
 
 def cmd_fnmr(ctx: RunContext) -> None:
+    """Interval FNMR with Wilson / rule-of-three confidence bounds."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     thresholds = _thresholds(ctx, profiles)
-    bin_width = _setting(ctx, "fnmr", "bin_width_months", 6, int,
-                         "an integer >= 1", lambda b: b >= 1)
-    confidence = _setting(ctx, "fnmr", "confidence", 0.95, float,
-                          "a number in (0, 1)", lambda c: 0.0 < c < 1.0)
+    bin_width = _setting(ctx, "fnmr.bin_width_months", 6, INTEGER, (">= 1", lambda b: b >= 1))
+    confidence = _setting(ctx, "fnmr.confidence", 0.95, NUMBER,
+                          ("in (0, 1)", lambda c: 0.0 < c < 1.0))
 
     lines = []
     for profile in profiles:
@@ -462,6 +456,7 @@ def cmd_fnmr(ctx: RunContext) -> None:
 
 
 def cmd_det(ctx: RunContext) -> None:
+    """DET curve, EER and AUC per matcher."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -483,25 +478,24 @@ def cmd_det(ctx: RunContext) -> None:
 
 
 def _two_matchers(ctx: RunContext, profiles):
-    raw = _section(ctx, "fusion")
-    if "matcher_a" in raw and "matcher_b" in raw:
-        names = (raw["matcher_a"], raw["matcher_b"])
-    elif len(profiles) >= 2:
+    names = (_setting(ctx, "fusion.matcher_a", None, TEXT),
+             _setting(ctx, "fusion.matcher_b", None, TEXT))
+    if None in names:
+        if len(profiles) < 2:
+            raise CliError(EXIT_CONFIG_INVALID,
+                           "fusion/failure analysis needs two matchers (config 'fusion')")
         names = (profiles[0].name, profiles[1].name)
-    else:
-        raise CliError(EXIT_CONFIG_INVALID,
-                       "fusion/failure analysis needs two matchers (config 'fusion')")
     return _profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1])
 
 
 def cmd_failures(ctx: RunContext) -> None:
+    """Categorize genuine failures and their quality correlates."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     thresholds = _thresholds(ctx, profiles)
     pa, pb = _two_matchers(ctx, profiles)
-    cut = _setting(ctx, "fusion", "min_quality_cut", 45.0, float, "a finite number",
-                   math.isfinite)
+    cut = _setting(ctx, "fusion.min_quality_cut", 45.0, NUMBER)
     report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], cut)
     rows = []
     for cat in report.categories:
@@ -532,6 +526,7 @@ def cmd_failures(ctx: RunContext) -> None:
 
 
 def cmd_fuse(ctx: RunContext) -> None:
+    """AND-rule fusion error rates and agreement breakdown."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -555,22 +550,15 @@ def cmd_fuse(ctx: RunContext) -> None:
 
 
 def cmd_lmm(ctx: RunContext) -> None:
+    """Fit the longitudinal mixed model and age-group companion."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine_all = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx, genuine_all)
-    raw = _section(ctx, "model")
-    eyes = raw.get("eyes", ["pooled"])
-    if not isinstance(eyes, list) or not all(e in ("L", "R", "pooled") for e in eyes):
-        raise CliError(EXIT_CONFIG_INVALID, "config model.eyes must be a list of 'L', "
-                       f"'R' or 'pooled', got {eyes!r}")
-    bins = raw.get("age_groups", [[4, 5], [6, 7], [8, 9], [10, 12]])
-    if not (isinstance(bins, list) and bins and all(
-            isinstance(b, list) and len(b) == 2 and all(_finite(v) is not None for v in b)
-            for b in bins)):
-        raise CliError(EXIT_CONFIG_INVALID, "config model.age_groups must be a non-empty list "
-                       f"of [low, high] number pairs, got {bins!r}")
-    age_term = AgeGroups(column="A_gallery", bins=tuple(tuple(b) for b in bins))
+    eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
+                    ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
+    bins = _setting(ctx, "model.age_groups", AgeGroups.bins, _list_of(_list_of(INTEGER)))
+    age_term = _build(ctx, "model.age_groups", AgeGroups, {"column": "A_gallery", "bins": bins})
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in eyes:
         if eye == "pooled":
@@ -639,6 +627,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
 
 
 def cmd_apc(ctx: RunContext) -> None:
+    """Compare the three age-period-cohort parameterizations."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
@@ -667,12 +656,13 @@ def cmd_apc(ctx: RunContext) -> None:
 
 
 def cmd_cv(ctx: RunContext) -> None:
+    """Subject-level k-fold cross-validation."""
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
     spec = _model_spec(ctx, genuine)
-    k = _setting(ctx, "cv", "k", 5, int, "an integer >= 2", lambda k: k >= 2)
-    seed = _setting(ctx, "cv", "seed", ctx.seed, _u64, "an integer in [0, 2**64)")
+    k = _setting(ctx, "cv.k", 5, INTEGER, (">= 2", lambda k: k >= 2))
+    seed = _setting(ctx, "cv.seed", ctx.seed, SEED)
     try:
         report = kfold_subject_cv(genuine, spec, k, seed)
     except ValueError as exc:
@@ -691,100 +681,71 @@ def cmd_cv(ctx: RunContext) -> None:
     ]) + "\n")
 
 
-def _read_csv_rows(path: Path):
-    import csv as _csv
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        return list(reader)
+def _report_rows(path: str, numeric: tuple[str, ...]) -> list[dict]:
+    """Rows of an earlier subcommand's table, with the `numeric` columns as floats."""
+    rows = []
+    with open_text(path) as fh:
+        for row_number, row in enumerate(csv.DictReader(fh), start=1):
+            try:
+                rows.append({**row, **{c: float(row[c]) for c in numeric}})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IngestError(
+                    f"{path}: bad or missing cell at data row {row_number}: {exc}")
+    return rows
 
 
 def cmd_report(ctx: RunContext) -> None:
-    made_any = False
+    """Render SVG figures from previously written tables."""
+    charts = {}
     fnmr_files = sorted(glob.glob(str(ctx.outdir / "interval_fnmr_*.csv")))
     if fnmr_files:
-        chart = Chart("Longitudinal FNMR by interval", "interval (months)",
-                      "FNMR (%)")
+        chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
+                                           "interval (months)", "FNMR (%)")
         for path in fnmr_files:
-            name = Path(path).stem.replace("interval_fnmr_", "")
-            rows = _read_csv_rows(Path(path))
+            rows = _report_rows(path, ("interval_months", "fnmr", "ci_low", "ci_high"))
             chart.series.append(Series(
-                name=name,
-                x=[float(r["interval_months"]) for r in rows],
-                y=[100.0 * float(r["fnmr"]) for r in rows],
-                whisker_low=[100.0 * float(r["ci_low"]) for r in rows],
-                whisker_high=[100.0 * float(r["ci_high"]) for r in rows]))
-        render(chart, ctx.outdir / "fnmr.svg")
-        ctx.record_output(ctx.outdir / "fnmr.svg")
-        made_any = True
+                name=Path(path).stem.replace("interval_fnmr_", ""),
+                x=[r["interval_months"] for r in rows],
+                y=[100.0 * r["fnmr"] for r in rows],
+                whisker_low=[100.0 * r["ci_low"] for r in rows],
+                whisker_high=[100.0 * r["ci_high"] for r in rows]))
 
     det_files = sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
     det_files = [p for p in det_files if not p.endswith("det_summary.csv")]
     if det_files:
-        chart = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
+        chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
-            name = Path(path).stem.replace("det_", "")
-            rows = _read_csv_rows(Path(path))
+            rows = _report_rows(path, ("fmr", "fnmr"))
             chart.series.append(Series(
-                name=name,
-                x=[float(r["fmr"]) for r in rows],
-                y=[float(r["fnmr"]) for r in rows],
-                markers=False))
-        render(chart, ctx.outdir / "det.svg")
-        ctx.record_output(ctx.outdir / "det.svg")
-        made_any = True
+                name=Path(path).stem.replace("det_", ""), x=[r["fmr"] for r in rows],
+                y=[r["fnmr"] for r in rows], markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
         name = Path(path).stem.replace("trajectories_", "")
-        rows = _read_csv_rows(Path(path))
+        rows = _report_rows(path, ("T_months", "predicted"))
         if not rows:
             continue
-        chart = Chart(f"Predicted {name} score by enrollment age group",
-                      "gap T (months)", "predicted score")
-        groups = sorted({r["age_group"] for r in rows})
-        for label in groups:
+        chart = charts[f"trajectories_{name}.svg"] = Chart(
+            f"Predicted {name} score by enrollment age group", "gap T (months)",
+            "predicted score")
+        for label in sorted({r["age_group"] for r in rows}):
             sel = [r for r in rows if r["age_group"] == label]
             chart.series.append(Series(
                 name=f"enrolled {label}",
-                x=[float(r["T_months"]) for r in sel],
-                y=[float(r["predicted"]) for r in sel], markers=False))
-        render(chart, ctx.outdir / f"trajectories_{name}.svg")
-        ctx.record_output(ctx.outdir / f"trajectories_{name}.svg")
-        made_any = True
+                x=[r["T_months"] for r in sel], y=[r["predicted"] for r in sel],
+                markers=False))
 
-    if not made_any:
+    if not charts:
         raise CliError(EXIT_MISSING_INPUT,
                        "no report inputs found (run fnmr/det/lmm first)")
+    for name, chart in charts.items():
+        render(chart, ctx.outdir / name)
+        ctx.record_output(ctx.outdir / name)
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "pairs": cmd_pairs,
-    "calibrate": cmd_calibrate,
-    "fnmr": cmd_fnmr,
-    "det": cmd_det,
-    "failures": cmd_failures,
-    "fuse": cmd_fuse,
-    "lmm": cmd_lmm,
-    "apc": cmd_apc,
-    "cv": cmd_cv,
-    "report": cmd_report,
-}
-
-_HELP = {
-    "synth": "generate a synthetic capture/score dataset from known ground truth",
-    "ingest": "ingest and validate a capture table",
-    "pairs": "build genuine/impostor pairs and join matcher scores",
-    "calibrate": "sweep thresholds to hit a target FMR",
-    "fnmr": "interval FNMR with Wilson / rule-of-three confidence bounds",
-    "det": "DET curve, EER and AUC per matcher",
-    "failures": "categorize genuine failures and their quality correlates",
-    "fuse": "AND-rule fusion error rates and agreement breakdown",
-    "lmm": "fit the longitudinal mixed model and age-group companion",
-    "apc": "compare the three age-period-cohort parameterizations",
-    "cv": "subject-level k-fold cross-validation",
-    "report": "render SVG figures from previously written tables",
-}
+_COMMANDS = {name: globals()[f"cmd_{name}"] for name in (
+    "synth", "ingest", "pairs", "calibrate", "fnmr", "det", "failures", "fuse", "lmm",
+    "apc", "cv", "report")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -795,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
                "5 data-invalid, 6 calibration-infeasible, 7 model-error.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", required=True,
                        help="path to the JSON run config")
         p.add_argument("--out", default=None,
@@ -828,18 +789,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, config_path = _load_config(args.config)
-        outdir = Path(args.out) if args.out else Path(config.get("out", "."))
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.seed is not None:
-            seed = args.seed
-        else:
-            try:
-                seed = _u64(config.get("seed", 0))
-            except ValueError as exc:
-                raise CliError(EXIT_CONFIG_INVALID, f"config {exc}")
-        ctx = RunContext(config=config, config_path=config_path, outdir=outdir,
-                         seed=seed, inputs={}, outputs={})
+        config_path = Path(args.config)
+        ctx = RunContext(config=OBJECT(_read_json(config_path), f"config {config_path}"),
+                         config_path=config_path, outdir=None, seed=args.seed,
+                         inputs={}, outputs={})
+        ctx.outdir = Path(args.out or _setting(ctx, "out", ".", TEXT))
+        if ctx.seed is None:
+            ctx.seed = _setting(ctx, "seed", 0, SEED)
+        ctx.outdir.mkdir(parents=True, exist_ok=True)
         args.handler(ctx)
         _write_manifest(ctx, args.command)
     except CliError as exc:
@@ -854,7 +811,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error code=model-error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:   # a path that is absent, a directory, unreadable, ...
         print(f"error code=missing-input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     print(f"ok: {args.command} -> {ctx.outdir}")

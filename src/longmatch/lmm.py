@@ -77,6 +77,10 @@ class AgeGroups:
     bins: tuple[tuple[int, int], ...] = ((4, 5), (6, 7), (8, 9), (10, 12))
     reference: int = 0   # index into bins
 
+    def __post_init__(self):
+        if not self.bins or any(len(b) != 2 or b[0] > b[1] for b in self.bins):
+            raise ValueError("age groups must be non-empty [low, high] bins, low <= high")
+
     def labels(self) -> list[str]:
         return [f"{lo}-{hi}" for lo, hi in self.bins]
 

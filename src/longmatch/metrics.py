@@ -142,13 +142,6 @@ def fmr_at_threshold(impostor, profile: MatcherProfile, threshold: float) -> flo
     return float(match_mask(scores, threshold, profile.orientation).mean())
 
 
-def fnmr_at_threshold(genuine, profile: MatcherProfile, threshold: float) -> float:
-    scores = _scores_of(genuine, profile, kind=GENUINE)
-    if scores.size == 0:
-        raise DataError("empty genuine table")
-    return float((~match_mask(scores, threshold, profile.orientation)).mean())
-
-
 def _oriented(scores: np.ndarray, orientation: str) -> np.ndarray:
     # normalized space: match <=> oriented score >= oriented threshold
     return scores if orientation == HIGHER_IS_BETTER else -scores

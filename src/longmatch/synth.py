@@ -18,7 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CaptureRecord, CaptureTable, MatcherProfile
+from .core import (
+    HIGHER_IS_BETTER, LOWER_IS_BETTER, PAIR_COVARIATES, CaptureRecord, CaptureTable,
+    MatcherProfile,
+)
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 from .tableio import ScoreTable
 
@@ -72,6 +75,11 @@ DEFAULT_COVARIATES = {
 }
 
 
+# the genuine-pair columns a beta may weight (ComparisonTable.column names)
+_BETA_TERMS = frozenset(("intercept", "T", "gap_T_months", "delta_A", "delta_age_years", "DC")
+                       + PAIR_COVARIATES)
+
+
 @dataclass(frozen=True)
 class MatcherSim:
     """Ground-truth effect structure for one simulated matcher."""
@@ -81,6 +89,16 @@ class MatcherSim:
     Sigma: tuple = ((80.0**2, 0.0), (0.0, 1.0))
     sigma2: float = 60.0**2
     impostor: DistSpec = DistSpec("normal", 0.0, 30.0)
+
+    def __post_init__(self):
+        if self.orientation not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
+            raise SynthConfigError(f"unknown orientation {self.orientation!r}")
+        if not self.sigma2 >= 0:
+            raise SynthConfigError("sigma2 must be >= 0")
+        unknown = sorted(set(self.beta) - _BETA_TERMS)
+        if unknown:
+            raise SynthConfigError(f"beta names unknown column(s) {unknown}")
+        self.sigma_matrix()
 
     def sigma_matrix(self) -> np.ndarray:
         S = np.atleast_2d(np.asarray(self.Sigma, dtype=np.float64))
@@ -111,14 +129,18 @@ class SynthConfig:
         if self.enrollment_age_low > self.enrollment_age_high:
             raise SynthConfigError("enrollment age range is empty")
         sched = tuple(self.session_schedule)
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise SynthConfigError("session_schedule must be strictly increasing")
+        if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
+            raise SynthConfigError("session_schedule must be non-empty and strictly increasing")
         if not (0.0 <= self.attrition_rate < 1.0):
             raise SynthConfigError("attrition_rate must lie in [0, 1)")
         if self.images_per_eye_per_session < 1:
             raise SynthConfigError("images_per_eye_per_session must be >= 1")
         if not self.matchers:
             raise SynthConfigError("at least one matcher block is required")
+        if len({m.name for m in self.matchers}) < len(self.matchers):
+            raise SynthConfigError("matcher names must be unique")
+        if set(self.covariates) != set(DEFAULT_COVARIATES):
+            raise SynthConfigError(f"covariates must be exactly {sorted(DEFAULT_COVARIATES)}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ bit-exactly.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -59,6 +60,36 @@ class IngestResult:
         return len(self.rejections)
 
 
+@contextmanager
+def open_text(path, error=IngestError):
+    """`path` opened to stream UTF-8 text; a byte that is not UTF-8, or a line
+    csv cannot split, raises `error(message)` naming the file (and the byte)."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            try:   # the reader decodes in blocks; decode the whole file to place the byte
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: not UTF-8 text at byte offset {exc.start}: "
+                            f"{exc.reason}") from None
+            raise
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
+
+
+def _header(reader, path: Path, required: list[str]) -> list[str]:
+    """The header row of `reader`, IngestError unless it holds every `required` column."""
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{path}: empty file, no header row")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+    return header
+
+
 def _fmt(value) -> str:
     # repr of a builtin float is the shortest round-trip form; numpy scalars
     # are coerced first (their repr carries a type wrapper)
@@ -77,15 +108,9 @@ def ingest_captures(path) -> IngestResult:
     and DuplicateImageIdError when an image_id repeats.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, no header row")
-        missing = [c for c in CAPTURE_HEADER if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+        header = _header(reader, path, CAPTURE_HEADER)
         col = {name: header.index(name) for name in CAPTURE_HEADER}
 
         records: list[CaptureRecord] = []
@@ -194,15 +219,9 @@ class ScoreTable:
 def ingest_scores(path) -> ScoreTable:
     path = Path(path)
     table = ScoreTable()
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, no header row")
-        missing = [c for c in SCORE_HEADER if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+        header = _header(reader, path, SCORE_HEADER)
         col = {name: header.index(name) for name in SCORE_HEADER}
         for row_number, row in enumerate(reader, start=1):
             try:
@@ -251,17 +270,12 @@ def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
     The pinned pair header carries no subject or age columns; when the source
     capture table is supplied, subjects and A_gallery/A_probe are re-joined
     through the image ids (needed for any model fitting or subject grouping).
+    A non-finite DC, covariate or score cell raises IngestError naming its row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, no header row")
-        missing = [c for c in PAIR_HEADER_FIXED if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+        header = _header(reader, path, PAIR_HEADER_FIXED)
         matchers = [c[len("score_"):] for c in header if c.startswith("score_")]
         col = {name: header.index(name) for name in header}
 
@@ -312,11 +326,18 @@ def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
             raise IngestError(
                 f"{path}: bad or missing cell at data row {row_number}: {exc}")
 
-    return ComparisonTable(
+    table = ComparisonTable(
         kind=kind, eye=eye, gallery_image_id=gid, probe_image_id=pid,
         gallery_subject=gsub, probe_subject=psub, gap_t=gap, delta_age=dage,
         dc=dc, covariates=cov, scores=scores,
     )
+    parsed = {"DC": table.dc, **{name: table.covariates[name] for name in QUALITY_COVARIATES},
+              **{f"score_{m}": table.scores[m] for m in matchers}}
+    for name, values in parsed.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise IngestError(f"{path}: non-finite {name} at data row {bad[0] + 1}")
+    return table
 
 
 def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +286,64 @@ def test_synth_and_pairs_golden_digests(tmp_path):
     assert digests == GOLDEN_SYNTH_PAIRS
 
 
+# SHA-256 of every other file that synth, pairs, calibrate, fnmr, det,
+# failures, fuse and report write on the write_config config; like the
+# digests above, a change to any of them is a change to the program's output
+GOLDEN_PIPELINE = {
+    **GOLDEN_SYNTH_PAIRS,
+    "calibrate_summary.txt": "757732e17ee960dea19f026a882fb57c52c71eb25a882cfce9cbb89451d91947",
+    "det.svg": "7e6d8a6f5454c414febbafb7fb924c6fd7fe6b8037dc62416efa410eb8ee352b",
+    "det_simA.csv": "39134f1d8b722b774a8d567f21412c9635d0f351618e66cd3cad90eddd84f5f8",
+    "det_simB.csv": "80947123084d532a009413f5866d5eb93730a1052dad050d474e2e6d6dacf987",
+    "det_summary.csv": "6c6e33c903be570069ed7f7e90cf9ec9c2acdd15603505deed73e403e9a8ed12",
+    "det_summary.txt": "7adda102a20850577252fdbea36cced7696e28ceab529ed0d53db66e3cb3bf9e",
+    "failure_categories.csv": "4c47962a310a60eafb495f686e368172850d49a0884ea8413b4041a65e971565",
+    "failure_report.txt": "e69daceacf6eb9c1be703ee60da514531d92d7c600c6f5f0596333fe6647b7f4",
+    "fnmr.svg": "242b6357eb32bd9ce919d6241b53ec7d7fe73b79ea71ab8eea3b7f52b428af38",
+    "fnmr_summary.txt": "4899d1a93af82a3b813aa3084b818d1eadd927463c58ea3c7f7acf08d83fad4f",
+    "fusion_report.txt": "403bd3717d4ad924ead6e9226c41ac0dc9d1ee9e0b0d439e958cc67044c9d067",
+    "ground_truth.json": "e57e4986383582769f42b1201adc4e08fded5fd70f29be7ff1046fb708aa9e3f",
+    "interval_fnmr_simA.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
+    "interval_fnmr_simB.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
+    "pairs_summary.txt": "15b4e7a8d6e1a96887c99d060fc0537b07899e9e6653aa0438fae73aeb8c3ae2",
+    "synth_summary.txt": "e8d5ab732d98e1036d9408eac092d8bb0572fb0f91766a11234be04904466104",
+    "thresholds.json": "fed8db91ef23eca31c470f6d6232f7442537ce7f226dfccb58559dd706af2978",
+}
+# (inputs, outputs) each manifest names; their digests are the files' above
+GOLDEN_MANIFESTS = {
+    "synth": ((),
+              ("captures.csv", "ground_truth.json", "scores.csv", "synth_summary.txt")),
+    "pairs": (("captures.csv", "scores.csv"),
+              ("pairs_genuine.csv", "pairs_impostor.csv", "pairs_incomplete.csv",
+               "pairs_summary.txt")),
+    "calibrate": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv"),
+                  ("calibrate_summary.txt", "thresholds.json")),
+    "fnmr": (("captures.csv", "pairs_genuine.csv", "thresholds.json"),
+             ("fnmr_summary.txt", "interval_fnmr_simA.csv", "interval_fnmr_simB.csv")),
+    "det": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv"),
+            ("det_simA.csv", "det_simB.csv", "det_summary.csv", "det_summary.txt")),
+    "failures": (("captures.csv", "pairs_genuine.csv", "thresholds.json"),
+                 ("failure_categories.csv", "failure_report.txt")),
+    "fuse": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv", "thresholds.json"),
+             ("fusion_report.txt",)),
+    "report": ((),
+               ("det.svg", "fnmr.svg")),
+}
+
+
+def test_pipeline_golden_digests(tmp_path):
+    outdir = tmp_path / "run"
+    run_pipeline(write_config(tmp_path / "config.json", outdir), list(GOLDEN_MANIFESTS))
+    written = sorted(p.name for p in outdir.iterdir() if not p.name.startswith("manifest_"))
+    assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in written} == GOLDEN_PIPELINE
+    for command, (inputs, outputs) in GOLDEN_MANIFESTS.items():
+        manifest = json.loads((outdir / f"manifest_{command}.json").read_text())
+        assert manifest["command"] == command and manifest["seed"] == 404
+        assert manifest["inputs"] == {name: GOLDEN_PIPELINE[name] for name in inputs}
+        assert manifest["outputs"] == {name: GOLDEN_PIPELINE[name] for name in outputs}
+
+
 @pytest.mark.parametrize("fnmr, key", [
     ({"bin_width_months": 0}, "fnmr.bin_width_months"),
     ({"bin_width_months": "x"}, "fnmr.bin_width_months"),
@@ -430,3 +491,172 @@ def test_model_outputs_match_golden(tmp_path):
                     continue
                 assert float(cell) == pytest.approx(expected, rel=1e-6, abs=1e-12), \
                     (name, want_row[0], want, cell)
+
+
+@pytest.fixture(scope="module")
+def fault_tree(tmp_path_factory):
+    """A small output tree every fault case copies: pairs, thresholds, tables."""
+    outdir = tmp_path_factory.mktemp("faults") / "run"
+    run_pipeline(write_config(outdir.parent / "config.json", outdir),
+                 ["synth", "pairs", "calibrate", "lmm"])
+    return outdir
+
+
+def _copy_tree(fault_tree: Path, tmp_path: Path) -> tuple[Path, dict]:
+    """A copy of `fault_tree` holding its own config.json, and that config."""
+    outdir = tmp_path / "run"
+    shutil.copytree(fault_tree, outdir)
+    config = json.loads((fault_tree.parent / "config.json").read_text(encoding="utf-8"))
+    config["out"] = str(outdir)
+    return outdir, config
+
+
+def _set(config: dict, path: str, value) -> None:
+    """Set `value` at a dotted config path with list indexes ("a.b[0].c")."""
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in parents:
+        config = config[key]
+    config[last] = value
+
+
+def _at(offset: int):
+    """Damage: the byte at `offset` replaced by 0xff, which is never UTF-8."""
+    return lambda data: data[:offset] + b"\xff" + data[offset + 1:]
+
+
+def _cell(column: str, text: str, row: int = 1):
+    """Damage: the `column` cell of 1-based data row `row` set to `text`."""
+    def damage(data: bytes) -> bytes:
+        lines = data.decode("utf-8").split("\r\n")
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = text
+        lines[row] = ",".join(cells)
+        return "\r\n".join(lines).encode("utf-8")
+    return damage
+
+
+def _short(row: int):
+    """Damage: 1-based data row `row` cut to its first cell."""
+    def damage(data: bytes) -> bytes:
+        lines = data.decode("utf-8").split("\r\n")
+        lines[row] = lines[row].split(",")[0]
+        return "\r\n".join(lines).encode("utf-8")
+    return damage
+
+
+# (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
+# texts the single stderr line must hold)
+FAULTS = [
+    ("pairs", {"captures": 5}, {}, 3, ["config captures"]),
+    ("pairs", {"scores": 5}, {}, 3, ["config scores"]),
+    ("synth", {"out": 5}, {}, 3, ["config out"]),
+    ("pairs", {"captures": ""}, {}, 3, ["config captures"]),
+    ("pairs", {"pairing.max_impostor_probes": [1]}, {}, 3, ["pairing.max_impostor_probes"]),
+    ("lmm", {"model.apc_mode": ["x"]}, {}, 3, ["model.apc_mode"]),
+    ("pairs", {"matchers[0].name": ["simA"]}, {}, 3, ["matchers[0].name"]),
+    ("synth", {"synth.session_schedule": "abc"}, {}, 3, ["synth.session_schedule"]),
+    ("synth", {"synth.covariates": []}, {}, 3, ["synth.covariates"]),
+    ("synth", {"synth.matchers[0].beta": [1, 2]}, {}, 3, ["synth.matchers[0].beta"]),
+    ("synth", {"synth.matchers[0].Sigma": "abc"}, {}, 3, ["synth.matchers[0].Sigma"]),
+    ("synth", {"synth.matchers[0].Sigma": [[1.0, 0.0, 0.0]]}, {}, 3,
+     ["synth.matchers[0]", "Sigma"]),
+    ("synth", {"synth.matchers[0].orientation": 5}, {}, 3, ["synth.matchers[0].orientation"]),
+    ("synth", {"synth.matchers[0].impostor.scale": float("nan")}, {}, 3,
+     ["synth.matchers[0].impostor.scale"]),
+    ("calibrate", {"calibration.target_fmr": True}, {}, 3, ["calibration.target_fmr"]),
+    ("lmm", {"model.standardize_outcome": "no"}, {}, 3, ["model.standardize_outcome"]),
+    ("synth", {"synth.include_impostors": "false"}, {}, 3, ["synth.include_impostors"]),
+    ("synth", {"synth.n_subjects": True}, {}, 3, ["synth.n_subjects"]),
+    ("synth", {"synth.n_subjects": 2.7}, {}, 3, ["synth.n_subjects"]),
+    ("fnmr", {"fnmr.bin_width_months": 6.9}, {}, 3, ["fnmr.bin_width_months"]),
+    ("fnmr", {"fnmr.bin_width_months": True}, {}, 3, ["fnmr.bin_width_months"]),
+    ("cv", {"cv.k": 3.5}, {}, 3, ["cv.k"]),
+    ("pairs", {"pairing.max_impostor_probes": 2.9}, {}, 3, ["pairing.max_impostor_probes"]),
+    ("pairs", {"pairing.base_seed": -3}, {}, 3, ["pairing.base_seed"]),
+    ("synth", {"synth.session_schedule": [0, 6.5]}, {}, 3, ["synth.session_schedule[1]"]),
+    ("synth", {"synth.enrollment_age_low": "4"}, {}, 3, ["synth.enrollment_age_low"]),
+    ("synth", {"synth.matchers[0].sigma2": -1.0}, {}, 3, ["synth.matchers[0]", "sigma2"]),
+    ("lmm", {"model.quality_terms": "Q_probe"}, {}, 3, ["model.quality_terms"]),
+    ("calibrate", {"calibration.matchers": "simA"}, {}, 3, ["calibration.matchers"]),
+    ("synth", {"synth.session_schedule": []}, {}, 3, ["config synth", "session_schedule"]),
+    ("synth", {"synth.matchers[0].beta": {"nope": 1.0}}, {}, 3, ["synth.matchers[0]", "'nope'"]),
+    ("synth", {"synth.covariates": {"Q": {"mean": 500.0, "sd": 1.0, "low": 0.0, "high": 100.0}}},
+     {}, 3, ["config synth", "infeasible"]),
+    ("pairs", {}, {"captures.csv": _at(9000)}, 5, ["captures.csv", "byte offset 9000"]),
+    ("pairs", {}, {"scores.csv": _at(9000)}, 5, ["scores.csv", "byte offset 9000"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _at(9000)}, 5, ["pairs_genuine.csv", "byte offset 9000"]),
+    ("det", {}, {"pairs_impostor.csv": _at(9000)}, 5, ["pairs_impostor.csv", "byte offset 9000"]),
+    ("fnmr", {}, {"config.json": _at(20)}, 3, ["config.json", "byte offset 20"]),
+    ("fnmr", {}, {"thresholds.json": _at(5)}, 3, ["thresholds.json", "byte offset 5"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _cell("score_simA", "nan")}, 5,
+     ["pairs_genuine.csv", "score_simA at data row 1"]),
+    ("calibrate", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
+     ["pairs_genuine.csv", "DC at data row 2"]),
+    ("lmm", {}, {"pairs_genuine.csv": _cell("score_simB", "1e999", row=3)}, 5,
+     ["pairs_genuine.csv", "score_simB at data row 3"]),
+    ("report", {}, {"trajectories_simA.csv": _cell("T_months", "six", row=2)}, 5,
+     ["trajectories_simA.csv", "data row 2"]),
+    ("report", {}, {"trajectories_simA.csv": _short(2)}, 5,
+     ["trajectories_simA.csv", "data row 2"]),
+    ("report", {}, {"trajectories_simA.csv": _at(30)}, 5,
+     ["trajectories_simA.csv", "byte offset 30"]),
+    ("pairs", {"captures": "."}, {}, 4, ["Is a directory"]),
+    ("pairs", {"scores": "absent.csv"}, {}, 4, ["absent.csv"]),
+    ("pairs", {}, {"captures.csv": lambda data: b""}, 5, ["captures.csv", "empty file"]),
+]
+
+
+@pytest.mark.parametrize("command, edits, damage, code, named", FAULTS)
+def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code, named):
+    outdir, config = _copy_tree(fault_tree, tmp_path)
+    for path, value in edits.items():
+        _set(config, path, value)
+    (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for name, edit in damage.items():
+        (outdir / name).write_bytes(edit((outdir / name).read_bytes()))
+    capsys.readouterr()
+    assert main([command, "--config", str(outdir / "config.json")]) == code
+    line = _one_error_line(capsys, {3: "config-invalid", 4: "missing-input",
+                                    5: "data-invalid"}[code])
+    for text in named:
+        assert text in line, line
+
+
+# the subcommands that read each fuzzed file; on seeds 0-7 every file gets a
+# non-UTF-8 byte at least once
+FUZZED = {"captures.csv": ["ingest", "pairs"], "scores.csv": ["pairs"],
+          "pairs_genuine.csv": ["calibrate", "fnmr"], "thresholds.json": ["fnmr"],
+          "config.json": ["synth", "pairs", "fnmr"]}
+# bytes a flip writes: digits, separators, JSON punctuation, letters, NUL, non-UTF-8
+FLIP_BYTES = b"0123456789.,-+eE\"\n xT[]{}:\x00\x80\xc3\xff"
+
+
+@pytest.mark.parametrize("name", list(FUZZED))
+def test_byte_flips_never_crash(fault_tree, tmp_path, capsys, name):
+    for seed in range(8):
+        outdir, config = _copy_tree(fault_tree, tmp_path / str(seed))
+        (outdir / "config.json").write_text(json.dumps(config, indent=1), encoding="utf-8")
+        rng = random.Random(f"{name}:{seed}")
+        data = bytearray((outdir / name).read_bytes())
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.choice(FLIP_BYTES)
+        (outdir / name).write_bytes(bytes(data))
+        for command in FUZZED[name]:
+            # --out keeps a flipped "out" from writing outside tmp_path
+            code = main([command, "--config", str(outdir / "config.json"),
+                         "--out", str(outdir)])
+            assert code != 1, (name, seed, command)
+    capsys.readouterr()
+
+
+def test_partial_covariates_keep_the_other_defaults(tmp_path):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config["synth"]["covariates"] = {"Q": {"mean": 50, "sd": 0, "low": 0, "high": 100}}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    with open(outdir / "captures.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["quality"] for r in rows} == {"50.0"}
+    assert len({r["usable_area"] for r in rows}) > 1
