@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .core import (
     GENUINE, IMPOSTOR, HIGHER_IS_BETTER, LOWER_IS_BETTER,
-    CaptureRecord, CaptureTable, ComparisonTable,
-    MatcherProfile, ValidationReport, DataError, ScoreRangeError,
-    dilation_ratio, dilation_constancy, validate_dataset,
+    CaptureTable, ComparisonTable, MatcherProfile, DataError, ScoreRangeError,
+    dilation_ratio, dilation_constancy,
 )
 from .tableio import (
     IngestResult, IngestError, DuplicateImageIdError, RowRejection, ScoreTable,

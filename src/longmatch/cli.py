@@ -27,6 +27,7 @@ import hashlib
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import (
-    ComparisonTable, DataError, MatcherProfile, validate_dataset,
-)
+from .core import ComparisonTable, DataError, MatcherProfile
 from .lmm import (
     AgeGroups, Continuous, Interaction, ModelError, ModelSpec,
     compare_apc, fit_spec, format_fit_report, marginal_r2,
@@ -355,17 +354,17 @@ def cmd_synth(ctx: RunContext) -> None:
 def cmd_ingest(ctx: RunContext) -> None:
     """Ingest and validate a capture table."""
     result = _load_captures(ctx)
-    report = validate_dataset(result.table)
     write_table(ctx.outdir / "ingest_rejections.csv",
                 ["row_number", "reason", "detail"],
                 [(r.row_number, r.reason, r.detail) for r in result.rejections])
     ctx.record_output(ctx.outdir / "ingest_rejections.csv")
+    n_rows = result.n_accepted + result.n_rejected
     lines = [f"accepted rows: {result.n_accepted}",
              f"rejected rows: {result.n_rejected}",
-             f"validation findings: {len(report.findings)}",
-             f"flagged fraction: {report.flagged_fraction:.4%}"]
-    for cls, count in sorted(report.counts.items()):
-        lines.append(f"  {cls}: {count}")
+             f"validation findings: {result.n_rejected}",
+             f"flagged fraction: {result.n_rejected / n_rows if n_rows else 0.0:.4%}"]
+    for reason, count in sorted(Counter(r.reason for r in result.rejections).items()):
+        lines.append(f"  {reason}: {count}")
     _write_text(ctx, "ingest_summary.txt", "\n".join(lines) + "\n")
 
 
@@ -681,10 +680,11 @@ def cmd_cv(ctx: RunContext) -> None:
     ]) + "\n")
 
 
-def _report_rows(path: str, numeric: tuple[str, ...]) -> list[dict]:
-    """Rows of an earlier subcommand's table, with the `numeric` columns as floats."""
+def _report_rows(ctx: RunContext, path: str, numeric: tuple[str, ...]) -> list[dict]:
+    """Rows of an earlier subcommand's table, recorded as an input, with the
+    `numeric` columns as floats."""
     rows = []
-    with open_text(path) as fh:
+    with open_text(ctx.record_input(Path(path))) as fh:
         for row_number, row in enumerate(csv.DictReader(fh), start=1):
             try:
                 rows.append({**row, **{c: float(row[c]) for c in numeric}})
@@ -702,7 +702,7 @@ def cmd_report(ctx: RunContext) -> None:
         chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
                                            "interval (months)", "FNMR (%)")
         for path in fnmr_files:
-            rows = _report_rows(path, ("interval_months", "fnmr", "ci_low", "ci_high"))
+            rows = _report_rows(ctx, path, ("interval_months", "fnmr", "ci_low", "ci_high"))
             chart.series.append(Series(
                 name=Path(path).stem.replace("interval_fnmr_", ""),
                 x=[r["interval_months"] for r in rows],
@@ -715,14 +715,14 @@ def cmd_report(ctx: RunContext) -> None:
     if det_files:
         chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
-            rows = _report_rows(path, ("fmr", "fnmr"))
+            rows = _report_rows(ctx, path, ("fmr", "fnmr"))
             chart.series.append(Series(
                 name=Path(path).stem.replace("det_", ""), x=[r["fmr"] for r in rows],
                 y=[r["fnmr"] for r in rows], markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
         name = Path(path).stem.replace("trajectories_", "")
-        rows = _report_rows(path, ("T_months", "predicted"))
+        rows = _report_rows(ctx, path, ("T_months", "predicted"))
         if not rows:
             continue
         chart = charts[f"trajectories_{name}.svg"] = Chart(

@@ -1,14 +1,13 @@
 """Canonical data model: captures, matcher profiles, comparison pairs.
 
-Captures are immutable records. Comparison pairs exist only as the columnar
-ComparisonTable, from pairing onward. Tables are read-only after
-construction and safe to share across parallel workers.
+Captures are held in the columnar CaptureTable, comparison pairs in the
+columnar ComparisonTable. Tables are read-only after construction and safe
+to share across parallel workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +28,22 @@ QUALITY_COVARIATES = (
 )
 AGE_COVARIATES = ("A_gallery", "A_probe")
 PAIR_COVARIATES = QUALITY_COVARIATES + AGE_COVARIATES
+
+# the capture-file columns in file order, each with the dtype a CaptureTable
+# holds it in
+CAPTURE_COLUMNS = {
+    "image_id": object,
+    "subject_id": object,
+    "eye": object,                      # "L" or "R"
+    "collection_index": np.int64,       # 1-based session number
+    "capture_time_months": np.int64,    # months since the dataset epoch
+    "age_years": np.int64,              # integer years at capture
+    "quality": np.float64,              # composite quality, 0..100
+    "usable_area": np.float64,          # 0..100
+    "circularity": np.float64,          # 0..100
+    "pupil_radius": np.float64,         # pixels
+    "iris_radius": np.float64,          # pixels
+}
 
 
 class DataError(Exception):
@@ -64,30 +79,6 @@ def dilation_constancy(d_gallery: float, d_probe: float) -> float:
 
 
 @dataclass(frozen=True)
-class CaptureRecord:
-    """One eye image's metadata row."""
-
-    image_id: str
-    subject_id: str
-    eye: str                   # "L" or "R"
-    collection_index: int      # 1-based session number
-    capture_time_months: int   # months since the dataset epoch
-    age_years: int             # integer years at capture
-    quality: float             # composite quality, 0..100
-    usable_area: float         # 0..100
-    circularity: float         # 0..100
-    pupil_radius: float        # pixels
-    iris_radius: float         # pixels
-
-    def dilation(self) -> float:
-        return dilation_ratio(self.pupil_radius, self.iris_radius)
-
-    def sort_key(self):
-        return (self.subject_id, self.eye, self.collection_index,
-                self.capture_time_months, self.image_id)
-
-
-@dataclass(frozen=True)
 class MatcherProfile:
     """Score orientation and threshold semantics for one matcher."""
 
@@ -107,92 +98,37 @@ class MatcherProfile:
 
 
 class CaptureTable:
-    """Immutable collection of capture records."""
+    """Columnar, read-only table of captures, one row per eye image in file order.
 
-    def __init__(self, records: Iterable[CaptureRecord]):
-        self._records = tuple(records)
-        index: dict[str, CaptureRecord] = {}
-        for rec in self._records:
-            index.setdefault(rec.image_id, rec)
-        self._by_image = index
+    Holds one numpy column per CAPTURE_COLUMNS entry, as the attribute of that
+    name (`table.subject_id`, `table.iris_radius`, ...).
+    """
+
+    def __init__(self, **columns):
+        for name, dtype in CAPTURE_COLUMNS.items():
+            column = np.asarray(columns[name], dtype=dtype)
+            if len(column) != len(columns["image_id"]):
+                raise ValueError("column length mismatch")
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._row: dict[str, int] = {}
+        for row, image_id in enumerate(self.image_id):
+            self._row.setdefault(image_id, row)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.image_id)
 
-    def __iter__(self) -> Iterator[CaptureRecord]:
-        return iter(self._records)
+    def order(self) -> np.ndarray:
+        """Row permutation into the global canonical order: subject, eye,
+        collection, time, image id (file order among equal keys)."""
+        keys = list(zip(self.subject_id, self.eye, self.collection_index.tolist(),
+                        self.capture_time_months.tolist(), self.image_id))
+        return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
 
-    @property
-    def records(self) -> tuple[CaptureRecord, ...]:
-        return self._records
-
-    def get(self, image_id: str) -> CaptureRecord | None:
-        return self._by_image.get(image_id)
-
-    def sorted_records(self) -> list[CaptureRecord]:
-        """Global canonical order: subject, eye, collection, time, image id."""
-        return sorted(self._records, key=CaptureRecord.sort_key)
-
-    def subject_ids(self) -> list[str]:
-        return sorted({rec.subject_id for rec in self._records})
-
-
-@dataclass(frozen=True)
-class ValidationFinding:
-    image_id: str
-    violation: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[ValidationFinding, ...]
-    counts: dict[str, int]
-    n_records: int
-    n_flagged: int
-
-    @property
-    def flagged_fraction(self) -> float:
-        return self.n_flagged / self.n_records if self.n_records else 0.0
-
-    def is_clean(self) -> bool:
-        return not self.findings
-
-
-def validate_dataset(captures: CaptureTable) -> ValidationReport:
-    """List every invariant violation per record; nothing is dropped.
-
-    Violation classes: "duplicate key", "dilation bounds", "quality range",
-    "collection index".
-    """
-    findings: list[ValidationFinding] = []
-    seen: set[str] = set()
-    flagged: set[int] = set()
-
-    def add(i, rec, violation, detail):
-        findings.append(ValidationFinding(rec.image_id, violation, detail))
-        flagged.add(i)
-
-    for i, rec in enumerate(captures):
-        if rec.image_id in seen:
-            add(i, rec, "duplicate key", f"image_id {rec.image_id} already present")
-        seen.add(rec.image_id)
-        if not (0.0 < rec.pupil_radius < rec.iris_radius):
-            add(i, rec, "dilation bounds",
-                f"pupil {rec.pupil_radius} vs iris {rec.iris_radius}")
-        for name in ("quality", "usable_area", "circularity"):
-            value = getattr(rec, name)
-            if not (0.0 <= value <= 100.0):
-                add(i, rec, "quality range", f"{name}={value}")
-        if rec.collection_index < 1:
-            add(i, rec, "collection index", f"collection_index={rec.collection_index}")
-        if rec.eye not in EYES:
-            add(i, rec, "eye value", f"eye={rec.eye!r}")
-
-    counts: dict[str, int] = {}
-    for f in findings:
-        counts[f.violation] = counts.get(f.violation, 0) + 1
-    return ValidationReport(tuple(findings), counts, len(captures), len(flagged))
+    def rows(self, image_ids) -> np.ndarray:
+        """The row of each of `image_ids` (the first, should an id repeat);
+        -1 for an id not in the table."""
+        return np.fromiter((self._row.get(i, -1) for i in image_ids), dtype=np.intp)
 
 
 class ComparisonTable:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    GENUINE, IMPOSTOR, CaptureRecord, CaptureTable, ComparisonTable, DataError,
-    MatcherProfile, ScoreRangeError,
+    GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, DataError, MatcherProfile,
+    ScoreRangeError, dilation_ratio,
 )
 from .rng import sample_indices
 from .tableio import ScoreTable
@@ -41,24 +41,19 @@ class PairingConfig:
             raise ValueError("max_impostor_probes must be >= 1")
 
 
-def _pair_table(ordered: list[CaptureRecord], gallery: list[int],
+def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
                 probe: list[int], kind: str) -> ComparisonTable:
-    """Unscored table of the pairs (ordered[gallery[i]], ordered[probe[i]]).
+    """Unscored table of the pairs of rows (order[gallery[i]], order[probe[i]])
+    of `captures`, `order` being its canonical row order.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
     gaps are absolute. Every capture in a pair needs 0 < pupil < iris; the
     first offending pair raises, as `dilation_ratio` does.
     """
-    g = np.asarray(gallery, dtype=np.intp)
-    p = np.asarray(probe, dtype=np.intp)
-
-    def column(attr, dtype=np.float64):
-        return np.array([getattr(rec, attr) for rec in ordered], dtype=dtype)
-
-    months = column("capture_time_months", np.int64)
-    age = column("age_years", np.int64)
-    pupil = column("pupil_radius")
-    iris = column("iris_radius")
+    g = order[np.asarray(gallery, dtype=np.intp)]
+    p = order[np.asarray(probe, dtype=np.intp)]
+    months, age = captures.capture_time_months, captures.age_years
+    pupil, iris = captures.pupil_radius, captures.iris_radius
     gap = months[p] - months[g]
     bad_radii = ~((pupil > 0.0) & (iris > 0.0) & (pupil < iris))
     bad = bad_radii[g] | bad_radii[p]
@@ -68,26 +63,24 @@ def _pair_table(ordered: list[CaptureRecord], gallery: list[int],
         gap = np.abs(gap)
     if bad.any():
         i = int(np.argmax(bad))
-        first_gallery, first_probe = ordered[g[i]], ordered[p[i]]
         if kind == GENUINE and gap[i] <= 0:
             raise DataError(
-                f"probe {first_probe.image_id} in a later collection than gallery "
-                f"{first_gallery.image_id} but not later in time")
-        (first_gallery if bad_radii[g[i]] else first_probe).dilation()
+                f"probe {captures.image_id[p[i]]} in a later collection than gallery "
+                f"{captures.image_id[g[i]]} but not later in time")
+        row = g[i] if bad_radii[g[i]] else p[i]
+        dilation_ratio(float(pupil[row]), float(iris[row]))
 
     sides = {"gallery": g, "probe": p}
-    values = {"Q": column("quality"), "U": column("usable_area"),
-              "C": column("circularity"), "A": age.astype(np.float64)}
+    values = {"Q": captures.quality, "U": captures.usable_area,
+              "C": captures.circularity, "A": age.astype(np.float64)}
     covariates = {f"{name}_{side}": col[rows]
                   for name, col in values.items() for side, rows in sides.items()}
     d_g = covariates["R_gallery"] = pupil[g] / iris[g]
     d_p = covariates["R_probe"] = pupil[p] / iris[p]
-    image_id = column("image_id", object)
-    subject_id = column("subject_id", object)
     return ComparisonTable(
-        kind=np.full(len(g), kind, dtype=object), eye=column("eye", object)[g],
-        gallery_image_id=image_id[g], probe_image_id=image_id[p],
-        gallery_subject=subject_id[g], probe_subject=subject_id[p],
+        kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
+        gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
+        gallery_subject=captures.subject_id[g], probe_subject=captures.subject_id[p],
         gap_t=gap, delta_age=age[p] - age[g], dc=1.0 - np.abs(d_g - d_p),
         covariates=covariates, scores={},
     )
@@ -95,24 +88,27 @@ def _pair_table(ordered: list[CaptureRecord], gallery: list[int],
 
 def generate_genuine_pairs(captures: CaptureTable) -> ComparisonTable:
     """Fixed-gallery genuine pairs; subjects with one collection contribute none."""
-    ordered = captures.sorted_records()
-    # rows of each subject, subjects in sorted order (the table is sorted)
+    order = captures.order()
+    subject = captures.subject_id[order].tolist()
+    eye = captures.eye[order].tolist()
+    collection = captures.collection_index[order].tolist()
+    # sorted positions of each subject, subjects in sorted order
     by_subject: dict[str, list[int]] = {}
-    for idx, rec in enumerate(ordered):
-        by_subject.setdefault(rec.subject_id, []).append(idx)
+    for idx, sid in enumerate(subject):
+        by_subject.setdefault(sid, []).append(idx)
 
     gallery: list[int] = []
     probe: list[int] = []
     for rows in by_subject.values():
-        first = min(ordered[r].collection_index for r in rows)
-        for eye in ("L", "R"):
-            same_eye = [r for r in rows if ordered[r].eye == eye]
-            probes = [r for r in same_eye if ordered[r].collection_index > first]
+        first = min(collection[r] for r in rows)
+        for e in ("L", "R"):
+            same_eye = [r for r in rows if eye[r] == e]
+            probes = [r for r in same_eye if collection[r] > first]
             for r in same_eye:
-                if ordered[r].collection_index == first:
+                if collection[r] == first:
                     gallery += [r] * len(probes)
                     probe += probes
-    return _pair_table(ordered, gallery, probe, GENUINE)
+    return _pair_table(captures, order, gallery, probe, GENUINE)
 
 
 def generate_impostor_pairs(captures: CaptureTable,
@@ -124,13 +120,13 @@ def generate_impostor_pairs(captures: CaptureTable,
     partial Fisher-Yates shuffle driven by SplitMix64(base_seed XOR row).
     The pool is indexed virtually, so nothing is materialized per row.
     """
-    ordered = captures.sorted_records()
-    # positions of each eye's rows, and each (subject, eye) contiguous span
+    order = captures.order()
+    keys = list(zip(captures.subject_id[order].tolist(), captures.eye[order].tolist()))
+    # sorted positions of each eye's rows, and each (subject, eye) contiguous span
     eye_rows: dict[str, list[int]] = {"L": [], "R": []}
     spans: dict[tuple[str, str], tuple[int, int]] = {}
-    for idx, rec in enumerate(ordered):
-        lst = eye_rows.setdefault(rec.eye, [])
-        key = (rec.subject_id, rec.eye)
+    for idx, key in enumerate(keys):
+        lst = eye_rows.setdefault(key[1], [])
         if key not in spans:
             spans[key] = (len(lst), len(lst))
         a, _ = spans[key]
@@ -139,9 +135,9 @@ def generate_impostor_pairs(captures: CaptureTable,
 
     gallery: list[int] = []
     probe: list[int] = []
-    for row_index, rec in enumerate(ordered):
-        lst = eye_rows[rec.eye]
-        a, b = spans[(rec.subject_id, rec.eye)]
+    for row_index, key in enumerate(keys):
+        lst = eye_rows[key[1]]
+        a, b = spans[key]
         own = b - a
         pool_size = len(lst) - own
         if pool_size == 0:
@@ -152,7 +148,7 @@ def generate_impostor_pairs(captures: CaptureTable,
             gallery.append(row_index)
             # skip over the gallery subject's own contiguous block
             probe.append(lst[pos if pos < a else pos + own])
-    return _pair_table(ordered, gallery, probe, IMPOSTOR)
+    return _pair_table(captures, order, gallery, probe, IMPOSTOR)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    HIGHER_IS_BETTER, LOWER_IS_BETTER, PAIR_COVARIATES, CaptureRecord, CaptureTable,
+    HIGHER_IS_BETTER, LOWER_IS_BETTER, PAIR_COVARIATES, CaptureTable,
     MatcherProfile,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
@@ -227,6 +227,13 @@ def _profile_from_scores(name, orientation, values) -> MatcherProfile:
                           default_threshold=(lo + hi) / 2.0)
 
 
+def _finite(sim: MatcherSim, kind: str, scores: np.ndarray) -> np.ndarray:
+    """`scores`; SynthConfigError naming the matcher when one is not finite."""
+    if not np.isfinite(scores).all():
+        raise SynthConfigError(f"matcher {sim.name!r} draws non-finite {kind} scores")
+    return scores
+
+
 def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     """Generate captures, matcher scores for every protocol pair, and truth.
 
@@ -307,19 +314,12 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     latent_age = ages0[subj_arr] + birth_frac[subj_arr] + months / 12.0
     age_years = np.floor(latent_age).astype(np.int64)
 
-    records = []
-    for j in range(n_images):
-        i = skel_subject[j]
-        records.append(CaptureRecord(
-            image_id=f"I{j:07d}", subject_id=subject_ids[i], eye=skel_eye[j],
-            collection_index=int(sess_arr[j]) + 1,
-            capture_time_months=int(months[j]), age_years=int(age_years[j]),
-            quality=float(image_cov["Q"][j]), usable_area=float(image_cov["U"][j]),
-            circularity=float(image_cov["C"][j]),
-            pupil_radius=float(image_cov["D"][j] * iris[j]),
-            iris_radius=float(iris[j]),
-        ))
-    captures = CaptureTable(records)
+    captures = CaptureTable(
+        image_id=[f"I{j:07d}" for j in range(n_images)],
+        subject_id=np.array(subject_ids, dtype=object)[subj_arr], eye=skel_eye,
+        collection_index=sess_arr + 1, capture_time_months=months, age_years=age_years,
+        quality=image_cov["Q"], usable_area=image_cov["U"], circularity=image_cov["C"],
+        pupil_radius=image_cov["D"] * iris, iris_radius=iris)
 
     gen_table = generate_genuine_pairs(captures)
     subj_index = {sid: i for i, sid in enumerate(subject_ids)}
@@ -330,16 +330,17 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     scores = ScoreTable()
     observed: dict[str, list[np.ndarray]] = {sim.name: [] for sim in cfg.matchers}
     for sim in cfg.matchers:
-        lin = np.zeros(len(gen_table))
-        for key, coef in sim.beta.items():
-            if coef == 0.0:
-                continue
-            lin = lin + coef * (np.ones(len(gen_table)) if key == "intercept"
-                                else gen_table.column(key))
-        u = effects[sim.name]
-        eps = rng.normal(0.0, np.sqrt(sim.sigma2), len(gen_table)) if sim.sigma2 > 0 \
-            else np.zeros(len(gen_table))
-        vals = lin + u[gi, 0] + u[gi, 1] * gap + eps
+        with np.errstate(over="ignore", invalid="ignore"):   # _finite refuses the result
+            lin = np.zeros(len(gen_table))
+            for key, coef in sim.beta.items():
+                if coef == 0.0:
+                    continue
+                lin = lin + coef * (np.ones(len(gen_table)) if key == "intercept"
+                                    else gen_table.column(key))
+            u = effects[sim.name]
+            eps = rng.normal(0.0, np.sqrt(sim.sigma2), len(gen_table)) if sim.sigma2 > 0 \
+                else np.zeros(len(gen_table))
+            vals = _finite(sim, "genuine", lin + u[gi, 0] + u[gi, 1] * gap + eps)
         observed[sim.name].append(vals)
         for gid, pid, value in zip(gen_table.gallery_image_id,
                                    gen_table.probe_image_id, vals.tolist()):
@@ -350,7 +351,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         impostor = generate_impostor_pairs(captures, cfg.pairing)
         n_impostor = len(impostor)
         for sim in cfg.matchers:
-            vals = sim.impostor.draw(rng, n_impostor)
+            vals = _finite(sim, "impostor", sim.impostor.draw(rng, n_impostor))
             observed[sim.name].append(vals)
             for gid, pid, value in zip(impostor.gallery_image_id,
                                        impostor.probe_image_id, vals.tolist()):

@@ -8,6 +8,7 @@ bit-exactly.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,16 +17,11 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    GENUINE, IMPOSTOR, PAIR_COVARIATES, QUALITY_COVARIATES,
-    CaptureRecord, CaptureTable, ComparisonTable, DataError,
-    DuplicateImageIdError,
+    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, QUALITY_COVARIATES,
+    CaptureTable, ComparisonTable, DataError, DuplicateImageIdError,
 )
 
-CAPTURE_HEADER = [
-    "image_id", "subject_id", "eye", "collection_index", "capture_time_months",
-    "age_years", "quality", "usable_area", "circularity", "pupil_radius",
-    "iris_radius",
-]
+CAPTURE_HEADER = list(CAPTURE_COLUMNS)
 SCORE_HEADER = ["gallery_image_id", "probe_image_id", "matcher", "score"]
 PAIR_HEADER_FIXED = [
     "kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months",
@@ -113,49 +109,58 @@ def ingest_captures(path) -> IngestResult:
         header = _header(reader, path, CAPTURE_HEADER)
         col = {name: header.index(name) for name in CAPTURE_HEADER}
 
-        records: list[CaptureRecord] = []
+        columns: list[list] = [[] for _ in CAPTURE_HEADER]
         rejections: list[RowRejection] = []
         seen: set[str] = set()
         for row_number, row in enumerate(reader, start=1):
-            rec, problem = _parse_capture_row(row, col)
+            values, problem = _parse_capture_row(row, col)
             if problem is not None:
                 rejections.append(RowRejection(row_number, *problem))
                 continue
-            if rec.image_id in seen:
+            image_id = values[0]
+            if image_id in seen:
                 raise DuplicateImageIdError(
-                    f"{path}: duplicate image_id {rec.image_id!r} at data row {row_number}")
-            seen.add(rec.image_id)
-            records.append(rec)
-    return IngestResult(CaptureTable(records), tuple(rejections))
+                    f"{path}: duplicate image_id {image_id!r} at data row {row_number}")
+            seen.add(image_id)
+            for column, value in zip(columns, values):
+                column.append(value)
+    return IngestResult(CaptureTable(**dict(zip(CAPTURE_HEADER, columns))),
+                        tuple(rejections))
+
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_INTEGERS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.int64)
+_REALS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64)
 
 
 def _parse_capture_row(row, col):
-    def cell(name):
-        idx = col[name]
-        return row[idx].strip() if idx < len(row) else ""
-
+    """The row's values in CAPTURE_HEADER order and None, or None and the
+    (reason, detail) of its first fault: the one set of capture-row rules."""
+    cells = {name: row[i].strip() if i < len(row) else "" for name, i in col.items()}
     for name in CAPTURE_HEADER:
-        if cell(name) == "":
+        if cells[name] == "":
             return None, ("missing field", name)
 
-    eye = cell("eye")
-    if eye not in ("L", "R"):
+    eye = cells["eye"]
+    if eye not in EYES:
         return None, ("invalid eye", f"eye={eye!r}")
     try:
-        collection = int(cell("collection_index"))
-        months = int(cell("capture_time_months"))
-        age = int(cell("age_years"))
+        integers = [int(cells[name]) for name in _INTEGERS]
     except ValueError as exc:
         return None, ("invalid integer", str(exc))
+    for name, value in zip(_INTEGERS, integers):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            return None, ("invalid integer", f"{name}={value} outside the 64-bit range")
     try:
-        quality = float(cell("quality"))
-        usable = float(cell("usable_area"))
-        circ = float(cell("circularity"))
-        pupil = float(cell("pupil_radius"))
-        iris = float(cell("iris_radius"))
+        reals = [float(cells[name]) for name in _REALS]
     except ValueError as exc:
         return None, ("invalid number", str(exc))
+    for name, value in zip(_REALS, reals):
+        if not math.isfinite(value):
+            return None, ("invalid number", f"{name}={value}")
 
+    collection = integers[0]
+    quality, usable, circ, pupil, iris = reals
     if collection < 1:
         return None, ("collection index", f"collection_index={collection}")
     if not (0.0 < pupil < iris):
@@ -165,13 +170,7 @@ def _parse_capture_row(row, col):
         if not (0.0 <= value <= 100.0):
             return None, ("quality range", f"{name}={value}")
 
-    rec = CaptureRecord(
-        image_id=cell("image_id"), subject_id=cell("subject_id"), eye=eye,
-        collection_index=collection, capture_time_months=months, age_years=age,
-        quality=quality, usable_area=usable, circularity=circ,
-        pupil_radius=pupil, iris_radius=iris,
-    )
-    return rec, None
+    return (cells["image_id"], cells["subject_id"], eye, *integers, *reals), None
 
 
 def write_captures(table: CaptureTable, path) -> None:
@@ -179,13 +178,8 @@ def write_captures(table: CaptureTable, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CAPTURE_HEADER)
-        for rec in table:
-            writer.writerow([
-                rec.image_id, rec.subject_id, rec.eye, rec.collection_index,
-                rec.capture_time_months, rec.age_years, _fmt(rec.quality),
-                _fmt(rec.usable_area), _fmt(rec.circularity),
-                _fmt(rec.pupil_radius), _fmt(rec.iris_radius),
-            ])
+        # builtin ints print as str() and floats as the round-trip repr()
+        writer.writerows(zip(*(getattr(table, name).tolist() for name in CAPTURE_HEADER)))
 
 
 class ScoreTable:
@@ -283,9 +277,8 @@ def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
 
     kind, eye = [], []
     gid, pid = [], []
-    gsub, psub = [], []
     gap, dage, dc = [], [], []
-    cov = {name: [] for name in PAIR_COVARIATES}
+    cov = {name: [] for name in QUALITY_COVARIATES}
     scores = {m: [] for m in matchers}
     for row_number, row in enumerate(rows, start=1):
         # a damaged cell (ValueError) or a short row (IndexError) names its row
@@ -295,37 +288,33 @@ def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
                 raise IngestError(f"{path}: bad kind {k!r} at data row {row_number}")
             kind.append(k)
             eye.append(row[col["eye"]])
-            g = row[col["gallery_image_id"]]
-            p = row[col["probe_image_id"]]
-            gid.append(g)
-            pid.append(p)
+            gid.append(row[col["gallery_image_id"]])
+            pid.append(row[col["probe_image_id"]])
             gap.append(int(row[col["gap_T_months"]]))
             dage.append(int(row[col["delta_age_years"]]))
             dc.append(float(row[col["DC"]]))
             for name in QUALITY_COVARIATES:
                 cov[name].append(float(row[col[name]]))
-            if captures is not None:
-                grec = captures.get(g)
-                prec = captures.get(p)
-                if grec is None or prec is None:
-                    raise IngestError(
-                        f"{path}: data row {row_number} references image ids "
-                        f"missing from the capture table")
-                gsub.append(grec.subject_id)
-                psub.append(prec.subject_id)
-                cov["A_gallery"].append(float(grec.age_years))
-                cov["A_probe"].append(float(prec.age_years))
-            else:
-                gsub.append("")
-                psub.append("")
-                cov["A_gallery"].append(np.nan)
-                cov["A_probe"].append(np.nan)
             for m in matchers:
                 scores[m].append(float(row[col[f"score_{m}"]]))
         except (ValueError, IndexError) as exc:
             raise IngestError(
                 f"{path}: bad or missing cell at data row {row_number}: {exc}")
 
+    if captures is None:
+        gsub = np.full(len(kind), "", dtype=object)
+        psub = gsub.copy()
+        cov["A_gallery"] = np.full(len(kind), np.nan)
+        cov["A_probe"] = cov["A_gallery"].copy()
+    else:
+        g_rows, p_rows = captures.rows(gid), captures.rows(pid)
+        unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
+        if unknown.size:
+            raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
+                              f"missing from the capture table")
+        gsub, psub = captures.subject_id[g_rows], captures.subject_id[p_rows]
+        cov["A_gallery"] = captures.age_years[g_rows].astype(np.float64)
+        cov["A_probe"] = captures.age_years[p_rows].astype(np.float64)
     table = ComparisonTable(
         kind=kind, eye=eye, gallery_image_id=gid, probe_image_id=pid,
         gallery_subject=gsub, probe_subject=psub, gap_t=gap, delta_age=dage,

@@ -13,6 +13,7 @@ import pytest
 
 import longmatch
 from longmatch.cli import build_parser, main
+from longmatch.tableio import CAPTURE_HEADER
 
 
 def write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -286,7 +287,7 @@ def test_synth_and_pairs_golden_digests(tmp_path):
     assert digests == GOLDEN_SYNTH_PAIRS
 
 
-# SHA-256 of every other file that synth, pairs, calibrate, fnmr, det,
+# SHA-256 of every other file that synth, ingest, pairs, calibrate, fnmr, det,
 # failures, fuse and report write on the write_config config; like the
 # digests above, a change to any of them is a change to the program's output
 GOLDEN_PIPELINE = {
@@ -303,6 +304,8 @@ GOLDEN_PIPELINE = {
     "fnmr_summary.txt": "4899d1a93af82a3b813aa3084b818d1eadd927463c58ea3c7f7acf08d83fad4f",
     "fusion_report.txt": "403bd3717d4ad924ead6e9226c41ac0dc9d1ee9e0b0d439e958cc67044c9d067",
     "ground_truth.json": "e57e4986383582769f42b1201adc4e08fded5fd70f29be7ff1046fb708aa9e3f",
+    "ingest_rejections.csv": "80c2078deb19e5103ef5e1eef8e4d767f81e9bce09ae370701c533f0af2d2742",
+    "ingest_summary.txt": "e560f0709abf274682d261482a24b379681404bf0464f77c7b5b3781ff357199",
     "interval_fnmr_simA.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "interval_fnmr_simB.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "pairs_summary.txt": "15b4e7a8d6e1a96887c99d060fc0537b07899e9e6653aa0438fae73aeb8c3ae2",
@@ -313,6 +316,8 @@ GOLDEN_PIPELINE = {
 GOLDEN_MANIFESTS = {
     "synth": ((),
               ("captures.csv", "ground_truth.json", "scores.csv", "synth_summary.txt")),
+    "ingest": (("captures.csv",),
+               ("ingest_rejections.csv", "ingest_summary.txt")),
     "pairs": (("captures.csv", "scores.csv"),
               ("pairs_genuine.csv", "pairs_impostor.csv", "pairs_incomplete.csv",
                "pairs_summary.txt")),
@@ -326,7 +331,8 @@ GOLDEN_MANIFESTS = {
                  ("failure_categories.csv", "failure_report.txt")),
     "fuse": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv", "thresholds.json"),
              ("fusion_report.txt",)),
-    "report": ((),
+    "report": (("det_simA.csv", "det_simB.csv", "interval_fnmr_simA.csv",
+                "interval_fnmr_simB.csv"),
                ("det.svg", "fnmr.svg")),
 }
 
@@ -535,6 +541,16 @@ def _cell(column: str, text: str, row: int = 1):
     return damage
 
 
+def _header_only(data: bytes) -> bytes:
+    """Damage: every data row removed."""
+    return data.split(b"\r\n")[0] + b"\r\n"
+
+
+def _removed(data: bytes) -> None:
+    """Damage: the file deleted."""
+    return None
+
+
 def _short(row: int):
     """Damage: 1-based data row `row` cut to its first cell."""
     def damage(data: bytes) -> bytes:
@@ -545,7 +561,8 @@ def _short(row: int):
 
 
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
-# texts the single stderr line must hold)
+# texts the single stderr line must hold; on exit 0, texts the subcommand's
+# <subcommand>_summary.txt must hold, with nothing on stderr)
 FAULTS = [
     ("pairs", {"captures": 5}, {}, 3, ["config captures"]),
     ("pairs", {"scores": 5}, {}, 3, ["config scores"]),
@@ -603,9 +620,24 @@ FAULTS = [
     ("pairs", {"captures": "."}, {}, 4, ["Is a directory"]),
     ("pairs", {"scores": "absent.csv"}, {}, 4, ["absent.csv"]),
     ("pairs", {}, {"captures.csv": lambda data: b""}, 5, ["captures.csv", "empty file"]),
+    ("synth", {"synth.matchers[0].beta": {"intercept": 1e308, "T": 1e308}}, {}, 3,
+     ["config synth", "'simA'", "non-finite genuine scores"]),
+    ("ingest", {}, {"captures.csv": _header_only}, 0, ["accepted rows: 0", "rejected rows: 0"]),
+    ("pairs", {}, {"captures.csv": _header_only}, 0, ["genuine pairs: 0", "impostor pairs: 0"]),
+    ("calibrate", {}, {"pairs_genuine.csv": _header_only}, 5,
+     ["calibration needs non-empty genuine and impostor scores"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _header_only}, 0, ["overall FNMR=0.0000% over 0 intervals"]),
+    ("det", {}, {"pairs_impostor.csv": _removed}, 4, ["pairs_impostor.csv does not exist"]),
+    ("ingest", {}, {"captures.csv": _cell("capture_time_months", "100000000000000000000")}, 0,
+     ["accepted rows: 213", "  invalid integer: 1"]),
+    ("pairs", {}, {"captures.csv": _cell("capture_time_months", "100000000000000000000")}, 0,
+     ["genuine pairs: "]),
+    ("ingest", {}, {"captures.csv": _cell("iris_radius", "inf")}, 0,
+     ["accepted rows: 213", "  invalid number: 1"]),
 ]
 
 
+@pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
 @pytest.mark.parametrize("command, edits, damage, code, named", FAULTS)
 def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code, named):
     outdir, config = _copy_tree(fault_tree, tmp_path)
@@ -613,11 +645,19 @@ def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code
         _set(config, path, value)
     (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
     for name, edit in damage.items():
-        (outdir / name).write_bytes(edit((outdir / name).read_bytes()))
+        data = edit((outdir / name).read_bytes())
+        if data is None:
+            (outdir / name).unlink()
+        else:
+            (outdir / name).write_bytes(data)
     capsys.readouterr()
     assert main([command, "--config", str(outdir / "config.json")]) == code
-    line = _one_error_line(capsys, {3: "config-invalid", 4: "missing-input",
-                                    5: "data-invalid"}[code])
+    if code == 0:
+        assert capsys.readouterr().err == ""
+        line = (outdir / f"{command}_summary.txt").read_text(encoding="utf-8")
+    else:
+        line = _one_error_line(capsys, {3: "config-invalid", 4: "missing-input",
+                                        5: "data-invalid"}[code])
     for text in named:
         assert text in line, line
 
@@ -647,6 +687,34 @@ def test_byte_flips_never_crash(fault_tree, tmp_path, capsys, name):
                          "--out", str(outdir)])
             assert code != 1, (name, seed, command)
     capsys.readouterr()
+
+
+def test_ingest_summary_counts_rejections_by_reason(tmp_path):
+    # 97 bad rows among 18,318: the flagged fraction is just above half a percent
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    cfg = write_config(tmp_path / "config.json", outdir)
+    good = {"subject_id": "S001", "eye": "L", "collection_index": "1",
+            "capture_time_months": "0", "age_years": "8", "quality": "70.0",
+            "usable_area": "80.0", "circularity": "85.0", "pupil_radius": "45.0",
+            "iris_radius": "110.0"}
+    bad = [{"pupil_radius": "150.0"}] * 60 + [{"quality": "101.0"}] * 30 + [{"eye": "X"}] * 7
+    with open(outdir / "captures.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CAPTURE_HEADER)
+        writer.writeheader()
+        for i in range(18318):
+            writer.writerow({**good, "image_id": f"I{i:05d}", **(bad[i] if i < 97 else {})})
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert (outdir / "ingest_summary.txt").read_text(encoding="utf-8") == (
+        "accepted rows: 18221\n"
+        "rejected rows: 97\n"
+        "validation findings: 97\n"
+        "flagged fraction: 0.5295%\n"
+        "  dilation bounds: 60\n"
+        "  invalid eye: 7\n"
+        "  quality range: 30\n")
+    with open(outdir / "ingest_rejections.csv", newline="", encoding="utf-8") as fh:
+        assert [int(r["row_number"]) for r in csv.DictReader(fh)] == list(range(1, 98))
 
 
 def test_partial_covariates_keep_the_other_defaults(tmp_path):

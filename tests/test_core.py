@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from longmatch.core import (
-    CaptureTable, dilation_constancy, dilation_ratio, validate_dataset,
-)
+from longmatch.core import dilation_constancy, dilation_ratio
 
-from conftest import make_capture
+from conftest import capture_table, make_capture
 
 
 class TestDilationRatio:
@@ -54,41 +52,26 @@ class TestDilationConstancy:
             assert 0.0 <= dilation_constancy(a, b) <= 1.0
 
 
-class TestValidateDataset:
-    def test_clean_table_empty_report(self):
-        table = CaptureTable([make_capture(f"I{i}") for i in range(5)])
-        report = validate_dataset(table)
-        assert report.is_clean()
-        assert report.n_flagged == 0
-        assert report.flagged_fraction == 0.0
+class TestCaptureTable:
+    def test_columns_order_and_row_join(self):
+        table = capture_table([
+            make_capture("I3", subject="S002", eye="L", collection=1),
+            make_capture("I1", subject="S001", eye="R", collection=1),
+            make_capture("I0", subject="S001", eye="L", collection=2, months=6),
+            make_capture("I2", subject="S001", eye="L", collection=1),
+            make_capture("I3", subject="S000"),
+        ])
+        assert len(table) == 5
+        assert table.image_id.dtype == object and table.age_years.dtype == np.int64
+        assert table.iris_radius.dtype == np.float64
+        assert table.image_id[table.order()].tolist() == ["I3", "I2", "I0", "I1", "I3"]
+        assert table.subject_id[table.order()][0] == "S000"
+        # the first row of a repeated id; -1 for an unknown one
+        assert table.rows(["I0", "I3", "nope"]).tolist() == [2, 0, -1]
+        with pytest.raises(ValueError):
+            table.quality[0] = 1.0
 
-    def test_duplicate_image_id_single_finding(self):
-        table = CaptureTable([make_capture("I0"), make_capture("I1"),
-                              make_capture("I0")])
-        report = validate_dataset(table)
-        findings = [f for f in report.findings if f.violation == "duplicate key"]
-        assert len(findings) == 1
-        assert findings[0].image_id == "I0"
-
-    def test_dilation_bounds_flagged(self):
-        table = CaptureTable([make_capture("I0", pupil=120.0, iris=110.0)])
-        report = validate_dataset(table)
-        assert report.counts == {"dilation bounds": 1}
-
-    def test_quality_range_flagged(self):
-        table = CaptureTable([make_capture("I0", quality=101.0)])
-        report = validate_dataset(table)
-        assert report.counts == {"quality range": 1}
-
-    def test_flagged_fraction_bookkeeping(self):
-        # 97 flawed records among 18,318: fraction just above half a percent
-        records = []
-        for i in range(18318):
-            if i < 97:
-                records.append(make_capture(f"I{i:05d}", pupil=150.0, iris=110.0))
-            else:
-                records.append(make_capture(f"I{i:05d}"))
-        report = validate_dataset(CaptureTable(records))
-        assert report.n_flagged == 97
-        assert report.n_records == 18318
-        assert report.flagged_fraction == pytest.approx(0.0053, abs=1e-4)
+    def test_empty_table(self):
+        table = capture_table([])
+        assert len(table) == 0
+        assert table.order().tolist() == [] and table.rows([]).tolist() == []

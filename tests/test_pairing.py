@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from longmatch.core import (
-    GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, DataError, MatcherProfile,
-    ScoreRangeError,
+    GENUINE, IMPOSTOR, ComparisonTable, DataError, MatcherProfile, ScoreRangeError,
 )
 from longmatch.pairing import (
     PairingConfig, attach_scores, generate_genuine_pairs,
@@ -11,7 +10,7 @@ from longmatch.pairing import (
 )
 from longmatch.tableio import ScoreTable
 
-from conftest import make_capture, random_capture_table
+from conftest import capture_rows, capture_table, make_capture, random_capture_table
 
 
 def _pair_keys(table):
@@ -20,7 +19,7 @@ def _pair_keys(table):
 
 class TestGenuinePairs:
     def test_single_collection_contributes_nothing(self):
-        table = CaptureTable([make_capture("I0"), make_capture("I1")])
+        table = capture_table([make_capture("I0"), make_capture("I1")])
         assert len(generate_genuine_pairs(table)) == 0
 
     def test_two_galleries_three_probes(self):
@@ -31,7 +30,7 @@ class TestGenuinePairs:
             make_capture("P1", collection=2, months=6),
             make_capture("P2", collection=3, months=12),
         ]
-        pairs = generate_genuine_pairs(CaptureTable(recs))
+        pairs = generate_genuine_pairs(capture_table(recs))
         assert len(pairs) == 6
         assert set(pairs.gallery_image_id) == {"G0", "G1"}
         assert set(pairs.probe_image_id) == {"P0", "P1", "P2"}
@@ -44,16 +43,17 @@ class TestGenuinePairs:
             assert len(table) <= 200
             pairs = generate_genuine_pairs(table)
 
+            rows = capture_rows(table)
             expected = set()
-            for g in table:
-                first = min(r.collection_index for r in table
-                            if r.subject_id == g.subject_id)
-                if g.collection_index != first:
+            for g in rows:
+                first = min(r["collection_index"] for r in rows
+                            if r["subject_id"] == g["subject_id"])
+                if g["collection_index"] != first:
                     continue
-                for p in table:
-                    if (p.subject_id == g.subject_id and p.eye == g.eye
-                            and p.collection_index > first):
-                        expected.add((g.image_id, p.image_id))
+                for p in rows:
+                    if (p["subject_id"] == g["subject_id"] and p["eye"] == g["eye"]
+                            and p["collection_index"] > first):
+                        expected.add((g["image_id"], p["image_id"]))
             assert set(_pair_keys(pairs)) == expected
             assert len(pairs) == len(expected)
 
@@ -63,7 +63,7 @@ class TestGenuinePairs:
             make_capture("I1", eye="R", collection=2, months=6),
             make_capture("I2", eye="R", collection=3, months=12),
         ]
-        pairs = generate_genuine_pairs(CaptureTable(recs))
+        pairs = generate_genuine_pairs(capture_table(recs))
         # right eye absent from the first attended collection: no right pairs
         assert len(pairs) == 0
 
@@ -72,7 +72,7 @@ class TestImpostorPairs:
     def test_small_pool_saturates(self):
         recs = [make_capture("I0", subject="S000")]
         recs += [make_capture(f"I{i}", subject=f"S{i:03d}") for i in range(1, 5)]
-        pairs = generate_impostor_pairs(CaptureTable(recs), PairingConfig(base_seed=1))
+        pairs = generate_impostor_pairs(capture_table(recs), PairingConfig(base_seed=1))
         from_first = [pid for gid, pid in _pair_keys(pairs) if gid == "I0"]
         assert len(from_first) == 4
         assert set(from_first) == {"I1", "I2", "I3", "I4"}
@@ -91,7 +91,7 @@ class TestImpostorPairs:
             for i in range(2):
                 recs.append(make_capture(f"I{s}{i}", subject=f"S{s:03d}",
                                          collection=i + 1, months=6 * i))
-        pairs = generate_impostor_pairs(CaptureTable(recs),
+        pairs = generate_impostor_pairs(capture_table(recs),
                                         PairingConfig(max_impostor_probes=2,
                                                       base_seed=3))
         assert len(pairs) == 12   # 6 gallery rows x 2 probes
@@ -117,7 +117,7 @@ class TestImpostorPairs:
         # right-eye images, so no left-eye pool changes
         extra = [make_capture(f"X{i}", subject="Zzz", eye="R", collection=i + 1,
                               months=6 * i) for i in range(3)]
-        extended = CaptureTable(list(base.records) + extra)
+        extended = capture_table(capture_rows(base) + extra)
         after = generate_impostor_pairs(extended, cfg)
         after = after.select(after.eye == "L")
         assert _pair_keys(before) == _pair_keys(after)
@@ -125,11 +125,11 @@ class TestImpostorPairs:
     def test_independent_of_ingestion_order(self):
         rng = np.random.default_rng(14)
         table = random_capture_table(rng, n_subjects=9)
-        shuffled_records = list(table.records)
-        rng.shuffle(shuffled_records)
+        shuffled_rows = capture_rows(table)
+        rng.shuffle(shuffled_rows)
         cfg = PairingConfig(max_impostor_probes=3, base_seed=5)
         a = generate_impostor_pairs(table, cfg)
-        b = generate_impostor_pairs(CaptureTable(shuffled_records), cfg)
+        b = generate_impostor_pairs(capture_table(shuffled_rows), cfg)
         assert _pair_keys(a) == _pair_keys(b)
 
     def test_protocol_invariants(self):
@@ -139,9 +139,9 @@ class TestImpostorPairs:
         impostor = generate_impostor_pairs(table, PairingConfig(base_seed=2))
         assert np.all(genuine.gap_t > 0)
         assert np.all(impostor.gallery_subject != impostor.probe_subject)
-        by_id = {r.image_id: r for r in table}
+        by_id = {r["image_id"]: r for r in capture_rows(table)}
         for gid, pid in _pair_keys(ComparisonTable.concat([genuine, impostor])):
-            assert by_id[gid].eye == by_id[pid].eye
+            assert by_id[gid]["eye"] == by_id[pid]["eye"]
 
 
 class TestAttachScores:
@@ -194,7 +194,7 @@ class TestPreservedErrors:
             make_capture("P0", collection=2, months=6, pupil=pupil, iris=iris),
             make_capture("I0", subject="S002"),
         ]
-        table = CaptureTable(recs)
+        table = capture_table(recs)
         with pytest.raises(ValueError, match=message):
             generate_genuine_pairs(table)
         with pytest.raises(ValueError, match=message):
@@ -207,14 +207,14 @@ class TestPreservedErrors:
             make_capture("P1", collection=3, months=12, pupil=-7.0),
         ]
         with pytest.raises(ValueError, match=r"\(-3\.0, 110\.0\)"):
-            generate_genuine_pairs(CaptureTable(recs))
+            generate_genuine_pairs(capture_table(recs))
 
     def test_capture_in_no_pair_is_not_checked(self):
         # a subject with one collection forms no genuine pair
         recs = [make_capture("G0", collection=1, months=0),
                 make_capture("P0", collection=2, months=6),
                 make_capture("X0", subject="S002", pupil=0.0)]
-        pairs = generate_genuine_pairs(CaptureTable(recs))
+        pairs = generate_genuine_pairs(capture_table(recs))
         assert _pair_keys(pairs) == [("G0", "P0")]
 
     def test_later_collection_not_later_in_time_raises_data_error(self):
@@ -226,39 +226,39 @@ class TestPreservedErrors:
         ]
         with pytest.raises(DataError, match="probe P1 in a later collection than "
                                             "gallery G0 but not later in time"):
-            generate_genuine_pairs(CaptureTable(recs))
+            generate_genuine_pairs(capture_table(recs))
 
     def test_time_order_is_checked_before_radii(self):
         recs = [make_capture("G0", collection=1, months=6),
                 make_capture("P0", collection=2, months=6, pupil=0.0)]
         with pytest.raises(DataError, match="probe P0"):
-            generate_genuine_pairs(CaptureTable(recs))
+            generate_genuine_pairs(capture_table(recs))
 
 
 class TestUnscoredTable:
     def test_pairing_returns_unscored_tables(self):
         rng = np.random.default_rng(17)
         table = random_capture_table(rng, n_subjects=6)
-        by_id = {r.image_id: r for r in table}
+        by_id = {r["image_id"]: r for r in capture_rows(table)}
         for pairs in (generate_genuine_pairs(table),
                       generate_impostor_pairs(table, PairingConfig(base_seed=4))):
             assert isinstance(pairs, ComparisonTable)
             assert pairs.matchers == ()
             for i, (gid, pid) in enumerate(_pair_keys(pairs)):
                 g, p = by_id[gid], by_id[pid]
-                d_g = g.pupil_radius / g.iris_radius
-                d_p = p.pupil_radius / p.iris_radius
+                d_g = g["pupil_radius"] / g["iris_radius"]
+                d_p = p["pupil_radius"] / p["iris_radius"]
                 assert pairs.dc[i] == 1.0 - abs(d_g - d_p)
-                assert pairs.covariates["Q_probe"][i] == p.quality
-                assert pairs.covariates["A_gallery"][i] == float(g.age_years)
-                assert pairs.delta_age[i] == p.age_years - g.age_years
+                assert pairs.covariates["Q_probe"][i] == p["quality"]
+                assert pairs.covariates["A_gallery"][i] == float(g["age_years"])
+                assert pairs.delta_age[i] == p["age_years"] - g["age_years"]
 
     def test_attach_keeps_profile_order_and_pair_order(self):
         recs = [make_capture("G0", collection=1, months=0),
                 make_capture("P0", collection=2, months=6),
                 make_capture("P1", collection=3, months=12),
                 make_capture("P2", collection=4, months=18)]
-        pairs = generate_genuine_pairs(CaptureTable(recs))
+        pairs = generate_genuine_pairs(capture_table(recs))
         scores = ScoreTable()
         scores.add("G0", "P0", "zeta", 1.0)
         scores.add("G0", "P0", "alpha", 2.0)
@@ -276,7 +276,7 @@ class TestUnscoredTable:
         recs = [make_capture("G0", collection=1, months=0),
                 make_capture("P0", collection=2, months=6),
                 make_capture("P1", collection=3, months=12)]
-        pairs = generate_genuine_pairs(CaptureTable(recs))
+        pairs = generate_genuine_pairs(capture_table(recs))
         scores = ScoreTable()
         scores.add("G0", "P0", "m1", float("nan"))
         scores.add("G0", "P1", "m1", 500.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from longmatch.core import validate_dataset
 from longmatch.lmm import fit_reml
 from longmatch.metrics import det_curve
 from longmatch.pairing import PairingConfig, attach_scores, generate_genuine_pairs
@@ -9,7 +8,9 @@ from longmatch.synth import (
     CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
     generate_longitudinal, generate_score_populations,
 )
-from longmatch.tableio import write_captures, write_scores
+from longmatch.tableio import ingest_captures, write_captures, write_scores
+
+from conftest import capture_rows
 
 
 def small_config(**kw):
@@ -27,10 +28,12 @@ def small_config(**kw):
 
 
 class TestGenerateLongitudinal:
-    def test_tables_are_valid(self):
+    def test_tables_are_valid(self, tmp_path):
         result = generate_longitudinal(small_config())
-        report = validate_dataset(result.captures)
-        assert report.is_clean()
+        write_captures(result.captures, tmp_path / "captures.csv")
+        ingested = ingest_captures(tmp_path / "captures.csv")
+        assert ingested.rejections == ()
+        assert ingested.n_accepted == len(result.captures)
         assert result.truth.n_genuine > 0
         assert result.truth.n_impostor > 0
 
@@ -84,16 +87,16 @@ class TestGenerateLongitudinal:
     def test_ages_follow_schedule(self):
         result = generate_longitudinal(small_config(seed=8))
         by_subject = {}
-        for rec in result.captures:
-            by_subject.setdefault(rec.subject_id, []).append(rec)
+        for rec in capture_rows(result.captures):
+            by_subject.setdefault(rec["subject_id"], []).append(rec)
         for recs in by_subject.values():
-            recs.sort(key=lambda r: r.capture_time_months)
-            ages = [r.age_years for r in recs]
+            recs.sort(key=lambda r: r["capture_time_months"])
+            ages = [r["age_years"] for r in recs]
             assert all(b - a in (0, 1) or (b - a) <= 2
                        for a, b in zip(ages, ages[1:]))
             # integer age grows about linearly in elapsed months
-            assert ages[-1] - ages[0] <= (recs[-1].capture_time_months
-                                          - recs[0].capture_time_months) // 12 + 1
+            assert ages[-1] - ages[0] <= (recs[-1]["capture_time_months"]
+                                          - recs[0]["capture_time_months"]) // 12 + 1
 
     def test_infeasible_bounds_raise(self):
         cov = dict(SynthConfig().covariates)

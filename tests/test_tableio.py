@@ -10,7 +10,7 @@ from longmatch.tableio import (
     write_scores,
 )
 
-from conftest import random_capture_table
+from conftest import capture_rows, capture_table, random_capture_table
 
 
 def _write_rows(path, rows, header=CAPTURE_HEADER):
@@ -45,6 +45,46 @@ def test_dilation_bounds_rejection(tmp_path):
     assert result.n_rejected == 1
     assert result.rejections[0].reason == "dilation bounds"
     assert result.rejections[0].row_number == 2
+
+
+@pytest.mark.parametrize("overrides, reason, detail", [
+    ({"quality": 101.0}, "quality range", "quality=101.0"),
+    ({"usable_area": -0.5}, "quality range", "usable_area=-0.5"),
+    ({"circularity": 100.25}, "quality range", "circularity=100.25"),
+    ({"collection_index": 0}, "collection index", "collection_index=0"),
+    ({"eye": "X"}, "invalid eye", "eye='X'"),
+    ({"capture_time_months": 10**20}, "invalid integer",
+     "capture_time_months=100000000000000000000 outside the 64-bit range"),
+    ({"age_years": -2**63 - 1}, "invalid integer", "age_years="),
+    ({"iris_radius": "inf"}, "invalid number", "iris_radius=inf"),
+    ({"quality": "nan"}, "invalid number", "quality=nan"),
+    ({"pupil_radius": "-1e999"}, "invalid number", "pupil_radius=-inf"),
+])
+def test_row_rule_rejects_one_row(tmp_path, overrides, reason, detail):
+    path = tmp_path / "captures.csv"
+    _write_rows(path, [_good_row("I0"), _good_row("I1", **overrides), _good_row("I2")])
+    result = ingest_captures(path)
+    assert result.table.image_id.tolist() == ["I0", "I2"]
+    assert [(r.row_number, r.reason) for r in result.rejections] == [(2, reason)]
+    assert result.rejections[0].detail.startswith(detail)
+
+
+def test_int64_limits_accepted(tmp_path):
+    path = tmp_path / "captures.csv"
+    _write_rows(path, [_good_row("I0", capture_time_months=2**63 - 1),
+                       _good_row("I1", capture_time_months=-2**63)])
+    result = ingest_captures(path)
+    assert result.rejections == ()
+    assert result.table.capture_time_months.tolist() == [2**63 - 1, -2**63]
+
+
+def test_header_only_file_gives_empty_table(tmp_path):
+    path = tmp_path / "captures.csv"
+    _write_rows(path, [])
+    result = ingest_captures(path)
+    assert len(result.table) == 0 and result.rejections == ()
+    assert len(generate_genuine_pairs(result.table)) == 0
+    assert len(generate_impostor_pairs(result.table, PairingConfig())) == 0
 
 
 def test_missing_age_cell_rejected_others_kept(tmp_path):
@@ -106,7 +146,7 @@ def test_capture_round_trip(tmp_path):
     write_captures(table, path)
     back = ingest_captures(path)
     assert back.rejections == ()
-    assert back.table.records == table.records
+    assert capture_rows(back.table) == capture_rows(table)
 
 
 def test_write_table_handles_numpy_scalars(tmp_path):
@@ -166,3 +206,17 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     for t in (table, back):
         np.testing.assert_array_equal(
             t.dc, 1.0 - np.abs(t.covariates["R_gallery"] - t.covariates["R_probe"]))
+
+
+def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
+    rng = np.random.default_rng(6)
+    captures = random_capture_table(rng, n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    path = tmp_path / "pairs.csv"
+    write_pairs(pairs, path)
+    dropped = pairs.probe_image_id[2]
+    known = capture_table([r for r in capture_rows(captures) if r["image_id"] != dropped])
+    first = 1 + min(i for i, pid in enumerate(pairs.probe_image_id) if pid == dropped)
+    with pytest.raises(IngestError, match=f"data row {first} references image ids "
+                                          f"missing from the capture table"):
+        read_pairs(path, known)
