@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 from .core import (
     GENUINE, IMPOSTOR, HIGHER_IS_BETTER, LOWER_IS_BETTER,
     CaptureTable, ComparisonTable, MatcherProfile, DataError, ScoreRangeError,
-    dilation_ratio, dilation_constancy,
+    ScoreTable, dilation_ratio, dilation_constancy,
 )
 from .tableio import (
-    IngestResult, IngestError, DuplicateImageIdError, RowRejection, ScoreTable,
+    IngestResult, IngestError, DuplicateImageIdError, RowRejection,
     ingest_captures, ingest_scores, read_pairs, write_captures, write_pairs,
     write_scores,
 )

@@ -20,7 +20,6 @@ Errors print one machine-parsable line to stderr: "error code=<name>: <msg>".
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import glob
 import hashlib
@@ -52,7 +51,7 @@ from .synth import (
     generate_longitudinal,
 )
 from .tableio import (
-    IngestError, ingest_captures, ingest_scores, open_text, read_pairs,
+    IngestError, ingest_captures, ingest_scores, open_text, read_pairs, read_table,
     write_captures, write_pairs, write_scores, write_table,
 )
 from .validation import kfold_subject_cv, residual_diagnostics
@@ -680,20 +679,6 @@ def cmd_cv(ctx: RunContext) -> None:
     ]) + "\n")
 
 
-def _report_rows(ctx: RunContext, path: str, numeric: tuple[str, ...]) -> list[dict]:
-    """Rows of an earlier subcommand's table, recorded as an input, with the
-    `numeric` columns as floats."""
-    rows = []
-    with open_text(ctx.record_input(Path(path))) as fh:
-        for row_number, row in enumerate(csv.DictReader(fh), start=1):
-            try:
-                rows.append({**row, **{c: float(row[c]) for c in numeric}})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IngestError(
-                    f"{path}: bad or missing cell at data row {row_number}: {exc}")
-    return rows
-
-
 def cmd_report(ctx: RunContext) -> None:
     """Render SVG figures from previously written tables."""
     charts = {}
@@ -702,38 +687,42 @@ def cmd_report(ctx: RunContext) -> None:
         chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
                                            "interval (months)", "FNMR (%)")
         for path in fnmr_files:
-            rows = _report_rows(ctx, path, ("interval_months", "fnmr", "ci_low", "ci_high"))
+            text = read_table(ctx.record_input(Path(path)),
+                              ("interval_months", "fnmr", "ci_low", "ci_high"))
+            percent = {c: (100.0 * text.column(c, np.float64)).tolist()
+                       for c in ("fnmr", "ci_low", "ci_high")}
             chart.series.append(Series(
                 name=Path(path).stem.replace("interval_fnmr_", ""),
-                x=[r["interval_months"] for r in rows],
-                y=[100.0 * r["fnmr"] for r in rows],
-                whisker_low=[100.0 * r["ci_low"] for r in rows],
-                whisker_high=[100.0 * r["ci_high"] for r in rows]))
+                x=text.column("interval_months", np.float64).tolist(), y=percent["fnmr"],
+                whisker_low=percent["ci_low"], whisker_high=percent["ci_high"]))
 
     det_files = sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
     det_files = [p for p in det_files if not p.endswith("det_summary.csv")]
     if det_files:
         chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
-            rows = _report_rows(ctx, path, ("fmr", "fnmr"))
+            text = read_table(ctx.record_input(Path(path)), ("fmr", "fnmr"))
             chart.series.append(Series(
-                name=Path(path).stem.replace("det_", ""), x=[r["fmr"] for r in rows],
-                y=[r["fnmr"] for r in rows], markers=False))
+                name=Path(path).stem.replace("det_", ""),
+                x=text.column("fmr", np.float64).tolist(),
+                y=text.column("fnmr", np.float64).tolist(), markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
         name = Path(path).stem.replace("trajectories_", "")
-        rows = _report_rows(ctx, path, ("T_months", "predicted"))
-        if not rows:
+        text = read_table(ctx.record_input(Path(path)), ("age_group", "T_months", "predicted"))
+        if not len(text):
             continue
+        group = text.column("age_group")
+        t_months = text.column("T_months", np.float64)
+        predicted = text.column("predicted", np.float64)
         chart = charts[f"trajectories_{name}.svg"] = Chart(
             f"Predicted {name} score by enrollment age group", "gap T (months)",
             "predicted score")
-        for label in sorted({r["age_group"] for r in rows}):
-            sel = [r for r in rows if r["age_group"] == label]
+        for label in sorted(set(group)):
+            sel = group == label
             chart.series.append(Series(
-                name=f"enrolled {label}",
-                x=[r["T_months"] for r in sel], y=[r["predicted"] for r in sel],
-                markers=False))
+                name=f"enrolled {label}", x=t_months[sel].tolist(),
+                y=predicted[sel].tolist(), markers=False))
 
     if not charts:
         raise CliError(EXIT_MISSING_INPUT,

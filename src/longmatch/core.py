@@ -1,8 +1,8 @@
-"""Canonical data model: captures, matcher profiles, comparison pairs.
+"""Canonical data model: captures, scores, matcher profiles, comparison pairs.
 
-Captures are held in the columnar CaptureTable, comparison pairs in the
-columnar ComparisonTable. Tables are read-only after construction and safe
-to share across parallel workers.
+Captures are held in the columnar CaptureTable, matcher scores in the
+columnar ScoreTable, comparison pairs in the columnar ComparisonTable. Tables
+are read-only after construction and safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ CAPTURE_COLUMNS = {
     "circularity": np.float64,          # 0..100
     "pupil_radius": np.float64,         # pixels
     "iris_radius": np.float64,          # pixels
+}
+
+# the score-file columns in file order, each with the dtype a ScoreTable holds
+# it in
+SCORE_COLUMNS = {
+    "gallery_image_id": object,
+    "probe_image_id": object,
+    "matcher": object,
+    "score": np.float64,
 }
 
 
@@ -97,6 +106,17 @@ class MatcherProfile:
             raise ValueError("default_threshold outside the score range")
 
 
+def _set_columns(table, spec: dict, columns: dict) -> None:
+    """Set each `spec` column of `columns` on `table`, as the read-only numpy
+    array of its dtype; ValueError unless all have one length."""
+    for name, dtype in spec.items():
+        column = np.asarray(columns[name], dtype=dtype)
+        if len(column) != len(columns[next(iter(spec))]):
+            raise ValueError("column length mismatch")
+        column.flags.writeable = False
+        setattr(table, name, column)
+
+
 class CaptureTable:
     """Columnar, read-only table of captures, one row per eye image in file order.
 
@@ -105,12 +125,7 @@ class CaptureTable:
     """
 
     def __init__(self, **columns):
-        for name, dtype in CAPTURE_COLUMNS.items():
-            column = np.asarray(columns[name], dtype=dtype)
-            if len(column) != len(columns["image_id"]):
-                raise ValueError("column length mismatch")
-            column.flags.writeable = False
-            setattr(self, name, column)
+        _set_columns(self, CAPTURE_COLUMNS, columns)
         self._row: dict[str, int] = {}
         for row, image_id in enumerate(self.image_id):
             self._row.setdefault(image_id, row)
@@ -129,6 +144,35 @@ class CaptureTable:
         """The row of each of `image_ids` (the first, should an id repeat);
         -1 for an id not in the table."""
         return np.fromiter((self._row.get(i, -1) for i in image_ids), dtype=np.intp)
+
+
+class ScoreTable:
+    """Columnar, read-only table of matcher scores, one row per
+    (gallery, probe, matcher) score.
+
+    Holds one numpy column per SCORE_COLUMNS entry, as the attribute of that
+    name; the score lookup is built once, and a key that repeats raises
+    DataError naming it.
+    """
+
+    def __init__(self, **columns):
+        _set_columns(self, SCORE_COLUMNS, columns)
+        keys = list(zip(self.gallery_image_id.tolist(), self.probe_image_id.tolist(),
+                        self.matcher.tolist()))
+        self._index = dict(zip(keys, self.score.tolist()))
+        if len(self._index) < len(keys):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise DataError(f"duplicate score row for {key}")
+                seen.add(key)
+
+    def get(self, gallery_image_id: str, probe_image_id: str, matcher: str):
+        """The score of the key as a float, None when the table has none."""
+        return self._index.get((gallery_image_id, probe_image_id, matcher))
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 class ComparisonTable:
@@ -214,12 +258,6 @@ class ComparisonTable:
 
     def genuine_mask(self) -> np.ndarray:
         return self.kind == GENUINE
-
-    def genuine_only(self) -> "ComparisonTable":
-        return self.select(self.genuine_mask())
-
-    def impostor_only(self) -> "ComparisonTable":
-        return self.select(~self.genuine_mask())
 
     def score(self, matcher: str) -> np.ndarray:
         if matcher not in self.scores:

@@ -170,10 +170,6 @@ class DetCurve:
     eer: float
     auc: float
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.thresholds.tolist(), self.fmr.tolist(), self.fnmr.tolist()))
-
 
 def det_curve(genuine, impostor, profile: MatcherProfile) -> DetCurve:
     """Exact stepwise DET over observed scores, with interpolated EER and ROC AUC.

@@ -25,10 +25,9 @@ import numpy as np
 
 from .core import (
     GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, DataError, MatcherProfile,
-    ScoreRangeError, dilation_ratio,
+    ScoreRangeError, ScoreTable, dilation_ratio,
 )
 from .rng import sample_indices
-from .tableio import ScoreTable
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,9 @@ import numpy as np
 
 from .core import (
     HIGHER_IS_BETTER, LOWER_IS_BETTER, PAIR_COVARIATES, CaptureTable,
-    MatcherProfile,
+    MatcherProfile, ScoreTable,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
-from .tableio import ScoreTable
 
 
 class SynthConfigError(ValueError):
@@ -44,6 +43,8 @@ class DistSpec:
             raise SynthConfigError("normal scale must be >= 0")
         if self.family == "uniform" and self.scale <= 0:
             raise SynthConfigError("uniform scale must be > 0")
+        if self.family == "uniform" and not np.isfinite(self.loc + self.scale):
+            raise SynthConfigError("uniform upper end loc + scale must be finite")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.family == "normal":
@@ -327,8 +328,9 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
                      dtype=np.int64, count=len(gen_table))
     gap = gen_table.gap_t.astype(np.float64)
 
-    scores = ScoreTable()
-    observed: dict[str, list[np.ndarray]] = {sim.name: [] for sim in cfg.matchers}
+    # (pairs, matcher, scores) blocks of the score table: genuine blocks in
+    # matcher order, then impostor blocks
+    blocks: list[tuple] = []
     for sim in cfg.matchers:
         with np.errstate(over="ignore", invalid="ignore"):   # _finite refuses the result
             lin = np.zeros(len(gen_table))
@@ -341,25 +343,25 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
             eps = rng.normal(0.0, np.sqrt(sim.sigma2), len(gen_table)) if sim.sigma2 > 0 \
                 else np.zeros(len(gen_table))
             vals = _finite(sim, "genuine", lin + u[gi, 0] + u[gi, 1] * gap + eps)
-        observed[sim.name].append(vals)
-        for gid, pid, value in zip(gen_table.gallery_image_id,
-                                   gen_table.probe_image_id, vals.tolist()):
-            scores.add(gid, pid, sim.name, value)
+        blocks.append((gen_table, sim.name, vals))
 
     n_impostor = 0
     if cfg.include_impostors:
         impostor = generate_impostor_pairs(captures, cfg.pairing)
         n_impostor = len(impostor)
         for sim in cfg.matchers:
-            vals = _finite(sim, "impostor", sim.impostor.draw(rng, n_impostor))
-            observed[sim.name].append(vals)
-            for gid, pid, value in zip(impostor.gallery_image_id,
-                                       impostor.probe_image_id, vals.tolist()):
-                scores.add(gid, pid, sim.name, value)
+            blocks.append((impostor, sim.name,
+                           _finite(sim, "impostor", sim.impostor.draw(rng, n_impostor))))
 
+    scores = ScoreTable(
+        gallery_image_id=np.concatenate([pairs.gallery_image_id for pairs, _, _ in blocks]),
+        probe_image_id=np.concatenate([pairs.probe_image_id for pairs, _, _ in blocks]),
+        matcher=np.concatenate([np.full(len(pairs), name, dtype=object)
+                                for pairs, name, _ in blocks]),
+        score=np.concatenate([values for _, _, values in blocks]))
     profiles = tuple(
         _profile_from_scores(sim.name, sim.orientation,
-                             np.concatenate(observed[sim.name]))
+                             scores.score[scores.matcher == sim.name])
         for sim in cfg.matchers)
     truth = GroundTruth(
         subject_ids=subject_ids, enrollment_ages=np.asarray(ages0),

@@ -1,8 +1,9 @@
 """Flat-file interfaces: capture tables, score tables, pair tables.
 
-All files are comma-delimited UTF-8 with a fixed header row. Empty cells
-mean missing. Floats are written with repr() so every table round-trips
-bit-exactly.
+All files are comma-delimited UTF-8 with a header row, written by
+`write_table` and read back by `read_table`, which finds columns by header
+name. csv writes each cell with str(), the shortest round-trip form of a
+float or a numpy float64, so every table round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, QUALITY_COVARIATES,
-    CaptureTable, ComparisonTable, DataError, DuplicateImageIdError,
+    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, QUALITY_COVARIATES, SCORE_COLUMNS,
+    CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
 )
 
 CAPTURE_HEADER = list(CAPTURE_COLUMNS)
-SCORE_HEADER = ["gallery_image_id", "probe_image_id", "matcher", "score"]
+SCORE_HEADER = list(SCORE_COLUMNS)
+# the pair-file columns before its one score_<matcher> column per matcher
 PAIR_HEADER_FIXED = [
     "kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months",
     "delta_age_years", "DC",
@@ -75,7 +77,7 @@ def open_text(path, error=IngestError):
             raise error(f"{path}: {exc}") from None
 
 
-def _header(reader, path: Path, required: list[str]) -> list[str]:
+def _header(reader, path: Path, required) -> list[str]:
     """The header row of `reader`, IngestError unless it holds every `required` column."""
     header = next(reader, None)
     if header is None:
@@ -84,16 +86,6 @@ def _header(reader, path: Path, required: list[str]) -> list[str]:
     if missing:
         raise IngestError(f"{path}: missing mandatory column(s) {missing}")
     return header
-
-
-def _fmt(value) -> str:
-    # repr of a builtin float is the shortest round-trip form; numpy scalars
-    # are coerced first (their repr carries a type wrapper)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
 
 
 def ingest_captures(path) -> IngestResult:
@@ -174,166 +166,136 @@ def _parse_capture_row(row, col):
 
 
 def write_captures(table: CaptureTable, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CAPTURE_HEADER)
-        # builtin ints print as str() and floats as the round-trip repr()
-        writer.writerows(zip(*(getattr(table, name).tolist() for name in CAPTURE_HEADER)))
-
-
-class ScoreTable:
-    """(gallery, probe, matcher) -> score lookup with stable iteration order."""
-
-    def __init__(self):
-        self._rows: list[tuple[str, str, str, float]] = []
-        self._index: dict[tuple[str, str, str], float] = {}
-
-    def add(self, gallery_image_id: str, probe_image_id: str, matcher: str,
-            score: float) -> None:
-        key = (gallery_image_id, probe_image_id, matcher)
-        if key in self._index:
-            raise DataError(f"duplicate score row for {key}")
-        self._index[key] = score
-        self._rows.append((gallery_image_id, probe_image_id, matcher, score))
-
-    def get(self, gallery_image_id: str, probe_image_id: str, matcher: str):
-        return self._index.get((gallery_image_id, probe_image_id, matcher))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def matchers(self) -> list[str]:
-        return sorted({row[2] for row in self._rows})
+    write_table(path, CAPTURE_HEADER,
+                zip(*(getattr(table, name).tolist() for name in CAPTURE_HEADER)))
 
 
 def ingest_scores(path) -> ScoreTable:
-    path = Path(path)
-    table = ScoreTable()
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, SCORE_HEADER)
-        col = {name: header.index(name) for name in SCORE_HEADER}
-        for row_number, row in enumerate(reader, start=1):
-            try:
-                score = float(row[col["score"]])
-            except (ValueError, IndexError) as exc:
-                raise IngestError(f"{path}: bad score at data row {row_number}: {exc}")
-            table.add(row[col["gallery_image_id"]], row[col["probe_image_id"]],
-                      row[col["matcher"]], score)
-    return table
+    """Read a score table; IngestError names a cell that does not parse,
+    DataError a (gallery, probe, matcher) key that repeats."""
+    text = read_table(path, SCORE_HEADER)
+    return ScoreTable(**{name: text.column(name, dtype) for name, dtype in SCORE_COLUMNS.items()})
 
 
 def write_scores(table: ScoreTable, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_HEADER)
-        for gid, pid, matcher, score in table:
-            writer.writerow([gid, pid, matcher, _fmt(float(score))])
-
-
-def pair_header(matchers: Iterable[str]) -> list[str]:
-    return PAIR_HEADER_FIXED + [f"score_{m}" for m in matchers]
+    write_table(path, SCORE_HEADER,
+                zip(*(getattr(table, name).tolist() for name in SCORE_HEADER)))
 
 
 def write_pairs(table: ComparisonTable, path) -> None:
     """Emit the pair table with the pinned header (one score column per matcher)."""
-    path = Path(path)
-    matchers = table.matchers
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(pair_header(matchers))
-        for i in range(len(table)):
-            row = [
-                table.kind[i], table.eye[i], table.gallery_image_id[i],
-                table.probe_image_id[i], int(table.gap_t[i]),
-                int(table.delta_age[i]), _fmt(float(table.dc[i])),
-            ]
-            row += [_fmt(float(table.covariates[name][i])) for name in QUALITY_COVARIATES]
-            row += [_fmt(float(table.scores[m][i])) for m in matchers]
-            writer.writerow(row)
+    columns = [table.kind, table.eye, table.gallery_image_id, table.probe_image_id,
+               table.gap_t, table.delta_age, table.dc,
+               *(table.covariates[name] for name in QUALITY_COVARIATES),
+               *(table.scores[m] for m in table.matchers)]
+    write_table(path, PAIR_HEADER_FIXED + [f"score_{m}" for m in table.matchers],
+                zip(*(column.tolist() for column in columns)))
 
 
-def read_pairs(path, captures: CaptureTable | None = None) -> ComparisonTable:
+def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
     """Read a pair table back.
 
-    The pinned pair header carries no subject or age columns; when the source
-    capture table is supplied, subjects and A_gallery/A_probe are re-joined
-    through the image ids (needed for any model fitting or subject grouping).
-    A non-finite DC, covariate or score cell raises IngestError naming its row.
+    The pinned pair header carries no subject or age columns; subjects and
+    A_gallery/A_probe are re-joined from `captures` through the image ids.
+    A kind other than genuine or impostor, an id missing from `captures`, and
+    a non-finite DC, covariate or score cell raise IngestError naming the row.
     """
     path = Path(path)
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, PAIR_HEADER_FIXED)
-        matchers = [c[len("score_"):] for c in header if c.startswith("score_")]
-        col = {name: header.index(name) for name in header}
+    text = read_table(path, PAIR_HEADER_FIXED)
+    kind = text.column("kind")
+    bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))
+    if bad.size:
+        raise IngestError(f"{path}: bad kind {kind[bad[0]]!r} at data row {bad[0] + 1}")
+    gid, pid = text.column("gallery_image_id"), text.column("probe_image_id")
+    gap, dage = text.column("gap_T_months", np.int64), text.column("delta_age_years", np.int64)
+    parsed = {name: text.column(name, np.float64) for name in text.cells
+              if name in ("DC", *QUALITY_COVARIATES) or name.startswith("score_")}
 
-        rows = list(reader)
-
-    kind, eye = [], []
-    gid, pid = [], []
-    gap, dage, dc = [], [], []
-    cov = {name: [] for name in QUALITY_COVARIATES}
-    scores = {m: [] for m in matchers}
-    for row_number, row in enumerate(rows, start=1):
-        # a damaged cell (ValueError) or a short row (IndexError) names its row
-        try:
-            k = row[col["kind"]]
-            if k not in (GENUINE, IMPOSTOR):
-                raise IngestError(f"{path}: bad kind {k!r} at data row {row_number}")
-            kind.append(k)
-            eye.append(row[col["eye"]])
-            gid.append(row[col["gallery_image_id"]])
-            pid.append(row[col["probe_image_id"]])
-            gap.append(int(row[col["gap_T_months"]]))
-            dage.append(int(row[col["delta_age_years"]]))
-            dc.append(float(row[col["DC"]]))
-            for name in QUALITY_COVARIATES:
-                cov[name].append(float(row[col[name]]))
-            for m in matchers:
-                scores[m].append(float(row[col[f"score_{m}"]]))
-        except (ValueError, IndexError) as exc:
-            raise IngestError(
-                f"{path}: bad or missing cell at data row {row_number}: {exc}")
-
-    if captures is None:
-        gsub = np.full(len(kind), "", dtype=object)
-        psub = gsub.copy()
-        cov["A_gallery"] = np.full(len(kind), np.nan)
-        cov["A_probe"] = cov["A_gallery"].copy()
-    else:
-        g_rows, p_rows = captures.rows(gid), captures.rows(pid)
-        unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
-        if unknown.size:
-            raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
-                              f"missing from the capture table")
-        gsub, psub = captures.subject_id[g_rows], captures.subject_id[p_rows]
-        cov["A_gallery"] = captures.age_years[g_rows].astype(np.float64)
-        cov["A_probe"] = captures.age_years[p_rows].astype(np.float64)
-    table = ComparisonTable(
-        kind=kind, eye=eye, gallery_image_id=gid, probe_image_id=pid,
-        gallery_subject=gsub, probe_subject=psub, gap_t=gap, delta_age=dage,
-        dc=dc, covariates=cov, scores=scores,
-    )
-    parsed = {"DC": table.dc, **{name: table.covariates[name] for name in QUALITY_COVARIATES},
-              **{f"score_{m}": table.scores[m] for m in matchers}}
+    g_rows, p_rows = captures.rows(gid), captures.rows(pid)
+    unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
+    if unknown.size:
+        raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
+                          f"missing from the capture table")
     for name, values in parsed.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise IngestError(f"{path}: non-finite {name} at data row {bad[0] + 1}")
-    return table
+    covariates = {name: parsed[name] for name in QUALITY_COVARIATES}
+    covariates["A_gallery"] = captures.age_years[g_rows].astype(np.float64)
+    covariates["A_probe"] = captures.age_years[p_rows].astype(np.float64)
+    return ComparisonTable(
+        kind=kind, eye=text.column("eye"), gallery_image_id=gid, probe_image_id=pid,
+        gallery_subject=captures.subject_id[g_rows],
+        probe_subject=captures.subject_id[p_rows], gap_t=gap, delta_age=dage,
+        dc=parsed["DC"], covariates=covariates,
+        scores={name[len("score_"):]: values for name, values in parsed.items()
+                if name.startswith("score_")},
+    )
 
 
 def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Generic delimited-text emitter used by reports (floats via repr)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    """Write `header` and then `rows` as delimited text: the one table writer.
+
+    csv writes each cell with str(): a float or numpy float64 as its shortest
+    round-trip repr, an integer or numpy int64 as its digits.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+@dataclass(frozen=True)
+class TextColumns:
+    """The cells of a delimited-text table, read by `read_table`."""
+    path: Path
+    n_rows: int
+    cells: dict   # header name -> its column's cells, in header order
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def column(self, name: str, dtype=object) -> np.ndarray:
+        """Column `name` as a numpy array of `dtype`: object keeps the text,
+        np.int64 and np.float64 parse each cell with int() and float().
+
+        A cell that does not parse, or an integer outside 64 bits, raises
+        IngestError naming the file, the column and its data row.
+        """
+        cells = self.cells[name]
+        if dtype is object:
+            return np.array(cells, dtype=object)
+        parse = int if dtype is np.int64 else float
+        try:
+            return np.array(list(map(parse, cells)), dtype=dtype)
+        except (ValueError, OverflowError):
+            for row_number, cell in enumerate(cells, start=1):
+                try:
+                    np.array(parse(cell), dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise IngestError(f"{self.path}: bad {name} cell {cell!r} at "
+                                      f"data row {row_number}") from None
+            raise
+
+
+def read_table(path, required) -> TextColumns:
+    """The columns of the delimited-text table at `path`: the one table reader.
+
+    The header must hold every `required` name; a repeated name keeps its
+    first column. A data row with fewer cells than the header raises
+    IngestError naming its row.
+    """
+    path = Path(path)
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path, required)
+        rows = list(reader)
+    if rows and min(map(len, rows)) < len(header):
+        row_number, row = next((i, row) for i, row in enumerate(rows, start=1)
+                               if len(row) < len(header))
+        raise IngestError(f"{path}: data row {row_number} has {len(row)} cells, "
+                          f"fewer than the {len(header)} header columns")
+    cells: dict[str, tuple[str, ...]] = {}
+    for name, column in zip(header, zip(*rows) if rows else [()] * len(header)):
+        cells.setdefault(name, column)
+    return TextColumns(path, len(rows), cells)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from longmatch.core import CAPTURE_COLUMNS, CaptureTable, MatcherProfile
+from longmatch.core import (
+    CAPTURE_COLUMNS, SCORE_COLUMNS, CaptureTable, MatcherProfile, ScoreTable,
+)
 
 
 def make_capture(image_id, subject="S001", eye="L", collection=1, months=0,
@@ -18,6 +20,11 @@ def make_capture(image_id, subject="S001", eye="L", collection=1, months=0,
 def capture_table(rows) -> CaptureTable:
     """The CaptureTable of `make_capture` rows, in their order."""
     return CaptureTable(**{name: [row[name] for row in rows] for name in CAPTURE_COLUMNS})
+
+
+def score_table(rows) -> ScoreTable:
+    """The ScoreTable of (gallery, probe, matcher, score) rows, in their order."""
+    return ScoreTable(**{name: [row[i] for row in rows] for i, name in enumerate(SCORE_COLUMNS)})
 
 
 def capture_rows(table: CaptureTable) -> list[dict]:

@@ -560,9 +560,20 @@ def _short(row: int):
     return damage
 
 
+def _first(column: str):
+    """Damage: `column` moved to the front of the header and of every data row."""
+    def damage(data: bytes) -> bytes:
+        lines = [line.split(",") for line in data.decode("utf-8").split("\r\n")]
+        i = lines[0].index(column)
+        for cells in lines[:-1]:   # the text after the last line break is empty
+            cells.insert(0, cells.pop(i))
+        return "\r\n".join(",".join(cells) for cells in lines).encode("utf-8")
+    return damage
+
+
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
 # texts the single stderr line must hold; on exit 0, texts the subcommand's
-# <subcommand>_summary.txt must hold, with nothing on stderr)
+# <subcommand>_summary.txt, or its REPORTS file, must hold, with nothing on stderr)
 FAULTS = [
     ("pairs", {"captures": 5}, {}, 3, ["config captures"]),
     ("pairs", {"scores": 5}, {}, 3, ["config scores"]),
@@ -634,7 +645,32 @@ FAULTS = [
      ["genuine pairs: "]),
     ("ingest", {}, {"captures.csv": _cell("iris_radius", "inf")}, 0,
      ["accepted rows: 213", "  invalid number: 1"]),
+    ("pairs", {}, {"scores.csv": _header_only}, 0,
+     ["genuine pairs: 0\n", "impostor pairs: 0\n", "incomplete pairs: 808\n"]),
+    ("calibrate", {}, {"pairs_impostor.csv": _header_only}, 5,
+     ["calibration needs non-empty genuine and impostor scores"]),
+    ("det", {}, {"pairs_impostor.csv": _header_only}, 5,
+     ["det_curve needs non-empty genuine and impostor scores"]),
+    ("fuse", {}, {"pairs_impostor.csv": _header_only}, 0,
+     ["fused FMR: None\n", "impostor accepts: a_only=0 b_only=0 both=0 neither=0\n"]),
+    ("failures", {}, {"pairs_genuine.csv": _header_only}, 0,
+     ["genuine pairs: 0\n", "failure pairs: 0\n"]),
+    ("fuse", {}, {"pairs_genuine.csv": _header_only}, 0,
+     ["fused FNMR: None\n", "genuine rejects: a_only=0 b_only=0 both=0 neither=0\n"]),
+    ("lmm", {}, {"pairs_genuine.csv": _header_only}, 7, ["factor level absent from data"]),
+    ("apc", {}, {"pairs_genuine.csv": _header_only}, 7, ["factor level absent from data"]),
+    ("cv", {}, {"pairs_genuine.csv": _header_only}, 5, ["need at least k=3 subjects, have 0"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "100000000000000000000")}, 5,
+     ["pairs_genuine.csv", "gap_T_months", "data row 1"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _cell("delta_age_years", "-9223372036854775809", row=4)},
+     5, ["pairs_genuine.csv", "delta_age_years", "data row 4"]),
+    ("pairs", {}, {"scores.csv": lambda data: _short(2)(_first("score")(data))}, 5,
+     ["scores.csv", "data row 2"]),
+    ("synth", {"synth.matchers[0].impostor": {"family": "uniform", "loc": 1e308, "scale": 1e308}},
+     {}, 3, ["config synth.matchers[0].impostor", "upper end"]),
 ]
+# the text report of the subcommands that write no <subcommand>_summary.txt
+REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}
 
 
 @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line
@@ -654,10 +690,11 @@ def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code
     assert main([command, "--config", str(outdir / "config.json")]) == code
     if code == 0:
         assert capsys.readouterr().err == ""
-        line = (outdir / f"{command}_summary.txt").read_text(encoding="utf-8")
+        report = REPORTS.get(command, f"{command}_summary.txt")
+        line = (outdir / report).read_text(encoding="utf-8")
     else:
         line = _one_error_line(capsys, {3: "config-invalid", 4: "missing-input",
-                                        5: "data-invalid"}[code])
+                                        5: "data-invalid", 7: "model-error"}[code])
     for text in named:
         assert text in line, line
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from longmatch.core import dilation_constancy, dilation_ratio
+from longmatch.core import DataError, dilation_constancy, dilation_ratio
 
-from conftest import capture_table, make_capture
+from conftest import capture_table, make_capture, score_table
 
 
 class TestDilationRatio:
@@ -75,3 +75,24 @@ class TestCaptureTable:
         table = capture_table([])
         assert len(table) == 0
         assert table.order().tolist() == [] and table.rows([]).tolist() == []
+
+
+class TestScoreTable:
+    def test_columns_and_lookup(self):
+        table = score_table([("G0", "P0", "m1", 1.5), ("G0", "P0", "m2", -0.0),
+                             ("G1", "P0", "m1", 2.5)])
+        assert len(table) == 3
+        assert table.matcher.dtype == object and table.score.dtype == np.float64
+        assert table.get("G0", "P0", "m2") == 0.0 and table.get("G1", "P0", "m1") == 2.5
+        assert table.get("G1", "P0", "m2") is None
+        with pytest.raises(ValueError):
+            table.score[0] = 1.0
+
+    def test_repeated_key_raises_naming_it(self):
+        rows = [("G0", "P0", "m1", 1.0), ("G0", "P1", "m1", 2.0), ("G0", "P0", "m1", 3.0)]
+        with pytest.raises(DataError, match=r"duplicate score row for \('G0', 'P0', 'm1'\)"):
+            score_table(rows)
+
+    def test_empty_table(self):
+        table = score_table([])
+        assert len(table) == 0 and table.get("G0", "P0", "m1") is None

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from longmatch.core import (
-    GENUINE, IMPOSTOR, ComparisonTable, DataError, MatcherProfile, ScoreRangeError,
+    GENUINE, IMPOSTOR, SCORE_COLUMNS, ComparisonTable, DataError, MatcherProfile,
+    ScoreRangeError, ScoreTable,
 )
 from longmatch.pairing import (
     PairingConfig, attach_scores, generate_genuine_pairs,
     generate_impostor_pairs,
 )
-from longmatch.tableio import ScoreTable
 
-from conftest import capture_rows, capture_table, make_capture, random_capture_table
+from conftest import (
+    capture_rows, capture_table, make_capture, random_capture_table, score_table,
+)
 
 
 def _pair_keys(table):
@@ -151,9 +153,8 @@ class TestAttachScores:
         pairs = generate_genuine_pairs(table)
         assert len(pairs) > 0
         profile = MatcherProfile("m1", "higher", 0.0, 100.0, 50.0)
-        scores = ScoreTable()
-        for gid, pid in _pair_keys(pairs):
-            scores.add(gid, pid, "m1", float(rng.uniform(1, 99)))
+        scores = score_table([(gid, pid, "m1", float(rng.uniform(1, 99)))
+                              for gid, pid in _pair_keys(pairs)])
         return pairs, profile, scores
 
     def test_all_present_zero_incomplete(self):
@@ -164,11 +165,9 @@ class TestAttachScores:
 
     def test_missing_cell_flags_pair(self):
         pairs, profile, scores = self._fixture()
-        dropped = ScoreTable()
         skip = _pair_keys(pairs)[0]
-        for gid, pid, matcher, score in scores:
-            if (gid, pid) != skip:
-                dropped.add(gid, pid, matcher, score)
+        keep = (scores.gallery_image_id != skip[0]) | (scores.probe_image_id != skip[1])
+        dropped = ScoreTable(**{name: getattr(scores, name)[keep] for name in SCORE_COLUMNS})
         result = attach_scores(pairs, dropped, [profile])
         assert len(result.incomplete) == 1
         assert result.incomplete[0].gallery_image_id == skip[0]
@@ -259,10 +258,8 @@ class TestUnscoredTable:
                 make_capture("P1", collection=3, months=12),
                 make_capture("P2", collection=4, months=18)]
         pairs = generate_genuine_pairs(capture_table(recs))
-        scores = ScoreTable()
-        scores.add("G0", "P0", "zeta", 1.0)
-        scores.add("G0", "P0", "alpha", 2.0)
-        scores.add("G0", "P2", "zeta", 3.0)
+        scores = score_table([("G0", "P0", "zeta", 1.0), ("G0", "P0", "alpha", 2.0),
+                              ("G0", "P2", "zeta", 3.0)])
         profiles = [MatcherProfile("zeta", "higher", 0.0, 10.0, 5.0),
                     MatcherProfile("alpha", "higher", 0.0, 10.0, 5.0)]
         result = attach_scores(pairs, scores, profiles)
@@ -277,9 +274,7 @@ class TestUnscoredTable:
                 make_capture("P0", collection=2, months=6),
                 make_capture("P1", collection=3, months=12)]
         pairs = generate_genuine_pairs(capture_table(recs))
-        scores = ScoreTable()
-        scores.add("G0", "P0", "m1", float("nan"))
-        scores.add("G0", "P1", "m1", 500.0)
+        scores = score_table([("G0", "P0", "m1", float("nan")), ("G0", "P1", "m1", 500.0)])
         profile = MatcherProfile("m1", "higher", 0.0, 100.0, 50.0)
         with pytest.raises(ScoreRangeError, match=r"score nan .* \(G0, P0\)"):
             attach_scores(pairs, scores, [profile])

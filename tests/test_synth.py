@@ -51,8 +51,8 @@ class TestGenerateLongitudinal:
     def test_different_seed_differs(self):
         a = generate_longitudinal(small_config(seed=1))
         b = generate_longitudinal(small_config(seed=2))
-        scores_a = [row[3] for row in a.scores]
-        scores_b = [row[3] for row in b.scores]
+        scores_a = a.scores.score.tolist()
+        scores_b = b.scores.score.tolist()
         assert scores_a != scores_b
 
     def test_noiseless_scores_exactly_linear_and_recoverable(self):

@@ -5,12 +5,12 @@ from longmatch.core import ComparisonTable, MatcherProfile
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
 from longmatch.tableio import (
-    CAPTURE_HEADER, DuplicateImageIdError, IngestError, ScoreTable,
+    CAPTURE_HEADER, DuplicateImageIdError, IngestError,
     ingest_captures, ingest_scores, read_pairs, write_captures, write_pairs,
     write_scores,
 )
 
-from conftest import capture_rows, capture_table, random_capture_table
+from conftest import capture_rows, capture_table, random_capture_table, score_table
 
 
 def _write_rows(path, rows, header=CAPTURE_HEADER):
@@ -160,9 +160,7 @@ def test_write_table_handles_numpy_scalars(tmp_path):
 
 
 def test_scores_round_trip(tmp_path):
-    table = ScoreTable()
-    table.add("I0", "I1", "simmatch", 123.456)
-    table.add("I0", "I2", "simmatch", -0.25)
+    table = score_table([("I0", "I1", "simmatch", 123.456), ("I0", "I2", "simmatch", -0.25)])
     path = tmp_path / "scores.csv"
     write_scores(table, path)
     back = ingest_scores(path)
@@ -175,13 +173,12 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     rng = np.random.default_rng(5)
     captures = random_capture_table(rng, n_subjects=8)
     profile = MatcherProfile("m1", "higher", -1e6, 1e6, 0.0)
-    scores = ScoreTable()
     genuine = generate_genuine_pairs(captures)
     impostor = generate_impostor_pairs(captures, PairingConfig(max_impostor_probes=3,
                                                                base_seed=9))
     pairs = ComparisonTable.concat([genuine, impostor])
-    for gid, pid in zip(pairs.gallery_image_id, pairs.probe_image_id):
-        scores.add(gid, pid, "m1", float(rng.normal(50, 10)))
+    scores = score_table([(gid, pid, "m1", float(rng.normal(50, 10)))
+                          for gid, pid in zip(pairs.gallery_image_id, pairs.probe_image_id)])
     table = attach_scores(pairs, scores, [profile]).table
 
     path = tmp_path / "pairs.csv"
@@ -220,3 +217,54 @@ def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
     with pytest.raises(IngestError, match=f"data row {first} references image ids "
                                           f"missing from the capture table"):
         read_pairs(path, known)
+
+
+def _edge_floats(rng, n):
+    """`n` finite float64s: signed zeros, the extremes, awkward decimals, random bits."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+             -np.finfo(np.float64).max, 1e16, 1e-5, 2.2250738585072014e-308, 0.1]
+    bits = rng.integers(0, 2**64, 4 * n, dtype=np.uint64).view(np.float64)
+    return np.concatenate([edges, bits[np.isfinite(bits)]])[:n]
+
+
+def test_float_cells_round_trip_bit_exactly(tmp_path):
+    rng = np.random.default_rng(7)
+    captures = random_capture_table(rng, n_subjects=8)
+    pairs = generate_genuine_pairs(captures)
+    values = _edge_floats(rng, len(pairs))
+    table = pairs.with_scores({"m1": values, "m2": -values[::-1]})
+    write_pairs(table, tmp_path / "pairs.csv")
+    back = read_pairs(tmp_path / "pairs.csv", captures)
+    for name in ("m1", "m2"):
+        assert back.scores[name].view(np.uint64).tolist() == \
+            table.scores[name].view(np.uint64).tolist()
+    assert back.dc.view(np.uint64).tolist() == table.dc.view(np.uint64).tolist()
+
+    scores = score_table([(f"G{i}", f"P{i}", "m1", v) for i, v in enumerate(values.tolist())])
+    write_scores(scores, tmp_path / "scores.csv")
+    back = ingest_scores(tmp_path / "scores.csv")
+    assert back.score.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert back.gallery_image_id.tolist() == scores.gallery_image_id.tolist()
+
+
+def test_score_columns_found_by_name(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("score,matcher,note,probe_image_id,gallery_image_id\r\n"
+                    "-0.5,m1,x,P1,G1\r\n2.0,m1,,P2,G1\r\n", encoding="utf-8")
+    back = ingest_scores(path)
+    assert len(back) == 2
+    assert back.get("G1", "P1", "m1") == -0.5 and back.get("G1", "P2", "m1") == 2.0
+
+
+def test_repeated_pair_column_reads_its_first(tmp_path):
+    captures = random_capture_table(np.random.default_rng(8), n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    table = pairs.with_scores({"m1": np.arange(len(pairs), dtype=np.float64)})
+    path = tmp_path / "pairs.csv"
+    write_pairs(table, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0] + ",score_m1"] + [line + ",-1.0" for line in lines[1:]])
+                    + "\n", encoding="utf-8")
+    back = read_pairs(path, captures)
+    assert back.matchers == ("m1",)
+    assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
