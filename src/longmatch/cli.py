@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import ComparisonTable, DataError, MatcherProfile
+from .core import QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile
 from .lmm import (
     AgeGroups, Continuous, Interaction, ModelError, ModelSpec,
     compare_apc, fit_spec, format_fit_report, marginal_r2,
@@ -270,8 +270,7 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
 def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
     """The config's model, every column of which `table` must have."""
     outcome = _setting(ctx, "model.outcome", REQUIRED, TEXT)
-    columns = _setting(ctx, "model.quality_terms", ("Q_gallery", "Q_probe", "U_gallery",
-                       "U_probe", "C_gallery", "C_probe", "DC"), _list_of(TEXT))
+    columns = _setting(ctx, "model.quality_terms", QUALITY_TERMS, _list_of(TEXT))
     pairs = _setting(ctx, "model.interactions", (), _list_of(_list_of(TEXT)),
                      ("a list of [column, column] pairs", lambda ps: all(len(p) == 2 for p in ps)))
     named = [("outcome", outcome)] + [("quality_terms", c) for c in columns] + [
@@ -293,6 +292,12 @@ def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
 def _write_text(ctx: RunContext, name: str, text: str) -> None:
     path = ctx.outdir / name
     path.write_text(text, encoding="utf-8")
+    ctx.record_output(path)
+
+
+def _write_table(ctx: RunContext, name: str, header: list[str], rows) -> None:
+    path = ctx.outdir / name
+    write_table(path, header, rows)
     ctx.record_output(path)
 
 
@@ -353,10 +358,8 @@ def cmd_synth(ctx: RunContext) -> None:
 def cmd_ingest(ctx: RunContext) -> None:
     """Ingest and validate a capture table."""
     result = _load_captures(ctx)
-    write_table(ctx.outdir / "ingest_rejections.csv",
-                ["row_number", "reason", "detail"],
-                [(r.row_number, r.reason, r.detail) for r in result.rejections])
-    ctx.record_output(ctx.outdir / "ingest_rejections.csv")
+    _write_table(ctx, "ingest_rejections.csv", ["row_number", "reason", "detail"],
+                 [(r.row_number, r.reason, r.detail) for r in result.rejections])
     n_rows = result.n_accepted + result.n_rejected
     lines = [f"accepted rows: {result.n_accepted}",
              f"rejected rows: {result.n_rejected}",
@@ -387,11 +390,10 @@ def cmd_pairs(ctx: RunContext) -> None:
     ctx.record_output(ctx.outdir / "pairs_genuine.csv")
     ctx.record_output(ctx.outdir / "pairs_impostor.csv")
     incomplete = list(attached_g.incomplete) + list(attached_i.incomplete)
-    write_table(ctx.outdir / "pairs_incomplete.csv",
-                ["gallery_image_id", "probe_image_id", "missing_matchers"],
-                [(p.gallery_image_id, p.probe_image_id, ";".join(p.missing_matchers))
-                 for p in incomplete])
-    ctx.record_output(ctx.outdir / "pairs_incomplete.csv")
+    _write_table(ctx, "pairs_incomplete.csv",
+                 ["gallery_image_id", "probe_image_id", "missing_matchers"],
+                 [(p.gallery_image_id, p.probe_image_id, ";".join(p.missing_matchers))
+                  for p in incomplete])
     _write_text(ctx, "pairs_summary.txt", "\n".join([
         f"genuine pairs: {len(attached_g.table)}",
         f"impostor pairs: {len(attached_i.table)}",
@@ -419,9 +421,7 @@ def cmd_calibrate(ctx: RunContext) -> None:
         lines.append(f"{name}: threshold={res.threshold!r} "
                      f"achieved_fmr={res.achieved_fmr:.6g} "
                      f"achieved_fnmr={res.achieved_fnmr:.6g}")
-    path = ctx.outdir / "thresholds.json"
-    path.write_text(json.dumps(thresholds, indent=2, sort_keys=True), encoding="utf-8")
-    ctx.record_output(path)
+    _write_text(ctx, "thresholds.json", json.dumps(thresholds, indent=2, sort_keys=True))
     _write_text(ctx, "calibrate_summary.txt", "\n".join(lines) + "\n")
 
 
@@ -439,13 +439,11 @@ def cmd_fnmr(ctx: RunContext) -> None:
     for profile in profiles:
         stats_rows = fnmr_by_interval(genuine, profile, thresholds[profile.name],
                                       bin_width, confidence)
-        path = ctx.outdir / f"interval_fnmr_{profile.name}.csv"
-        write_table(path,
-                    ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
-                     "ci_low", "ci_high", "ci_method"],
-                    [(s.interval_months, s.n_genuine, s.n_false_nonmatch, s.fnmr,
-                      s.ci_low, s.ci_high, s.ci_method) for s in stats_rows])
-        ctx.record_output(path)
+        _write_table(ctx, f"interval_fnmr_{profile.name}.csv",
+                     ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
+                      "ci_low", "ci_high", "ci_method"],
+                     [(s.interval_months, s.n_genuine, s.n_false_nonmatch, s.fnmr,
+                       s.ci_low, s.ci_high, s.ci_method) for s in stats_rows])
         overall = sum(s.n_false_nonmatch for s in stats_rows) / max(
             1, sum(s.n_genuine for s in stats_rows))
         lines.append(f"{profile.name}: threshold={thresholds[profile.name]!r} "
@@ -463,15 +461,11 @@ def cmd_det(ctx: RunContext) -> None:
     lines = []
     for profile in profiles:
         curve = det_curve(genuine, impostor, profile)
-        path = ctx.outdir / f"det_{profile.name}.csv"
-        write_table(path, ["threshold", "fmr", "fnmr"],
-                    zip(curve.thresholds.tolist(), curve.fmr.tolist(),
-                        curve.fnmr.tolist()))
-        ctx.record_output(path)
+        _write_table(ctx, f"det_{profile.name}.csv", ["threshold", "fmr", "fnmr"],
+                     zip(curve.thresholds.tolist(), curve.fmr.tolist(), curve.fnmr.tolist()))
         summary_rows.append((profile.name, curve.eer, curve.auc))
         lines.append(f"{profile.name}: EER={curve.eer:.4%} AUC={curve.auc:.6f}")
-    write_table(ctx.outdir / "det_summary.csv", ["matcher", "eer", "auc"], summary_rows)
-    ctx.record_output(ctx.outdir / "det_summary.csv")
+    _write_table(ctx, "det_summary.csv", ["matcher", "eer", "auc"], summary_rows)
     _write_text(ctx, "det_summary.txt", "\n".join(lines) + "\n")
 
 
@@ -500,10 +494,9 @@ def cmd_failures(ctx: RunContext) -> None:
         rows.append((cat.name, cat.n_pairs, cat.n_subjects,
                      "" if cat.quality_capture_rate is None else cat.quality_capture_rate,
                      "" if cat.mean_gap_months is None else cat.mean_gap_months))
-    write_table(ctx.outdir / "failure_categories.csv",
-                ["category", "n_pairs", "n_subjects", "min_quality_capture_rate",
-                 "mean_gap_months"], rows)
-    ctx.record_output(ctx.outdir / "failure_categories.csv")
+    _write_table(ctx, "failure_categories.csv",
+                 ["category", "n_pairs", "n_subjects", "min_quality_capture_rate",
+                  "mean_gap_months"], rows)
 
     lines = [f"matchers: {pa.name} vs {pb.name}",
              f"genuine pairs: {report.n_genuine}",
@@ -570,20 +563,15 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
     fit = fit_spec(genuine, spec)
     name = spec.outcome + suffix
     diag = residual_diagnostics(fit)
-    write_table(ctx.outdir / f"qq_{name}.csv",
-                ["sample_quantile", "theoretical_quantile"],
-                zip(diag.sample_quantiles.tolist(),
-                    diag.theoretical_quantiles.tolist()))
-    ctx.record_output(ctx.outdir / f"qq_{name}.csv")
+    _write_table(ctx, f"qq_{name}.csv", ["sample_quantile", "theoretical_quantile"],
+                 zip(diag.sample_quantiles.tolist(), diag.theoretical_quantiles.tolist()))
     report_text = format_fit_report(fit, f"{name} ~ {spec.apc_mode} + quality")
     report_text += (f"\nShapiro-Wilk W = {diag.shapiro_w:.4f} "
                     f"(n_used={diag.n_used}, subsampled={diag.subsampled})\n")
     _write_text(ctx, f"fit_report_{name}.txt", report_text)
-    write_table(ctx.outdir / f"coefficients_{name}.csv",
-                ["predictor", "beta", "se", "z", "p"],
-                [(nm, float(fit.beta[j]), float(fit.se[j]), float(fit.z_stats[j]),
-                  float(fit.p_values[j])) for j, nm in enumerate(fit.column_names)])
-    ctx.record_output(ctx.outdir / f"coefficients_{name}.csv")
+    _write_table(ctx, f"coefficients_{name}.csv", ["predictor", "beta", "se", "z", "p"],
+                 [(nm, float(fit.beta[j]), float(fit.se[j]), float(fit.z_stats[j]),
+                   float(fit.p_values[j])) for j, nm in enumerate(fit.column_names)])
 
     # enrollment age-group companion model and predicted trajectories
     group_spec = ModelSpec(
@@ -619,9 +607,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
                     x[design.column_names.index(cname)] = 1.0 if other == label else 0.0
             pred = float(x @ group_fit.beta)
             rows.append((label, t_val, pred))
-    write_table(ctx.outdir / f"trajectories_{name}.csv",
-                ["age_group", "T_months", "predicted"], rows)
-    ctx.record_output(ctx.outdir / f"trajectories_{name}.csv")
+    _write_table(ctx, f"trajectories_{name}.csv", ["age_group", "T_months", "predicted"], rows)
 
 
 def cmd_apc(ctx: RunContext) -> None:
@@ -642,10 +628,9 @@ def cmd_apc(ctx: RunContext) -> None:
                      f"(se {e.temporal.se:.3g}, p={e.temporal.p:.3g})")
         for c in e.age:
             lines.append(f"    age {c.name}: beta={c.beta:.6g} (se {c.se:.3g}, p={c.p:.3g})")
-    write_table(ctx.outdir / "apc_models.csv",
-                ["mode", "n_obs", "loglik_ml", "aic_ml", "delta_aic",
-                 "temporal_term", "temporal_beta", "temporal_se", "temporal_p"], rows)
-    ctx.record_output(ctx.outdir / "apc_models.csv")
+    _write_table(ctx, "apc_models.csv",
+                 ["mode", "n_obs", "loglik_ml", "aic_ml", "delta_aic",
+                  "temporal_term", "temporal_beta", "temporal_se", "temporal_p"], rows)
     lines.append("overidentified three-variable diagnostic (do not interpret "
                  "coefficients; VIFs shown):")
     for nm, v in sorted(report.overidentified.vifs.items()):
@@ -665,11 +650,10 @@ def cmd_cv(ctx: RunContext) -> None:
         report = kfold_subject_cv(genuine, spec, k, seed)
     except ValueError as exc:
         raise CliError(EXIT_DATA_INVALID, str(exc))
-    write_table(ctx.outdir / "cv_report.csv",
-                ["fold", "oos_r2", "rmse", "n_test_subjects", "n_test_rows"],
-                [(f.fold, f.oos_r2, f.rmse, f.n_test_subjects, f.n_test_rows)
-                 for f in report.per_fold])
-    ctx.record_output(ctx.outdir / "cv_report.csv")
+    _write_table(ctx, "cv_report.csv",
+                 ["fold", "oos_r2", "rmse", "n_test_subjects", "n_test_rows"],
+                 [(f.fold, f.oos_r2, f.rmse, f.n_test_subjects, f.n_test_rows)
+                  for f in report.per_fold])
     fit = fit_spec(genuine, spec)
     _write_text(ctx, "cv_summary.txt", "\n".join([
         f"k: {report.k}",

@@ -1,13 +1,18 @@
 """Canonical data model: captures, scores, matcher profiles, comparison pairs.
 
 Captures are held in the columnar CaptureTable, matcher scores in the
-columnar ScoreTable, comparison pairs in the columnar ComparisonTable. Tables
-are read-only after construction and safe to share across parallel workers.
+columnar ScoreTable, comparison pairs in the columnar ComparisonTable. Each
+table holds one read-only numpy column per entry of its schema
+(CAPTURE_COLUMNS, SCORE_COLUMNS, PAIR_COLUMNS + JOINED_COLUMNS), as the
+attribute of that name, which is also the column's name in its file.
+Tables are read-only after construction and safe to share across parallel
+workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -16,18 +21,6 @@ GENUINE = "genuine"
 IMPOSTOR = "impostor"
 HIGHER_IS_BETTER = "higher"
 LOWER_IS_BETTER = "lower"
-
-# pair covariates carried alongside every comparison; A_* are needed by the
-# longitudinal models and are re-joined from the capture table when pairs are
-# read back from disk (the pair-file header does not include them)
-QUALITY_COVARIATES = (
-    "Q_gallery", "Q_probe",
-    "U_gallery", "U_probe",
-    "C_gallery", "C_probe",
-    "R_gallery", "R_probe",
-)
-AGE_COVARIATES = ("A_gallery", "A_probe")
-PAIR_COVARIATES = QUALITY_COVARIATES + AGE_COVARIATES
 
 # the capture-file columns in file order, each with the dtype a CaptureTable
 # holds it in
@@ -53,6 +46,40 @@ SCORE_COLUMNS = {
     "matcher": object,
     "score": np.float64,
 }
+
+# the pair-file columns in file order, each with the dtype a ComparisonTable
+# holds it in; the file then has one score_<matcher> column per matcher
+PAIR_COLUMNS = {
+    "kind": object,                     # "genuine" or "impostor"
+    "eye": object,
+    "gallery_image_id": object,
+    "probe_image_id": object,
+    "gap_T_months": np.int64,           # probe minus gallery time (impostors: absolute)
+    "delta_age_years": np.int64,        # probe minus gallery age
+    "DC": np.float64,                   # dilation constancy 1 - |R_gallery - R_probe|
+    "Q_gallery": np.float64,            # quality
+    "Q_probe": np.float64,
+    "U_gallery": np.float64,            # usable area
+    "U_probe": np.float64,
+    "C_gallery": np.float64,            # circularity
+    "C_probe": np.float64,
+    "R_gallery": np.float64,            # dilation ratio pupil / iris radius
+    "R_probe": np.float64,
+}
+# the ComparisonTable columns a pair file does not hold; read_pairs joins them
+# back in from the capture table through the image ids
+JOINED_COLUMNS = {
+    "gallery_subject": object,
+    "probe_subject": object,
+    "A_gallery": np.float64,            # age in years at capture
+    "A_probe": np.float64,
+}
+# model names of two pair columns
+COLUMN_ALIASES = {"T": "gap_T_months", "delta_A": "delta_age_years"}
+# the quality covariates a model adjusts for unless its config says otherwise
+QUALITY_TERMS = ("Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery",
+                 "C_probe", "DC")
+_TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
 
 
 class DataError(Exception):
@@ -87,6 +114,13 @@ def dilation_constancy(d_gallery: float, d_probe: float) -> float:
     return 1.0 - abs(d_gallery - d_probe)
 
 
+def check_matcher_name(name: str, error=ValueError) -> None:
+    """Raise `error` when `name` is a pair-table column or alias, which
+    ComparisonTable.column would resolve instead of the matcher's scores."""
+    if name in _TABLE_COLUMNS or name in COLUMN_ALIASES:
+        raise error(f"matcher name {name!r} is a pair-table column name")
+
+
 @dataclass(frozen=True)
 class MatcherProfile:
     """Score orientation and threshold semantics for one matcher."""
@@ -98,6 +132,7 @@ class MatcherProfile:
     default_threshold: float
 
     def __post_init__(self):
+        check_matcher_name(self.name)
         if self.orientation not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if not self.score_min < self.score_max:
@@ -106,15 +141,25 @@ class MatcherProfile:
             raise ValueError("default_threshold outside the score range")
 
 
+def _read_only(values, dtype, n: int) -> np.ndarray:
+    """`values` as a read-only numpy array of `dtype`; ValueError unless it has
+    `n` rows."""
+    column = np.asarray(values, dtype=dtype)
+    if len(column) != n:
+        raise ValueError("column length mismatch")
+    column.flags.writeable = False
+    return column
+
+
 def _set_columns(table, spec: dict, columns: dict) -> None:
     """Set each `spec` column of `columns` on `table`, as the read-only numpy
     array of its dtype; ValueError unless all have one length."""
+    unknown = sorted(set(columns) - set(spec))
+    if unknown:
+        raise TypeError(f"unknown column(s) {unknown}")
+    n = len(columns[next(iter(spec))])
     for name, dtype in spec.items():
-        column = np.asarray(columns[name], dtype=dtype)
-        if len(column) != len(columns[next(iter(spec))]):
-            raise ValueError("column length mismatch")
-        column.flags.writeable = False
-        setattr(table, name, column)
+        setattr(table, name, _read_only(columns[name], dtype, n))
 
 
 class CaptureTable:
@@ -178,45 +223,24 @@ class ScoreTable:
 class ComparisonTable:
     """Columnar, read-only table of comparison pairs, one row per pair.
 
-    Pairing builds it unscored, `attach_scores` adds one score column per
-    matcher, and metric and model code reads its numpy columns.
+    Holds one numpy column per PAIR_COLUMNS and JOINED_COLUMNS entry, as the
+    attribute of that name, and `scores`, a read-only mapping from matcher
+    name to its read-only score column. Pairing builds it unscored,
+    `attach_scores` adds the scores, and metric and model code reads its
+    columns.
     """
 
-    # the per-pair columns besides the covariate and score maps
-    _COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id",
-                "gallery_subject", "probe_subject", "gap_t", "delta_age", "dc")
-
-    def __init__(self, *, kind, eye, gallery_image_id, probe_image_id,
-                 gallery_subject, probe_subject, gap_t, delta_age, dc,
-                 covariates, scores):
-        self.kind = np.asarray(kind, dtype=object)
-        self.eye = np.asarray(eye, dtype=object)
-        self.gallery_image_id = np.asarray(gallery_image_id, dtype=object)
-        self.probe_image_id = np.asarray(probe_image_id, dtype=object)
-        self.gallery_subject = np.asarray(gallery_subject, dtype=object)
-        self.probe_subject = np.asarray(probe_subject, dtype=object)
-        self.gap_t = np.asarray(gap_t, dtype=np.int64)
-        self.delta_age = np.asarray(delta_age, dtype=np.int64)
-        self.dc = np.asarray(dc, dtype=np.float64)
-        self.covariates = {k: np.asarray(v, dtype=np.float64) for k, v in covariates.items()}
-        self.scores = {k: np.asarray(v, dtype=np.float64) for k, v in scores.items()}
-        n = len(self.kind)
-        for arr in (self.eye, self.gallery_image_id, self.probe_image_id,
-                    self.gallery_subject, self.probe_subject, self.gap_t,
-                    self.delta_age, self.dc, *self.covariates.values(),
-                    *self.scores.values()):
-            if len(arr) != n:
-                raise ValueError("column length mismatch")
-        for arr in (self.gap_t, self.delta_age, self.dc, *self.covariates.values(),
-                    *self.scores.values()):
-            arr.flags.writeable = False
+    def __init__(self, *, scores, **columns):
+        _set_columns(self, _TABLE_COLUMNS, columns)
+        self.scores = MappingProxyType({
+            name: _read_only(values, np.float64, len(self)) for name, values in scores.items()})
 
     def __len__(self) -> int:
         return len(self.kind)
 
     @property
     def matchers(self) -> tuple[str, ...]:
-        return tuple(self.scores.keys())
+        return tuple(self.scores)
 
     def select(self, mask: np.ndarray) -> "ComparisonTable":
         """Subset or reorder: boolean mask or integer index array."""
@@ -224,37 +248,25 @@ class ComparisonTable:
         if mask.dtype != bool:
             mask = np.asarray(mask, dtype=np.intp)
         return ComparisonTable(
-            **{name: getattr(self, name)[mask] for name in self._COLUMNS},
-            covariates={k: v[mask] for k, v in self.covariates.items()},
-            scores={k: v[mask] for k, v in self.scores.items()},
-        )
+            **{name: getattr(self, name)[mask] for name in _TABLE_COLUMNS},
+            scores={name: values[mask] for name, values in self.scores.items()})
 
     def with_scores(self, scores: dict[str, np.ndarray]) -> "ComparisonTable":
         """The same pairs with `scores` (matcher -> column) as their scores."""
-        return ComparisonTable(
-            **{name: getattr(self, name) for name in self._COLUMNS},
-            covariates=self.covariates, scores=scores,
-        )
+        return ComparisonTable(**{name: getattr(self, name) for name in _TABLE_COLUMNS},
+                               scores=scores)
 
     @classmethod
     def concat(cls, tables: list["ComparisonTable"]) -> "ComparisonTable":
+        """The rows of `tables` in order; NaN scores where a table lacks a matcher."""
         if not tables:
             raise ValueError("nothing to concatenate")
-        cov_names = sorted(set().union(*(t.covariates.keys() for t in tables)))
-        matchers = sorted(set().union(*(t.scores.keys() for t in tables)))
-
-        def col(name, table, n):
-            store = table.covariates if name in table.covariates else table.scores
-            return store[name] if name in store else np.full(n, np.nan)
-
+        matchers = sorted(set().union(*(t.scores for t in tables)))
         return cls(
             **{name: np.concatenate([getattr(t, name) for t in tables])
-               for name in cls._COLUMNS},
-            covariates={name: np.concatenate([col(name, t, len(t)) for t in tables])
-                        for name in cov_names},
-            scores={name: np.concatenate([col(name, t, len(t)) for t in tables])
-                    for name in matchers},
-        )
+               for name in _TABLE_COLUMNS},
+            scores={m: np.concatenate([t.scores[m] if m in t.scores else np.full(len(t), np.nan)
+                                       for t in tables]) for m in matchers})
 
     def genuine_mask(self) -> np.ndarray:
         return self.kind == GENUINE
@@ -265,15 +277,11 @@ class ComparisonTable:
         return self.scores[matcher]
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column by model name; T/delta_A/DC aliases included."""
-        if name in ("T", "gap_T_months"):
-            return self.gap_t.astype(np.float64)
-        if name in ("delta_A", "delta_age_years"):
-            return self.delta_age.astype(np.float64)
-        if name == "DC":
-            return self.dc
-        if name in self.covariates:
-            return self.covariates[name]
+        """A numeric column, alias (T, delta_A) or matcher's scores as float64;
+        KeyError for any other name."""
+        name = COLUMN_ALIASES.get(name, name)
+        if _TABLE_COLUMNS.get(name, object) is not object:
+            return getattr(self, name).astype(np.float64, copy=False)
         if name in self.scores:
             return self.scores[name]
         raise KeyError(f"unknown column {name!r}")

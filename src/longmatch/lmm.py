@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GENUINE, ComparisonTable, DataError
+from .core import GENUINE, QUALITY_TERMS, ComparisonTable, DataError
 
 INTERCEPT_ONLY = "intercept"
 INTERCEPT_AND_SLOPE = "intercept_slope"
@@ -240,7 +240,7 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     group_index = np.fromiter((lookup[s] for s in subjects_col), dtype=np.int64,
                               count=len(subjects_col))
 
-    t = table.gap_t[row_ok].astype(np.float64) \
+    t = table.column("T")[row_ok] \
         if spec.random_structure == INTERCEPT_AND_SLOPE else None
     return DesignMatrices(y=y, X=X, t=t, group_index=group_index,
                           column_names=names, subject_ids=subject_ids,
@@ -294,6 +294,7 @@ def _trace_sum(S, T):
 
 
 _LOG_BOUND = 14.0
+_MAX_NEWTON_STEPS = 500
 
 
 def _unpack_factor(params, q):
@@ -424,7 +425,7 @@ def _held(x, grad, lo, hi):
     return ((x <= lo) & (grad >= 0.0)) | ((x >= hi) & (grad <= 0.0))
 
 
-def _newton(x, gs: _GroupStats, reml: bool, max_iter: int):
+def _newton(x, gs: _GroupStats, reml: bool):
     """Damped Newton iteration on the profiled criterion inside the box.
 
     Each step solves with the exact Hessian of the free parameters, its
@@ -438,7 +439,7 @@ def _newton(x, gs: _GroupStats, reml: bool, max_iter: int):
     if ev is None:
         raise ModelError("the REML criterion is not finite at the starting values")
     calls, steps, interior = 1, 0, set()
-    while steps < max_iter:
+    while steps < _MAX_NEWTON_STEPS:
         free = ~_held(x, ev.grad, lo, hi)
         step = np.zeros_like(x)
         if free.any():
@@ -578,7 +579,6 @@ def _start_params(gs: _GroupStats):
 
 
 def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
-             max_iter: int = 500, check_optimum: bool = True,
              design: DesignMatrices | None = None, start=None) -> FittedModel:
     """Fit the random-intercept(-and-slope) model by profiled REML (or ML).
 
@@ -588,15 +588,15 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     t : slope column of the random design (None for intercept-only).
     group_index : int array mapping rows to subject index.
     method : "reml" (default) or "ml".
-    max_iter : cap on the Newton steps.
-    check_optimum : report diagnostics["local_optimum_ok"] (else None).
     start : log-Cholesky parameters on the internal scale to start from
         (refit passes the other method's optimum); default _start_params.
 
-    Returns a FittedModel; if the step cap is hit or the iteration stalls
-    short of a stationary point, converged is False, but estimates are
-    still returned. Boundary variance estimates (a component collapsing to
-    zero) are flagged in diagnostics["boundary"], never raised.
+    Returns a FittedModel. If the cap of _MAX_NEWTON_STEPS is hit or the
+    iteration stalls short of a stationary point, converged is False, but
+    estimates are still returned; diagnostics["local_optimum_ok"] certifies
+    a converged fit by the Hessian's eigenvalues. Boundary variance
+    estimates (a component collapsing to zero) are flagged in
+    diagnostics["boundary"], never raised.
     """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -637,7 +637,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
 
     lo, hi = _box(q)
     x0 = _start_params(gs) if start is None else np.clip(start, lo, hi)
-    x_hat, ev, newton_steps, evaluations = _newton(x0, gs, reml, max_iter)
+    x_hat, ev, newton_steps, evaluations = _newton(x0, gs, reml)
 
     # second-order certificate on the parameters not held at a bound
     free = ~_held(x_hat, ev.grad, lo, hi)
@@ -645,8 +645,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     eigs = np.linalg.eigvalsh(ev.hess[np.ix_(free, free)]) if free.any() else np.zeros(1)
     min_eig = float(eigs.min())
     converged = grad_norm <= 1e-6 * max(1.0, abs(ev.crit))
-    local_ok = (converged and min_eig >= -1e-8 * max(1.0, float(np.abs(eigs).max()))) \
-        if check_optimum else None
+    local_ok = converged and min_eig >= -1e-8 * max(1.0, float(np.abs(eigs).max()))
 
     factor = _unpack_factor(x_hat, q)
     dof = n - p if reml else n
@@ -703,12 +702,10 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     )
 
 
-def fit_spec(table: ComparisonTable, spec: ModelSpec, *, method: str = "reml",
-             like: DesignMatrices | None = None, **fit_kw) -> FittedModel:
-    """build_design + fit_reml in one step."""
-    design = build_design(table, spec, like=like)
-    return fit_reml(design.y, design.X, design.t, design.group_index,
-                    method=method, design=design, **fit_kw)
+def fit_spec(table: ComparisonTable, spec: ModelSpec) -> FittedModel:
+    """build_design + fit_reml (REML) in one step."""
+    design = build_design(table, spec)
+    return fit_reml(design.y, design.X, design.t, design.group_index, design=design)
 
 
 def refit(fit: FittedModel, method: str) -> FittedModel:
@@ -963,8 +960,7 @@ class MatcherComparisonResult:
 
 
 def matcher_comparison(table: ComparisonTable, matcher_a: str, matcher_b: str,
-                       covariate_columns=("Q_gallery", "Q_probe", "U_gallery",
-                                          "U_probe", "C_gallery", "C_probe", "DC"),
+                       covariate_columns=QUALITY_TERMS,
                        z_scope: str = "per matcher-eye") -> MatcherComparisonResult:
     """Stacked model testing whether two matchers' temporal trends diverge.
 
@@ -993,7 +989,7 @@ def matcher_comparison(table: ComparisonTable, matcher_a: str, matcher_b: str,
     y = np.concatenate(blocks_y)
 
     n = len(table)
-    t_single = table.gap_t.astype(np.float64)
+    t_single = table.column("T")
     cols = [np.ones(2 * n)]
     names = ["intercept"]
     for c in covariate_columns:

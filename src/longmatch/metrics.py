@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GENUINE, HIGHER_IS_BETTER, ComparisonTable, DataError, MatcherProfile,
+    GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile,
 )
 
 MATCH = "match"
@@ -110,7 +110,7 @@ def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
     _require_kind(table, GENUINE, "fnmr_by_interval")
-    bins = assign_interval(table.gap_t, bin_width)
+    bins = assign_interval(table.gap_T_months, bin_width)
     matches = match_mask(table.score(profile.name), threshold, profile.orientation)
     out: list[IntervalStat] = []
     for center in np.unique(bins):
@@ -304,8 +304,7 @@ def fuse_and_rule(table: ComparisonTable, profile_a: MatcherProfile, thr_a: floa
     )
 
 
-FAILURE_COVARIATES = ("DC", "Q_gallery", "Q_probe", "U_gallery", "U_probe",
-                      "C_gallery", "C_probe", "min_quality")
+FAILURE_COVARIATES = QUALITY_TERMS + ("min_quality",)
 
 
 @dataclass(frozen=True)
@@ -365,7 +364,7 @@ def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: f
     match_b = _decisions(table, profile_b, thr_b)
     fail_a = ~match_a
     fail_b = ~match_b
-    min_quality = np.minimum(table.covariates["Q_gallery"], table.covariates["Q_probe"])
+    min_quality = np.minimum(table.Q_gallery, table.Q_probe)
 
     def covariate(name):
         return min_quality if name == "min_quality" else table.column(name)
@@ -379,7 +378,7 @@ def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: f
             for cov_name in FAILURE_COVARIATES:
                 corr[(prof.name, cov_name)] = _pearson(scores, covariate(cov_name)[sel])
         capture = float((min_quality[sel] < min_quality_cut).mean()) if n else None
-        gap = float(table.gap_t[sel].mean()) if n else None
+        gap = float(table.gap_T_months[sel].mean()) if n else None
         return FailureCategory(name, n, len(subjects), capture, corr, gap)
 
     union = fail_a | fail_b

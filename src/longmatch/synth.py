@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    HIGHER_IS_BETTER, LOWER_IS_BETTER, PAIR_COVARIATES, CaptureTable,
-    MatcherProfile, ScoreTable,
+    COLUMN_ALIASES, HIGHER_IS_BETTER, JOINED_COLUMNS, LOWER_IS_BETTER, PAIR_COLUMNS,
+    CaptureTable, MatcherProfile, ScoreTable, check_matcher_name,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 
@@ -76,9 +76,10 @@ DEFAULT_COVARIATES = {
 }
 
 
-# the genuine-pair columns a beta may weight (ComparisonTable.column names)
-_BETA_TERMS = frozenset(("intercept", "T", "gap_T_months", "delta_A", "delta_age_years", "DC")
-                       + PAIR_COVARIATES)
+# the genuine-pair columns a beta may weight: the numeric ComparisonTable
+# columns and their aliases
+_BETA_TERMS = frozenset(["intercept", *COLUMN_ALIASES, *(
+    name for name, dtype in {**PAIR_COLUMNS, **JOINED_COLUMNS}.items() if dtype is not object)])
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ class MatcherSim:
     impostor: DistSpec = DistSpec("normal", 0.0, 30.0)
 
     def __post_init__(self):
+        check_matcher_name(self.name, SynthConfigError)
         if self.orientation not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
             raise SynthConfigError(f"unknown orientation {self.orientation!r}")
         if not self.sigma2 >= 0:
@@ -326,7 +328,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     subj_index = {sid: i for i, sid in enumerate(subject_ids)}
     gi = np.fromiter((subj_index[s] for s in gen_table.gallery_subject),
                      dtype=np.int64, count=len(gen_table))
-    gap = gen_table.gap_t.astype(np.float64)
+    gap = gen_table.column("T")
 
     # (pairs, matcher, scores) blocks of the score table: genuine blocks in
     # matcher order, then impostor blocks

@@ -18,19 +18,12 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, QUALITY_COVARIATES, SCORE_COLUMNS,
+    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, PAIR_COLUMNS, SCORE_COLUMNS,
     CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
 )
 
 CAPTURE_HEADER = list(CAPTURE_COLUMNS)
 SCORE_HEADER = list(SCORE_COLUMNS)
-# the pair-file columns before its one score_<matcher> column per matcher
-PAIR_HEADER_FIXED = [
-    "kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months",
-    "delta_age_years", "DC",
-    "Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery", "C_probe",
-    "R_gallery", "R_probe",
-]
 
 
 class IngestError(DataError):
@@ -183,54 +176,46 @@ def write_scores(table: ScoreTable, path) -> None:
 
 
 def write_pairs(table: ComparisonTable, path) -> None:
-    """Emit the pair table with the pinned header (one score column per matcher)."""
-    columns = [table.kind, table.eye, table.gallery_image_id, table.probe_image_id,
-               table.gap_t, table.delta_age, table.dc,
-               *(table.covariates[name] for name in QUALITY_COVARIATES),
-               *(table.scores[m] for m in table.matchers)]
-    write_table(path, PAIR_HEADER_FIXED + [f"score_{m}" for m in table.matchers],
+    """Emit the PAIR_COLUMNS of `table`, then one score_<matcher> column per matcher."""
+    columns = [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()]
+    write_table(path, [*PAIR_COLUMNS, *(f"score_{m}" for m in table.matchers)],
                 zip(*(column.tolist() for column in columns)))
 
 
 def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
     """Read a pair table back.
 
-    The pinned pair header carries no subject or age columns; subjects and
-    A_gallery/A_probe are re-joined from `captures` through the image ids.
-    A kind other than genuine or impostor, an id missing from `captures`, and
-    a non-finite DC, covariate or score cell raise IngestError naming the row.
+    The pair file holds the PAIR_COLUMNS and the scores; the JOINED_COLUMNS
+    (subjects, A_gallery/A_probe) are joined back in from `captures` through
+    the image ids. A kind other than genuine or impostor, an id missing from
+    `captures`, and a non-finite real or score cell raise IngestError naming
+    the row.
     """
     path = Path(path)
-    text = read_table(path, PAIR_HEADER_FIXED)
+    text = read_table(path, PAIR_COLUMNS)
     kind = text.column("kind")
     bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))
     if bad.size:
         raise IngestError(f"{path}: bad kind {kind[bad[0]]!r} at data row {bad[0] + 1}")
-    gid, pid = text.column("gallery_image_id"), text.column("probe_image_id")
-    gap, dage = text.column("gap_T_months", np.int64), text.column("delta_age_years", np.int64)
-    parsed = {name: text.column(name, np.float64) for name in text.cells
-              if name in ("DC", *QUALITY_COVARIATES) or name.startswith("score_")}
+    names = [*PAIR_COLUMNS, *(name for name in text.cells if name.startswith("score_"))]
+    parsed = {name: text.column(name, PAIR_COLUMNS.get(name, np.float64)) for name in names}
 
-    g_rows, p_rows = captures.rows(gid), captures.rows(pid)
+    g_rows = captures.rows(parsed["gallery_image_id"])
+    p_rows = captures.rows(parsed["probe_image_id"])
     unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
     if unknown.size:
         raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
                           f"missing from the capture table")
     for name, values in parsed.items():
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise IngestError(f"{path}: non-finite {name} at data row {bad[0] + 1}")
-    covariates = {name: parsed[name] for name in QUALITY_COVARIATES}
-    covariates["A_gallery"] = captures.age_years[g_rows].astype(np.float64)
-    covariates["A_probe"] = captures.age_years[p_rows].astype(np.float64)
+        if values.dtype == np.float64 and not np.isfinite(values).all():
+            row = int(np.argmin(np.isfinite(values))) + 1
+            raise IngestError(f"{path}: non-finite {name} at data row {row}")
+    scores = {name[len("score_"):]: parsed.pop(name) for name in names[len(PAIR_COLUMNS):]}
     return ComparisonTable(
-        kind=kind, eye=text.column("eye"), gallery_image_id=gid, probe_image_id=pid,
-        gallery_subject=captures.subject_id[g_rows],
-        probe_subject=captures.subject_id[p_rows], gap_t=gap, delta_age=dage,
-        dc=parsed["DC"], covariates=covariates,
-        scores={name[len("score_"):]: values for name, values in parsed.items()
-                if name.startswith("score_")},
-    )
+        **parsed, gallery_subject=captures.subject_id[g_rows],
+        probe_subject=captures.subject_id[p_rows],
+        A_gallery=captures.age_years[g_rows].astype(np.float64),
+        A_probe=captures.age_years[p_rows].astype(np.float64), scores=scores)
 
 
 def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:

@@ -96,9 +96,8 @@ def test_criterion_02_parameter_recovery_50_replicates():
         table = synth_table(BETA_PAPER, Sigma, sigma2, seed=1000 + seed)
         X = np.column_stack([np.ones(len(table))]
                             + [table.column(c) for c in COLS_PAPER[1:]])
-        fit = fit_reml(table.scores["m"], X, table.gap_t.astype(float),
-                       subject_index(table), column_names=COLS_PAPER,
-                       check_optimum=False)
+        fit = fit_reml(table.scores["m"], X, table.gap_T_months.astype(float),
+                       subject_index(table), column_names=COLS_PAPER)
         ok_rep = all(abs(fit.beta[j] - BETA_PAPER[c]) < 3.0 * fit.se[j]
                      for j, c in enumerate(COLS_PAPER))
         passed += ok_rep
@@ -255,8 +254,11 @@ def test_criterion_08_fusion_arithmetic():
         probe_image_id=[f"p{j}" for j in range(n)],
         gallery_subject=[f"s{j}" for j in range(n)],
         probe_subject=[f"t{j}" for j in range(n)],
-        gap_t=[6] * n, delta_age=[0] * n, dc=np.full(n, 0.9),
-        covariates={}, scores={"A": a, "B": b})
+        gap_T_months=[6] * n, delta_age_years=[0] * n, DC=np.full(n, 0.9),
+        **{name: np.full(n, 50.0) for name in ("Q_gallery", "Q_probe", "U_gallery", "U_probe",
+                                               "C_gallery", "C_probe", "R_gallery", "R_probe",
+                                               "A_gallery", "A_probe")},
+        scores={"A": a, "B": b})
     pa = MatcherProfile("A", "higher", -1e9, 1e9, 34.0)
     pb = MatcherProfile("B", "higher", -1e9, 1e9, 34.0)
     rep = fuse_and_rule(table, pa, 34.0, pb, 34.0)
@@ -282,8 +284,8 @@ def _lrt_replicate(seed, beta_t, n_subjects=150, obs_per=8):
          + rng.normal(0, 61.0, n))
     X_full = np.column_stack([np.ones(n), a_gal, t, q])
     X_nested = np.column_stack([np.ones(n), a_gal, q])
-    full = fit_reml(y, X_full, t, g, method="ml", check_optimum=False)
-    nested = fit_reml(y, X_nested, t, g, method="ml", check_optimum=False)
+    full = fit_reml(y, X_full, t, g, method="ml")
+    nested = fit_reml(y, X_nested, t, g, method="ml")
     return likelihood_ratio_test(nested, full)
 
 
@@ -319,7 +321,7 @@ def test_criterion_10_cv_gap():
     fit = fit_spec(table, spec)
     within = marginal_r2(fit)
     fit0 = fit_reml(table.scores["m"], np.ones((len(table), 1)), None,
-                    subject_index(table), check_optimum=False)
+                    subject_index(table))
     companion_icc = icc(fit0)
     cv = kfold_subject_cv(table, spec, k=5, seed=99)
     gap = within - cv.mean_oos_r2

@@ -668,6 +668,12 @@ FAULTS = [
      ["scores.csv", "data row 2"]),
     ("synth", {"synth.matchers[0].impostor": {"family": "uniform", "loc": 1e308, "scale": 1e308}},
      {}, 3, ["config synth.matchers[0].impostor", "upper end"]),
+    # a matcher named like a pair column would be shadowed by it in the models
+    ("synth", {"synth.matchers[0].name": "DC"}, {}, 3,
+     ["config synth.matchers[0]", "'DC'", "pair-table column"]),
+    ("pairs", {"matchers[0].name": "DC"}, {}, 3,
+     ["config matchers[0]", "'DC'", "pair-table column"]),
+    ("lmm", {"model.outcome": "eye"}, {}, 3, ["config model.outcome", "'eye'"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

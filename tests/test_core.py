@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from longmatch.core import DataError, dilation_constancy, dilation_ratio
+from longmatch.core import (
+    JOINED_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
+    dilation_constancy, dilation_ratio,
+)
+from longmatch.pairing import generate_genuine_pairs
 
 from conftest import capture_table, make_capture, score_table
 
@@ -96,3 +100,92 @@ class TestScoreTable:
     def test_empty_table(self):
         table = score_table([])
         assert len(table) == 0 and table.get("G0", "P0", "m1") is None
+
+
+TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
+
+
+def scored_pairs():
+    """Six genuine pairs of two subjects with scores for matchers m1 and m2."""
+    table = generate_genuine_pairs(capture_table([
+        make_capture("G0", subject="S001", collection=1, months=0, age=6, pupil=40.0),
+        make_capture("P0", subject="S001", collection=2, months=6, age=6),
+        make_capture("P1", subject="S001", collection=3, months=18, age=7, pupil=50.0),
+        make_capture("G1", subject="S002", collection=1, months=0, age=9),
+        make_capture("P2", subject="S002", collection=2, months=12, age=10),
+        make_capture("P3", subject="S002", collection=3, months=24, age=11, quality=60.0),
+    ]))
+    n = len(table)
+    return table.with_scores({"m1": np.arange(n, dtype=float), "m2": -np.arange(n, dtype=float)})
+
+
+class TestComparisonTable:
+    def test_schema_columns_with_their_dtypes(self):
+        table = scored_pairs()
+        assert len(table) == 4 and table.matchers == ("m1", "m2")
+        for name, dtype in TABLE_COLUMNS.items():
+            assert getattr(table, name).dtype == dtype, name
+        assert table.gap_T_months.tolist() == [6, 18, 12, 24]
+        assert table.delta_age_years.tolist() == [0, 1, 1, 2]
+        assert table.A_probe.tolist() == [6.0, 7.0, 10.0, 11.0]
+
+    def test_every_column_and_score_refuses_writes(self):
+        table = scored_pairs()
+        for name in TABLE_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = getattr(table, name)[1]
+        with pytest.raises(ValueError):
+            table.scores["m1"][0] = 1.0
+        with pytest.raises(TypeError):
+            table.scores["m1"] = np.zeros(len(table))
+        with pytest.raises(TypeError):
+            table.scores["m3"] = np.zeros(len(table))
+
+    def test_wrong_length_or_unknown_column_raises(self):
+        table = scored_pairs()
+        columns = {name: getattr(table, name) for name in TABLE_COLUMNS}
+        with pytest.raises(ValueError, match="column length mismatch"):
+            ComparisonTable(**{**columns, "Q_gallery": np.zeros(3)}, scores={})
+        with pytest.raises(ValueError, match="column length mismatch"):
+            ComparisonTable(**{**columns, "kind": columns["kind"][:3]}, scores={})
+        with pytest.raises(ValueError, match="column length mismatch"):
+            ComparisonTable(**columns, scores={"m1": np.zeros(3)})
+        with pytest.raises(TypeError, match="gap_t"):
+            ComparisonTable(**columns, gap_t=columns["gap_T_months"], scores={})
+
+    def test_select_with_scores_and_concat_keep_schema_and_order(self):
+        table = scored_pairs()
+        picked = table.select(np.array([3, 0]))
+        masked = table.select(np.array([False, True, True, False]))
+        rescored = table.with_scores({"m9": np.ones(len(table))})
+        joined = ComparisonTable.concat([masked, rescored])
+        for name in TABLE_COLUMNS:
+            column = getattr(table, name)
+            assert getattr(picked, name).tolist() == column[[3, 0]].tolist(), name
+            assert getattr(masked, name).tolist() == column[1:3].tolist(), name
+            assert getattr(rescored, name).tolist() == column.tolist(), name
+            assert getattr(joined, name).tolist() == column[1:3].tolist() + column.tolist()
+        assert picked.scores["m2"].tolist() == [-3.0, -0.0]
+        assert rescored.matchers == ("m9",)
+        # NaN only where a table lacks the matcher
+        assert joined.matchers == ("m1", "m2", "m9")
+        np.testing.assert_array_equal(joined.scores["m1"], [1.0, 2.0] + [np.nan] * 4)
+        np.testing.assert_array_equal(joined.scores["m9"], [np.nan] * 2 + [1.0] * 4)
+
+    def test_column_names(self):
+        table = scored_pairs()
+        for name in ("T", "gap_T_months"):
+            column = table.column(name)
+            assert column.dtype == np.float64 and column.tolist() == [6.0, 18.0, 12.0, 24.0]
+        assert table.column("delta_A").tolist() == table.column("delta_age_years").tolist()
+        assert table.column("DC") is table.DC
+        assert table.column("m2") is table.scores["m2"]
+        for name in ("kind", "eye", "gallery_image_id", "probe_image_id",
+                     "gallery_subject", "probe_subject", "m3"):
+            with pytest.raises(KeyError):
+                table.column(name)
+
+    @pytest.mark.parametrize("name", ["DC", "T", "delta_A", "gap_T_months", "A_gallery", "eye"])
+    def test_matcher_may_not_take_a_pair_column_name(self, name):
+        with pytest.raises(ValueError, match="pair-table column name"):
+            MatcherProfile(name, "higher", 0.0, 1.0, 0.5)

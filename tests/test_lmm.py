@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from longmatch import lmm
-from longmatch.core import GENUINE, ComparisonTable
+from longmatch.core import GENUINE, JOINED_COLUMNS, PAIR_COLUMNS, ComparisonTable
 from longmatch.lmm import (
     AgeGroups, Continuous, Interaction, ModelError, ModelSpec,
     RankDeficientError, build_design, compare_apc, fit_reml, fit_spec,
@@ -48,9 +48,16 @@ def make_model_table(rng, n_subjects=40, obs_per=12, beta=None, Sigma=None,
         gallery_image_id=[f"g{i}" for i in range(n)],
         probe_image_id=[f"p{i}" for i in range(n)],
         gallery_subject=subjects, probe_subject=subjects,
-        gap_t=t.astype(int), delta_age=np.floor(t / 12).astype(int), dc=dc,
-        covariates=covariates, scores={score_name: y},
+        gap_T_months=t.astype(int), delta_age_years=np.floor(t / 12).astype(int), DC=dc,
+        **covariates, scores={score_name: y},
     )
+
+
+def with_columns(table, **columns):
+    """`table` with `columns` in place of its columns of those names."""
+    return ComparisonTable(**{**{name: getattr(table, name) for name in
+                                 (*PAIR_COLUMNS, *JOINED_COLUMNS)}, **columns},
+                           scores=table.scores)
 
 
 class TestBuildDesign:
@@ -87,10 +94,10 @@ class TestBuildDesign:
     def test_missing_rows_dropped_and_counted(self):
         rng = np.random.default_rng(3)
         table = make_model_table(rng)
-        q = table.covariates["Q_gallery"].copy()
+        q = table.Q_gallery.copy()
         q.flags.writeable = True
         q[:7] = np.nan
-        table.covariates["Q_gallery"] = q
+        table = with_columns(table, Q_gallery=q)
         spec = ModelSpec(outcome="m1", fixed_terms=(Continuous("Q_gallery"),))
         design = build_design(table, spec)
         assert design.n_dropped_missing == 7
@@ -150,7 +157,7 @@ class TestRankCheck:
 
     def test_offending_columns_match_greedy_oracle(self, monkeypatch):
         table = make_model_table(np.random.default_rng(33))
-        table.covariates["U_gallery"] = 2.0 * table.covariates["Q_gallery"] + 3.0
+        table = with_columns(table, U_gallery=2.0 * table.Q_gallery + 3.0)
         spec = ModelSpec(outcome="m1", apc_mode="gallery_age_plus_t",
                          fixed_terms=(Continuous("Q_gallery"), Continuous("U_gallery"),
                                       Continuous("T")))
@@ -317,15 +324,7 @@ class TestFitReml:
         fit_raw = fit_spec(table, spec)
 
         s = float(np.std(table.scores["m1"], ddof=1))
-        scaled = ComparisonTable(
-            kind=table.kind, eye=table.eye,
-            gallery_image_id=table.gallery_image_id,
-            probe_image_id=table.probe_image_id,
-            gallery_subject=table.gallery_subject,
-            probe_subject=table.probe_subject, gap_t=table.gap_t,
-            delta_age=table.delta_age, dc=table.dc,
-            covariates=table.covariates,
-            scores={"m1": table.scores["m1"] / s})
+        scaled = table.with_scores({"m1": table.scores["m1"] / s})
         fit_scaled = fit_spec(scaled, spec)
         np.testing.assert_allclose(fit_scaled.z_stats, fit_raw.z_stats,
                                    rtol=0, atol=1e-8)
@@ -486,13 +485,13 @@ class TestAgeGroupOffsets:
                                  Sigma=[[60.0**2, 0.0], [0.0, 0.5**2]],
                                  sigma2=50.0**2)
         offsets = {(4, 5): 0.0, (6, 7): 10.0, (8, 9): 35.0, (10, 12): 71.0}
-        ages = table.covariates["A_gallery"]
+        ages = table.A_gallery
         bump = np.zeros(len(table))
         for (lo, hi), off in offsets.items():
             bump[(ages >= lo) & (ages <= hi)] = off
         y = table.scores["m1"] + bump
         y.flags.writeable = False
-        table.scores["m1"] = y
+        table = table.with_scores({"m1": y})
 
         spec = ModelSpec(outcome="m1", apc_mode=None,
                          fixed_terms=(Continuous("T"), AgeGroups(),
@@ -526,7 +525,8 @@ class TestMatcherComparison:
                                  Sigma=[[25.0, 0], [0, 0.01]], sigma2=9.0,
                                  score_name="A")
         # second matcher on another scale with the opposite temporal trend
-        table.scores["B"] = 0.004 * table.gap_t + rng.normal(0, 0.05, len(table))
+        table = table.with_scores(
+            {**table.scores, "B": 0.004 * table.gap_T_months + rng.normal(0, 0.05, len(table))})
         res = matcher_comparison(table, "A", "B")
         assert res.z_scope == "per matcher-eye"
         assert res.interaction.p < 0.001
@@ -578,7 +578,8 @@ def _interior_fits():
     table = make_model_table(np.random.default_rng(26), n_subjects=50, obs_per=15,
                              beta={"intercept": 100.0, "T": -0.5},
                              Sigma=[[25.0, 0], [0, 0.01]], sigma2=9.0, score_name="A")
-    table.scores["B"] = 0.004 * table.gap_t + np.random.default_rng(27).normal(0, 0.05, len(table))
+    table = table.with_scores({**table.scores, "B": 0.004 * table.gap_T_months
+                               + np.random.default_rng(27).normal(0, 0.05, len(table))})
     fits.append(matcher_comparison(table, "A", "B").fit)
     return fits
 

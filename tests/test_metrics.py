@@ -31,6 +31,7 @@ def _table(kind, gaps=None, scores=None, subjects=None, covs=None, eye="L",
                   ("Q_gallery", "Q_probe", "U_gallery", "U_probe",
                    "C_gallery", "C_probe", "R_gallery", "R_probe",
                    "A_gallery", "A_probe")}
+    covariates["DC"] = np.full(n, 0.9)
     if covs:
         covariates.update({k: np.asarray(v, dtype=float) for k, v in covs.items()})
     return ComparisonTable(
@@ -38,9 +39,8 @@ def _table(kind, gaps=None, scores=None, subjects=None, covs=None, eye="L",
         gallery_image_id=[f"g{i}" for i in range(n)],
         probe_image_id=[f"p{i}" for i in range(n)],
         gallery_subject=gallery_subject, probe_subject=probe_subject,
-        gap_t=gaps, delta_age=[0] * n,
-        dc=covariates.get("DC", np.full(n, 0.9)),
-        covariates=covariates,
+        gap_T_months=gaps, delta_age_years=[0] * n,
+        **covariates,
         scores={m: np.asarray(v, dtype=float) for m, v in scores.items()},
     )
 

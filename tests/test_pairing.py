@@ -36,7 +36,7 @@ class TestGenuinePairs:
         assert len(pairs) == 6
         assert set(pairs.gallery_image_id) == {"G0", "G1"}
         assert set(pairs.probe_image_id) == {"P0", "P1", "P2"}
-        assert np.all(pairs.kind == GENUINE) and np.all(pairs.gap_t > 0)
+        assert np.all(pairs.kind == GENUINE) and np.all(pairs.gap_T_months > 0)
 
     def test_count_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -139,7 +139,7 @@ class TestImpostorPairs:
         table = random_capture_table(rng, n_subjects=10)
         genuine = generate_genuine_pairs(table)
         impostor = generate_impostor_pairs(table, PairingConfig(base_seed=2))
-        assert np.all(genuine.gap_t > 0)
+        assert np.all(genuine.gap_T_months > 0)
         assert np.all(impostor.gallery_subject != impostor.probe_subject)
         by_id = {r["image_id"]: r for r in capture_rows(table)}
         for gid, pid in _pair_keys(ComparisonTable.concat([genuine, impostor])):
@@ -247,10 +247,10 @@ class TestUnscoredTable:
                 g, p = by_id[gid], by_id[pid]
                 d_g = g["pupil_radius"] / g["iris_radius"]
                 d_p = p["pupil_radius"] / p["iris_radius"]
-                assert pairs.dc[i] == 1.0 - abs(d_g - d_p)
-                assert pairs.covariates["Q_probe"][i] == p["quality"]
-                assert pairs.covariates["A_gallery"][i] == float(g["age_years"])
-                assert pairs.delta_age[i] == p["age_years"] - g["age_years"]
+                assert pairs.DC[i] == 1.0 - abs(d_g - d_p)
+                assert pairs.Q_probe[i] == p["quality"]
+                assert pairs.A_gallery[i] == float(g["age_years"])
+                assert pairs.delta_age_years[i] == p["age_years"] - g["age_years"]
 
     def test_attach_keeps_profile_order_and_pair_order(self):
         recs = [make_capture("G0", collection=1, months=0),

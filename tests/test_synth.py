@@ -66,8 +66,8 @@ class TestGenerateLongitudinal:
         pairs = generate_genuine_pairs(result.captures)
         table = attach_scores(pairs, result.scores, result.profiles).table
         y = table.scores["m1"]
-        X = np.column_stack([np.ones(len(table)), table.gap_t,
-                             table.covariates["Q_gallery"], table.dc])
+        X = np.column_stack([np.ones(len(table)), table.gap_T_months,
+                             table.Q_gallery, table.DC])
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         np.testing.assert_allclose(coef, [50.0, -0.2, 0.5, 20.0], atol=1e-8)
         resid = y - X @ coef
@@ -126,13 +126,13 @@ class TestEndToEndOracle:
         result = generate_longitudinal(cfg)
         pairs = generate_genuine_pairs(result.captures)
         table = attach_scores(pairs, result.scores, result.profiles).table
-        X = np.column_stack([np.ones(len(table)), table.gap_t,
-                             table.covariates["Q_gallery"],
-                             table.covariates["Q_probe"], table.dc])
+        X = np.column_stack([np.ones(len(table)), table.gap_T_months,
+                             table.Q_gallery,
+                             table.Q_probe, table.DC])
         subjects = sorted(set(table.gallery_subject))
         lookup = {s: i for i, s in enumerate(subjects)}
         g = np.array([lookup[s] for s in table.gallery_subject])
-        fit = fit_reml(table.scores["ve"], X, table.gap_t.astype(float), g,
+        fit = fit_reml(table.scores["ve"], X, table.gap_T_months.astype(float), g,
                        column_names=["intercept", "T", "Q_gallery", "Q_probe", "DC"])
         truth = [520.0, -0.60, 1.59, 1.19, 438.6]
         for j, t in enumerate(truth):

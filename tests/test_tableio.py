@@ -190,19 +190,19 @@ def test_pairs_round_trip_with_age_join(tmp_path):
 
     back = read_pairs(path, captures)
     assert len(back) == len(table)
-    np.testing.assert_array_equal(back.gap_t, table.gap_t)
+    np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
     np.testing.assert_array_equal(back.kind, table.kind)
-    np.testing.assert_allclose(back.dc, table.dc)
+    np.testing.assert_allclose(back.DC, table.DC)
     np.testing.assert_allclose(back.scores["m1"], table.scores["m1"])
     # ages and subjects re-joined through the capture table
     np.testing.assert_array_equal(back.gallery_subject, table.gallery_subject)
-    np.testing.assert_allclose(back.covariates["A_gallery"],
-                               table.covariates["A_gallery"])
+    np.testing.assert_allclose(back.A_gallery,
+                               table.A_gallery)
     # DC = 1 - |R_gallery - R_probe| holds exactly for the stored covariates,
     # before and after the file round trip
     for t in (table, back):
         np.testing.assert_array_equal(
-            t.dc, 1.0 - np.abs(t.covariates["R_gallery"] - t.covariates["R_probe"]))
+            t.DC, 1.0 - np.abs(t.R_gallery - t.R_probe))
 
 
 def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
@@ -238,7 +238,7 @@ def test_float_cells_round_trip_bit_exactly(tmp_path):
     for name in ("m1", "m2"):
         assert back.scores[name].view(np.uint64).tolist() == \
             table.scores[name].view(np.uint64).tolist()
-    assert back.dc.view(np.uint64).tolist() == table.dc.view(np.uint64).tolist()
+    assert back.DC.view(np.uint64).tolist() == table.DC.view(np.uint64).tolist()
 
     scores = score_table([(f"G{i}", f"P{i}", "m1", v) for i, v in enumerate(values.tolist())])
     write_scores(scores, tmp_path / "scores.csv")
