@@ -91,16 +91,16 @@ class RunContext:
         p = Path(_setting(self, name, default, TEXT))
         return p if p.is_absolute() else self.outdir / p
 
+    def _key(self, path: Path) -> str:
+        """The manifest key of `path`: relative to `outdir` when inside it."""
+        return str(path.relative_to(self.outdir) if path.is_relative_to(self.outdir) else path)
+
     def record_input(self, path: Path) -> Path:
-        try:
-            key = str(path.relative_to(self.outdir))
-        except ValueError:
-            key = str(path)
-        self.inputs[key] = _sha256(path)
+        self.inputs[self._key(path)] = _sha256(path)
         return path
 
     def record_output(self, path: Path) -> Path:
-        self.outputs[str(path.relative_to(self.outdir))] = _sha256(path)
+        self.outputs[self._key(path)] = _sha256(path)
         return path
 
 
@@ -676,7 +676,7 @@ def cmd_report(ctx: RunContext) -> None:
             percent = {c: (100.0 * text.column(c, np.float64)).tolist()
                        for c in ("fnmr", "ci_low", "ci_high")}
             chart.series.append(Series(
-                name=Path(path).stem.replace("interval_fnmr_", ""),
+                name=Path(path).stem.removeprefix("interval_fnmr_"),
                 x=text.column("interval_months", np.float64).tolist(), y=percent["fnmr"],
                 whisker_low=percent["ci_low"], whisker_high=percent["ci_high"]))
 
@@ -687,12 +687,12 @@ def cmd_report(ctx: RunContext) -> None:
         for path in det_files:
             text = read_table(ctx.record_input(Path(path)), ("fmr", "fnmr"))
             chart.series.append(Series(
-                name=Path(path).stem.replace("det_", ""),
+                name=Path(path).stem.removeprefix("det_"),
                 x=text.column("fmr", np.float64).tolist(),
                 y=text.column("fnmr", np.float64).tolist(), markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
-        name = Path(path).stem.replace("trajectories_", "")
+        name = Path(path).stem.removeprefix("trajectories_")
         text = read_table(ctx.record_input(Path(path)), ("age_group", "T_months", "predicted"))
         if not len(text):
             continue

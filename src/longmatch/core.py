@@ -116,9 +116,13 @@ def dilation_constancy(d_gallery: float, d_probe: float) -> float:
 
 def check_matcher_name(name: str, error=ValueError) -> None:
     """Raise `error` when `name` is a pair-table column or alias, which
-    ComparisonTable.column would resolve instead of the matcher's scores."""
+    ComparisonTable.column would resolve instead of the matcher's scores, or
+    no safe file-name stem for its det_<name>.csv: `summary`, `.`, `..` or a
+    name holding a path separator."""
     if name in _TABLE_COLUMNS or name in COLUMN_ALIASES:
         raise error(f"matcher name {name!r} is a pair-table column name")
+    if name in ("summary", ".", "..") or "/" in name or "\\" in name:
+        raise error(f"matcher name {name!r} cannot name its output files")
 
 
 @dataclass(frozen=True)

@@ -939,13 +939,9 @@ def compare_apc(table: ComparisonTable, base_spec: ModelSpec) -> ApcReport:
     over_terms = (Continuous("A_gallery"), Continuous("A_probe"), Continuous("T"))
     over_spec = dataclasses.replace(base_spec, apc_mode=None,
                                     fixed_terms=over_terms + tuple(base_spec.fixed_terms))
-    over_design = build_design(table, over_spec)
-    over_vifs = vif(over_design.X, over_design.column_names)
-    over_fit = fit_reml(over_design.y, over_design.X, over_design.t,
-                        over_design.group_index, design=over_design)
-    over = OveridentifiedEntry(vifs=over_vifs,
-                               temporal=_coef_summary(over_fit, "T"),
-                               fit=over_fit)
+    over_fit = fit_spec(table, over_spec)
+    over = OveridentifiedEntry(vifs=vif(over_fit.design.X, over_fit.design.column_names),
+                               temporal=_coef_summary(over_fit, "T"), fit=over_fit)
     return ApcReport(model_entries, over)
 
 

@@ -194,20 +194,18 @@ def _normal_mass(low, high, mean, sd):
     return special.ndtr((high - mean) / sd) - special.ndtr((low - mean) / sd)
 
 
-def _truncated_normal(rng, mean, sd, low, high, size):
-    if sd == 0.0:
-        if not (low <= mean <= high):
-            raise SynthConfigError(f"degenerate covariate mean {mean} outside [{low}, {high}]")
-        return np.full(size, float(mean))
-    mass = _normal_mass(low, high, mean, sd)
-    if mass < 1e-6:
-        raise SynthConfigError(
-            f"infeasible bounds: [{low}, {high}] carries ~zero mass under "
-            f"normal({mean}, {sd})")
-    out = rng.normal(mean, sd, size)
+def _truncated_normal(rng, name, mean, sd, low, high, size):
+    """`size` draws of normal(mean, sd) for a scalar or array `mean`, each redrawn
+    until it lies in [low, high]; SynthConfigError naming covariate `name` when
+    the bounds carry ~zero mass. Needs sd > 0."""
+    mean = np.broadcast_to(mean, size)
+    if np.min(_normal_mass(low, high, mean, sd)) < 1e-6:
+        raise SynthConfigError(f"infeasible bounds for covariate {name!r}: "
+                               f"[{low}, {high}] carries ~zero mass")
+    out = rng.normal(mean, sd)
     bad = (out < low) | (out > high)
     while bad.any():
-        out[bad] = rng.normal(mean, sd, int(bad.sum()))
+        out[bad] = rng.normal(mean[bad], sd)
         bad = (out < low) | (out > high)
     return out
 
@@ -268,7 +266,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     for name in cov_names:
         spec = cfg.covariates[name]
         if spec.between_sd > 0:
-            subj_means[name] = _truncated_normal(rng, spec.mean, spec.between_sd,
+            subj_means[name] = _truncated_normal(rng, name, spec.mean, spec.between_sd,
                                                  spec.low, spec.high, m)
         else:
             subj_means[name] = np.full(m, spec.mean)
@@ -302,15 +300,8 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         if spec.sd == 0.0:
             image_cov[name] = np.clip(base, spec.low, spec.high)
             continue
-        mass = _normal_mass(spec.low, spec.high, base, spec.sd)
-        if np.min(mass) < 1e-6:
-            raise SynthConfigError(f"infeasible bounds for covariate {name!r}")
-        vals = rng.normal(base, spec.sd)
-        bad = (vals < spec.low) | (vals > spec.high)
-        while bad.any():
-            vals[bad] = rng.normal(base[bad], spec.sd)
-            bad = (vals < spec.low) | (vals > spec.high)
-        image_cov[name] = vals
+        image_cov[name] = _truncated_normal(rng, name, base, spec.sd, spec.low, spec.high,
+                                            n_images)
     iris = np.clip(rng.normal(120.0, 6.0, n_images), 80.0, 160.0)
 
     months = np.array([schedule[s] for s in skel_session], dtype=np.int64)

@@ -9,9 +9,9 @@ float or a numpy float64, so every table round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
-import math
+import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -24,6 +24,10 @@ from .core import (
 
 CAPTURE_HEADER = list(CAPTURE_COLUMNS)
 SCORE_HEADER = list(SCORE_COLUMNS)
+_INTEGERS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.int64)
+_REALS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64)
+# the reason TextColumns.parse gives for an integer that np.int64 cannot hold
+OUTSIDE_64_BITS = "outside 64 bits"
 
 
 class IngestError(DataError):
@@ -70,92 +74,62 @@ def open_text(path, error=IngestError):
             raise error(f"{path}: {exc}") from None
 
 
-def _header(reader, path: Path, required) -> list[str]:
-    """The header row of `reader`, IngestError unless it holds every `required` column."""
-    header = next(reader, None)
-    if header is None:
-        raise IngestError(f"{path}: empty file, no header row")
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise IngestError(f"{path}: missing mandatory column(s) {missing}")
-    return header
-
-
 def ingest_captures(path) -> IngestResult:
     """Read a capture table; malformed rows land in the rejection report.
 
-    Accepted rows + rejected rows always account for every data row.
-    Raises IngestError for structural problems (missing mandatory column)
-    and DuplicateImageIdError when an image_id repeats.
+    Stripped cells meet the capture-row rules (README order) as column masks;
+    a row's first broken rule is its rejection. IngestError for a missing
+    column, DuplicateImageIdError when accepted rows repeat an image_id.
     """
-    path = Path(path)
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, CAPTURE_HEADER)
-        col = {name: header.index(name) for name in CAPTURE_HEADER}
+    text = read_table(path, CAPTURE_HEADER)
+    text = replace(text, cells={name: [cell.strip() for cell in text.cells[name]]
+                                for name in CAPTURE_HEADER})
+    columns, faults = {}, {}
+    for name, dtype in CAPTURE_COLUMNS.items():
+        columns[name], faults[name] = text.parse(name, dtype)
+    found: dict[int, RowRejection] = {}   # 0-based row -> its first broken rule
 
-        columns: list[list] = [[] for _ in CAPTURE_HEADER]
-        rejections: list[RowRejection] = []
-        seen: set[str] = set()
-        for row_number, row in enumerate(reader, start=1):
-            values, problem = _parse_capture_row(row, col)
-            if problem is not None:
-                rejections.append(RowRejection(row_number, *problem))
-                continue
-            image_id = values[0]
-            if image_id in seen:
-                raise DuplicateImageIdError(
-                    f"{path}: duplicate image_id {image_id!r} at data row {row_number}")
-            seen.add(image_id)
-            for column, value in zip(columns, values):
-                column.append(value)
-    return IngestResult(CaptureTable(**dict(zip(CAPTURE_HEADER, columns))),
-                        tuple(rejections))
+    def reject(reason, rows, detail):
+        """Reject the `rows` (a mask, or rows in order) no earlier rule took."""
+        for row in np.flatnonzero(rows).tolist() if isinstance(rows, np.ndarray) else rows:
+            if row not in found:
+                found[row] = RowRejection(row + 1, reason, detail(row))
 
-
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-_INTEGERS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.int64)
-_REALS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64)
-
-
-def _parse_capture_row(row, col):
-    """The row's values in CAPTURE_HEADER order and None, or None and the
-    (reason, detail) of its first fault: the one set of capture-row rules."""
-    cells = {name: row[i].strip() if i < len(row) else "" for name, i in col.items()}
     for name in CAPTURE_HEADER:
-        if cells[name] == "":
-            return None, ("missing field", name)
+        reject("missing field", np.array(text.cells[name], dtype=object) == "", lambda row: name)
+    eye = columns["eye"]
+    reject("invalid eye", ~np.isin(eye, EYES), lambda row: f"eye={eye[row]!r}")
+    for name in _INTEGERS:
+        reject("invalid integer", [row for row, why in faults[name].items()
+                                   if why != OUTSIDE_64_BITS], faults[name].get)
+    for name in _INTEGERS:   # the faults left are integers outside 64 bits
+        reject("invalid integer", faults[name],
+               lambda row: f"{name}={int(text.cells[name][row])} outside the 64-bit range")
+    for name in _REALS:
+        reject("invalid number", faults[name], faults[name].get)
+    for name in _REALS:
+        values = columns[name]
+        reject("invalid number", ~np.isfinite(values), lambda row: f"{name}={values[row]}")
+    collection = columns["collection_index"]
+    reject("collection index", collection < 1, lambda row: f"collection_index={collection[row]}")
+    pupil, iris = columns["pupil_radius"], columns["iris_radius"]
+    reject("dilation bounds", ~((0.0 < pupil) & (pupil < iris)),
+           lambda row: f"pupil_radius={pupil[row]} iris_radius={iris[row]}")
+    for name in ("quality", "usable_area", "circularity"):
+        values = columns[name]
+        reject("quality range", ~((0.0 <= values) & (values <= 100.0)),
+               lambda row: f"{name}={values[row]}")
 
-    eye = cells["eye"]
-    if eye not in EYES:
-        return None, ("invalid eye", f"eye={eye!r}")
-    try:
-        integers = [int(cells[name]) for name in _INTEGERS]
-    except ValueError as exc:
-        return None, ("invalid integer", str(exc))
-    for name, value in zip(_INTEGERS, integers):
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            return None, ("invalid integer", f"{name}={value} outside the 64-bit range")
-    try:
-        reals = [float(cells[name]) for name in _REALS]
-    except ValueError as exc:
-        return None, ("invalid number", str(exc))
-    for name, value in zip(_REALS, reals):
-        if not math.isfinite(value):
-            return None, ("invalid number", f"{name}={value}")
-
-    collection = integers[0]
-    quality, usable, circ, pupil, iris = reals
-    if collection < 1:
-        return None, ("collection index", f"collection_index={collection}")
-    if not (0.0 < pupil < iris):
-        return None, ("dilation bounds", f"pupil_radius={pupil} iris_radius={iris}")
-    for name, value in (("quality", quality), ("usable_area", usable),
-                        ("circularity", circ)):
-        if not (0.0 <= value <= 100.0):
-            return None, ("quality range", f"{name}={value}")
-
-    return (cells["image_id"], cells["subject_id"], eye, *integers, *reals), None
+    kept = ~np.isin(np.arange(len(text)), list(found))
+    accepted = np.flatnonzero(kept)
+    _, first = np.unique(columns["image_id"][accepted], return_index=True)
+    repeats = np.setdiff1d(np.arange(len(accepted)), first)
+    if repeats.size:
+        row = accepted[repeats[0]]
+        raise DuplicateImageIdError(f"{text.path}: duplicate image_id "
+                                    f"{columns['image_id'][row]!r} at data row {row + 1}")
+    return IngestResult(CaptureTable(**{name: values[kept] for name, values in columns.items()}),
+                        tuple(found[row] for row in sorted(found)))
 
 
 def write_captures(table: CaptureTable, path) -> None:
@@ -232,55 +206,80 @@ def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:
 
 @dataclass(frozen=True)
 class TextColumns:
-    """The cells of a delimited-text table, read by `read_table`."""
+    """The cells of a delimited-text table, read by `read_table`; a data row
+    with fewer cells than the header is padded with "" cells."""
     path: Path
     n_rows: int
     cells: dict   # header name -> its column's cells, in header order
+    short_row: str   # the error of the first data row shorter than the header, or ""
 
     def __len__(self) -> int:
         return self.n_rows
 
-    def column(self, name: str, dtype=object) -> np.ndarray:
-        """Column `name` as a numpy array of `dtype`: object keeps the text,
-        np.int64 and np.float64 parse each cell with int() and float().
-
-        A cell that does not parse, or an integer outside 64 bits, raises
-        IngestError naming the file, the column and its data row.
-        """
+    def parse(self, name: str, dtype) -> tuple[np.ndarray, dict[int, str]]:
+        """Column `name` as a `dtype` array (object keeps the text; np.int64 and
+        np.float64 parse cells with int(), float()) and each 0-based row at
+        fault, holding 0, with its reason: the error text or OUTSIDE_64_BITS."""
         cells = self.cells[name]
         if dtype is object:
-            return np.array(cells, dtype=object)
-        parse = int if dtype is np.int64 else float
+            return np.array(cells, dtype=object), {}
+        convert = int if dtype is np.int64 else float
         try:
-            return np.array(list(map(parse, cells)), dtype=dtype)
+            return np.array(list(map(convert, cells)), dtype=dtype), {}
         except (ValueError, OverflowError):
-            for row_number, cell in enumerate(cells, start=1):
-                try:
-                    np.array(parse(cell), dtype=dtype)
-                except (ValueError, OverflowError):
-                    raise IngestError(f"{self.path}: bad {name} cell {cell!r} at "
-                                      f"data row {row_number}") from None
-            raise
+            values, faults = np.zeros(len(cells), dtype=dtype), {}
+        for row, cell in enumerate(cells):
+            try:
+                values[row] = convert(cell)
+            except ValueError as exc:
+                faults[row] = str(exc)
+            except OverflowError:
+                faults[row] = OUTSIDE_64_BITS
+        return values, faults
+
+    def column(self, name: str, dtype=object) -> np.ndarray:
+        """Column `name` as `parse` reads it; IngestError names the file and
+        the data row of a short row, or of a cell `parse` finds at fault."""
+        if self.short_row:
+            raise IngestError(self.short_row)
+        values, faults = self.parse(name, dtype)
+        if faults:
+            row = min(faults)
+            raise IngestError(f"{self.path}: bad {name} cell {self.cells[name][row]!r} at "
+                              f"data row {row + 1}")
+        return values
 
 
 def read_table(path, required) -> TextColumns:
     """The columns of the delimited-text table at `path`: the one table reader.
 
     The header must hold every `required` name; a repeated name keeps its
-    first column. A data row with fewer cells than the header raises
-    IngestError naming its row.
+    first column. The cyclic garbage collector is paused while the rows
+    accumulate and transpose: it would traverse them again and again.
     """
     path = Path(path)
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, required)
-        rows = list(reader)
-    if rows and min(map(len, rows)) < len(header):
-        row_number, row = next((i, row) for i, row in enumerate(rows, start=1)
-                               if len(row) < len(header))
-        raise IngestError(f"{path}: data row {row_number} has {len(row)} cells, "
-                          f"fewer than the {len(header)} header columns")
-    cells: dict[str, tuple[str, ...]] = {}
-    for name, column in zip(header, zip(*rows) if rows else [()] * len(header)):
-        cells.setdefault(name, column)
-    return TextColumns(path, len(rows), cells)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open_text(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file, no header row")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+            rows = list(reader)
+        width, short_row = len(header), ""
+        if rows and min(map(len, rows)) < width:
+            i = next(i for i, row in enumerate(rows) if len(row) < width)
+            short_row = (f"{path}: data row {i + 1} has {len(rows[i])} cells, "
+                         f"fewer than the {width} header columns")
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        cells: dict[str, tuple[str, ...]] = {}
+        for name, column in zip(header, zip(*rows) if rows else [()] * width):
+            cells.setdefault(name, column)
+    finally:
+        if collecting:
+            gc.enable()
+    return TextColumns(path, len(rows), cells, short_row)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ComparisonTable
-from .lmm import FittedModel, ModelSpec, build_design, fit_reml
+from .lmm import FittedModel, ModelSpec, build_design, fit_spec
 from .rng import sample_indices, shuffled
 
 SHAPIRO_MAX_N = 5000
@@ -59,10 +59,8 @@ def kfold_subject_cv(table: ComparisonTable, spec: ModelSpec, k: int,
         train = table.select(~test_mask)
         test = table.select(test_mask)
 
-        design_train = build_design(train, spec)
-        fit = fit_reml(design_train.y, design_train.X, design_train.t,
-                       design_train.group_index, design=design_train)
-        design_test = build_design(test, spec, like=design_train)
+        fit = fit_spec(train, spec)
+        design_test = build_design(test, spec, like=fit.design)
         y = design_test.y
         pred = fit.predict_fixed(design_test.X)
         err = y - pred

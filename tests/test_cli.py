@@ -674,6 +674,19 @@ FAULTS = [
     ("pairs", {"matchers[0].name": "DC"}, {}, 3,
      ["config matchers[0]", "'DC'", "pair-table column"]),
     ("lmm", {"model.outcome": "eye"}, {}, 3, ["config model.outcome", "'eye'"]),
+    # a matcher name is the stem of det_<name>.csv and interval_fnmr_<name>.csv
+    ("det", {"matchers[1].name": "summary"}, {}, 3,
+     ["config matchers[1]", "'summary'", "cannot name its output files"]),
+    ("det", {"matchers[0].name": "a/b"}, {}, 3,
+     ["config matchers[0]", "'a/b'", "cannot name its output files"]),
+    ("fnmr", {"matchers[1].name": "a\\b"}, {}, 3,
+     ["config matchers[1]", "cannot name its output files"]),
+    ("pairs", {"matchers[0].name": "."}, {}, 3,
+     ["config matchers[0]", "'.'", "cannot name its output files"]),
+    ("pairs", {"matchers[1].name": ".."}, {}, 3,
+     ["config matchers[1]", "'..'", "cannot name its output files"]),
+    ("synth", {"synth.matchers[1].name": "summary"}, {}, 3,
+     ["config synth.matchers[1]", "'summary'", "cannot name its output files"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}
@@ -771,3 +784,32 @@ def test_partial_covariates_keep_the_other_defaults(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["quality"] for r in rows} == {"50.0"}
     assert len({r["usable_area"] for r in rows}) > 1
+
+
+def test_capture_and_score_files_outside_out_keep_absolute_manifest_keys(tmp_path):
+    outdir = tmp_path / "run"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    captures, scores = elsewhere / "captures.csv", elsewhere / "scores.csv"
+    cfg = write_config(tmp_path / "config.json", outdir,
+                       captures=str(captures), scores=str(scores))
+    run_pipeline(cfg, ["synth", "pairs"])
+    synth = json.loads((outdir / "manifest_synth.json").read_text(encoding="utf-8"))
+    pairs = json.loads((outdir / "manifest_pairs.json").read_text(encoding="utf-8"))
+    for path in (captures, scores):
+        assert synth["outputs"][str(path)] == pairs["inputs"][str(path)]
+    assert "ground_truth.json" in synth["outputs"]
+    assert "pairs_genuine.csv" in pairs["outputs"]
+
+
+def test_report_legend_keeps_a_matcher_name_holding_a_file_prefix(tmp_path):
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    for block in (config["matchers"], config["synth"]["matchers"]):
+        block[1]["name"] = "det_x"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    run_pipeline(cfg, ["synth", "pairs", "fnmr", "det", "report"])
+    for svg in ("det.svg", "fnmr.svg"):
+        text = (outdir / svg).read_text(encoding="utf-8")
+        assert ">det_x</text>" in text and ">x</text>" not in text, svg

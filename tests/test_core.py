@@ -189,3 +189,10 @@ class TestComparisonTable:
     def test_matcher_may_not_take_a_pair_column_name(self, name):
         with pytest.raises(ValueError, match="pair-table column name"):
             MatcherProfile(name, "higher", 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("name", ["summary", ".", "..", "a/b", "a\\b", "/abs"])
+    def test_matcher_name_must_be_a_safe_file_stem(self, name):
+        with pytest.raises(ValueError, match="cannot name its output files"):
+            MatcherProfile(name, "higher", 0.0, 1.0, 0.5)
+        for ok in ("det_x", "v1.2", "summary2"):
+            MatcherProfile(ok, "higher", 0.0, 1.0, 0.5)

@@ -69,6 +69,67 @@ def test_row_rule_rejects_one_row(tmp_path, overrides, reason, detail):
     assert result.rejections[0].detail.startswith(detail)
 
 
+# (cells that differ from _good_row, the row's rejection or None when accepted);
+# "short" keeps only the first cells of the row, "extra" appends cells to it
+RULE_ROWS = [
+    ({}, None),
+    ({"eye": " L ", "quality": " 70.5\t"}, None),               # cells are stripped
+    ({"collection_index": "1_0"}, None),                         # int() reads 10
+    ({"extra": ["x", ""]}, None),                                # extra cells are ignored
+    ({"short": 4}, ("missing field", "capture_time_months")),
+    ({"quality": "  "}, ("missing field", "quality")),
+    ({"eye": "l"}, ("invalid eye", "eye='l'")),
+    ({"age_years": "8.0"}, ("invalid integer", "invalid literal for int() with base 10: '8.0'")),
+    ({"capture_time_months": 10**20}, ("invalid integer",
+     "capture_time_months=100000000000000000000 outside the 64-bit range")),
+    ({"usable_area": "high"}, ("invalid number", "could not convert string to float: 'high'")),
+    ({"pupil_radius": "-1e999"}, ("invalid number", "pupil_radius=-inf")),
+    ({"collection_index": 0}, ("collection index", "collection_index=0")),
+    ({"pupil_radius": 110.0}, ("dilation bounds", "pupil_radius=110.0 iris_radius=110.0")),
+    ({"circularity": 100.25}, ("quality range", "circularity=100.25")),
+    # two rules broken: the first in rule order wins
+    ({"eye": "X", "image_id": ""}, ("missing field", "image_id")),
+    ({"eye": "X", "age_years": "x"}, ("invalid eye", "eye='X'")),
+    ({"collection_index": 10**20, "age_years": "x"},
+     ("invalid integer", "invalid literal for int() with base 10: 'x'")),
+    ({"age_years": -2**63 - 1, "quality": "x"},
+     ("invalid integer", "age_years=-9223372036854775809 outside the 64-bit range")),
+    ({"quality": "inf", "iris_radius": "r"},
+     ("invalid number", "could not convert string to float: 'r'")),
+    ({"collection_index": -1, "quality": "nan"}, ("invalid number", "quality=nan")),
+    ({"collection_index": 0, "pupil_radius": 0.0}, ("collection index", "collection_index=0")),
+    ({"pupil_radius": 0.0, "quality": 101.0},
+     ("dilation bounds", "pupil_radius=0.0 iris_radius=110.0")),
+    ({"usable_area": 100.5, "circularity": -1.0}, ("quality range", "usable_area=100.5")),
+    # a repeat of a rejected row's image_id is no duplicate
+    ({"image_id": "D", "eye": "X"}, ("invalid eye", "eye='X'")),
+    ({"image_id": "D"}, None),
+]
+
+
+def test_capture_rules_table(tmp_path):
+    rows = []
+    for i, (cells, _) in enumerate(RULE_ROWS):
+        cells = dict(cells)
+        short, extra = cells.pop("short", None), cells.pop("extra", [])
+        row = _good_row(cells.pop("image_id", f"I{i}"), **cells)
+        rows.append((row[:short] if short else row) + extra)
+    path = tmp_path / "captures.csv"
+    _write_rows(path, rows)
+    result = ingest_captures(path)
+    assert [(r.row_number, r.reason, r.detail) for r in result.rejections] == [
+        (i + 1, *rule) for i, (_, rule) in enumerate(RULE_ROWS) if rule is not None]
+    assert result.table.image_id.tolist() == [
+        row[0] for row, (_, rule) in zip(rows, RULE_ROWS) if rule is None]
+    assert result.table.eye.tolist()[1] == "L"
+    assert result.table.collection_index.tolist()[2] == 10
+
+    _write_rows(path, rows + [_good_row("D")])
+    with pytest.raises(DuplicateImageIdError,
+                       match=f"duplicate image_id 'D' at data row {len(rows) + 1}$"):
+        ingest_captures(path)
+
+
 def test_int64_limits_accepted(tmp_path):
     path = tmp_path / "captures.csv"
     _write_rows(path, [_good_row("I0", capture_time_months=2**63 - 1),
