@@ -59,7 +59,7 @@ spec_int = ModelSpec(outcome="ve", fixed_terms=spec.fixed_terms,
 fit_int = fit_spec(table, spec_int)
 lrt = likelihood_ratio_test(fit_int, fit)
 print(f"random-slope LRT: chi2 = {lrt.chi2:.1f} on {lrt.df} df, "
-      f"p = {lrt.p:.2g} ({lrt.used_method} logliks)")
+      f"p = {lrt.p:.2g} ({lrt.used_method} logliks, {lrt.null_distribution})")
 
 cv = kfold_subject_cv(table, spec, k=5, seed=9)
 print(f"\nwithin-sample marginal R2: {marginal_r2(fit):.3f}")

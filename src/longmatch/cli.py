@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile
@@ -749,7 +748,6 @@ def _write_manifest(ctx: RunContext, command: str) -> None:
         "versions": {
             "longmatch": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "inputs": dict(sorted(ctx.inputs.items())),
         "outputs": dict(sorted(ctx.outputs.items())),

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._special import chdtrc, ndtr
 from .core import GENUINE, QUALITY_TERMS, ComparisonTable, DataError
 
 INTERCEPT_ONLY = "intercept"
@@ -663,11 +664,9 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     loglik = -0.5 * (ev.crit + 2.0 * dof * np.log(y_scale))
     aic = 2.0 * n_params - 2.0 * loglik
 
-    from scipy import special
-
     se = np.sqrt(np.diag(cov_beta))
     zs = beta / se
-    pvals = 2.0 * special.ndtr(-np.abs(zs))
+    pvals = 2.0 * ndtr(-np.abs(zs))
 
     # boundary: a random-effect variance negligible on the (unit-variance)
     # internal outcome scale, or a log parameter pinned at its bound
@@ -744,7 +743,8 @@ class LrtResult:
     chi2: float
     df: int
     p: float
-    used_method: str
+    used_method: str         # the log-likelihoods compared: "ml" or "reml"
+    null_distribution: str   # the reference for chi2, e.g. "0.5 chi2(1) + 0.5 chi2(2)"
 
 
 def likelihood_ratio_test(nested: FittedModel, full: FittedModel) -> LrtResult:
@@ -754,6 +754,11 @@ def likelihood_ratio_test(nested: FittedModel, full: FittedModel) -> LrtResult:
     log-likelihoods are not comparable across different mean structures;
     REML log-likelihoods are used directly only for pure random-structure
     comparisons. chi2 is clamped at 0 against numerical jitter.
+
+    Adding a random slope puts its variance on the boundary of the parameter
+    space under the null, so chi2 is then referred to the 50:50 mixture of
+    chi2(df - 1) and chi2(df) (Self & Liang 1987; Stram & Lee 1994); a test
+    of fixed effects alone uses plain chi2(df).
     """
     if nested.n_obs != full.n_obs or not np.allclose(
             nested._internal["y"], full._internal["y"], rtol=0.0, atol=0.0):
@@ -786,11 +791,14 @@ def likelihood_ratio_test(nested: FittedModel, full: FittedModel) -> LrtResult:
     chi2 = max(0.0, 2.0 * (b.loglik - a.loglik))
     if df == 0:
         p = 1.0 if chi2 <= 1e-8 else 0.0
+        reference = "chi2(0)"
+    elif q_nested != q_full:
+        p = 0.5 * chdtrc(df - 1, chi2) + 0.5 * chdtrc(df, chi2)
+        reference = f"0.5 chi2({df - 1}) + 0.5 chi2({df})"
     else:
-        from scipy import special
-
-        p = float(special.chdtrc(df, chi2))
-    return LrtResult(float(chi2), int(df), p, used)
+        p = chdtrc(df, chi2)
+        reference = f"chi2({df})"
+    return LrtResult(float(chi2), int(df), p, used, reference)
 
 
 def icc(fit: FittedModel) -> float:

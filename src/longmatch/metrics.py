@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import betainc, ndtri
 from .core import (
     GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile,
 )
@@ -51,9 +52,7 @@ def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, fl
         raise ValueError("k must satisfy 0 <= k <= n")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
-    from scipy import special
-
-    z = special.ndtri(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -334,19 +333,17 @@ class FailureReport:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray):
-    """(r, two-sided p) of the Pearson correlation, as scipy.stats.pearsonr:
-    under independence (r + 1) / 2 is Beta(n/2 - 1, n/2 - 1)."""
+    """(r, two-sided p) of the Pearson correlation: under independence
+    (r + 1) / 2 is Beta(n/2 - 1, n/2 - 1)."""
     if x.size < 2:
         return None
     if np.std(x) == 0.0 or np.std(y) == 0.0:
         return None   # undefined for a constant column, flagged as None
-    from scipy import special
-
     xc = x - x.mean()
     yc = y - y.mean()
     r = float(np.clip((xc / np.linalg.norm(xc)) @ (yc / np.linalg.norm(yc)), -1.0, 1.0))
     a = x.size / 2.0 - 1.0
-    p = 1.0 if x.size == 2 else 2.0 * float(special.betainc(a, a, (1.0 - abs(r)) / 2.0))
+    p = 1.0 if x.size == 2 else 2.0 * betainc(a, a, (1.0 - abs(r)) / 2.0)
     return r, p
 
 

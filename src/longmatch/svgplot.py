@@ -62,6 +62,10 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def render(chart: Chart, path) -> None:
+    # imported here: xml.sax.saxutils pulls in urllib.request, and only the
+    # report subcommand draws
+    from xml.sax.saxutils import escape
+
     xs, ys = [], []
     for s in chart.series:
         for v in s.x:
@@ -111,7 +115,7 @@ def render(chart: Chart, path) -> None:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{chart.title}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(chart.title)}</text>',
     ]
     axis = (f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
             f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>'
@@ -140,11 +144,11 @@ def render(chart: Chart, path) -> None:
                      f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>')
     parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.1f}" '
                  f'y="{_HEIGHT - 12}" text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="13">{chart.xlabel}</text>')
+                 f'font-size="13">{escape(chart.xlabel)}</text>')
     parts.append(f'<text x="18" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f})">'
-                 f'{chart.ylabel}</text>')
+                 f'{escape(chart.ylabel)}</text>')
 
     for k, s in enumerate(chart.series):
         color = _COLORS[k % len(_COLORS)]
@@ -166,7 +170,7 @@ def render(chart: Chart, path) -> None:
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"{dash}/>')
         parts.append(f'<text x="{lx + 24}" y="{ly + 4}" font-family="sans-serif" '
-                     f'font-size="11">{s.name}</text>')
+                     f'font-size="11">{escape(s.name)}</text>')
 
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._special import ndtr
 from .core import (
     COLUMN_ALIASES, HIGHER_IS_BETTER, JOINED_COLUMNS, LOWER_IS_BETTER, PAIR_COLUMNS,
     CaptureTable, MatcherProfile, ScoreTable, check_matcher_name,
@@ -189,9 +190,7 @@ class SynthResult:
 
 def _normal_mass(low, high, mean, sd):
     """P(low <= X <= high) for X ~ normal(mean, sd); `mean` may be an array."""
-    from scipy import special
-
-    return special.ndtr((high - mean) / sd) - special.ndtr((low - mean) / sd)
+    return ndtr((high - mean) / sd) - ndtr((low - mean) / sd)
 
 
 def _truncated_normal(rng, name, mean, sd, low, high, size):

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import SHAPIRO_MAX_N, ndtri, shapiro
 from .core import ComparisonTable
 from .lmm import FittedModel, ModelSpec, build_design, fit_spec
 from .rng import sample_indices, shuffled
-
-SHAPIRO_MAX_N = 5000
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,11 @@ def residual_diagnostics(fit: FittedModel, y=None, X=None,
     else:
         tested = resid
         subsampled = False
-    from scipy import special, stats
-
-    w, p = stats.shapiro(tested)
+    w, p = shapiro(tested)
 
     standardized = np.sort((resid - resid.mean()) / sd)
     ranks = np.arange(1, n + 1)
-    theo = special.ndtri((ranks - 0.375) / (n + 0.25))
+    theo = ndtri((ranks - 0.375) / (n + 0.25))
     return DiagnosticsReport(
         shapiro_w=float(w), shapiro_p=float(p), n_residuals=n,
         n_used=len(tested), subsampled=subsampled,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import longmatch
-from longmatch.cli import build_parser, main
+from longmatch.cli import _COMMANDS, build_parser, main
 from longmatch.tableio import CAPTURE_HEADER
 
 
@@ -187,19 +187,6 @@ def test_seed_override_changes_outputs(tmp_path):
     assert (out1 / "captures.csv").read_bytes() != (out2 / "captures.csv").read_bytes()
 
 
-def test_import_loads_no_heavy_scipy():
-    # scipy.stats and scipy.optimize cost over a second per process; only the
-    # subcommands that call them may load them
-    src = str(Path(longmatch.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, longmatch.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-
-
 def _one_error_line(capsys, code_name: str) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error code={code_name}: "), err
@@ -288,11 +275,18 @@ def test_synth_and_pairs_golden_digests(tmp_path):
 
 
 # SHA-256 of every other file that synth, ingest, pairs, calibrate, fnmr, det,
-# failures, fuse and report write on the write_config config; like the
-# digests above, a change to any of them is a change to the program's output
+# failures, fuse, lmm, apc, cv and report write on the write_config config;
+# like the digests above, a change to any of them is a change to the
+# program's output. The model-side files hold repr-written normal quantiles
+# and Wald p-values, so their digests also pin the normal kernels bit for bit.
 GOLDEN_PIPELINE = {
     **GOLDEN_SYNTH_PAIRS,
+    "apc_models.csv": "9da9bf09984887d56ee3c6cf1c65db245a69fe05bda8d5c64e530055515d0539",
+    "apc_report.txt": "a683e71db84345bf14c9424ba95a6eae219e06dd794a09bde40e2c821d13d2e5",
     "calibrate_summary.txt": "757732e17ee960dea19f026a882fb57c52c71eb25a882cfce9cbb89451d91947",
+    "coefficients_simA.csv": "ad7372655b1a118b93aa160c529f7394f98eed25ca3514b19e17e0bb5f7e6b6e",
+    "cv_report.csv": "baefe7b7513da5e14670d24b6aeccd56bc0e4cc2b069b01726fa754effda8a48",
+    "cv_summary.txt": "e1ab1decfe6d39f2232b15af6768137c69bfc1f8b25d0404b9d4a5d1a46448c5",
     "det.svg": "7e6d8a6f5454c414febbafb7fb924c6fd7fe6b8037dc62416efa410eb8ee352b",
     "det_simA.csv": "39134f1d8b722b774a8d567f21412c9635d0f351618e66cd3cad90eddd84f5f8",
     "det_simB.csv": "80947123084d532a009413f5866d5eb93730a1052dad050d474e2e6d6dacf987",
@@ -300,6 +294,9 @@ GOLDEN_PIPELINE = {
     "det_summary.txt": "7adda102a20850577252fdbea36cced7696e28ceab529ed0d53db66e3cb3bf9e",
     "failure_categories.csv": "4c47962a310a60eafb495f686e368172850d49a0884ea8413b4041a65e971565",
     "failure_report.txt": "e69daceacf6eb9c1be703ee60da514531d92d7c600c6f5f0596333fe6647b7f4",
+    "fit_report_simA.txt": "dd5ecdad3d561191b0891f9e986d2619f9f1d0240a60dced949e40a239f5646d",
+    "fit_report_simA_age_groups.txt":
+        "c6732f7047abb5c17e70a7d334552df627714082aff7e47cc999fcb51274d143",
     "fnmr.svg": "242b6357eb32bd9ce919d6241b53ec7d7fe73b79ea71ab8eea3b7f52b428af38",
     "fnmr_summary.txt": "4899d1a93af82a3b813aa3084b818d1eadd927463c58ea3c7f7acf08d83fad4f",
     "fusion_report.txt": "403bd3717d4ad924ead6e9226c41ac0dc9d1ee9e0b0d439e958cc67044c9d067",
@@ -309,8 +306,11 @@ GOLDEN_PIPELINE = {
     "interval_fnmr_simA.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "interval_fnmr_simB.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "pairs_summary.txt": "15b4e7a8d6e1a96887c99d060fc0537b07899e9e6653aa0438fae73aeb8c3ae2",
+    "qq_simA.csv": "d56aa4706a5bf4e76698b8121828585e4cb7ee3dec69bd24b30188a5e218aede",
     "synth_summary.txt": "e8d5ab732d98e1036d9408eac092d8bb0572fb0f91766a11234be04904466104",
     "thresholds.json": "fed8db91ef23eca31c470f6d6232f7442537ce7f226dfccb58559dd706af2978",
+    "trajectories_simA.csv": "70debf2018be0514fff927b30d7159b6f0fd19a1ab205c21b399a47d01bb37cf",
+    "trajectories_simA.svg": "d5c11cbec69551673dbeb9fbabc40a4b02be8b6a99ca7113479b15a7fff854b1",
 }
 # (inputs, outputs) each manifest names; their digests are the files' above
 GOLDEN_MANIFESTS = {
@@ -331,9 +331,16 @@ GOLDEN_MANIFESTS = {
                  ("failure_categories.csv", "failure_report.txt")),
     "fuse": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv", "thresholds.json"),
              ("fusion_report.txt",)),
+    "lmm": (("captures.csv", "pairs_genuine.csv"),
+            ("coefficients_simA.csv", "fit_report_simA.txt", "fit_report_simA_age_groups.txt",
+             "qq_simA.csv", "trajectories_simA.csv")),
+    "apc": (("captures.csv", "pairs_genuine.csv"),
+            ("apc_models.csv", "apc_report.txt")),
+    "cv": (("captures.csv", "pairs_genuine.csv"),
+           ("cv_report.csv", "cv_summary.txt")),
     "report": (("det_simA.csv", "det_simB.csv", "interval_fnmr_simA.csv",
-                "interval_fnmr_simB.csv"),
-               ("det.svg", "fnmr.svg")),
+                "interval_fnmr_simB.csv", "trajectories_simA.csv"),
+               ("det.svg", "fnmr.svg", "trajectories_simA.svg")),
 }
 
 
@@ -459,21 +466,42 @@ def test_malformed_config_values_exit_three(tmp_path, capsys, command, overrides
     assert key in _one_error_line(capsys, "config-invalid")
 
 
-def test_subcommands_but_lmm_load_no_heavy_scipy(tmp_path):
-    # lmm needs scipy.stats for Shapiro-Wilk; no other subcommand may load it
-    # or scipy.optimize
-    cfg = write_config(tmp_path / "config.json", tmp_path / "run")
-    commands = [c for c in PIPELINE if c != "lmm"]
+# a finder that refuses every scipy import, run ahead of the real ones
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # the runtime is numpy only: with every scipy import refused, all twelve
+    # subcommands exit 0 and write the same bytes as an unblocked run
     src = str(Path(longmatch.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = list(_COMMANDS)
+    assert len(commands) == 12
     probe = ("import sys\nfrom longmatch.cli import main\n"
              f"for command in {commands!r}:\n"
-             f"    assert main([command, '--config', {str(cfg)!r}]) == 0, command\n"
-             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip().splitlines()[-1] == "[]"
+             "    assert main([command, '--config', 'config.json']) == 0, command\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    trees = {}
+    for name, prelude in (("open", ""), ("blocked", BLOCK_SCIPY)):
+        rundir = tmp_path / name
+        rundir.mkdir()
+        write_config(rundir / "config.json", Path("run"))
+        out = subprocess.run([sys.executable, "-c", prelude + probe], cwd=rundir, env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "[]", name
+        trees[name] = {p.name: p.read_bytes() for p in (rundir / "run").iterdir()}
+    assert len(trees["blocked"]) > 40
+    assert trees["blocked"] == trees["open"]
 
 
 def test_model_outputs_match_golden(tmp_path):
@@ -813,3 +841,28 @@ def test_report_legend_keeps_a_matcher_name_holding_a_file_prefix(tmp_path):
     for svg in ("det.svg", "fnmr.svg"):
         text = (outdir / svg).read_text(encoding="utf-8")
         assert ">det_x</text>" in text and ">x</text>" not in text, svg
+
+
+def test_report_escapes_markup_in_names(tmp_path):
+    # a matcher (and so a legend entry and a chart title) named R&D<1> is
+    # written as text, and every SVG the pipeline writes is well-formed XML
+    from xml.dom import minidom
+
+    outdir = tmp_path / "run"
+    name = "R&D<1>"
+    cfg = write_config(tmp_path / "config.json", outdir,
+                       model={"outcome": name, "apc_mode": "gallery_age_plus_t",
+                              "random_structure": "intercept_slope"})
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    for block in (config["matchers"], config["synth"]["matchers"]):
+        block[0]["name"] = name
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    run_pipeline(cfg, ["synth", "pairs", "fnmr", "det", "lmm", "report"])
+    texts = {}
+    for svg in sorted(outdir.glob("*.svg")):
+        doc = minidom.parse(str(svg))
+        texts[svg.name] = [t.firstChild.data for t in doc.getElementsByTagName("text")
+                           if t.firstChild is not None]
+    assert sorted(texts) == ["det.svg", "fnmr.svg", f"trajectories_{name}.svg"]
+    assert name in texts["det.svg"] and name in texts["fnmr.svg"]
+    assert f"Predicted {name} score by enrollment age group" in texts[f"trajectories_{name}.svg"]

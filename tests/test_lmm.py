@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -391,6 +392,23 @@ class TestLrt:
         assert res.used_method == "reml"
         assert res.df == 2
         assert res.chi2 >= 0.0
+
+    @pytest.mark.parametrize("seed, slope_var", [(17, 0.0), (16, 0.0005)])
+    def test_random_slope_lrt_uses_chi_bar_square(self, seed, slope_var):
+        # the slope variance lies on the boundary under the null: chi2 is
+        # referred to 0.5 chi2(1) + 0.5 chi2(2), whose tail has the closed form
+        # 0.5 erfc(sqrt(c / 2)) + 0.5 exp(-c / 2)
+        rng = np.random.default_rng(seed)
+        table = make_model_table(rng, Sigma=[[2.0, 0.0], [0.0, slope_var]])
+        spec_slope = ModelSpec(outcome="m1")
+        spec_int = dataclasses.replace(spec_slope, random_structure="intercept")
+        res = likelihood_ratio_test(fit_spec(table, spec_int), fit_spec(table, spec_slope))
+        assert res.df == 2 and res.chi2 > 0.0
+        assert res.null_distribution == "0.5 chi2(1) + 0.5 chi2(2)"
+        half = res.chi2 / 2.0
+        oracle = 0.5 * math.erfc(math.sqrt(half)) + 0.5 * math.exp(-half)
+        assert res.p == pytest.approx(oracle, rel=1e-12)
+        assert res.p < math.exp(-half)   # below the plain chi2(2) tail
 
     def test_mismatched_rows_rejected(self):
         rng = np.random.default_rng(17)
