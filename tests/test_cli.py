@@ -187,6 +187,19 @@ def test_seed_override_changes_outputs(tmp_path):
     assert (out1 / "captures.csv").read_bytes() != (out2 / "captures.csv").read_bytes()
 
 
+def test_import_loads_no_heavy_scipy():
+    # the runtime is numpy only: importing the CLI loads no scipy module,
+    # not even the top-level package
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, longmatch.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def _one_error_line(capsys, code_name: str) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error code={code_name}: "), err
@@ -502,6 +515,23 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
         trees[name] = {p.name: p.read_bytes() for p in (rundir / "run").iterdir()}
     assert len(trees["blocked"]) > 40
     assert trees["blocked"] == trees["open"]
+
+
+def test_subcommands_but_lmm_load_no_heavy_scipy(tmp_path):
+    # with scipy importable, no subcommand but lmm loads any scipy module;
+    # test_every_subcommand_runs_with_scipy_blocked covers lmm with scipy refused
+    cfg = write_config(tmp_path / "config.json", tmp_path / "run")
+    commands = [c for c in PIPELINE if c != "lmm"]
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys\nfrom longmatch.cli import main\n"
+             f"for command in {commands!r}:\n"
+             f"    assert main([command, '--config', {str(cfg)!r}]) == 0, command\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_model_outputs_match_golden(tmp_path):
