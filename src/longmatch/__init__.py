@@ -10,34 +10,54 @@ known ground truth serves as the verification oracle.
 
 __version__ = "0.1.0"
 
-from .core import (
-    GENUINE, IMPOSTOR, HIGHER_IS_BETTER, LOWER_IS_BETTER,
-    CaptureTable, ComparisonTable, MatcherProfile, DataError, ScoreRangeError,
-    ScoreTable, dilation_ratio, dilation_constancy,
-)
-from .tableio import (
-    IngestResult, IngestError, DuplicateImageIdError, RowRejection,
-    ingest_captures, ingest_scores, read_pairs, write_captures, write_pairs,
-    write_scores,
-)
-from .pairing import (
-    AttachResult, PairingConfig, attach_scores, generate_genuine_pairs,
-    generate_impostor_pairs,
-)
-from .metrics import (
-    CalibrationInfeasibleError, CalibrationResult, DetCurve, FailureReport,
-    FusionReport, IntervalStat, calibrate_threshold, decide, det_curve,
-    failure_analysis, fmr_at_threshold, fnmr_by_interval,
-    fuse_and_rule, rule_of_three, wilson_interval,
-)
-from .lmm import (
-    AgeGroups, ApcReport, Continuous, DesignMatrices, FittedModel,
-    Interaction, LrtResult, ModelError, ModelSpec, RankDeficientError,
-    build_design, compare_apc, fit_reml, fit_spec, format_fit_report, icc,
-    likelihood_ratio_test, marginal_r2, matcher_comparison, vif,
-)
-from .validation import CvReport, DiagnosticsReport, kfold_subject_cv, residual_diagnostics
-from .synth import (
-    CovariateSpec, DistSpec, GroundTruth, MatcherSim, SynthConfig, SynthResult,
-    generate_longitudinal, generate_score_populations,
-)
+import importlib
+
+# each public name and the submodule that defines it; a name loads its
+# submodule on first use (PEP 562), so `import longmatch` loads none of them
+# and each CLI process loads only the layers its subcommand calls
+_EXPORTS = {
+    "core": (
+        "GENUINE", "IMPOSTOR", "HIGHER_IS_BETTER", "LOWER_IS_BETTER",
+        "CaptureTable", "ComparisonTable", "MatcherProfile", "ScoreTable",
+        "DataError", "DuplicateImageIdError", "ScoreRangeError",
+        "CalibrationInfeasibleError", "ModelError",
+        "dilation_ratio", "dilation_constancy",
+    ),
+    "tableio": (
+        "IngestResult", "IngestError", "RowRejection", "ingest_captures",
+        "ingest_scores", "read_pairs", "write_captures", "write_pairs", "write_scores",
+    ),
+    "pairing": (
+        "AttachResult", "PairingConfig", "attach_scores", "generate_genuine_pairs",
+        "generate_impostor_pairs",
+    ),
+    "metrics": (
+        "CalibrationResult", "DetCurve", "FailureReport", "FusionReport", "IntervalStat",
+        "calibrate_threshold", "decide", "det_curve", "failure_analysis",
+        "fmr_at_threshold", "fnmr_by_interval", "fuse_and_rule", "rule_of_three",
+        "wilson_interval",
+    ),
+    "lmm": (
+        "AgeGroups", "ApcReport", "Continuous", "DesignMatrices", "FittedModel",
+        "Interaction", "LrtResult", "ModelSpec", "RankDeficientError", "build_design",
+        "compare_apc", "fit_reml", "fit_spec", "format_fit_report", "icc",
+        "likelihood_ratio_test", "marginal_r2", "matcher_comparison", "vif",
+    ),
+    "validation": (
+        "CvReport", "DiagnosticsReport", "kfold_subject_cv", "residual_diagnostics",
+    ),
+    "synth": (
+        "CovariateSpec", "DistSpec", "GroundTruth", "MatcherSim", "SynthConfig",
+        "SynthResult", "generate_longitudinal", "generate_score_populations",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

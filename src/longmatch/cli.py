@@ -33,27 +33,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile
-from .lmm import (
-    AgeGroups, Continuous, Interaction, ModelError, ModelSpec,
-    compare_apc, fit_spec, format_fit_report, marginal_r2,
-)
-from .metrics import (
-    CalibrationInfeasibleError, calibrate_threshold, det_curve,
-    failure_analysis, fnmr_by_interval, fuse_and_rule,
-)
-from .pairing import PairingConfig, attach_scores, generate_genuine_pairs, \
-    generate_impostor_pairs
-from .svgplot import Chart, Series, render
-from .synth import (
-    DEFAULT_COVARIATES, CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
-    generate_longitudinal,
+# only what every subcommand shares: each subcommand runs in its own process,
+# and each cmd_* (or helper) imports the layer modules it calls in its body
+from .core import (
+    QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable, DataError, MatcherProfile,
+    ModelError, ScoreRangeError,
 )
 from .tableio import (
     IngestError, ingest_captures, ingest_scores, open_text, read_pairs, read_table,
     write_captures, write_pairs, write_scores, write_table,
 )
-from .validation import kfold_subject_cv, residual_diagnostics
 
 EXIT_OK = 0
 EXIT_CONFIG_INVALID = 3
@@ -217,7 +206,8 @@ def _profile_by_name(profiles, name) -> MatcherProfile:
     raise CliError(EXIT_CONFIG_INVALID, f"matcher {name!r} is not declared in config")
 
 
-def _pairing_config(ctx: RunContext) -> PairingConfig:
+def _pairing_config(ctx: RunContext):
+    from .pairing import PairingConfig
     return _build(ctx, "pairing", PairingConfig, max_impostor_probes=(10, INTEGER),
                   base_seed=(ctx.seed, SEED))
 
@@ -232,7 +222,8 @@ def _load_captures(ctx: RunContext):
 
 def _load_pairs(ctx: RunContext, captures, kind: str, profiles=()) -> ComparisonTable:
     """The `kind` ("genuine" or "impostor") pair table written by `pairs`,
-    holding a score column for each of `profiles`."""
+    holding a score column for each of `profiles`, each score within its
+    profile's range (the rule `attach_scores` applies when it writes them)."""
     path = ctx.outdir / f"pairs_{kind}.csv"
     if not path.exists():
         raise CliError(EXIT_MISSING_INPUT,
@@ -244,6 +235,13 @@ def _load_pairs(ctx: RunContext, captures, kind: str, profiles=()) -> Comparison
             raise CliError(EXIT_DATA_INVALID,
                            f"{path} has no scores for matcher {p.name!r} declared in "
                            f"config 'matchers' (re-run the pairs subcommand)")
+        scores = table.scores[p.name]
+        outside = np.flatnonzero((scores < p.score_min) | (scores > p.score_max))
+        if outside.size:
+            row = int(outside[0])
+            raise ScoreRangeError(f"{path}: score_{p.name} {float(scores[row])!r} at data row "
+                                  f"{row + 1} outside matcher {p.name!r} range "
+                                  f"[{p.score_min}, {p.score_max}]")
     return table
 
 
@@ -266,8 +264,9 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     return {p.name: conf[p.name] for p in profiles}
 
 
-def _model_spec(ctx: RunContext, table: ComparisonTable) -> ModelSpec:
+def _model_spec(ctx: RunContext, table: ComparisonTable):
     """The config's model, every column of which `table` must have."""
+    from .lmm import Continuous, Interaction, ModelSpec
     outcome = _setting(ctx, "model.outcome", REQUIRED, TEXT)
     columns = _setting(ctx, "model.quality_terms", QUALITY_TERMS, _list_of(TEXT))
     pairs = _setting(ctx, "model.interactions", (), _list_of(_list_of(TEXT)),
@@ -305,6 +304,11 @@ def _write_table(ctx: RunContext, name: str, header: list[str], rows) -> None:
 
 def cmd_synth(ctx: RunContext) -> None:
     """Generate a synthetic capture/score dataset from known ground truth."""
+    from .synth import (
+        DEFAULT_COVARIATES, CovariateSpec, DistSpec, MatcherSim, SynthConfig,
+        SynthConfigError, generate_longitudinal,
+    )
+
     def matcher(at):
         impostor = _build(ctx, f"{at}.impostor", DistSpec, family=(REQUIRED, TEXT),
                           loc=(REQUIRED, NUMBER), scale=(REQUIRED, NUMBER))
@@ -371,6 +375,7 @@ def cmd_ingest(ctx: RunContext) -> None:
 
 def cmd_pairs(ctx: RunContext) -> None:
     """Build genuine/impostor pairs and join matcher scores."""
+    from .pairing import attach_scores, generate_genuine_pairs, generate_impostor_pairs
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     scores_path = ctx.resolve("scores", "scores.csv")
@@ -402,6 +407,7 @@ def cmd_pairs(ctx: RunContext) -> None:
 
 def cmd_calibrate(ctx: RunContext) -> None:
     """Sweep thresholds to hit a target FMR."""
+    from .metrics import calibrate_threshold
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -426,6 +432,7 @@ def cmd_calibrate(ctx: RunContext) -> None:
 
 def cmd_fnmr(ctx: RunContext) -> None:
     """Interval FNMR with Wilson / rule-of-three confidence bounds."""
+    from .metrics import fnmr_by_interval
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -452,6 +459,7 @@ def cmd_fnmr(ctx: RunContext) -> None:
 
 def cmd_det(ctx: RunContext) -> None:
     """DET curve, EER and AUC per matcher."""
+    from .metrics import det_curve
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -481,6 +489,7 @@ def _two_matchers(ctx: RunContext, profiles):
 
 def cmd_failures(ctx: RunContext) -> None:
     """Categorize genuine failures and their quality correlates."""
+    from .metrics import failure_analysis
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -517,6 +526,7 @@ def cmd_failures(ctx: RunContext) -> None:
 
 def cmd_fuse(ctx: RunContext) -> None:
     """AND-rule fusion error rates and agreement breakdown."""
+    from .metrics import fuse_and_rule
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
@@ -541,6 +551,7 @@ def cmd_fuse(ctx: RunContext) -> None:
 
 def cmd_lmm(ctx: RunContext) -> None:
     """Fit the longitudinal mixed model and age-group companion."""
+    from .lmm import AgeGroups
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine_all = _load_pairs(ctx, captures, "genuine")
@@ -559,6 +570,9 @@ def cmd_lmm(ctx: RunContext) -> None:
 
 
 def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> None:
+    from .lmm import Continuous, ModelSpec, fit_spec, format_fit_report
+    from .validation import residual_diagnostics
+
     fit = fit_spec(genuine, spec)
     name = spec.outcome + suffix
     diag = residual_diagnostics(fit)
@@ -592,7 +606,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
 
     design = group_fit.design
     col_means = design.X.mean(axis=0)
-    t_grid = sorted(set(int(v) for v in np.unique(design.X[:, design.column_names.index("T")])))
+    t_grid = sorted(set(int(v) for v in design.X[:, design.column_names.index("T")].tolist()))
     rows = []
     labels = age_term.labels()
     for label in labels:
@@ -611,6 +625,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
 
 def cmd_apc(ctx: RunContext) -> None:
     """Compare the three age-period-cohort parameterizations."""
+    from .lmm import compare_apc
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
@@ -639,6 +654,8 @@ def cmd_apc(ctx: RunContext) -> None:
 
 def cmd_cv(ctx: RunContext) -> None:
     """Subject-level k-fold cross-validation."""
+    from .lmm import fit_spec, marginal_r2
+    from .validation import kfold_subject_cv
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine")
@@ -664,6 +681,7 @@ def cmd_cv(ctx: RunContext) -> None:
 
 def cmd_report(ctx: RunContext) -> None:
     """Render SVG figures from previously written tables."""
+    from .svgplot import Chart, Series, render
     charts = {}
     fnmr_files = sorted(glob.glob(str(ctx.outdir / "interval_fnmr_*.csv")))
     if fnmr_files:

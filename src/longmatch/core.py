@@ -94,6 +94,14 @@ class ScoreRangeError(DataError):
     pass
 
 
+class CalibrationInfeasibleError(Exception):
+    """No observed threshold attains the requested FMR target."""
+
+
+class ModelError(Exception):
+    """A mixed model cannot be built or fit on the data given."""
+
+
 def dilation_ratio(r_pupil: float, r_iris: float) -> float:
     """Pupil-to-iris radius ratio, dimensionless in (0, 1).
 

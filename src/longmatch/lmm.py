@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import chdtrc, ndtr
-from .core import GENUINE, QUALITY_TERMS, ComparisonTable, DataError
+from .core import GENUINE, QUALITY_TERMS, ComparisonTable, DataError, ModelError
 
 INTERCEPT_ONLY = "intercept"
 INTERCEPT_AND_SLOPE = "intercept_slope"
@@ -51,10 +51,6 @@ APC_MODES = {
     "probe_age_plus_t": ("A_probe", "T"),
     "gallery_age_plus_delta_a": ("A_gallery", "delta_A"),
 }
-
-
-class ModelError(Exception):
-    pass
 
 
 class RankDeficientError(ModelError):

@@ -13,17 +13,14 @@ import numpy as np
 
 from ._special import betainc, ndtri
 from .core import (
-    GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, ComparisonTable, DataError, MatcherProfile,
+    GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable,
+    DataError, MatcherProfile,
 )
 
 MATCH = "match"
 NON_MATCH = "non-match"
 WILSON = "wilson"
 RULE_OF_THREE = "rule-of-three"
-
-
-class CalibrationInfeasibleError(Exception):
-    """No observed threshold attains the requested FMR target."""
 
 
 def match_mask(scores: np.ndarray, threshold: float, orientation: str) -> np.ndarray:
@@ -112,7 +109,7 @@ def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
     bins = assign_interval(table.gap_T_months, bin_width)
     matches = match_mask(table.score(profile.name), threshold, profile.orientation)
     out: list[IntervalStat] = []
-    for center in np.unique(bins):
+    for center in _distinct(bins):
         sel = bins == center
         n = int(sel.sum())
         k = int((~matches[sel]).sum())
@@ -146,6 +143,19 @@ def _oriented(scores: np.ndarray, orientation: str) -> np.ndarray:
     return scores if orientation == HIGHER_IS_BETTER else -scores
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values): its sorted distinct values, NaNs collapsed into one.
+
+    A bare np.unique imports numpy.ma (to ask whether `values` is masked),
+    which no other step of an error-rate subcommand needs.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
+    return values[keep]
+
+
 def _sweep(genuine: np.ndarray, impostor: np.ndarray, orientation: str):
     """Exact (threshold, fmr, fnmr) steps over all observed unique scores.
 
@@ -153,7 +163,7 @@ def _sweep(genuine: np.ndarray, impostor: np.ndarray, orientation: str):
     """
     g = np.sort(_oriented(genuine, orientation))
     im = np.sort(_oriented(impostor, orientation))
-    thresholds = np.unique(np.concatenate([g, im]))
+    thresholds = _distinct(np.concatenate([g, im]))
     n_im = im.size
     n_g = g.size
     fmr = (n_im - np.searchsorted(im, thresholds, side="left")) / n_im

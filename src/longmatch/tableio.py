@@ -123,7 +123,9 @@ def ingest_captures(path) -> IngestResult:
     kept = ~np.isin(np.arange(len(text)), list(found))
     accepted = np.flatnonzero(kept)
     _, first = np.unique(columns["image_id"][accepted], return_index=True)
-    repeats = np.setdiff1d(np.arange(len(accepted)), first)
+    repeated = np.ones(len(accepted), dtype=bool)
+    repeated[first] = False
+    repeats = np.flatnonzero(repeated)
     if repeats.size:
         row = accepted[repeats[0]]
         raise DuplicateImageIdError(f"{text.path}: duplicate image_id "

@@ -534,6 +534,71 @@ def test_subcommands_but_lmm_load_no_heavy_scipy(tmp_path):
     assert out.strip().splitlines()[-1] == "[]"
 
 
+# the longmatch modules each subcommand's process loads beyond the package,
+# cli, core and tableio, which every subcommand shares
+LAYERS_LOADED = {
+    "synth": {"synth", "pairing", "rng", "_special"},
+    "ingest": set(),
+    "pairs": {"pairing", "rng"},
+    "calibrate": {"metrics", "_special"},
+    "fnmr": {"metrics", "_special"},
+    "det": {"metrics", "_special"},
+    "failures": {"metrics", "_special"},
+    "fuse": {"metrics", "_special"},
+    "lmm": {"lmm", "validation", "rng", "_special"},
+    "apc": {"lmm", "_special"},
+    "cv": {"lmm", "validation", "rng", "_special"},
+    "report": {"svgplot"},
+}
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # one fresh process per subcommand, in pipeline order on one tree: each
+    # loads exactly its own layer modules, and none loads numpy.ma
+    assert list(LAYERS_LOADED) == list(_COMMANDS)
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    write_config(tmp_path / "config.json", Path("run"))
+    probe = ("import json, sys\nfrom longmatch.cli import main\n"
+             "code = main([sys.argv[1], '--config', 'config.json'])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    for command, layers in LAYERS_LOADED.items():
+        out = subprocess.run([sys.executable, "-c", probe, command], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout
+        code, modules = json.loads(out.strip().splitlines()[-1])
+        assert code == 0, command
+        assert {m for m in modules if m.split(".")[0] == "longmatch"} == {
+            "longmatch", "longmatch.cli", "longmatch.core", "longmatch.tableio",
+            *(f"longmatch.{m}" for m in layers)}, command
+        assert "numpy.ma" not in modules, command
+
+
+def test_package_import_loads_no_submodule():
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, longmatch; print(sorted(m for m in sys.modules if 'longmatch' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['longmatch']"
+
+
+def test_package_names_resolve_to_their_submodules():
+    import importlib
+
+    assert len(longmatch.__all__) == 74
+    for name in longmatch.__all__:
+        module = importlib.import_module(f"longmatch.{longmatch._SOURCE[name]}")
+        assert getattr(longmatch, name) is getattr(module, name), name
+    from longmatch import ModelError, fit_spec, lmm
+    assert (ModelError, fit_spec) == (lmm.ModelError, lmm.fit_spec)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        longmatch.no_such_name
+    with pytest.raises(ImportError):
+        from longmatch import no_such_name  # noqa: F401
+
+
 def test_model_outputs_match_golden(tmp_path):
     # numeric cells of the model tables on the write_config config, written
     # by the L-BFGS-B fitter this package used before its Newton fitter; a
@@ -745,6 +810,19 @@ FAULTS = [
      ["config matchers[1]", "'..'", "cannot name its output files"]),
     ("synth", {"synth.matchers[1].name": "summary"}, {}, 3,
      ["config synth.matchers[1]", "'summary'", "cannot name its output files"]),
+    # a score outside its matcher's [score_min, score_max] = [-5000, 5000]
+    ("calibrate", {}, {"pairs_genuine.csv": _cell("score_simA", "5000.5")}, 5,
+     ["pairs_genuine.csv", "score_simA 5000.5 at data row 1", "'simA'", "[-5000.0, 5000.0]"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _cell("score_simB", "-9000", row=2)}, 5,
+     ["pairs_genuine.csv", "score_simB -9000.0 at data row 2", "'simB'"]),
+    ("det", {}, {"pairs_impostor.csv": _cell("score_simA", "-5001", row=4)}, 5,
+     ["pairs_impostor.csv", "score_simA -5001.0 at data row 4", "'simA'"]),
+    ("failures", {}, {"pairs_genuine.csv": _cell("score_simA", "5000.0000001")}, 5,
+     ["pairs_genuine.csv", "at data row 1", "'simA'"]),
+    ("fuse", {}, {"pairs_impostor.csv": _cell("score_simB", "1e300", row=3)}, 5,
+     ["pairs_impostor.csv", "score_simB 1e+300 at data row 3", "'simB'"]),
+    ("calibrate", {"matchers[0].score_max": 100.0, "matchers[0].default_threshold": 0.0}, {}, 5,
+     ["pairs_genuine.csv", "score_simA", "outside matcher 'simA' range [-5000.0, 100.0]"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

@@ -8,7 +8,7 @@ from longmatch.core import (
     GENUINE, IMPOSTOR, ComparisonTable, MatcherProfile, DataError,
 )
 from longmatch.metrics import (
-    MATCH, NON_MATCH, CalibrationInfeasibleError, assign_interval,
+    MATCH, NON_MATCH, CalibrationInfeasibleError, _distinct, assign_interval,
     calibrate_threshold, decide, det_curve, failure_analysis,
     fmr_at_threshold, fnmr_by_interval, fuse_and_rule, rule_of_three,
     wilson_interval,
@@ -206,6 +206,21 @@ class TestCalibration:
         impostor = np.array([100.0, 100.0])   # top score is an impostor
         with pytest.raises(CalibrationInfeasibleError):
             calibrate_threshold(genuine, impostor, similarity_profile, 1e-6)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([]), np.array([2.5]), np.array([3.0, -0.0, 0.0, 3.0, -1.0]),
+    np.array([np.nan, 1.0, np.inf, np.nan, -np.inf, 1.0]),
+    np.random.default_rng(7).normal(size=500).round(1),
+    np.random.default_rng(8).integers(0, 60, 300),
+])
+def test_distinct_equals_np_unique(values):
+    # the sweep's and interval binning's numpy.ma-free np.unique, against
+    # np.unique itself: same dtype, values, order and signs of zero
+    got, want = _distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDetCurve:
