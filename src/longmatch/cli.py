@@ -28,6 +28,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -293,10 +294,16 @@ def _write_text(ctx: RunContext, name: str, text: str) -> None:
     ctx.record_output(path)
 
 
-def _write_table(ctx: RunContext, name: str, header: list[str], rows) -> None:
+def _write_table(ctx: RunContext, name: str, header: list[str], columns) -> None:
     path = ctx.outdir / name
-    write_table(path, header, rows)
+    write_table(path, header, columns)
     ctx.record_output(path)
+
+
+def _fields(records, names) -> list[list]:
+    """One column per attribute name of `records`; a dotted name reaches a
+    nested attribute."""
+    return [list(map(attrgetter(name), records)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +368,8 @@ def cmd_synth(ctx: RunContext) -> None:
 def cmd_ingest(ctx: RunContext) -> None:
     """Ingest and validate a capture table."""
     result = _load_captures(ctx)
-    _write_table(ctx, "ingest_rejections.csv", ["row_number", "reason", "detail"],
-                 [(r.row_number, r.reason, r.detail) for r in result.rejections])
+    header = ["row_number", "reason", "detail"]
+    _write_table(ctx, "ingest_rejections.csv", header, _fields(result.rejections, header))
     n_rows = result.n_accepted + result.n_rejected
     lines = [f"accepted rows: {result.n_accepted}",
              f"rejected rows: {result.n_rejected}",
@@ -396,8 +403,9 @@ def cmd_pairs(ctx: RunContext) -> None:
     incomplete = list(attached_g.incomplete) + list(attached_i.incomplete)
     _write_table(ctx, "pairs_incomplete.csv",
                  ["gallery_image_id", "probe_image_id", "missing_matchers"],
-                 [(p.gallery_image_id, p.probe_image_id, ";".join(p.missing_matchers))
-                  for p in incomplete])
+                 [[p.gallery_image_id for p in incomplete],
+                  [p.probe_image_id for p in incomplete],
+                  [";".join(p.missing_matchers) for p in incomplete]])
     _write_text(ctx, "pairs_summary.txt", "\n".join([
         f"genuine pairs: {len(attached_g.table)}",
         f"impostor pairs: {len(attached_i.table)}",
@@ -445,11 +453,10 @@ def cmd_fnmr(ctx: RunContext) -> None:
     for profile in profiles:
         stats_rows = fnmr_by_interval(genuine, profile, thresholds[profile.name],
                                       bin_width, confidence)
-        _write_table(ctx, f"interval_fnmr_{profile.name}.csv",
-                     ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
-                      "ci_low", "ci_high", "ci_method"],
-                     [(s.interval_months, s.n_genuine, s.n_false_nonmatch, s.fnmr,
-                       s.ci_low, s.ci_high, s.ci_method) for s in stats_rows])
+        header = ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
+                  "ci_low", "ci_high", "ci_method"]
+        _write_table(ctx, f"interval_fnmr_{profile.name}.csv", header,
+                     _fields(stats_rows, header))
         overall = sum(s.n_false_nonmatch for s in stats_rows) / max(
             1, sum(s.n_genuine for s in stats_rows))
         lines.append(f"{profile.name}: threshold={thresholds[profile.name]!r} "
@@ -464,15 +471,16 @@ def cmd_det(ctx: RunContext) -> None:
     captures = _load_captures(ctx).table
     genuine = _load_pairs(ctx, captures, "genuine", profiles)
     impostor = _load_pairs(ctx, captures, "impostor", profiles)
-    summary_rows = []
+    curves = []
     lines = []
     for profile in profiles:
         curve = det_curve(genuine, impostor, profile)
         _write_table(ctx, f"det_{profile.name}.csv", ["threshold", "fmr", "fnmr"],
-                     zip(curve.thresholds.tolist(), curve.fmr.tolist(), curve.fnmr.tolist()))
-        summary_rows.append((profile.name, curve.eer, curve.auc))
+                     [curve.thresholds, curve.fmr, curve.fnmr])
+        curves.append(curve)
         lines.append(f"{profile.name}: EER={curve.eer:.4%} AUC={curve.auc:.6f}")
-    _write_table(ctx, "det_summary.csv", ["matcher", "eer", "auc"], summary_rows)
+    _write_table(ctx, "det_summary.csv", ["matcher", "eer", "auc"],
+                 [[p.name for p in profiles], *_fields(curves, ["eer", "auc"])])
     _write_text(ctx, "det_summary.txt", "\n".join(lines) + "\n")
 
 
@@ -497,14 +505,11 @@ def cmd_failures(ctx: RunContext) -> None:
     pa, pb = _two_matchers(ctx, profiles)
     cut = _setting(ctx, "fusion.min_quality_cut", 45.0, NUMBER)
     report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], cut)
-    rows = []
-    for cat in report.categories:
-        rows.append((cat.name, cat.n_pairs, cat.n_subjects,
-                     "" if cat.quality_capture_rate is None else cat.quality_capture_rate,
-                     "" if cat.mean_gap_months is None else cat.mean_gap_months))
     _write_table(ctx, "failure_categories.csv",
                  ["category", "n_pairs", "n_subjects", "min_quality_capture_rate",
-                  "mean_gap_months"], rows)
+                  "mean_gap_months"],
+                 _fields(report.categories, ["name", "n_pairs", "n_subjects",
+                                             "quality_capture_rate", "mean_gap_months"]))
 
     lines = [f"matchers: {pa.name} vs {pb.name}",
              f"genuine pairs: {report.n_genuine}",
@@ -554,7 +559,7 @@ def cmd_lmm(ctx: RunContext) -> None:
     from .lmm import AgeGroups
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine_all = _load_pairs(ctx, captures, "genuine")
+    genuine_all = _load_pairs(ctx, captures, "genuine", profiles)
     spec = _model_spec(ctx, genuine_all)
     eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
                     ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
@@ -577,14 +582,13 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
     name = spec.outcome + suffix
     diag = residual_diagnostics(fit)
     _write_table(ctx, f"qq_{name}.csv", ["sample_quantile", "theoretical_quantile"],
-                 zip(diag.sample_quantiles.tolist(), diag.theoretical_quantiles.tolist()))
+                 [diag.sample_quantiles, diag.theoretical_quantiles])
     report_text = format_fit_report(fit, f"{name} ~ {spec.apc_mode} + quality")
     report_text += (f"\nShapiro-Wilk W = {diag.shapiro_w:.4f} "
                     f"(n_used={diag.n_used}, subsampled={diag.subsampled})\n")
     _write_text(ctx, f"fit_report_{name}.txt", report_text)
     _write_table(ctx, f"coefficients_{name}.csv", ["predictor", "beta", "se", "z", "p"],
-                 [(nm, float(fit.beta[j]), float(fit.se[j]), float(fit.z_stats[j]),
-                   float(fit.p_values[j])) for j, nm in enumerate(fit.column_names)])
+                 [fit.column_names, fit.beta, fit.se, fit.z_stats, fit.p_values])
 
     # enrollment age-group companion model and predicted trajectories
     group_spec = ModelSpec(
@@ -607,7 +611,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
     design = group_fit.design
     col_means = design.X.mean(axis=0)
     t_grid = sorted(set(int(v) for v in design.X[:, design.column_names.index("T")].tolist()))
-    rows = []
+    groups, months, predicted = [], [], []
     labels = age_term.labels()
     for label in labels:
         for t_val in t_grid:
@@ -618,9 +622,11 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
                 cname = f"A_gallery[{other}]"
                 if cname in design.column_names:
                     x[design.column_names.index(cname)] = 1.0 if other == label else 0.0
-            pred = float(x @ group_fit.beta)
-            rows.append((label, t_val, pred))
-    _write_table(ctx, f"trajectories_{name}.csv", ["age_group", "T_months", "predicted"], rows)
+            groups.append(label)
+            months.append(t_val)
+            predicted.append(float(x @ group_fit.beta))
+    _write_table(ctx, f"trajectories_{name}.csv", ["age_group", "T_months", "predicted"],
+                 [groups, months, predicted])
 
 
 def cmd_apc(ctx: RunContext) -> None:
@@ -628,14 +634,11 @@ def cmd_apc(ctx: RunContext) -> None:
     from .lmm import compare_apc
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
     spec = _model_spec(ctx, genuine)
     report = compare_apc(genuine, spec)
-    rows = []
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
     for e in report.entries:
-        rows.append((e.mode, e.n_obs, e.loglik_ml, e.aic_ml, e.delta_aic,
-                     e.temporal.name, e.temporal.beta, e.temporal.se, e.temporal.p))
         lines.append(f"{e.mode}: n={e.n_obs} loglik={e.loglik_ml:.2f} "
                      f"AIC={e.aic_ml:.2f} dAIC={e.delta_aic:.2f} "
                      f"temporal {e.temporal.name}: beta={e.temporal.beta:.6g} "
@@ -644,7 +647,10 @@ def cmd_apc(ctx: RunContext) -> None:
             lines.append(f"    age {c.name}: beta={c.beta:.6g} (se {c.se:.3g}, p={c.p:.3g})")
     _write_table(ctx, "apc_models.csv",
                  ["mode", "n_obs", "loglik_ml", "aic_ml", "delta_aic",
-                  "temporal_term", "temporal_beta", "temporal_se", "temporal_p"], rows)
+                  "temporal_term", "temporal_beta", "temporal_se", "temporal_p"],
+                 _fields(report.entries, ["mode", "n_obs", "loglik_ml", "aic_ml", "delta_aic",
+                                          "temporal.name", "temporal.beta", "temporal.se",
+                                          "temporal.p"]))
     lines.append("overidentified three-variable diagnostic (do not interpret "
                  "coefficients; VIFs shown):")
     for nm, v in sorted(report.overidentified.vifs.items()):
@@ -658,7 +664,7 @@ def cmd_cv(ctx: RunContext) -> None:
     from .validation import kfold_subject_cv
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine")
+    genuine = _load_pairs(ctx, captures, "genuine", profiles)
     spec = _model_spec(ctx, genuine)
     k = _setting(ctx, "cv.k", 5, INTEGER, (">= 2", lambda k: k >= 2))
     seed = _setting(ctx, "cv.seed", ctx.seed, SEED)
@@ -666,10 +672,8 @@ def cmd_cv(ctx: RunContext) -> None:
         report = kfold_subject_cv(genuine, spec, k, seed)
     except ValueError as exc:
         raise CliError(EXIT_DATA_INVALID, str(exc))
-    _write_table(ctx, "cv_report.csv",
-                 ["fold", "oos_r2", "rmse", "n_test_subjects", "n_test_rows"],
-                 [(f.fold, f.oos_r2, f.rmse, f.n_test_subjects, f.n_test_rows)
-                  for f in report.per_fold])
+    header = ["fold", "oos_r2", "rmse", "n_test_subjects", "n_test_rows"]
+    _write_table(ctx, "cv_report.csv", header, _fields(report.per_fold, header))
     fit = fit_spec(genuine, spec)
     _write_text(ctx, "cv_summary.txt", "\n".join([
         f"k: {report.k}",

@@ -12,6 +12,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -200,7 +201,7 @@ class CaptureTable:
     def rows(self, image_ids) -> np.ndarray:
         """The row of each of `image_ids` (the first, should an id repeat);
         -1 for an id not in the table."""
-        return np.fromiter((self._row.get(i, -1) for i in image_ids), dtype=np.intp)
+        return np.fromiter(map(self._row.get, image_ids, repeat(-1)), dtype=np.intp)
 
 
 class ScoreTable:
@@ -208,7 +209,7 @@ class ScoreTable:
     (gallery, probe, matcher) score.
 
     Holds one numpy column per SCORE_COLUMNS entry, as the attribute of that
-    name; the score lookup is built once, and a key that repeats raises
+    name; the key -> row lookup is built once, and a key that repeats raises
     DataError naming it.
     """
 
@@ -216,17 +217,19 @@ class ScoreTable:
         _set_columns(self, SCORE_COLUMNS, columns)
         keys = list(zip(self.gallery_image_id.tolist(), self.probe_image_id.tolist(),
                         self.matcher.tolist()))
-        self._index = dict(zip(keys, self.score.tolist()))
-        if len(self._index) < len(keys):
+        self._row = dict(zip(keys, range(len(keys))))
+        if len(self._row) < len(keys):
             seen = set()
             for key in keys:
                 if key in seen:
                     raise DataError(f"duplicate score row for {key}")
                 seen.add(key)
 
-    def get(self, gallery_image_id: str, probe_image_id: str, matcher: str):
-        """The score of the key as a float, None when the table has none."""
-        return self._index.get((gallery_image_id, probe_image_id, matcher))
+    def rows(self, gallery_image_ids, probe_image_ids, matcher: str) -> np.ndarray:
+        """The row of the (gallery, probe, `matcher`) key of each pair of ids;
+        -1 for a key not in the table."""
+        keys = zip(gallery_image_ids, probe_image_ids, repeat(matcher))
+        return np.fromiter(map(self._row.get, keys, repeat(-1)), dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.score)

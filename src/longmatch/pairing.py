@@ -171,27 +171,29 @@ def attach_scores(pairs: ComparisonTable, scores: ScoreTable,
     A score outside its profile's range raises ScoreRangeError naming the
     offending pair.
     """
-    n = len(pairs)
-    columns = {profile.name: np.empty(n) for profile in profiles}
-    complete = np.ones(n, dtype=bool)
-    incomplete: list[IncompletePair] = []
-    for i, (gallery, probe) in enumerate(zip(pairs.gallery_image_id,
-                                             pairs.probe_image_id)):
-        missing: list[str] = []
-        for profile in profiles:
-            value = scores.get(gallery, probe, profile.name)
-            if value is None:
-                missing.append(profile.name)
-                continue
-            if not (profile.score_min <= value <= profile.score_max):
-                raise ScoreRangeError(
-                    f"score {value} for matcher {profile.name!r} on pair "
-                    f"({gallery}, {probe}) outside "
-                    f"[{profile.score_min}, {profile.score_max}]")
-            columns[profile.name][i] = value
-        if missing:
-            complete[i] = False
-            incomplete.append(IncompletePair(gallery, probe, tuple(missing)))
+    gallery = pairs.gallery_image_id.tolist()
+    probe = pairs.probe_image_id.tolist()
+    rows = np.empty((len(pairs), len(profiles)), dtype=np.intp)
+    for j, profile in enumerate(profiles):
+        rows[:, j] = scores.rows(gallery, probe, profile.name)
+    present = rows >= 0
+    # row -1 reads the NaN appended after the last score
+    values = np.append(scores.score, np.nan)[rows]
+    low = np.array([profile.score_min for profile in profiles])
+    high = np.array([profile.score_max for profile in profiles])
+    outside = np.flatnonzero(present & ~((low <= values) & (values <= high)))
+    if outside.size:
+        i, j = divmod(int(outside[0]), len(profiles))
+        profile = profiles[j]
+        raise ScoreRangeError(
+            f"score {float(values[i, j])} for matcher {profile.name!r} on pair "
+            f"({gallery[i]}, {probe[i]}) outside "
+            f"[{profile.score_min}, {profile.score_max}]")
+    complete = present.all(axis=1)
+    incomplete = tuple(
+        IncompletePair(gallery[i], probe[i],
+                       tuple(p.name for p, found in zip(profiles, present[i]) if not found))
+        for i in np.flatnonzero(~complete).tolist())
     table = pairs.select(complete).with_scores(
-        {name: col[complete] for name, col in columns.items()})
-    return AttachResult(table, tuple(incomplete))
+        {profile.name: values[complete, j] for j, profile in enumerate(profiles)})
+    return AttachResult(table, incomplete)

@@ -2,18 +2,21 @@
 
 All files are comma-delimited UTF-8 with a header row, written by
 `write_table` and read back by `read_table`, which finds columns by header
-name. csv writes each cell with str(), the shortest round-trip form of a
-float or a numpy float64, so every table round-trips bit-exactly.
+name. `write_table` takes columns and writes them in blocks of rows, with
+csv's minimal quoting and "\r\n" line ends; a float is written as its
+shortest round-trip repr, formatted once per distinct value in a block, so
+every table round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +31,10 @@ _INTEGERS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np
 _REALS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64)
 # the reason TextColumns.parse gives for an integer that np.int64 cannot hold
 OUTSIDE_64_BITS = "outside 64 bits"
+# rows per block of write_table: each block is formatted and written at once
+BLOCK_ROWS = 4096
+# a cell holding one of these is quoted, as csv.writer's QUOTE_MINIMAL does
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 class IngestError(DataError):
@@ -135,8 +142,7 @@ def ingest_captures(path) -> IngestResult:
 
 
 def write_captures(table: CaptureTable, path) -> None:
-    write_table(path, CAPTURE_HEADER,
-                zip(*(getattr(table, name).tolist() for name in CAPTURE_HEADER)))
+    write_table(path, CAPTURE_HEADER, [getattr(table, name) for name in CAPTURE_HEADER])
 
 
 def ingest_scores(path) -> ScoreTable:
@@ -147,15 +153,13 @@ def ingest_scores(path) -> ScoreTable:
 
 
 def write_scores(table: ScoreTable, path) -> None:
-    write_table(path, SCORE_HEADER,
-                zip(*(getattr(table, name).tolist() for name in SCORE_HEADER)))
+    write_table(path, SCORE_HEADER, [getattr(table, name) for name in SCORE_HEADER])
 
 
 def write_pairs(table: ComparisonTable, path) -> None:
     """Emit the PAIR_COLUMNS of `table`, then one score_<matcher> column per matcher."""
-    columns = [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()]
     write_table(path, [*PAIR_COLUMNS, *(f"score_{m}" for m in table.matchers)],
-                zip(*(column.tolist() for column in columns)))
+                [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()])
 
 
 def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
@@ -194,16 +198,57 @@ def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
         A_probe=captures.age_years[p_rows].astype(np.float64), scores=scores)
 
 
-def write_table(path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write `header` and then `rows` as delimited text: the one table writer.
+def write_table(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write `header` and then the rows of `columns` (one sequence of cells per
+    header name) as delimited text: the one table writer.
 
-    csv writes each cell with str(): a float or numpy float64 as its shortest
-    round-trip repr, an integer or numpy int64 as its digits.
+    Cells are written as csv.writer writes them: None as "", a float (numpy
+    float64 included) as its shortest round-trip repr, anything else with
+    str(); a cell holding a comma, quote, CR or LF is quoted, its quotes
+    doubled, and each line ends in "\r\n". Rows go out in blocks of
+    BLOCK_ROWS; in each block a float64 or int64 array formats each distinct
+    value (by bit pattern) once.
     """
+    n = len(columns[0]) if len(columns) else 0
+    if len(columns) != len(header) or any(len(column) != n for column in columns):
+        raise ValueError("write_table needs one column per header name, all of one length")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_lines([_cells(header)], len(header) == 1))
+        for start in range(0, n, BLOCK_ROWS):
+            block = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
+            fh.write(_lines(zip(*block), len(header) == 1))
+
+
+def _lines(rows, one_column: bool) -> str:
+    """`rows` of cell texts as "\r\n"-ended lines; csv.writer writes a row of
+    one empty cell as "" so that it is not a blank line."""
+    if one_column:
+        rows = [row if row[0] else ('""',) for row in rows]
+    return "\r\n".join(map(",".join, rows)) + "\r\n"
+
+
+def _cells(values) -> list[str]:
+    """The written text of each cell of `values`."""
+    if isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64):
+        distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        texts = list(map(_text, distinct.view(values.dtype).tolist()))
+        return np.array(texts, dtype=object)[inverse].tolist()
+    texts = [value if type(value) is str else _text(value) for value in values]
+    if _NEEDS_QUOTES.search("".join(texts)):
+        texts = [_quoted(text) for text in texts]
+    return texts
+
+
+def _text(value) -> str:
+    if value is None:
+        return ""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _quoted(text: str) -> str:
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @dataclass(frozen=True)

@@ -823,6 +823,13 @@ FAULTS = [
      ["pairs_impostor.csv", "score_simB 1e+300 at data row 3", "'simB'"]),
     ("calibrate", {"matchers[0].score_max": 100.0, "matchers[0].default_threshold": 0.0}, {}, 5,
      ["pairs_genuine.csv", "score_simA", "outside matcher 'simA' range [-5000.0, 100.0]"]),
+    # the model subcommands read the genuine pairs under the same range rule
+    ("lmm", {}, {"pairs_genuine.csv": _cell("score_simA", "5000.5")}, 5,
+     ["pairs_genuine.csv", "score_simA 5000.5 at data row 1", "'simA'", "[-5000.0, 5000.0]"]),
+    ("apc", {}, {"pairs_genuine.csv": _cell("score_simB", "-9000", row=2)}, 5,
+     ["pairs_genuine.csv", "score_simB -9000.0 at data row 2", "'simB'"]),
+    ("cv", {}, {"pairs_genuine.csv": _cell("score_simA", "1e300", row=3)}, 5,
+     ["pairs_genuine.csv", "score_simA 1e+300 at data row 3", "'simA'"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

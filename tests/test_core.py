@@ -87,8 +87,11 @@ class TestScoreTable:
                              ("G1", "P0", "m1", 2.5)])
         assert len(table) == 3
         assert table.matcher.dtype == object and table.score.dtype == np.float64
-        assert table.get("G0", "P0", "m2") == 0.0 and table.get("G1", "P0", "m1") == 2.5
-        assert table.get("G1", "P0", "m2") is None
+        rows = table.rows(["G0", "G1"], ["P0", "P0"], "m2")
+        assert rows.tolist() == [1, -1] and table.score[rows[0]] == 0.0
+        rows = table.rows(["G1", "G0"], ["P0", "P0"], "m1")
+        assert rows.tolist() == [2, 0] and table.score[rows[0]] == 2.5
+        assert table.rows([], [], "m1").tolist() == []
         with pytest.raises(ValueError):
             table.score[0] = 1.0
 
@@ -99,7 +102,7 @@ class TestScoreTable:
 
     def test_empty_table(self):
         table = score_table([])
-        assert len(table) == 0 and table.get("G0", "P0", "m1") is None
+        assert len(table) == 0 and table.rows(["G0"], ["P0"], "m1").tolist() == [-1]
 
 
 TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}

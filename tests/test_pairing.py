@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from longmatch.core import (
-    GENUINE, IMPOSTOR, SCORE_COLUMNS, ComparisonTable, DataError, MatcherProfile,
-    ScoreRangeError, ScoreTable,
+    GENUINE, IMPOSTOR, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS, ComparisonTable,
+    DataError, MatcherProfile, ScoreRangeError, ScoreTable,
 )
 from longmatch.pairing import (
-    PairingConfig, attach_scores, generate_genuine_pairs,
+    AttachResult, IncompletePair, PairingConfig, attach_scores, generate_genuine_pairs,
     generate_impostor_pairs,
 )
 
 from conftest import (
     capture_rows, capture_table, make_capture, random_capture_table, score_table,
 )
+
+
+TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
 
 
 def _pair_keys(table):
@@ -278,3 +281,117 @@ class TestUnscoredTable:
         profile = MatcherProfile("m1", "higher", 0.0, 100.0, 50.0)
         with pytest.raises(ScoreRangeError, match=r"score nan .* \(G0, P0\)"):
             attach_scores(pairs, scores, [profile])
+
+
+def _attach_scores_loop(pairs, scores, profiles):
+    """The oracle: the per-pair join loop `attach_scores` replaced, over a
+    (gallery, probe, matcher) -> score dict of `scores`."""
+    lookup = dict(zip(zip(scores.gallery_image_id.tolist(), scores.probe_image_id.tolist(),
+                          scores.matcher.tolist()), scores.score.tolist()))
+    n = len(pairs)
+    columns = {profile.name: np.empty(n) for profile in profiles}
+    complete = np.ones(n, dtype=bool)
+    incomplete = []
+    for i, (gallery, probe) in enumerate(zip(pairs.gallery_image_id, pairs.probe_image_id)):
+        missing = []
+        for profile in profiles:
+            value = lookup.get((gallery, probe, profile.name))
+            if value is None:
+                missing.append(profile.name)
+                continue
+            if not (profile.score_min <= value <= profile.score_max):
+                raise ScoreRangeError(
+                    f"score {value} for matcher {profile.name!r} on pair "
+                    f"({gallery}, {probe}) outside "
+                    f"[{profile.score_min}, {profile.score_max}]")
+            columns[profile.name][i] = value
+        if missing:
+            complete[i] = False
+            incomplete.append(IncompletePair(gallery, probe, tuple(missing)))
+    table = pairs.select(complete).with_scores(
+        {name: col[complete] for name, col in columns.items()})
+    return AttachResult(table, tuple(incomplete))
+
+
+def _join_outcome(join, pairs, scores, profiles):
+    """The table columns (as bit patterns) and incomplete list `join` gives,
+    or the text of the ScoreRangeError it raises."""
+    try:
+        result = join(pairs, scores, profiles)
+    except ScoreRangeError as exc:
+        return str(exc)
+    table = result.table
+    columns = {name: getattr(table, name) for name in TABLE_COLUMNS}
+    columns.update({f"score_{m}": values for m, values in table.scores.items()})
+    return ({name: (values.view(np.uint64) if values.dtype == np.float64 else values).tolist()
+             for name, values in columns.items()}, table.matchers, result.incomplete)
+
+
+def _fuzzed_scores(rng, pairs, profiles):
+    """A shuffled score table for `pairs` with keys dropped, NaN and
+    out-of-range scores at random positions, and keys of no pair."""
+    p_drop, p_nan, p_out = rng.choice([0.0, 0.02, 0.3]), rng.choice([0.0, 0.002]), \
+        rng.choice([0.0, 0.001, 0.01])
+    rows = []
+    for gallery, probe in _pair_keys(pairs):
+        for profile in profiles:
+            u = rng.uniform()
+            if u < p_drop:
+                continue
+            value = float(rng.uniform(profile.score_min, profile.score_max))
+            if u > 1.0 - p_nan:
+                value = float("nan")
+            elif u > 1.0 - p_nan - p_out:
+                value = profile.score_max + 1.0 if rng.uniform() < 0.5 else profile.score_min - 0.5
+            rows.append((gallery, probe, profile.name, value))
+    rows += [(f"X{i}", "I00000", profiles[0].name, 1.0) for i in range(3)]
+    return score_table([rows[i] for i in rng.permutation(len(rows))])
+
+
+def test_join_matches_per_pair_loop_on_fuzzed_scores():
+    profiles = [MatcherProfile("m1", "higher", 0.0, 100.0, 50.0),
+                MatcherProfile("m2", "lower", -1.0, 1.0, 0.0),
+                MatcherProfile("m3", "higher", -5.0, 5.0, 0.0)]
+    outcomes = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        captures = random_capture_table(rng, n_subjects=int(rng.integers(2, 9)))
+        for pairs in (generate_genuine_pairs(captures),
+                      generate_impostor_pairs(captures, PairingConfig(3, seed))):
+            used = profiles[:int(rng.integers(1, 4))]
+            scores = _fuzzed_scores(rng, pairs, used)
+            expected = _join_outcome(_attach_scores_loop, pairs, scores, used)
+            assert _join_outcome(attach_scores, pairs, scores, used) == expected
+            outcomes.append(expected)
+    raised = [o for o in outcomes if isinstance(o, str)]
+    assert raised and any("score nan" in o for o in raised)
+    assert any(not isinstance(o, str) and o[2] for o in outcomes)
+    assert any(not isinstance(o, str) and not o[2] for o in outcomes)
+
+
+def test_join_raises_past_a_missing_matcher_of_the_same_pair():
+    recs = [make_capture("G0", collection=1, months=0),
+            make_capture("P0", collection=2, months=6),
+            make_capture("P1", collection=3, months=12)]
+    pairs = generate_genuine_pairs(capture_table(recs))
+    profiles = [MatcherProfile(name, "higher", 0.0, 10.0, 5.0) for name in ("a", "b", "c")]
+    # pair (G0, P0) has no "a" score and an out-of-range "b"; (G0, P1) an out-of-range "a"
+    scores = score_table([("G0", "P1", "a", 11.0), ("G0", "P0", "c", 1.0),
+                          ("G0", "P0", "b", -1.0)])
+    expected = _join_outcome(_attach_scores_loop, pairs, scores, profiles)
+    assert expected == "score -1.0 for matcher 'b' on pair (G0, P0) outside [0.0, 10.0]"
+    assert _join_outcome(attach_scores, pairs, scores, profiles) == expected
+
+
+def test_join_on_an_empty_score_table():
+    captures = random_capture_table(np.random.default_rng(3), n_subjects=5)
+    pairs = generate_genuine_pairs(captures)
+    profiles = [MatcherProfile("m1", "higher", 0.0, 1.0, 0.5),
+                MatcherProfile("m2", "higher", 0.0, 1.0, 0.5)]
+    empty = score_table([])
+    expected = _join_outcome(_attach_scores_loop, pairs, empty, profiles)
+    assert _join_outcome(attach_scores, pairs, empty, profiles) == expected
+    assert len(expected[2]) == len(pairs) > 0
+    assert all(p.missing_matchers == ("m1", "m2") for p in expected[2])
+    assert _join_outcome(attach_scores, pairs.select(np.zeros(len(pairs), dtype=bool)),
+                         empty, profiles)[2] == ()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from longmatch.core import ComparisonTable, MatcherProfile
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
 from longmatch.tableio import (
-    CAPTURE_HEADER, DuplicateImageIdError, IngestError,
+    BLOCK_ROWS, CAPTURE_HEADER, DuplicateImageIdError, IngestError,
     ingest_captures, ingest_scores, read_pairs, write_captures, write_pairs,
-    write_scores,
+    write_scores, write_table,
 )
 
 from conftest import capture_rows, capture_table, random_capture_table, score_table
@@ -211,10 +213,9 @@ def test_capture_round_trip(tmp_path):
 
 
 def test_write_table_handles_numpy_scalars(tmp_path):
-    from longmatch.tableio import write_table
     path = tmp_path / "t.csv"
     write_table(path, ["a", "b", "c"],
-                [(np.float64(0.00881392316759429), np.int64(7), 0.25)])
+                [[np.float64(0.00881392316759429)], [np.int64(7)], [0.25]])
     line = path.read_text(encoding="utf-8").splitlines()[1]
     assert line == "0.00881392316759429,7,0.25"
     assert "np." not in line
@@ -225,9 +226,9 @@ def test_scores_round_trip(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(table, path)
     back = ingest_scores(path)
-    assert back.get("I0", "I1", "simmatch") == 123.456
-    assert back.get("I0", "I2", "simmatch") == -0.25
-    assert back.get("I9", "I1", "simmatch") is None
+    rows = back.rows(["I0", "I0", "I9"], ["I1", "I2", "I1"], "simmatch")
+    assert back.score[rows[:2]].tolist() == [123.456, -0.25]
+    assert rows[2] == -1
 
 
 def test_pairs_round_trip_with_age_join(tmp_path):
@@ -314,7 +315,7 @@ def test_score_columns_found_by_name(tmp_path):
                     "-0.5,m1,x,P1,G1\r\n2.0,m1,,P2,G1\r\n", encoding="utf-8")
     back = ingest_scores(path)
     assert len(back) == 2
-    assert back.get("G1", "P1", "m1") == -0.5 and back.get("G1", "P2", "m1") == 2.0
+    assert back.score[back.rows(["G1", "G1"], ["P1", "P2"], "m1")].tolist() == [-0.5, 2.0]
 
 
 def test_repeated_pair_column_reads_its_first(tmp_path):
@@ -329,3 +330,63 @@ def test_repeated_pair_column_reads_its_first(tmp_path):
     back = read_pairs(path, captures)
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
+
+
+def _csv_writer_table(path, header, columns):
+    """The oracle: the same table written row by row by csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+# cells of the object column: csv.writer's text rules, quoting, numpy scalars
+_OBJECT_CELLS = [
+    None, "", "a,b", 'say "hi"', '"', "cr\rmid", "lf\nmid", "crlf\r\n", "  padded  ",
+    "naïve ünïcödé ✓", np.float64(0.1), np.float64(-0.0), np.int64(-7), np.float32(0.1),
+    np.bool_(True), True, 2 ** 70, -(2 ** 80), 5e-324, float("inf"), -float("inf"),
+    float("nan"), 0.0, 1e16, 123456789.125,
+]
+# bit patterns of the float64 column: signed zeros and NaN payloads stay apart
+_FLOAT_CELLS = np.array([0.0, -0.0, np.nan, *_NAN_PAYLOAD, np.inf, -np.inf, 5e-324, -5e-324,
+                         1e16, 1e-5, 0.1, 1 / 3, 2.0 ** 60, np.finfo(np.float64).max])
+_INT_CELLS = np.array([0, -1, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10 ** 15])
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_write_table_matches_csv_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    header = ["plain", "needs,quote", 'q"uote', "float64", "int64", "object", "float32", "ids"]
+    columns = [
+        [f"r{i}" for i in range(n)],
+        rng.choice(["x", "y,z"], n).tolist(),
+        [None] * n,
+        _FLOAT_CELLS[rng.integers(0, len(_FLOAT_CELLS), n)],
+        _INT_CELLS[rng.integers(0, len(_INT_CELLS), n)],
+        [_OBJECT_CELLS[i] for i in rng.integers(0, len(_OBJECT_CELLS), n)],
+        rng.normal(size=n).astype(np.float32),
+        np.array([f"I{i % 97:05d}" for i in range(n)], dtype=object),
+    ]
+    write_table(tmp_path / "columns.csv", header, columns)
+    _csv_writer_table(tmp_path / "rows.csv", header, columns)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
+def test_write_table_one_column_matches_csv_writer(tmp_path, n):
+    # csv.writer writes a row of one empty cell as "", so that it is not a blank line
+    for header in ([""], ["only"]):
+        column = [[None, "", "x", 0.5, 'a"b'][i % 5] for i in range(n)]
+        for values in (column, np.arange(n, dtype=np.float64)):
+            write_table(tmp_path / "columns.csv", header, [values])
+            _csv_writer_table(tmp_path / "rows.csv", header, [values])
+            assert (tmp_path / "columns.csv").read_bytes() == \
+                (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_table_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="one column per header name"):
+        write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError, match="one column per header name"):
+        write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
