@@ -12,43 +12,34 @@ __version__ = "0.1.0"
 
 import importlib
 
-# each public name and the submodule that defines it; a name loads its
-# submodule on first use (PEP 562), so `import longmatch` loads none of them
-# and each CLI process loads only the layers its subcommand calls
+# the names the CLI and the demos import, each with the submodule that
+# defines it (any other public name is imported from its submodule); a name
+# loads its submodule on first use (PEP 562), so `import longmatch` loads
+# none of them and each CLI process loads only the layers its subcommand calls
 _EXPORTS = {
     "core": (
-        "GENUINE", "IMPOSTOR", "HIGHER_IS_BETTER", "LOWER_IS_BETTER",
-        "CaptureTable", "ComparisonTable", "MatcherProfile", "ScoreTable",
-        "DataError", "DuplicateImageIdError", "ScoreRangeError",
-        "CalibrationInfeasibleError", "ModelError",
-        "dilation_ratio", "dilation_constancy",
+        "CalibrationInfeasibleError", "ComparisonTable", "DataError", "MatcherProfile",
+        "ModelError", "ScoreRangeError",
     ),
     "tableio": (
-        "IngestResult", "IngestError", "RowRejection", "ingest_captures",
-        "ingest_scores", "read_pairs", "write_captures", "write_pairs", "write_scores",
+        "IngestError", "ingest_captures", "ingest_scores", "read_pairs", "write_captures",
+        "write_pairs", "write_scores",
     ),
     "pairing": (
-        "AttachResult", "PairingConfig", "attach_scores", "generate_genuine_pairs",
-        "generate_impostor_pairs",
+        "PairingConfig", "attach_scores", "generate_genuine_pairs", "generate_impostor_pairs",
     ),
     "metrics": (
-        "CalibrationResult", "DetCurve", "FailureReport", "FusionReport", "IntervalStat",
-        "calibrate_threshold", "decide", "det_curve", "failure_analysis",
-        "fmr_at_threshold", "fnmr_by_interval", "fuse_and_rule", "rule_of_three",
-        "wilson_interval",
+        "calibrate_threshold", "det_curve", "failure_analysis", "fnmr_by_interval",
+        "fuse_and_rule",
     ),
     "lmm": (
-        "AgeGroups", "ApcReport", "Continuous", "DesignMatrices", "FittedModel",
-        "Interaction", "LrtResult", "ModelSpec", "RankDeficientError", "build_design",
-        "compare_apc", "fit_reml", "fit_spec", "format_fit_report", "icc",
-        "likelihood_ratio_test", "marginal_r2", "matcher_comparison", "vif",
+        "AgeGroups", "Continuous", "Interaction", "ModelSpec", "build_design", "compare_apc",
+        "fit_reml", "fit_spec", "format_fit_report", "icc", "likelihood_ratio_test",
+        "marginal_r2", "vif",
     ),
-    "validation": (
-        "CvReport", "DiagnosticsReport", "kfold_subject_cv", "residual_diagnostics",
-    ),
+    "validation": ("kfold_subject_cv", "residual_diagnostics"),
     "synth": (
-        "CovariateSpec", "DistSpec", "GroundTruth", "MatcherSim", "SynthConfig",
-        "SynthResult", "generate_longitudinal", "generate_score_populations",
+        "CovariateSpec", "DistSpec", "MatcherSim", "SynthConfig", "generate_longitudinal",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -564,7 +564,7 @@ def cmd_lmm(ctx: RunContext) -> None:
     eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
                     ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
     bins = _setting(ctx, "model.age_groups", AgeGroups.bins, _list_of(_list_of(INTEGER)))
-    age_term = _build(ctx, "model.age_groups", AgeGroups, {"column": "A_gallery", "bins": bins})
+    age_term = _build(ctx, "model.age_groups", AgeGroups, {"bins": bins})
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in eyes:
         if eye == "pooled":

@@ -115,14 +115,6 @@ def dilation_ratio(r_pupil: float, r_iris: float) -> float:
     return r_pupil / r_iris
 
 
-def dilation_constancy(d_gallery: float, d_probe: float) -> float:
-    """1 - |D_gallery - D_probe|: 1.0 for identical dilation, 0.0 for maximal mismatch."""
-    for d in (d_gallery, d_probe):
-        if not (0.0 <= d <= 1.0):
-            raise ValueError(f"dilation ratio {d} outside [0, 1]")
-    return 1.0 - abs(d_gallery - d_probe)
-
-
 def check_matcher_name(name: str, error=ValueError) -> None:
     """Raise `error` when `name` is a pair-table column or alias, which
     ComparisonTable.column would resolve instead of the matcher's scores, or

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import chdtrc, ndtr
-from .core import GENUINE, QUALITY_TERMS, ComparisonTable, DataError, ModelError
+from .core import GENUINE, ComparisonTable, DataError, ModelError
 
 INTERCEPT_ONLY = "intercept"
 INTERCEPT_AND_SLOPE = "intercept_slope"
@@ -69,10 +69,9 @@ class Continuous:
 
 @dataclass(frozen=True)
 class AgeGroups:
-    """Integer-age bins expanded to dummies against the reference bin."""
-    column: str = "A_gallery"
+    """Integer enrollment-age (A_gallery) bins expanded to dummies against
+    the first bin."""
     bins: tuple[tuple[int, int], ...] = ((4, 5), (6, 7), (8, 9), (10, 12))
-    reference: int = 0   # index into bins
 
     def __post_init__(self):
         if not self.bins or any(len(b) != 2 or b[0] > b[1] for b in self.bins):
@@ -179,16 +178,13 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
             add(f"{term.left}:{term.right}",
                 table.column(term.left) * table.column(term.right))
         elif isinstance(term, AgeGroups):
-            values = table.column(term.column)
-            labels = term.labels()
+            values = table.column("A_gallery")
             level = np.full(len(values), -1, dtype=np.int64)
             for idx, (lo, hi) in enumerate(term.bins):
                 level[(values >= lo) & (values <= hi)] = idx
             row_ok &= level >= 0
-            for idx, label in enumerate(labels):
-                if idx == term.reference:
-                    continue
-                add(f"{term.column}[{label}]", (level == idx).astype(np.float64))
+            for idx, label in enumerate(term.labels()[1:], 1):
+                add(f"A_gallery[{label}]", (level == idx).astype(np.float64))
         else:
             raise ModelError(f"unknown term {term!r}")
 
@@ -210,6 +206,13 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     keep = _independent_columns(X)
     if not keep.all():
         raise RankDeficientError([names[j] for j in range(len(names)) if not keep[j]])
+
+    # an outcome spread beyond float64 overflows every sum of squares after
+    # this one, in the fit and in scoring held-out rows alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(y))
+    if not np.isfinite(spread):
+        raise ModelError(f"the spread of outcome {spec.outcome!r} overflows float64")
 
     scale = None
     if spec.standardize_outcome:
@@ -482,21 +485,6 @@ def _newton(x, gs: _GroupStats, reml: bool):
     return x, ev, steps, calls
 
 
-def central_diff_grad(fun, x):
-    """Central finite differences; kept as the oracle the analytic gradient
-    is verified against."""
-    h0 = 6.0e-6
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        h = h0 * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
-
-
 @dataclass
 class FittedModel:
     """REML (or ML) estimates, Wald inference, and fit statistics."""
@@ -711,24 +699,6 @@ def refit(fit: FittedModel, method: str) -> FittedModel:
     return fit_reml(inner["y"], inner["X"], inner["t"], inner["group_index"],
                     column_names=fit.column_names, method=method,
                     design=fit.design, start=inner["params"])
-
-
-def gls_beta(y, X, t, group_index, Sigma, sigma2):
-    """Closed-form GLS fixed effects with the variance components frozen.
-
-    Returns (beta, cov_beta) for a positive-definite Sigma, from the fit's
-    evaluator at the log-Cholesky parameters of Sigma / sigma2. Exposed so
-    it can be checked against a dense weighted-least-squares oracle.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    t = None if t is None else np.asarray(t, dtype=np.float64)
-    L = np.linalg.cholesky(np.atleast_2d(np.asarray(Sigma, dtype=np.float64)) / sigma2)
-    gs = _GroupStats(y, X, t, np.asarray(group_index, dtype=np.int64))
-    ev = _evaluate(_pack_factor(L), gs, reml=True)
-    if ev is None:
-        raise ModelError("singular GLS normal equations")
-    return ev.beta, sigma2 * ev.XtWX_inv
 
 
 # ---------------------------------------------------------------------------
@@ -947,69 +917,6 @@ def compare_apc(table: ComparisonTable, base_spec: ModelSpec) -> ApcReport:
     over = OveridentifiedEntry(vifs=vif(over_fit.design.X, over_fit.design.column_names),
                                temporal=_coef_summary(over_fit, "T"), fit=over_fit)
     return ApcReport(model_entries, over)
-
-
-# ---------------------------------------------------------------------------
-# combined matcher-comparison model on standardized outcomes
-
-@dataclass(frozen=True)
-class MatcherComparisonResult:
-    fit: FittedModel
-    interaction: CoefSummary   # matcher x T divergence term
-    z_scope: str               # "per matcher-eye" or "per matcher"
-
-
-def matcher_comparison(table: ComparisonTable, matcher_a: str, matcher_b: str,
-                       covariate_columns=QUALITY_TERMS,
-                       z_scope: str = "per matcher-eye") -> MatcherComparisonResult:
-    """Stacked model testing whether two matchers' temporal trends diverge.
-
-    Each matcher's scores are z-standardized (within matcher-eye by default,
-    or within matcher pooled over eyes) and stacked; X carries the shared
-    covariates, T, a matcher indicator and the matcher x T interaction, with
-    subject random intercept and slope. The scope actually used is recorded
-    on the result.
-    """
-    if z_scope not in ("per matcher-eye", "per matcher"):
-        raise ValueError("z_scope must be 'per matcher-eye' or 'per matcher'")
-    if not np.all(table.kind == GENUINE):
-        raise DataError("matcher comparison uses genuine comparisons only")
-
-    blocks_y = []
-    for name in (matcher_a, matcher_b):
-        scores = table.score(name).copy()
-        if z_scope == "per matcher-eye":
-            for eye in ("L", "R"):
-                sel = table.eye == eye
-                if sel.any():
-                    scores[sel] = (scores[sel] - scores[sel].mean()) / scores[sel].std(ddof=1)
-        else:
-            scores = (scores - scores.mean()) / scores.std(ddof=1)
-        blocks_y.append(scores)
-    y = np.concatenate(blocks_y)
-
-    n = len(table)
-    t_single = table.column("T")
-    cols = [np.ones(2 * n)]
-    names = ["intercept"]
-    for c in covariate_columns:
-        cols.append(np.tile(table.column(c), 2))
-        names.append(c)
-    t = np.tile(t_single, 2)
-    indicator = np.concatenate([np.zeros(n), np.ones(n)])
-    cols += [t, indicator, indicator * t]
-    names += ["T", f"matcher[{matcher_b}]", f"matcher[{matcher_b}]:T"]
-    X = np.column_stack(cols)
-
-    subjects = sorted(set(table.gallery_subject))
-    lookup = {s: i for i, s in enumerate(subjects)}
-    gi_single = np.fromiter((lookup[s] for s in table.gallery_subject),
-                            dtype=np.int64, count=n)
-    group_index = np.tile(gi_single, 2)
-
-    fit = fit_reml(y, X, t, group_index, column_names=names)
-    return MatcherComparisonResult(fit, _coef_summary(fit, f"matcher[{matcher_b}]:T"),
-                                   z_scope)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from .core import (
     DataError, MatcherProfile,
 )
 
-MATCH = "match"
-NON_MATCH = "non-match"
 WILSON = "wilson"
 RULE_OF_THREE = "rule-of-three"
 
@@ -28,13 +26,6 @@ def match_mask(scores: np.ndarray, threshold: float, orientation: str) -> np.nda
     if orientation == HIGHER_IS_BETTER:
         return scores >= threshold
     return scores <= threshold
-
-
-def decide(score: float, threshold: float, profile: MatcherProfile) -> str:
-    """Match/non-match for one score under the profile's orientation."""
-    if not (profile.score_min <= score <= profile.score_max):
-        raise ValueError(f"score {score} outside profile range")
-    return MATCH if match_mask(np.array([score]), threshold, profile.orientation)[0] else NON_MATCH
 
 
 def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -122,20 +113,11 @@ def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
     return out
 
 
-def _scores_of(source, profile: MatcherProfile, kind: str | None) -> np.ndarray:
+def _scores_of(source, profile: MatcherProfile, kind: str) -> np.ndarray:
     if isinstance(source, ComparisonTable):
-        if kind is not None:
-            _require_kind(source, kind, "metric")
+        _require_kind(source, kind, "metric")
         return source.score(profile.name)
     return np.asarray(source, dtype=np.float64)
-
-
-def fmr_at_threshold(impostor, profile: MatcherProfile, threshold: float) -> float:
-    """Fraction of impostor comparisons decided Match at the threshold."""
-    scores = _scores_of(impostor, profile, kind="impostor")
-    if scores.size == 0:
-        raise DataError("empty impostor table")
-    return float(match_mask(scores, threshold, profile.orientation).mean())
 
 
 def _oriented(scores: np.ndarray, orientation: str) -> np.ndarray:
@@ -252,21 +234,11 @@ class AgreementBreakdown:
     both: int
     neither: int
 
-    @property
-    def total(self) -> int:
-        return self.a_only + self.b_only + self.both + self.neither
-
 
 @dataclass(frozen=True)
 class FusionReport:
-    matcher_a: str
-    matcher_b: str
-    threshold_a: float
-    threshold_b: float
     fused_fmr: float | None
     fused_fnmr: float | None
-    n_impostor: int
-    n_genuine: int
     impostor_accepts: AgreementBreakdown   # accept events on impostor pairs
     genuine_rejects: AgreementBreakdown    # reject events on genuine pairs
 
@@ -304,10 +276,7 @@ def fuse_and_rule(table: ComparisonTable, profile_a: MatcherProfile, thr_a: floa
     fused_fmr = float((fused_accept & impostor).sum() / n_imp) if n_imp else None
     fused_fnmr = float((~fused_accept & genuine).sum() / n_gen) if n_gen else None
     return FusionReport(
-        matcher_a=profile_a.name, matcher_b=profile_b.name,
-        threshold_a=thr_a, threshold_b=thr_b,
         fused_fmr=fused_fmr, fused_fnmr=fused_fnmr,
-        n_impostor=n_imp, n_genuine=n_gen,
         impostor_accepts=breakdown(match_a, match_b, impostor),
         genuine_rejects=breakdown(~match_a, ~match_b, genuine),
     )
@@ -328,8 +297,6 @@ class FailureCategory:
 
 @dataclass(frozen=True)
 class FailureReport:
-    matcher_a: str
-    matcher_b: str
     min_quality_cut: float
     n_genuine: int
     n_failures: int               # pairs below threshold on at least one matcher
@@ -391,7 +358,6 @@ def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: f
     union = fail_a | fail_b
     failure_subjects = set(table.gallery_subject[union])
     return FailureReport(
-        matcher_a=profile_a.name, matcher_b=profile_b.name,
         min_quality_cut=min_quality_cut,
         n_genuine=len(table), n_failures=int(union.sum()),
         n_failure_subjects=len(failure_subjects),

@@ -9,6 +9,7 @@ from pathlib import Path
 _WIDTH, _HEIGHT = 840, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 48, 56
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_LOG_FLOOR = 1e-6   # zeros are clamped here on log axes
 
 
 @dataclass
@@ -18,7 +19,6 @@ class Series:
     y: list
     whisker_low: list | None = None
     whisker_high: list | None = None
-    dashed: bool = False
     markers: bool = True
 
 
@@ -30,17 +30,16 @@ class Chart:
     series: list[Series] = field(default_factory=list)
     log_x: bool = False
     log_y: bool = False
-    log_floor: float = 1e-6   # zeros are clamped here on log axes
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -69,21 +68,21 @@ def render(chart: Chart, path) -> None:
     xs, ys = [], []
     for s in chart.series:
         for v in s.x:
-            xs.append(max(v, chart.log_floor) if chart.log_x else v)
+            xs.append(max(v, _LOG_FLOOR) if chart.log_x else v)
         vals = list(s.y)
         if s.whisker_low is not None:
             vals += list(s.whisker_low)
         if s.whisker_high is not None:
             vals += list(s.whisker_high)
         for v in vals:
-            ys.append(max(v, chart.log_floor) if chart.log_y else v)
+            ys.append(max(v, _LOG_FLOOR) if chart.log_y else v)
     if not xs or not ys:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
 
     def span(values, log):
         lo, hi = min(values), max(values)
         if log:
-            lo = max(lo, chart.log_floor)
+            lo = max(lo, _LOG_FLOOR)
             hi = max(hi, lo * 10.0)
             return lo, hi
         if hi == lo:
@@ -95,7 +94,7 @@ def render(chart: Chart, path) -> None:
     y_lo, y_hi = span(ys, chart.log_y)
 
     def sx(v):
-        v = max(v, chart.log_floor) if chart.log_x else v
+        v = max(v, _LOG_FLOOR) if chart.log_x else v
         if chart.log_x:
             f = (math.log10(v) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
         else:
@@ -103,7 +102,7 @@ def render(chart: Chart, path) -> None:
         return _MARGIN_L + f * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def sy(v):
-        v = max(v, chart.log_floor) if chart.log_y else v
+        v = max(v, _LOG_FLOOR) if chart.log_y else v
         if chart.log_y:
             f = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         else:
@@ -153,9 +152,8 @@ def render(chart: Chart, path) -> None:
     for k, s in enumerate(chart.series):
         color = _COLORS[k % len(_COLORS)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y))
-        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.8"{dash}/>')
+                     f'stroke-width="1.8"/>')
         if s.whisker_low is not None and s.whisker_high is not None:
             for x, lo, hi in zip(s.x, s.whisker_low, s.whisker_high):
                 px = sx(x)
@@ -168,7 +166,7 @@ def render(chart: Chart, path) -> None:
         ly = _MARGIN_T + 16 * k
         lx = _WIDTH - _MARGIN_R + 10
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="2"{dash}/>')
+                     f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 24}" y="{ly + 4}" font-family="sans-serif" '
                      f'font-size="11">{escape(s.name)}</text>')
 

@@ -365,12 +365,3 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
     )
     return SynthResult(captures, scores, truth, profiles)
 
-
-def generate_score_populations(n: int, genuine_dist: DistSpec,
-                               impostor_dist: DistSpec,
-                               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. genuine and impostor scores, deterministic by seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return genuine_dist.draw(rng, n), impostor_dist.draw(rng, n)

@@ -80,14 +80,11 @@ def kfold_subject_cv(table: ComparisonTable, spec: ModelSpec, k: int,
 @dataclass(frozen=True)
 class DiagnosticsReport:
     shapiro_w: float
-    shapiro_p: float
     n_residuals: int
     n_used: int
     subsampled: bool
     sample_quantiles: np.ndarray        # sorted standardized residuals
     theoretical_quantiles: np.ndarray   # matching normal quantiles (Blom)
-    fitted: np.ndarray
-    residuals: np.ndarray
 
 
 def residual_diagnostics(fit: FittedModel, y=None, X=None,
@@ -118,14 +115,13 @@ def residual_diagnostics(fit: FittedModel, y=None, X=None,
     else:
         tested = resid
         subsampled = False
-    w, p = shapiro(tested)
+    w, _ = shapiro(tested)
 
     standardized = np.sort((resid - resid.mean()) / sd)
     ranks = np.arange(1, n + 1)
     theo = ndtri((ranks - 0.375) / (n + 0.25))
     return DiagnosticsReport(
-        shapiro_w=float(w), shapiro_p=float(p), n_residuals=n,
+        shapiro_w=float(w), n_residuals=n,
         n_used=len(tested), subsampled=subsampled,
         sample_quantiles=standardized, theoretical_quantiles=theo,
-        fitted=fit.predict_fixed(X), residuals=resid,
     )

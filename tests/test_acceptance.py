@@ -21,7 +21,6 @@ from longmatch.metrics import (
 from longmatch.pairing import attach_scores, generate_genuine_pairs
 from longmatch.synth import (
     CovariateSpec, DistSpec, MatcherSim, SynthConfig, generate_longitudinal,
-    generate_score_populations,
 )
 from longmatch.validation import kfold_subject_cv
 
@@ -47,6 +46,12 @@ def synth_table(beta, Sigma, sigma2, seed, n_subjects=300, images=2,
     result = generate_longitudinal(SynthConfig(**kwargs))
     pairs = generate_genuine_pairs(result.captures)
     return attach_scores(pairs, result.scores, result.profiles).table
+
+
+def generate_score_populations(n, genuine_dist, impostor_dist, seed):
+    """n i.i.d. genuine, then n impostor scores from one PCG64(seed) stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return genuine_dist.draw(rng, n), impostor_dist.draw(rng, n)
 
 
 def subject_index(table):

@@ -585,9 +585,17 @@ def test_package_import_loads_no_submodule():
 
 
 def test_package_names_resolve_to_their_submodules():
+    import ast
     import importlib
 
-    assert len(longmatch.__all__) == 74
+    assert len(longmatch.__all__) == 42
+    # the package exports only what the CLI or a demo imports
+    sources = [Path(longmatch.__file__).with_name("cli.py"),
+               *(Path(__file__).resolve().parents[1] / "demos").glob("*.py")]
+    imported = {alias.name for source in sources
+                for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(longmatch.__all__) <= imported, sorted(set(longmatch.__all__) - imported)
     for name in longmatch.__all__:
         module = importlib.import_module(f"longmatch.{longmatch._SOURCE[name]}")
         assert getattr(longmatch, name) is getattr(module, name), name
@@ -693,6 +701,8 @@ def _first(column: str):
         return "\r\n".join(",".join(cells) for cells in lines).encode("utf-8")
     return damage
 
+
+WIDE_RANGE = {"matchers[0].score_min": -1e306, "matchers[0].score_max": 1e306}
 
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
 # texts the single stderr line must hold; on exit 0, texts the subcommand's
@@ -830,6 +840,13 @@ FAULTS = [
      ["pairs_genuine.csv", "score_simB -9000.0 at data row 2", "'simB'"]),
     ("cv", {}, {"pairs_genuine.csv": _cell("score_simA", "1e300", row=3)}, 5,
      ["pairs_genuine.csv", "score_simA 1e+300 at data row 3", "'simA'"]),
+    # a score inside a declared range so wide that its spread overflows float64
+    ("lmm", WIDE_RANGE, {"pairs_genuine.csv": _cell("score_simA", "1e300")}, 7,
+     ["outcome 'simA' overflows float64"]),
+    ("apc", WIDE_RANGE, {"pairs_genuine.csv": _cell("score_simA", "1e300")}, 7,
+     ["outcome 'simA' overflows float64"]),
+    ("cv", WIDE_RANGE, {"pairs_genuine.csv": _cell("score_simA", "1e300")}, 7,
+     ["outcome 'simA' overflows float64"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

@@ -3,7 +3,7 @@ import pytest
 
 from longmatch.core import (
     JOINED_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
-    dilation_constancy, dilation_ratio,
+    dilation_ratio,
 )
 from longmatch.pairing import generate_genuine_pairs
 
@@ -32,28 +32,6 @@ class TestDilationRatio:
             pupil = rng.uniform(1e-6, 1.0) * iris * 0.999
             d = dilation_ratio(pupil, iris)
             assert 0.0 < d < 1.0
-
-
-class TestDilationConstancy:
-    def test_identical_dilation(self):
-        assert dilation_constancy(0.4, 0.4) == 1.0
-
-    def test_examples(self):
-        assert dilation_constancy(0.6, 0.3) == pytest.approx(0.7)
-        assert dilation_constancy(1.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("a,b", [(1.2, 0.5), (-0.1, 0.5), (0.5, 1.01)])
-    def test_rejects_out_of_range(self, a, b):
-        with pytest.raises(ValueError):
-            dilation_constancy(a, b)
-
-    def test_symmetry_and_identity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            a, b = rng.uniform(0, 1, 2)
-            assert dilation_constancy(a, b) == dilation_constancy(b, a)
-            assert dilation_constancy(a, a) == 1.0
-            assert 0.0 <= dilation_constancy(a, b) <= 1.0
 
 
 class TestCaptureTable:

@@ -8,10 +8,9 @@ from longmatch.core import (
     GENUINE, IMPOSTOR, ComparisonTable, MatcherProfile, DataError,
 )
 from longmatch.metrics import (
-    MATCH, NON_MATCH, CalibrationInfeasibleError, _distinct, assign_interval,
-    calibrate_threshold, decide, det_curve, failure_analysis,
-    fmr_at_threshold, fnmr_by_interval, fuse_and_rule, rule_of_three,
-    wilson_interval,
+    CalibrationInfeasibleError, _distinct, assign_interval, calibrate_threshold,
+    det_curve, failure_analysis, fnmr_by_interval, fuse_and_rule, match_mask,
+    rule_of_three, wilson_interval,
 )
 
 
@@ -45,15 +44,23 @@ def _table(kind, gaps=None, scores=None, subjects=None, covs=None, eye="L",
     )
 
 
+def fmr_at_threshold(impostor, profile, threshold):
+    """Fraction of impostor comparisons, a table or bare scores, decided
+    Match at the threshold."""
+    if isinstance(impostor, ComparisonTable):
+        impostor = impostor.score(profile.name)
+    return float(match_mask(impostor, threshold, profile.orientation).mean())
+
+
 class TestDecide:
     def test_similarity_threshold_inclusive(self, similarity_profile):
-        assert decide(34.0, 34.0, similarity_profile) == MATCH
+        assert match_mask([34.0], 34.0, similarity_profile.orientation)[0]
 
     def test_distance_exceeded_is_nonmatch(self, distance_profile):
-        assert decide(0.43, 0.42, distance_profile) == NON_MATCH
+        assert not match_mask([0.43], 0.42, distance_profile.orientation)[0]
 
     def test_distance_boundary_is_match(self, distance_profile):
-        assert decide(0.42, 0.42, distance_profile) == MATCH
+        assert match_mask([0.42], 0.42, distance_profile.orientation)[0]
 
 
 class TestWilson:

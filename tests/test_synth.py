@@ -6,11 +6,12 @@ from longmatch.metrics import det_curve
 from longmatch.pairing import PairingConfig, attach_scores, generate_genuine_pairs
 from longmatch.synth import (
     CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
-    generate_longitudinal, generate_score_populations,
+    generate_longitudinal,
 )
 from longmatch.tableio import ingest_captures, write_captures, write_scores
 
 from conftest import capture_rows
+from test_acceptance import generate_score_populations
 
 
 def small_config(**kw):
@@ -164,6 +165,3 @@ class TestScorePopulations:
     def test_invalid_params(self):
         with pytest.raises(SynthConfigError):
             DistSpec("uniform", 0.0, 0.0)
-        with pytest.raises(ValueError):
-            generate_score_populations(0, DistSpec("normal", 0, 1),
-                                       DistSpec("normal", 0, 1), seed=1)
