@@ -692,13 +692,12 @@ def cmd_report(ctx: RunContext) -> None:
         chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
                                            "interval (months)", "FNMR (%)")
         for path in fnmr_files:
-            text = read_table(ctx.record_input(Path(path)),
-                              ("interval_months", "fnmr", "ci_low", "ci_high"))
-            percent = {c: (100.0 * text.column(c, np.float64)).tolist()
-                       for c in ("fnmr", "ci_low", "ci_high")}
+            text = read_table(ctx.record_input(Path(path)), dict.fromkeys(
+                ("interval_months", "fnmr", "ci_low", "ci_high"), np.float64))
+            percent = {c: (100.0 * text.column(c)).tolist() for c in ("fnmr", "ci_low", "ci_high")}
             chart.series.append(Series(
                 name=Path(path).stem.removeprefix("interval_fnmr_"),
-                x=text.column("interval_months", np.float64).tolist(), y=percent["fnmr"],
+                x=text.column("interval_months").tolist(), y=percent["fnmr"],
                 whisker_low=percent["ci_low"], whisker_high=percent["ci_high"]))
 
     det_files = sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
@@ -706,20 +705,21 @@ def cmd_report(ctx: RunContext) -> None:
     if det_files:
         chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
-            text = read_table(ctx.record_input(Path(path)), ("fmr", "fnmr"))
+            text = read_table(ctx.record_input(Path(path)),
+                              dict.fromkeys(("fmr", "fnmr"), np.float64))
             chart.series.append(Series(
                 name=Path(path).stem.removeprefix("det_"),
-                x=text.column("fmr", np.float64).tolist(),
-                y=text.column("fnmr", np.float64).tolist(), markers=False))
+                x=text.column("fmr").tolist(), y=text.column("fnmr").tolist(), markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
         name = Path(path).stem.removeprefix("trajectories_")
-        text = read_table(ctx.record_input(Path(path)), ("age_group", "T_months", "predicted"))
+        text = read_table(ctx.record_input(Path(path)), {
+            "age_group": object, "T_months": np.float64, "predicted": np.float64})
         if not len(text):
             continue
         group = text.column("age_group")
-        t_months = text.column("T_months", np.float64)
-        predicted = text.column("predicted", np.float64)
+        t_months = text.column("T_months")
+        predicted = text.column("predicted")
         chart = charts[f"trajectories_{name}.svg"] = Chart(
             f"Predicted {name} score by enrollment age group", "gap T (months)",
             "predicted score")

@@ -144,6 +144,17 @@ def _independent_columns(X: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _outcome_spread(y: np.ndarray, label: str) -> float:
+    """np.std of the outcome `y`; ModelError names `label` when the spread
+    overflows float64, as it then overflows every sum of squares after this
+    one, in the fit and in scoring held-out rows alike."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(y))
+    if not np.isfinite(spread):
+        raise ModelError(f"the spread of {label} overflows float64")
+    return spread
+
+
 def build_design(table: ComparisonTable, spec: ModelSpec, *,
                  like: DesignMatrices | None = None) -> DesignMatrices:
     """Assemble (y, X, random structure, grouping) from a genuine-pair table.
@@ -207,12 +218,7 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     if not keep.all():
         raise RankDeficientError([names[j] for j in range(len(names)) if not keep[j]])
 
-    # an outcome spread beyond float64 overflows every sum of squares after
-    # this one, in the fit and in scoring held-out rows alike
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = float(np.std(y))
-    if not np.isfinite(spread):
-        raise ModelError(f"the spread of outcome {spec.outcome!r} overflows float64")
+    _outcome_spread(y, f"outcome {spec.outcome!r}")
 
     scale = None
     if spec.standardize_outcome:
@@ -599,7 +605,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
         raise ModelError("at least 2 subjects are required")
     if n <= n_params:
         raise ModelError("n_obs must exceed the parameter count")
-    if float(np.std(y)) == 0.0:
+    if _outcome_spread(y, "the outcome") == 0.0:
         raise ModelError("outcome is constant (all-identical y)")
     if not _independent_columns(X).all():
         raise ModelError("singular fixed-effects design")

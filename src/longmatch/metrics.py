@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import betainc, ndtri
 from .core import (
     GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable,
     DataError, MatcherProfile,
@@ -40,6 +39,7 @@ def wilson_interval(k: int, n: int, confidence: float = 0.95) -> tuple[float, fl
         raise ValueError("k must satisfy 0 <= k <= n")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
+    from ._special import ndtri   # here, so calibrate, det and fuse never load _special
     z = ndtri(0.5 + confidence / 2.0)
     phat = k / n
     denom = 1.0 + z * z / n
@@ -319,6 +319,7 @@ def _pearson(x: np.ndarray, y: np.ndarray):
     xc = x - x.mean()
     yc = y - y.mean()
     r = float(np.clip((xc / np.linalg.norm(xc)) @ (yc / np.linalg.norm(yc)), -1.0, 1.0))
+    from ._special import betainc   # here, so calibrate, det and fuse never load _special
     a = x.size / 2.0 - 1.0
     p = 1.0 if x.size == 2 else 2.0 * betainc(a, a, (1.0 - abs(r)) / 2.0)
     return r, p

@@ -6,6 +6,16 @@ name. `write_table` takes columns and writes them in blocks of rows, with
 csv's minimal quoting and "\r\n" line ends; a float is written as its
 shortest round-trip repr, formatted once per distinct value in a block, so
 every table round-trips bit-exactly.
+
+`read_table` is given each column's dtype and picks one of two paths from
+the file's text. Text that is printable ASCII, TAB, CR and LF with no `"`,
+whose lines fit csv's field size limit, goes to one `np.loadtxt` call that
+splits and converts every cell in C; its float parse is the one float()
+runs, and on that alphabet it accepts no cell that int() or float() would
+refuse or read otherwise. Any other text, and any text `np.loadtxt` refuses
+(a bad cell, a ragged row) or reads to fewer rows than it has data lines (a
+blank line), goes through csv.reader and int()/float() cell by cell, the
+path that names faults and short rows; both paths give the same columns.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import csv
 import gc
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,6 +46,10 @@ OUTSIDE_64_BITS = "outside 64 bits"
 BLOCK_ROWS = 4096
 # a cell holding one of these is quoted, as csv.writer's QUOTE_MINIMAL does
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+# the bytes of text read_table parses in one np.loadtxt call: printable ASCII
+# but '"', and TAB, CR, LF. Outside it np.loadtxt accepts cells that float()
+# refuses, such as "\x1c8".
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\r\n"
 
 
 class IngestError(DataError):
@@ -88,12 +103,11 @@ def ingest_captures(path) -> IngestResult:
     a row's first broken rule is its rejection. IngestError for a missing
     column, DuplicateImageIdError when accepted rows repeat an image_id.
     """
-    text = read_table(path, CAPTURE_HEADER)
-    text = replace(text, cells={name: [cell.strip() for cell in text.cells[name]]
-                                for name in CAPTURE_HEADER})
+    text = read_table(path, CAPTURE_COLUMNS)
+    text = replace(text, cells={name: _stripped(text.cells[name]) for name in CAPTURE_HEADER})
     columns, faults = {}, {}
-    for name, dtype in CAPTURE_COLUMNS.items():
-        columns[name], faults[name] = text.parse(name, dtype)
+    for name in CAPTURE_HEADER:
+        columns[name], faults[name] = text.parse(name)
     found: dict[int, RowRejection] = {}   # 0-based row -> its first broken rule
 
     def reject(reason, rows, detail):
@@ -148,8 +162,8 @@ def write_captures(table: CaptureTable, path) -> None:
 def ingest_scores(path) -> ScoreTable:
     """Read a score table; IngestError names a cell that does not parse,
     DataError a (gallery, probe, matcher) key that repeats."""
-    text = read_table(path, SCORE_HEADER)
-    return ScoreTable(**{name: text.column(name, dtype) for name, dtype in SCORE_COLUMNS.items()})
+    text = read_table(path, SCORE_COLUMNS)
+    return ScoreTable(**{name: text.column(name) for name in SCORE_HEADER})
 
 
 def write_scores(table: ScoreTable, path) -> None:
@@ -172,13 +186,13 @@ def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
     the row.
     """
     path = Path(path)
-    text = read_table(path, PAIR_COLUMNS)
+    text = read_table(path, PAIR_COLUMNS, _score_dtype)
     kind = text.column("kind")
     bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))
     if bad.size:
         raise IngestError(f"{path}: bad kind {kind[bad[0]]!r} at data row {bad[0] + 1}")
     names = [*PAIR_COLUMNS, *(name for name in text.cells if name.startswith("score_"))]
-    parsed = {name: text.column(name, PAIR_COLUMNS.get(name, np.float64)) for name in names}
+    parsed = {name: text.column(name) for name in names}
 
     g_rows = captures.rows(parsed["gallery_image_id"])
     p_rows = captures.rows(parsed["probe_image_id"])
@@ -196,6 +210,17 @@ def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
         probe_subject=captures.subject_id[p_rows],
         A_gallery=captures.age_years[g_rows].astype(np.float64),
         A_probe=captures.age_years[p_rows].astype(np.float64), scores=scores)
+
+
+def _score_dtype(name: str):
+    """The dtype of a pair-file column outside PAIR_COLUMNS."""
+    return np.float64 if name.startswith("score_") else object
+
+
+def _stripped(cells):
+    """Capture cells with surrounding whitespace stripped; numbers that
+    read_table parsed are returned as they are."""
+    return cells if isinstance(cells, np.ndarray) else [cell.strip() for cell in cells]
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
@@ -231,7 +256,8 @@ def _cells(values) -> list[str]:
     """The written text of each cell of `values`."""
     if isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64):
         distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        texts = list(map(_text, distinct.view(values.dtype).tolist()))
+        text = float.__repr__ if values.dtype == np.float64 else int.__repr__
+        texts = list(map(text, distinct.view(values.dtype).tolist()))
         return np.array(texts, dtype=object)[inverse].tolist()
     texts = [value if type(value) is str else _text(value) for value in values]
     if _NEEDS_QUOTES.search("".join(texts)):
@@ -253,26 +279,32 @@ def _quoted(text: str) -> str:
 
 @dataclass(frozen=True)
 class TextColumns:
-    """The cells of a delimited-text table, read by `read_table`; a data row
+    """The columns of a delimited-text table, read by `read_table`; a data row
     with fewer cells than the header is padded with "" cells."""
     path: Path
     n_rows: int
-    cells: dict   # header name -> its column's cells, in header order
+    # header name -> its column, in header order: a sequence of cell texts,
+    # or the numeric array read_table's one-pass parse made of them
+    cells: dict
+    dtypes: dict   # header name -> the dtype `parse` reads its column as
     short_row: str   # the error of the first data row shorter than the header, or ""
 
     def __len__(self) -> int:
         return self.n_rows
 
-    def parse(self, name: str, dtype) -> tuple[np.ndarray, dict[int, str]]:
-        """Column `name` as a `dtype` array (object keeps the text; np.int64 and
-        np.float64 parse cells with int(), float()) and each 0-based row at
-        fault, holding 0, with its reason: the error text or OUTSIDE_64_BITS."""
-        cells = self.cells[name]
+    def parse(self, name: str) -> tuple[np.ndarray, dict[int, str]]:
+        """Column `name` as an array of its dtype (object keeps the text;
+        np.int64 and np.float64 parse cells with int(), float()) and each
+        0-based row at fault, holding 0, with its reason: the error text or
+        OUTSIDE_64_BITS."""
+        cells, dtype = self.cells[name], self.dtypes[name]
+        if isinstance(cells, np.ndarray):
+            return cells, {}
         if dtype is object:
             return np.array(cells, dtype=object), {}
         convert = int if dtype is np.int64 else float
         try:
-            return np.array(list(map(convert, cells)), dtype=dtype), {}
+            return np.fromiter(map(convert, cells), dtype=dtype, count=len(cells)), {}
         except (ValueError, OverflowError):
             values, faults = np.zeros(len(cells), dtype=dtype), {}
         for row, cell in enumerate(cells):
@@ -284,12 +316,12 @@ class TextColumns:
                 faults[row] = OUTSIDE_64_BITS
         return values, faults
 
-    def column(self, name: str, dtype=object) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray:
         """Column `name` as `parse` reads it; IngestError names the file and
         the data row of a short row, or of a cell `parse` finds at fault."""
         if self.short_row:
             raise IngestError(self.short_row)
-        values, faults = self.parse(name, dtype)
+        values, faults = self.parse(name)
         if faults:
             row = min(faults)
             raise IngestError(f"{self.path}: bad {name} cell {self.cells[name][row]!r} at "
@@ -297,36 +329,85 @@ class TextColumns:
         return values
 
 
-def read_table(path, required) -> TextColumns:
+def read_table(path, schema, other=lambda name: object) -> TextColumns:
     """The columns of the delimited-text table at `path`: the one table reader.
 
-    The header must hold every `required` name; a repeated name keeps its
-    first column. The cyclic garbage collector is paused while the rows
-    accumulate and transpose: it would traverse them again and again.
+    `schema` maps each name the header must hold to the dtype its column is
+    read as; `other(name)` gives the dtype of any other header name. A
+    repeated name keeps its first column. Text `_read_plain` accepts is
+    parsed in one pass; any other goes through csv.reader. The cyclic
+    garbage collector is paused while rows accumulate and transpose: it
+    would traverse them again and again.
     """
     path = Path(path)
+
+    def dtype_of(name):
+        return schema[name] if name in schema else other(name)
+
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open_text(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}: empty file, no header row")
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise IngestError(f"{path}: missing mandatory column(s) {missing}")
-            rows = list(reader)
-        width, short_row = len(header), ""
-        if rows and min(map(len, rows)) < width:
-            i = next(i for i, row in enumerate(rows) if len(row) < width)
-            short_row = (f"{path}: data row {i + 1} has {len(rows[i])} cells, "
-                         f"fewer than the {width} header columns")
-            rows = [row + [""] * (width - len(row)) for row in rows]
-        cells: dict[str, tuple[str, ...]] = {}
-        for name, column in zip(header, zip(*rows) if rows else [()] * width):
-            cells.setdefault(name, column)
+        table = _read_plain(path, schema, dtype_of)
+        return _read_csv(path, schema, dtype_of) if table is None else table
     finally:
         if collecting:
             gc.enable()
-    return TextColumns(path, len(rows), cells, short_row)
+
+
+def _read_plain(path: Path, schema, dtype_of) -> TextColumns | None:
+    """The table at `path` parsed by one np.loadtxt call, or None when its
+    text needs csv.reader: a byte outside _PLAIN_BYTES, a line longer than
+    csv's field size limit, no data row, a missing column, a cell or row
+    np.loadtxt refuses or warns about, or a blank line, which it skips."""
+    raw = path.read_bytes()
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    lines = raw.decode("ascii").splitlines()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    if any(name not in header for name in schema):
+        return None
+    dtypes = {name: dtype_of(name) for name in header}
+    fields = [(f"f{i}", dtypes[name] if header.index(name) == i else object)
+              for i, name in enumerate(header)]
+    try:
+        # a warning also sends the text to csv.reader: numpy < 2 warns, where
+        # int() fails, on an integer cell like "8.0", and all-blank data warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines[1:], delimiter=",", dtype=fields, comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != len(lines) - 1:
+        return None
+    cells = {}
+    for name, dtype in dtypes.items():   # a copy, not a strided view into every column
+        values = rows[f"f{header.index(name)}"]
+        cells[name] = values.tolist() if dtype is object else values.copy()
+    return TextColumns(path, len(rows), cells, dtypes, "")
+
+
+def _read_csv(path: Path, schema, dtype_of) -> TextColumns:
+    """The table at `path` split by csv.reader, its cells left as text."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file, no header row")
+        missing = [c for c in schema if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+        rows = list(reader)
+    width, short_row = len(header), ""
+    if rows and min(map(len, rows)) < width:
+        i = next(i for i, row in enumerate(rows) if len(row) < width)
+        short_row = (f"{path}: data row {i + 1} has {len(rows[i])} cells, "
+                     f"fewer than the {width} header columns")
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    cells: dict[str, tuple[str, ...]] = {}
+    for name, column in zip(header, zip(*rows) if rows else [()] * width):
+        cells.setdefault(name, column)
+    return TextColumns(path, len(rows), cells, {name: dtype_of(name) for name in cells},
+                       short_row)

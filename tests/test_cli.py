@@ -540,11 +540,13 @@ LAYERS_LOADED = {
     "synth": {"synth", "pairing", "rng", "_special"},
     "ingest": set(),
     "pairs": {"pairing", "rng"},
-    "calibrate": {"metrics", "_special"},
-    "fnmr": {"metrics", "_special"},
-    "det": {"metrics", "_special"},
-    "failures": {"metrics", "_special"},
-    "fuse": {"metrics", "_special"},
+    # metrics loads _special for a Wilson bound or a correlation p-value, and
+    # this config's few genuine failures need neither
+    "calibrate": {"metrics"},
+    "fnmr": {"metrics"},
+    "det": {"metrics"},
+    "failures": {"metrics"},
+    "fuse": {"metrics"},
     "lmm": {"lmm", "validation", "rng", "_special"},
     "apc": {"lmm", "_special"},
     "cv": {"lmm", "validation", "rng", "_special"},

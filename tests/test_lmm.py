@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,16 @@ class TestFitReml:
             fit_reml(y, np.column_stack([X, X]), None, g)
         with pytest.raises(ModelError, match="subjects"):
             fit_reml(y, X, None, np.zeros(20, dtype=int))
+
+    def test_outcome_spread_beyond_float64_raises_model_error(self):
+        # build_design's rule holds for a direct call too: no overflow
+        # warning, and ModelError in place of a ZeroDivisionError
+        y = np.random.default_rng(11).normal(0, 1, 100)
+        y[7] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="spread of the outcome overflows float64"):
+                fit_reml(y, np.ones((100, 1)), None, np.repeat(np.arange(20), 5))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(10)

@@ -1,18 +1,25 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from longmatch.core import ComparisonTable, MatcherProfile
+from longmatch import tableio
+from longmatch.core import (
+    CAPTURE_COLUMNS, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS, ComparisonTable,
+    MatcherProfile,
+)
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
 from longmatch.tableio import (
-    BLOCK_ROWS, CAPTURE_HEADER, DuplicateImageIdError, IngestError,
-    ingest_captures, ingest_scores, read_pairs, write_captures, write_pairs,
-    write_scores, write_table,
+    BLOCK_ROWS, CAPTURE_HEADER, OUTSIDE_64_BITS, DuplicateImageIdError, IngestError,
+    TextColumns, ingest_captures, ingest_scores, open_text, read_pairs, read_table,
+    write_captures, write_pairs, write_scores, write_table,
 )
 
-from conftest import capture_rows, capture_table, random_capture_table, score_table
+from conftest import (
+    capture_rows, capture_table, make_capture, random_capture_table, score_table,
+)
 
 
 def _write_rows(path, rows, header=CAPTURE_HEADER):
@@ -390,3 +397,251 @@ def test_write_table_refuses_ragged_columns(tmp_path):
         write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
     with pytest.raises(ValueError, match="one column per header name"):
         write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2]])
+
+
+class _CsvColumns(TextColumns):
+    """The oracle's columns: every cell parsed one by one, as the reader did
+    before it had a one-pass path."""
+
+    def parse(self, name):
+        cells, dtype = self.cells[name], self.dtypes[name]
+        if dtype is object:
+            return np.array(cells, dtype=object), {}
+        convert = int if dtype is np.int64 else float
+        try:
+            return np.array(list(map(convert, cells)), dtype=dtype), {}
+        except (ValueError, OverflowError):
+            values, faults = np.zeros(len(cells), dtype=dtype), {}
+        for row, cell in enumerate(cells):
+            try:
+                values[row] = convert(cell)
+            except ValueError as exc:
+                faults[row] = str(exc)
+            except OverflowError:
+                faults[row] = OUTSIDE_64_BITS
+        return values, faults
+
+
+def _csv_read_table(path, schema, other=lambda name: object):
+    """The oracle: read_table as csv.reader alone reads a table."""
+    path = Path(path)
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file, no header row")
+        missing = [c for c in schema if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing mandatory column(s) {missing}")
+        rows = list(reader)
+    width, short_row = len(header), ""
+    if rows and min(map(len, rows)) < width:
+        i = next(i for i, row in enumerate(rows) if len(row) < width)
+        short_row = (f"{path}: data row {i + 1} has {len(rows[i])} cells, "
+                     f"fewer than the {width} header columns")
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    cells = {}
+    for name, column in zip(header, zip(*rows) if rows else [()] * width):
+        cells.setdefault(name, column)
+    dtypes = {name: schema[name] if name in schema else other(name) for name in cells}
+    return _CsvColumns(path, len(rows), cells, dtypes, short_row)
+
+
+def _bits(values):
+    """`values` with floats by bit pattern, so -0.0 and NaN signs count."""
+    values = np.asarray(values)
+    if values.dtype == np.float64:
+        return "f8", values.view(np.uint64).tolist()
+    return str(values.dtype), values.tolist()
+
+
+def _outcome(read, *args):
+    """What `read(*args)` gives, or the type and text of what it raises."""
+    try:
+        return "ok", read(*args)
+    except (IngestError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _summary(text):
+    """Everything a caller can read from TextColumns, values by bit pattern."""
+    parsed = {name: text.parse(name) for name in text.cells}
+    return (len(text), list(text.cells), text.dtypes, text.short_row,
+            {name: (_bits(values), faults) for name, (values, faults) in parsed.items()},
+            {name: _outcome(lambda n: _bits(text.column(n)), name) for name in text.cells})
+
+
+def _table_bits(table, names):
+    return {name: _bits(getattr(table, name)) for name in names}
+
+
+# cells that a one-pass parse must read as int()/float() do, or hand to csv.reader
+_ODD_CELLS = [
+    '"1.5"', '"a,b"', 'a""b', '"', " 1.5 ", "\t2\t", " 7", "1_0", "1e999", "-1e999", "nan",
+    "-nan", "+nan", "NaN", "nAn", "inf", "-inf", "+Infinity", "-INFINITY", "infinit",
+    "nan(1)", "0x10", "1.", ".5", "1e5", "1E+05", "+7", "-0", "-0.0", "00", "", " ", "\t",
+    "\u0663", "\u0661\u0662", "8\u1170", "\x1c8", "8\x1f", "\x1d", "\x1e1", "\x7f", "\x0b1",
+    "\x0c1", "\u00a01", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "1" * 25, "9" * 400, "1" * 5000, "\u00fcn\u00ef", "x", "L", "R",
+    "genuine", "impostor", "#1", "'1'", "1,5", "1.5e-320", "2.5e-324",
+]
+_ENDS = ["\r\n", "\n", "\r"]
+
+
+def _fuzz_text(rng, columns, dirty: bool) -> str:
+    """A table of `columns` (name -> dtype) in text: clean cells of each
+    dtype; when `dirty`, also odd cells, blank and ragged lines, mixed
+    line ends and header changes."""
+    header = list(columns)
+    if dirty and rng.uniform() < 0.3:
+        header = [header[i] for i in rng.permutation(len(header))]
+    if dirty and rng.uniform() < 0.2:
+        header.append(header[int(rng.integers(len(header)))])   # a repeated name
+    if dirty and rng.uniform() < 0.05:
+        header.pop(int(rng.integers(len(header))))              # a missing column
+    if rng.uniform() < 0.3:
+        header.append("note")
+    ends = _ENDS if dirty else _ENDS[:1]
+    odd_rate = rng.choice([0.005, 0.02, 0.1])
+    lines = [",".join(header)]
+    for _ in range(int(rng.integers(1, 7))):
+        if dirty and rng.uniform() < 0.08:
+            lines.append(str(rng.choice(["", " ", "\t"])))
+            continue
+        row = []
+        for name in header:
+            dtype = columns.get(name, object)
+            if dirty and rng.uniform() < odd_rate:
+                row.append(str(rng.choice(_ODD_CELLS)))
+            elif dtype is np.int64:
+                row.append(str(int(rng.integers(-10**12, 10**12))))
+            elif dtype is np.float64:
+                value = float(rng.choice([rng.normal(50, 20), 0.0, -0.0, 5e-324,
+                                          1.7976931348623157e308, 1e16, 0.1]))
+                row.append(repr(value) if rng.uniform() < 0.9
+                           else str(rng.choice(["nan", "-nan", "inf", "-1e999", " 2.5 ", "+7"])))
+            else:
+                row.append(str(rng.choice(["I0", "I1", "I2", "I3", "L", "R", "genuine",
+                                           "impostor", "", " x "])))
+        if dirty and rng.uniform() < 0.08:
+            row = row[:int(rng.integers(len(row)))] if rng.uniform() < 0.5 else row + ["extra"]
+        lines.append(",".join(row))
+    tail = "" if rng.uniform() < 0.2 else str(rng.choice(ends))
+    return "".join(line + str(rng.choice(ends)) for line in lines[:-1]) + lines[-1] + tail
+
+
+_SCHEMAS = [
+    (CAPTURE_COLUMNS, lambda name: object, CAPTURE_COLUMNS),
+    (SCORE_COLUMNS, lambda name: object, SCORE_COLUMNS),
+    (PAIR_COLUMNS, tableio._score_dtype,
+     {**PAIR_COLUMNS, "score_m1": np.float64, "score_m2": np.float64}),
+    ({"age_group": object, "T_months": np.float64, "predicted": np.float64},
+     lambda name: object, None),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_table_matches_csv_reader_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "table.csv"
+    one_pass = 0
+    for i in range(120):
+        schema, other, columns = _SCHEMAS[i % len(_SCHEMAS)]
+        text = _fuzz_text(rng, columns or schema, dirty=i % 3 != 0)
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(read_table, path, schema, other)
+        old = _outcome(_csv_read_table, path, schema, other)
+        assert (new[0], _summary(new[1]) if new[0] == "ok" else new[1]) == \
+            (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), repr(text)
+        one_pass += new[0] == "ok" and any(isinstance(cells, np.ndarray)
+                                           for cells in new[1].cells.values())
+    # both paths ran: clean texts take the one pass, dirty ones mostly csv.reader
+    assert 40 <= one_pass <= 100
+
+
+def test_read_table_oracle_edge_files(tmp_path):
+    limit = csv.field_size_limit()
+    texts = [
+        b"", b"\r\n", b"a,b\r\n", b"\xef\xbb\xbfscore,matcher\r\n1,m\r\n",
+        b"score,matcher\r\n\xff,m\r\n", b"score,matcher\r\n" + b"1,m\r\n" * 5000 + b"2,\xe9\r\n",
+        # past the first decode block, an undecodable byte loses to a missing column
+        b"score\r\n" + b"1\r\n" * 5000 + b"\xe9\r\n",
+        b"kind,score,matcher\r\n" + b"x,1,m\r\n" * 3000,
+        # a field at csv's size limit, and one past it
+        b"score,matcher\r\n1,m\r\n" + b"0" * (limit - 1) + b"1,m\r\n",
+        b"score,matcher\r\n1,m\r\n" + b"0" * limit + b"1,m\r\n",
+        b"matcher,score\r\nm," + b"1" * (limit + 1) + b"\r\n",
+        b"score,matcher\r\n1,m\r\n\r\n", b"score,matcher\r\n1,m\r\n  \r\n", b"score\r\n1\r\n\r\n",
+        b"score,matcher\n1,m\r2,m\r\n3,m", b"score,matcher\r\n1,m,\r\n",
+    ]
+    path = tmp_path / "table.csv"
+    schema = {"score": np.float64, "matcher": object}
+    for data in texts:
+        path.write_bytes(data)
+        new = _outcome(read_table, path, schema)
+        old = _outcome(_csv_read_table, path, schema)
+        assert (new[0], _summary(new[1]) if new[0] == "ok" else new[1]) == \
+            (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), data[:80]
+
+
+def _captures_for_pairs():
+    return capture_table([make_capture(f"I{i}", subject=f"S{i % 2}", age=4 + i)
+                          for i in range(4)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(100 + seed)
+    path = tmp_path / "table.csv"
+    captures = _captures_for_pairs()
+    pair_columns = {**PAIR_COLUMNS, "score_m1": np.float64}
+    pair_names = [*PAIR_COLUMNS, *JOINED_COLUMNS]
+
+    def ingest(p):
+        result = ingest_captures(p)
+        return _table_bits(result.table, CAPTURE_HEADER), result.rejections
+
+    def pairs(p):
+        table = read_pairs(p, captures)
+        return _table_bits(table, pair_names), table.matchers, _bits(table.scores["m1"])
+
+    accepted = 0
+    for i in range(60):
+        if i % 2:
+            text = _fuzz_text(rng, pair_columns, dirty=i % 4 == 3)
+            read = pairs
+        else:
+            text = _fuzz_text(rng, CAPTURE_COLUMNS, dirty=i % 4 == 2)
+            read = ingest
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(read, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(tableio, "read_table", _csv_read_table)
+            old = _outcome(read, path)
+        assert new == old, repr(text)
+        accepted += new[0] == "ok"
+    assert accepted >= 10
+
+
+def test_pipeline_tables_never_need_csv_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    captures = random_capture_table(rng, n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    table = pairs.with_scores({"m1": rng.normal(size=len(pairs))})
+    write_captures(captures, tmp_path / "captures.csv")
+    write_pairs(table, tmp_path / "pairs.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert capture_rows(ingest_captures(tmp_path / "captures.csv").table) == \
+        capture_rows(captures)
+    back = read_pairs(tmp_path / "pairs.csv", captures)
+    assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
+
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(",".join(CAPTURE_HEADER) + '\r\n"I0",S0,L,1,0,8,70,80,85,45,110\r\n',
+                      encoding="utf-8")
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        ingest_captures(quoted)
