@@ -221,16 +221,20 @@ def _load_captures(ctx: RunContext):
     return ingest_captures(path)
 
 
-def _load_pairs(ctx: RunContext, captures, kind: str, profiles=()) -> ComparisonTable:
+def _load_pairs(ctx: RunContext, captures, kind: str, profiles, columns) -> ComparisonTable:
     """The `kind` ("genuine" or "impostor") pair table written by `pairs`,
-    holding a score column for each of `profiles`, each score within its
-    profile's range (the rule `attach_scores` applies when it writes them)."""
+    holding the `columns` a subcommand uses (as `read_pairs` takes them;
+    None: every column, captures joined) and a score column for each of
+    `profiles`, each score within its profile's range (the rule
+    `attach_scores` applies when it writes them)."""
     path = ctx.outdir / f"pairs_{kind}.csv"
     if not path.exists():
         raise CliError(EXIT_MISSING_INPUT,
                        f"{path} does not exist (run the pairs subcommand first)")
     ctx.record_input(path)
-    table = read_pairs(path, captures)
+    if columns is not None:
+        columns = (*columns, *(f"score_{p.name}" for p in profiles))
+    table = read_pairs(path, captures, columns)
     for p in profiles:
         if p.name not in table.scores:
             raise CliError(EXIT_DATA_INVALID,
@@ -418,8 +422,8 @@ def cmd_calibrate(ctx: RunContext) -> None:
     from .metrics import calibrate_threshold
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
-    impostor = _load_pairs(ctx, captures, "impostor", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
     target = _setting(ctx, "calibration.target_fmr", 0.001, NUMBER,
                       ("in [0, 1]", lambda t: 0.0 <= t <= 1.0))
     names = _setting(ctx, "calibration.matchers", (), _list_of(TEXT)) or [
@@ -443,7 +447,7 @@ def cmd_fnmr(ctx: RunContext) -> None:
     from .metrics import fnmr_by_interval
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, ("gap_T_months",))
     thresholds = _thresholds(ctx, profiles)
     bin_width = _setting(ctx, "fnmr.bin_width_months", 6, INTEGER, (">= 1", lambda b: b >= 1))
     confidence = _setting(ctx, "fnmr.confidence", 0.95, NUMBER,
@@ -457,10 +461,11 @@ def cmd_fnmr(ctx: RunContext) -> None:
                   "ci_low", "ci_high", "ci_method"]
         _write_table(ctx, f"interval_fnmr_{profile.name}.csv", header,
                      _fields(stats_rows, header))
-        overall = sum(s.n_false_nonmatch for s in stats_rows) / max(
-            1, sum(s.n_genuine for s in stats_rows))
+        n_genuine = sum(s.n_genuine for s in stats_rows)
+        overall = (f"{sum(s.n_false_nonmatch for s in stats_rows) / n_genuine:.4%}"
+                   if n_genuine else "undefined")
         lines.append(f"{profile.name}: threshold={thresholds[profile.name]!r} "
-                     f"overall FNMR={overall:.4%} over {len(stats_rows)} intervals")
+                     f"overall FNMR={overall} over {len(stats_rows)} intervals")
     _write_text(ctx, "fnmr_summary.txt", "\n".join(lines) + "\n")
 
 
@@ -469,8 +474,8 @@ def cmd_det(ctx: RunContext) -> None:
     from .metrics import det_curve
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
-    impostor = _load_pairs(ctx, captures, "impostor", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
     curves = []
     lines = []
     for profile in profiles:
@@ -500,7 +505,9 @@ def cmd_failures(ctx: RunContext) -> None:
     from .metrics import failure_analysis
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    # gallery_subject joins the capture table
+    genuine = _load_pairs(ctx, captures, "genuine", profiles,
+                          ("gap_T_months", *QUALITY_TERMS, "gallery_subject"))
     thresholds = _thresholds(ctx, profiles)
     pa, pb = _two_matchers(ctx, profiles)
     cut = _setting(ctx, "fusion.min_quality_cut", 45.0, NUMBER)
@@ -534,8 +541,8 @@ def cmd_fuse(ctx: RunContext) -> None:
     from .metrics import fuse_and_rule
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
-    impostor = _load_pairs(ctx, captures, "impostor", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
     thresholds = _thresholds(ctx, profiles)
     pa, pb = _two_matchers(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
@@ -559,7 +566,7 @@ def cmd_lmm(ctx: RunContext) -> None:
     from .lmm import AgeGroups
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine_all = _load_pairs(ctx, captures, "genuine", profiles)
+    genuine_all = _load_pairs(ctx, captures, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine_all)
     eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
                     ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
@@ -634,7 +641,7 @@ def cmd_apc(ctx: RunContext) -> None:
     from .lmm import compare_apc
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine)
     report = compare_apc(genuine, spec)
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
@@ -664,7 +671,7 @@ def cmd_cv(ctx: RunContext) -> None:
     from .validation import kfold_subject_cv
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles)
+    genuine = _load_pairs(ctx, captures, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine)
     k = _setting(ctx, "cv.k", 5, INTEGER, (">= 2", lambda k: k >= 2))
     seed = _setting(ctx, "cv.seed", ctx.seed, SEED)

@@ -115,6 +115,19 @@ def dilation_ratio(r_pupil: float, r_iris: float) -> float:
     return r_pupil / r_iris
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values): its sorted distinct values, NaNs collapsed into one.
+
+    A bare np.unique imports numpy.ma (to ask whether `values` is masked),
+    which no subcommand otherwise needs.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
+    return values[keep]
+
+
 def check_matcher_name(name: str, error=ValueError) -> None:
     """Raise `error` when `name` is a pair-table column or alias, which
     ComparisonTable.column would resolve instead of the matcher's scores, or
@@ -230,15 +243,21 @@ class ScoreTable:
 class ComparisonTable:
     """Columnar, read-only table of comparison pairs, one row per pair.
 
-    Holds one numpy column per PAIR_COLUMNS and JOINED_COLUMNS entry, as the
-    attribute of that name, and `scores`, a read-only mapping from matcher
-    name to its read-only score column. Pairing builds it unscored,
-    `attach_scores` adds the scores, and metric and model code reads its
-    columns.
+    Holds one numpy column per PAIR_COLUMNS and JOINED_COLUMNS entry it is
+    given, `kind` always among them, as the attribute of that name;
+    `columns` names them in schema order, and reading a column the table
+    does not hold raises AttributeError naming it. `scores` is a read-only
+    mapping from matcher name to its read-only score column. Pairing builds
+    it unscored with every column, `attach_scores` adds the scores,
+    `read_pairs` reads back the columns a subcommand asks for, and metric
+    and model code reads them.
     """
 
     def __init__(self, *, scores, **columns):
-        _set_columns(self, _TABLE_COLUMNS, columns)
+        if "kind" not in columns:
+            raise TypeError("a ComparisonTable needs its kind column")
+        self.columns = tuple(name for name in _TABLE_COLUMNS if name in columns)
+        _set_columns(self, {name: _TABLE_COLUMNS[name] for name in self.columns}, columns)
         self.scores = MappingProxyType({
             name: _read_only(values, np.float64, len(self)) for name, values in scores.items()})
 
@@ -255,23 +274,24 @@ class ComparisonTable:
         if mask.dtype != bool:
             mask = np.asarray(mask, dtype=np.intp)
         return ComparisonTable(
-            **{name: getattr(self, name)[mask] for name in _TABLE_COLUMNS},
+            **{name: getattr(self, name)[mask] for name in self.columns},
             scores={name: values[mask] for name, values in self.scores.items()})
 
     def with_scores(self, scores: dict[str, np.ndarray]) -> "ComparisonTable":
         """The same pairs with `scores` (matcher -> column) as their scores."""
-        return ComparisonTable(**{name: getattr(self, name) for name in _TABLE_COLUMNS},
+        return ComparisonTable(**{name: getattr(self, name) for name in self.columns},
                                scores=scores)
 
     @classmethod
     def concat(cls, tables: list["ComparisonTable"]) -> "ComparisonTable":
-        """The rows of `tables` in order; NaN scores where a table lacks a matcher."""
+        """The rows of `tables` in order, in the columns of the first; NaN
+        scores where a table lacks a matcher."""
         if not tables:
             raise ValueError("nothing to concatenate")
         matchers = sorted(set().union(*(t.scores for t in tables)))
         return cls(
             **{name: np.concatenate([getattr(t, name) for t in tables])
-               for name in _TABLE_COLUMNS},
+               for name in tables[0].columns},
             scores={m: np.concatenate([t.scores[m] if m in t.scores else np.full(len(t), np.nan)
                                        for t in tables]) for m in matchers})
 

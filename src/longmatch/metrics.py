@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (
     GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable,
-    DataError, MatcherProfile,
+    DataError, MatcherProfile, distinct,
 )
 
 WILSON = "wilson"
@@ -100,7 +100,7 @@ def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
     bins = assign_interval(table.gap_T_months, bin_width)
     matches = match_mask(table.score(profile.name), threshold, profile.orientation)
     out: list[IntervalStat] = []
-    for center in _distinct(bins):
+    for center in distinct(bins):
         sel = bins == center
         n = int(sel.sum())
         k = int((~matches[sel]).sum())
@@ -125,19 +125,6 @@ def _oriented(scores: np.ndarray, orientation: str) -> np.ndarray:
     return scores if orientation == HIGHER_IS_BETTER else -scores
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values): its sorted distinct values, NaNs collapsed into one.
-
-    A bare np.unique imports numpy.ma (to ask whether `values` is masked),
-    which no other step of an error-rate subcommand needs.
-    """
-    values = np.sort(values)
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
-    return values[keep]
-
-
 def _sweep(genuine: np.ndarray, impostor: np.ndarray, orientation: str):
     """Exact (threshold, fmr, fnmr) steps over all observed unique scores.
 
@@ -145,7 +132,7 @@ def _sweep(genuine: np.ndarray, impostor: np.ndarray, orientation: str):
     """
     g = np.sort(_oriented(genuine, orientation))
     im = np.sort(_oriented(impostor, orientation))
-    thresholds = _distinct(np.concatenate([g, im]))
+    thresholds = distinct(np.concatenate([g, im]))
     n_im = im.size
     n_g = g.size
     fmr = (n_im - np.searchsorted(im, thresholds, side="left")) / n_im

@@ -60,11 +60,13 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** e for e in range(lo_e, hi_e + 1)]
 
 
-def render(chart: Chart, path) -> None:
-    # imported here: xml.sax.saxutils pulls in urllib.request, and only the
-    # report subcommand draws
-    from xml.sax.saxutils import escape
+def _escape(text: str) -> str:
+    """`text` with &, > and < as XML entities, replaced in that order (what
+    xml.sax.saxutils.escape does; importing it loads urllib.request)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
+
+def render(chart: Chart, path) -> None:
     xs, ys = [], []
     for s in chart.series:
         for v in s.x:
@@ -114,7 +116,7 @@ def render(chart: Chart, path) -> None:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(chart.title)}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(chart.title)}</text>',
     ]
     axis = (f'<line x1="{_MARGIN_L}" y1="{_HEIGHT - _MARGIN_B}" '
             f'x2="{_WIDTH - _MARGIN_R}" y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>'
@@ -143,11 +145,11 @@ def render(chart: Chart, path) -> None:
                      f'font-family="sans-serif" font-size="11">{_fmt(v)}</text>')
     parts.append(f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.1f}" '
                  f'y="{_HEIGHT - 12}" text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="13">{escape(chart.xlabel)}</text>')
+                 f'font-size="13">{_escape(chart.xlabel)}</text>')
     parts.append(f'<text x="18" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.1f})">'
-                 f'{escape(chart.ylabel)}</text>')
+                 f'{_escape(chart.ylabel)}</text>')
 
     for k, s in enumerate(chart.series):
         color = _COLORS[k % len(_COLORS)]
@@ -168,7 +170,7 @@ def render(chart: Chart, path) -> None:
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 24}" y="{ly + 4}" font-family="sans-serif" '
-                     f'font-size="11">{escape(s.name)}</text>')
+                     f'font-size="11">{_escape(s.name)}</text>')
 
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -21,7 +21,7 @@ import numpy as np
 from ._special import ndtr
 from .core import (
     COLUMN_ALIASES, HIGHER_IS_BETTER, JOINED_COLUMNS, LOWER_IS_BETTER, PAIR_COLUMNS,
-    CaptureTable, MatcherProfile, ScoreTable, check_matcher_name,
+    CaptureTable, MatcherProfile, ScoreTable, check_matcher_name, distinct,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 
@@ -198,7 +198,8 @@ def _truncated_normal(rng, name, mean, sd, low, high, size):
     until it lies in [low, high]; SynthConfigError naming covariate `name` when
     the bounds carry ~zero mass. Needs sd > 0."""
     mean = np.broadcast_to(mean, size)
-    if np.min(_normal_mass(low, high, mean, sd)) < 1e-6:
+    # the gate is a minimum, so each distinct mean needs one evaluation
+    if np.min(_normal_mass(low, high, distinct(mean), sd)) < 1e-6:
         raise SynthConfigError(f"infeasible bounds for covariate {name!r}: "
                                f"[{low}, {high}] carries ~zero mass")
     out = rng.normal(mean, sd)

@@ -7,15 +7,20 @@ csv's minimal quoting and "\r\n" line ends; a float is written as its
 shortest round-trip repr, formatted once per distinct value in a block, so
 every table round-trips bit-exactly.
 
-`read_table` is given each column's dtype and picks one of two paths from
+`read_table` is given each column's dtype, and may be given the columns to
+read (a projection: `read_pairs` reads the pair columns a subcommand uses,
+and no other column is parsed or judged). It picks one of two paths from
 the file's text. Text that is printable ASCII, TAB, CR and LF with no `"`,
-whose lines fit csv's field size limit, goes to one `np.loadtxt` call that
-splits and converts every cell in C; its float parse is the one float()
+whose lines fit csv's field size limit and hold as many commas as the
+header, goes to one `np.loadtxt` call that splits every line and converts
+the cells of the columns read in C; its float parse is the one float()
 runs, and on that alphabet it accepts no cell that int() or float() would
-refuse or read otherwise. Any other text, and any text `np.loadtxt` refuses
-(a bad cell, a ragged row) or reads to fewer rows than it has data lines (a
-blank line), goes through csv.reader and int()/float() cell by cell, the
-path that names faults and short rows; both paths give the same columns.
+refuse or read otherwise. Any other text (a ragged row among it, even one
+short only outside the projection, which `np.loadtxt` with `usecols` would
+read), and any text `np.loadtxt` refuses (a bad cell) or reads to fewer
+rows than it has data lines (a blank line), goes through csv.reader and
+int()/float() cell by cell, the path that names faults and short rows;
+both paths give the same columns.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, PAIR_COLUMNS, SCORE_COLUMNS,
+    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS,
     CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
 )
 
@@ -176,40 +182,53 @@ def write_pairs(table: ComparisonTable, path) -> None:
                 [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()])
 
 
-def read_pairs(path, captures: CaptureTable) -> ComparisonTable:
-    """Read a pair table back.
+def read_pairs(path, captures: CaptureTable, columns=None) -> ComparisonTable:
+    """Read a pair table back, in the `columns` a caller uses.
 
-    The pair file holds the PAIR_COLUMNS and the scores; the JOINED_COLUMNS
-    (subjects, A_gallery/A_probe) are joined back in from `captures` through
-    the image ids. A kind other than genuine or impostor, an id missing from
-    `captures`, and a non-finite real or score cell raise IngestError naming
-    the row.
+    The pair file holds the PAIR_COLUMNS and one score_<matcher> column per
+    matcher. `columns` names what to read: PAIR_COLUMNS and JOINED_COLUMNS
+    names and score_<matcher> file columns, `kind` always read with them; a
+    score column the file lacks is left out. None reads every PAIR_COLUMNS
+    and score column. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are
+    joined in from `captures` through the two image ids only when one of them
+    is asked for, and with None. A kind other than genuine or impostor, an id
+    missing from `captures` (when joining), and a non-finite real or score
+    cell read raise IngestError naming the row; a column not read is not
+    judged.
     """
     path = Path(path)
-    text = read_table(path, PAIR_COLUMNS, _score_dtype)
+    join = columns is None or not JOINED_COLUMNS.keys().isdisjoint(columns)
+    if columns is not None:
+        ids = ("gallery_image_id", "probe_image_id") if join else ()
+        columns = {"kind", *columns, *ids} - JOINED_COLUMNS.keys()
+    schema = {name: dtype for name, dtype in PAIR_COLUMNS.items()
+              if columns is None or name in columns}
+    text = read_table(path, schema, _score_dtype, columns)
     kind = text.column("kind")
     bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))
     if bad.size:
         raise IngestError(f"{path}: bad kind {kind[bad[0]]!r} at data row {bad[0] + 1}")
-    names = [*PAIR_COLUMNS, *(name for name in text.cells if name.startswith("score_"))]
+    names = [*schema, *(name for name in text.cells if name.startswith("score_"))]
     parsed = {name: text.column(name) for name in names}
 
-    g_rows = captures.rows(parsed["gallery_image_id"])
-    p_rows = captures.rows(parsed["probe_image_id"])
-    unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
-    if unknown.size:
-        raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
-                          f"missing from the capture table")
+    joined = {}
+    if join:
+        g_rows = captures.rows(parsed["gallery_image_id"])
+        p_rows = captures.rows(parsed["probe_image_id"])
+        unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
+        if unknown.size:
+            raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
+                              f"missing from the capture table")
+        joined = dict(gallery_subject=captures.subject_id[g_rows],
+                      probe_subject=captures.subject_id[p_rows],
+                      A_gallery=captures.age_years[g_rows].astype(np.float64),
+                      A_probe=captures.age_years[p_rows].astype(np.float64))
     for name, values in parsed.items():
         if values.dtype == np.float64 and not np.isfinite(values).all():
             row = int(np.argmin(np.isfinite(values))) + 1
             raise IngestError(f"{path}: non-finite {name} at data row {row}")
-    scores = {name[len("score_"):]: parsed.pop(name) for name in names[len(PAIR_COLUMNS):]}
-    return ComparisonTable(
-        **parsed, gallery_subject=captures.subject_id[g_rows],
-        probe_subject=captures.subject_id[p_rows],
-        A_gallery=captures.age_years[g_rows].astype(np.float64),
-        A_probe=captures.age_years[p_rows].astype(np.float64), scores=scores)
+    scores = {name[len("score_"):]: parsed.pop(name) for name in names[len(schema):]}
+    return ComparisonTable(**parsed, **joined, scores=scores)
 
 
 def _score_dtype(name: str):
@@ -329,35 +348,43 @@ class TextColumns:
         return values
 
 
-def read_table(path, schema, other=lambda name: object) -> TextColumns:
+def read_table(path, schema, other=lambda name: object, only=None) -> TextColumns:
     """The columns of the delimited-text table at `path`: the one table reader.
 
     `schema` maps each name the header must hold to the dtype its column is
-    read as; `other(name)` gives the dtype of any other header name. A
-    repeated name keeps its first column. Text `_read_plain` accepts is
-    parsed in one pass; any other goes through csv.reader. The cyclic
-    garbage collector is paused while rows accumulate and transpose: it
-    would traverse them again and again.
+    read as; `other(name)` gives the dtype of any other header name. `only`,
+    when given, holds every `schema` name and any other names to read: a
+    header name outside it is not read, and a name of it that the header
+    lacks is left out. A repeated name keeps its first column. Text
+    `_read_plain` accepts is parsed in one pass; any other goes through
+    csv.reader. The cyclic garbage collector is paused while rows accumulate
+    and transpose: it would traverse them again and again.
     """
     path = Path(path)
 
     def dtype_of(name):
         return schema[name] if name in schema else other(name)
 
+    def read(header):
+        """The names of `header` to read, each once, in header order."""
+        return [name for name in dict.fromkeys(header) if only is None or name in only]
+
     collecting = gc.isenabled()
     gc.disable()
     try:
-        table = _read_plain(path, schema, dtype_of)
-        return _read_csv(path, schema, dtype_of) if table is None else table
+        table = _read_plain(path, schema, dtype_of, read)
+        return _read_csv(path, schema, dtype_of, read) if table is None else table
     finally:
         if collecting:
             gc.enable()
 
 
-def _read_plain(path: Path, schema, dtype_of) -> TextColumns | None:
-    """The table at `path` parsed by one np.loadtxt call, or None when its
-    text needs csv.reader: a byte outside _PLAIN_BYTES, a line longer than
-    csv's field size limit, no data row, a missing column, a cell or row
+def _read_plain(path: Path, schema, dtype_of, read) -> TextColumns | None:
+    """The `read(header)` columns of the table at `path` parsed by one
+    np.loadtxt call, or None when its text needs csv.reader: a byte outside
+    _PLAIN_BYTES, a line longer than csv's field size limit, no data row, a
+    missing column, a line whose comma count is not the header's (np.loadtxt
+    would not see a ragged row outside the columns read), a cell or row
     np.loadtxt refuses or warns about, or a blank line, which it skips."""
     raw = path.read_bytes()
     if raw.translate(None, _PLAIN_BYTES):
@@ -368,29 +395,31 @@ def _read_plain(path: Path, schema, dtype_of) -> TextColumns | None:
     header = lines[0].split(",")
     if any(name not in header for name in schema):
         return None
-    dtypes = {name: dtype_of(name) for name in header}
-    fields = [(f"f{i}", dtypes[name] if header.index(name) == i else object)
-              for i, name in enumerate(header)]
+    if len(set(map(str.count, lines, repeat(",")))) > 1:
+        return None
+    dtypes = {name: dtype_of(name) for name in read(header)}
     try:
         # a warning also sends the text to csv.reader: numpy < 2 warns, where
         # int() fails, on an integer cell like "8.0", and all-blank data warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines[1:], delimiter=",", dtype=fields, comments=None,
-                              quotechar=None, ndmin=1)
+            rows = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None,
+                              dtype=[(f"f{i}", dtype) for i, dtype in enumerate(dtypes.values())],
+                              usecols=[header.index(name) for name in dtypes], ndmin=1)
     except (ValueError, Warning):
         return None
     if len(rows) != len(lines) - 1:
         return None
     cells = {}
-    for name, dtype in dtypes.items():   # a copy, not a strided view into every column
-        values = rows[f"f{header.index(name)}"]
+    for i, (name, dtype) in enumerate(dtypes.items()):   # copies, not strided views
+        values = rows[f"f{i}"]
         cells[name] = values.tolist() if dtype is object else values.copy()
     return TextColumns(path, len(rows), cells, dtypes, "")
 
 
-def _read_csv(path: Path, schema, dtype_of) -> TextColumns:
-    """The table at `path` split by csv.reader, its cells left as text."""
+def _read_csv(path: Path, schema, dtype_of, read) -> TextColumns:
+    """The `read(header)` columns of the table at `path` split by csv.reader,
+    their cells left as text; a short row is judged on every column."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -409,5 +438,6 @@ def _read_csv(path: Path, schema, dtype_of) -> TextColumns:
     cells: dict[str, tuple[str, ...]] = {}
     for name, column in zip(header, zip(*rows) if rows else [()] * width):
         cells.setdefault(name, column)
+    cells = {name: cells[name] for name in read(header)}
     return TextColumns(path, len(rows), cells, {name: dtype_of(name) for name in cells},
                        short_row)

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import longmatch
+from longmatch import cli
 from longmatch.cli import _COMMANDS, build_parser, main
+from longmatch.core import QUALITY_TERMS
 from longmatch.tableio import CAPTURE_HEADER
 
 
@@ -556,7 +558,8 @@ LAYERS_LOADED = {
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # one fresh process per subcommand, in pipeline order on one tree: each
-    # loads exactly its own layer modules, and none loads numpy.ma
+    # loads exactly its own layer modules, and none loads numpy.ma or
+    # urllib.request
     assert list(LAYERS_LOADED) == list(_COMMANDS)
     src = str(Path(longmatch.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -574,6 +577,42 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
             "longmatch", "longmatch.cli", "longmatch.core", "longmatch.tableio",
             *(f"longmatch.{m}" for m in layers)}, command
         assert "numpy.ma" not in modules, command
+        # pathlib loads urllib.parse; xml.sax.saxutils would add urllib.request
+        assert not {"urllib.request", "http.client", "email"} & set(modules), command
+
+
+# the pair columns each subcommand asks read_pairs for, by pair file in the
+# order read (None: every column, with the capture join); read_pairs reads
+# kind with any set, and the two image ids with a joined column such as
+# gallery_subject. The config's matchers are simA and simB.
+_SCORES = {"score_simA", "score_simB"}
+PAIR_READS = {
+    "calibrate": [("genuine", _SCORES), ("impostor", _SCORES)],
+    "fnmr": [("genuine", {"gap_T_months", *_SCORES})],
+    "det": [("genuine", _SCORES), ("impostor", _SCORES)],
+    "failures": [("genuine", {"gap_T_months", *QUALITY_TERMS, "gallery_subject", *_SCORES})],
+    "fuse": [("genuine", _SCORES), ("impostor", _SCORES)],
+    "lmm": [("genuine", None)],
+    "apc": [("genuine", None)],
+    "cv": [("genuine", None)],
+}
+
+
+def test_each_subcommand_reads_only_its_pair_columns(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "config.json", tmp_path / "run")
+    run_pipeline(cfg, ["synth", "pairs"])
+    read_pairs, asked = cli.read_pairs, []
+
+    def recording(path, captures, columns=None):
+        asked.append((Path(path).stem.removeprefix("pairs_"),
+                      None if columns is None else set(columns)))
+        return read_pairs(path, captures, columns)
+
+    monkeypatch.setattr(cli, "read_pairs", recording)
+    for command, reads in PAIR_READS.items():
+        asked.clear()
+        assert main([command, "--config", str(cfg)]) == 0, command
+        assert asked == reads, command
 
 
 def test_package_import_loads_no_submodule():
@@ -753,7 +792,7 @@ FAULTS = [
     ("fnmr", {}, {"thresholds.json": _at(5)}, 3, ["thresholds.json", "byte offset 5"]),
     ("fnmr", {}, {"pairs_genuine.csv": _cell("score_simA", "nan")}, 5,
      ["pairs_genuine.csv", "score_simA at data row 1"]),
-    ("calibrate", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
+    ("failures", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
      ["pairs_genuine.csv", "DC at data row 2"]),
     ("lmm", {}, {"pairs_genuine.csv": _cell("score_simB", "1e999", row=3)}, 5,
      ["pairs_genuine.csv", "score_simB at data row 3"]),
@@ -772,7 +811,8 @@ FAULTS = [
     ("pairs", {}, {"captures.csv": _header_only}, 0, ["genuine pairs: 0", "impostor pairs: 0"]),
     ("calibrate", {}, {"pairs_genuine.csv": _header_only}, 5,
      ["calibration needs non-empty genuine and impostor scores"]),
-    ("fnmr", {}, {"pairs_genuine.csv": _header_only}, 0, ["overall FNMR=0.0000% over 0 intervals"]),
+    ("fnmr", {}, {"pairs_genuine.csv": _header_only}, 0,
+     ["overall FNMR=undefined over 0 intervals"]),
     ("det", {}, {"pairs_impostor.csv": _removed}, 4, ["pairs_impostor.csv does not exist"]),
     ("ingest", {}, {"captures.csv": _cell("capture_time_months", "100000000000000000000")}, 0,
      ["accepted rows: 213", "  invalid integer: 1"]),
@@ -797,7 +837,7 @@ FAULTS = [
     ("cv", {}, {"pairs_genuine.csv": _header_only}, 5, ["need at least k=3 subjects, have 0"]),
     ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "100000000000000000000")}, 5,
      ["pairs_genuine.csv", "gap_T_months", "data row 1"]),
-    ("fnmr", {}, {"pairs_genuine.csv": _cell("delta_age_years", "-9223372036854775809", row=4)},
+    ("lmm", {}, {"pairs_genuine.csv": _cell("delta_age_years", "-9223372036854775809", row=4)},
      5, ["pairs_genuine.csv", "delta_age_years", "data row 4"]),
     ("pairs", {}, {"scores.csv": lambda data: _short(2)(_first("score")(data))}, 5,
      ["scores.csv", "data row 2"]),
@@ -849,6 +889,11 @@ FAULTS = [
      ["outcome 'simA' overflows float64"]),
     ("cv", WIDE_RANGE, {"pairs_genuine.csv": _cell("score_simA", "1e300")}, 7,
      ["outcome 'simA' overflows float64"]),
+    # a subcommand judges only the pair columns it reads, and calibrate reads no DC
+    ("calibrate", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 0,
+     ["target FMR: ", "simA: threshold="]),
+    ("failures", {}, {"pairs_genuine.csv": _cell("probe_image_id", "nope", row=3)}, 5,
+     ["pairs_genuine.csv", "data row 3 references image ids missing from the capture table"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

@@ -153,6 +153,26 @@ class TestComparisonTable:
         np.testing.assert_array_equal(joined.scores["m1"], [1.0, 2.0] + [np.nan] * 4)
         np.testing.assert_array_equal(joined.scores["m9"], [np.nan] * 2 + [1.0] * 4)
 
+    def test_a_table_holds_the_columns_it_is_given(self):
+        table = scored_pairs()
+        assert table.columns == tuple(TABLE_COLUMNS)
+        part = ComparisonTable(kind=table.kind, DC=table.DC, scores={"m1": table.scores["m1"]})
+        assert part.columns == ("kind", "DC")
+        picked = part.select(np.array([2, 0]))
+        joined = ComparisonTable.concat([part, picked.with_scores({"m9": np.ones(2)})])
+        for t in (picked, joined):
+            assert t.columns == ("kind", "DC")
+        assert joined.DC.tolist() == [*table.DC, table.DC[2], table.DC[0]]
+        assert part.column("DC") is part.DC
+        for read in (lambda t: t.gap_T_months, lambda t: t.column("T"),
+                     lambda t: ComparisonTable.concat([t, table]).eye):
+            with pytest.raises(AttributeError):
+                read(part)
+        with pytest.raises(AttributeError, match="'gallery_subject'"):
+            part.subjects()
+        with pytest.raises(TypeError, match="kind"):
+            ComparisonTable(DC=table.DC, scores={})
+
     def test_column_names(self):
         table = scored_pairs()
         for name in ("T", "gap_T_months"):

@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from longmatch.core import (
-    GENUINE, IMPOSTOR, ComparisonTable, MatcherProfile, DataError,
+    GENUINE, IMPOSTOR, ComparisonTable, MatcherProfile, DataError, distinct,
 )
 from longmatch.metrics import (
-    CalibrationInfeasibleError, _distinct, assign_interval, calibrate_threshold,
+    CalibrationInfeasibleError, assign_interval, calibrate_threshold,
     det_curve, failure_analysis, fnmr_by_interval, fuse_and_rule, match_mask,
     rule_of_three, wilson_interval,
 )
@@ -222,9 +222,10 @@ class TestCalibration:
     np.random.default_rng(8).integers(0, 60, 300),
 ])
 def test_distinct_equals_np_unique(values):
-    # the sweep's and interval binning's numpy.ma-free np.unique, against
-    # np.unique itself: same dtype, values, order and signs of zero
-    got, want = _distinct(values), np.unique(values)
+    # the numpy.ma-free np.unique of the sweep, the interval binning and the
+    # synth bounds gate, against np.unique itself: same dtype, values, order
+    # and signs of zero
+    got, want = distinct(values), np.unique(values)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -339,6 +339,58 @@ def test_repeated_pair_column_reads_its_first(tmp_path):
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
 
+def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
+    captures = random_capture_table(np.random.default_rng(9), n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    table = pairs.with_scores({"m1": np.arange(len(pairs), dtype=np.float64)})
+    path = tmp_path / "pairs.csv"
+    write_pairs(table, path)
+    back = read_pairs(path, captures, ("kind", "gallery_subject"))
+    assert back.columns == ("kind", "gallery_image_id", "probe_image_id", *JOINED_COLUMNS)
+    assert back.gallery_subject.tolist() == table.gallery_subject.tolist()
+    assert back.matchers == ()
+
+    # an unknown probe id and a non-finite DC in data row 2
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header, cells = lines[0].split(","), lines[2].split(",")
+    cells[header.index("probe_image_id")] = "nope"
+    cells[header.index("DC")] = "inf"
+    lines[2] = ",".join(cells)
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    back = read_pairs(path, captures, ("kind", "score_m1", "score_m9"))
+    assert back.columns == ("kind",)
+    assert back.matchers == ("m1",)
+    assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
+    with pytest.raises(AttributeError, match="'DC'"):
+        back.DC
+    with pytest.raises(IngestError, match="data row 2 references image ids missing"):
+        read_pairs(path, captures, ("kind", "A_probe"))
+    with pytest.raises(IngestError, match="non-finite DC at data row 2"):
+        read_pairs(path, captures, ("kind", "DC"))
+
+
+def test_short_row_outside_the_projection_is_refused_on_both_paths(tmp_path):
+    # np.loadtxt reads a row that is short only outside the columns it is
+    # asked for, so read_table must send such a text to csv.reader
+    lines = ["x,1,2,3", "y,4"]
+    assert len(np.loadtxt(lines, delimiter=",", dtype=object, usecols=[0, 1])) == 2
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c,d\r\n" + "\r\n".join(lines) + "\r\n", encoding="utf-8")
+    schema, only = {"a": object, "b": np.float64}, {"a", "b"}
+    for read in (read_table, _csv_read_table):
+        text = read(path, schema, lambda name: object, only)
+        assert list(text.cells) == ["a", "b"]
+        assert text.short_row == f"{path}: data row 2 has 2 cells, fewer than the 4 header columns"
+        with pytest.raises(IngestError, match="data row 2 has 2 cells"):
+            text.column("b")
+    # a longer row is read as csv.reader reads it: its extra cells dropped
+    path.write_text("a,b,c,d\r\nx,1,2,3\r\nz,5,6,7,8\r\n", encoding="utf-8")
+    new, old = (read(path, schema, lambda name: object, only)
+                for read in (read_table, _csv_read_table))
+    assert _summary(new) == _summary(old)
+    assert new.column("b").tolist() == [1.0, 5.0]
+
+
 def _csv_writer_table(path, header, columns):
     """The oracle: the same table written row by row by csv.writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -422,7 +474,7 @@ class _CsvColumns(TextColumns):
         return values, faults
 
 
-def _csv_read_table(path, schema, other=lambda name: object):
+def _csv_read_table(path, schema, other=lambda name: object, only=None):
     """The oracle: read_table as csv.reader alone reads a table."""
     path = Path(path)
     with open_text(path) as fh:
@@ -442,7 +494,8 @@ def _csv_read_table(path, schema, other=lambda name: object):
         rows = [row + [""] * (width - len(row)) for row in rows]
     cells = {}
     for name, column in zip(header, zip(*rows) if rows else [()] * width):
-        cells.setdefault(name, column)
+        if only is None or name in only:
+            cells.setdefault(name, column)
     dtypes = {name: schema[name] if name in schema else other(name) for name in cells}
     return _CsvColumns(path, len(rows), cells, dtypes, short_row)
 
@@ -540,6 +593,14 @@ _SCHEMAS = [
 ]
 
 
+def _projection(rng, schema, columns):
+    """A random `only` for a table of `columns`: some of its names, perhaps
+    "note" and a name no table holds, and the `schema` it implies."""
+    names = list(columns) + ["note", "absent"]
+    only = {name for name in names if rng.uniform() < 0.4}
+    return {name: dtype for name, dtype in schema.items() if name in only}, only
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_read_table_matches_csv_reader_oracle(tmp_path, seed):
     rng = np.random.default_rng(seed)
@@ -549,12 +610,18 @@ def test_read_table_matches_csv_reader_oracle(tmp_path, seed):
         schema, other, columns = _SCHEMAS[i % len(_SCHEMAS)]
         text = _fuzz_text(rng, columns or schema, dirty=i % 3 != 0)
         path.write_bytes(text.encode("utf-8"))
-        new = _outcome(read_table, path, schema, other)
-        old = _outcome(_csv_read_table, path, schema, other)
-        assert (new[0], _summary(new[1]) if new[0] == "ok" else new[1]) == \
-            (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), repr(text)
-        one_pass += new[0] == "ok" and any(isinstance(cells, np.ndarray)
-                                           for cells in new[1].cells.values())
+        # every column, then a projection: the same columns, faults, short
+        # row and error text on both paths
+        projected, kept = _projection(rng, schema, columns or schema)
+        for schema_read, only in ((schema, None), (projected, kept)):
+            new = _outcome(read_table, path, schema_read, other, only)
+            old = _outcome(_csv_read_table, path, schema_read, other, only)
+            assert (new[0], _summary(new[1]) if new[0] == "ok" else new[1]) == \
+                (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), (repr(text), only)
+            if only is not None and new[0] == "ok":
+                assert set(new[1].cells) <= only
+            one_pass += only is None and new[0] == "ok" and any(
+                isinstance(cells, np.ndarray) for cells in new[1].cells.values())
     # both paths ran: clean texts take the one pass, dirty ones mostly csv.reader
     assert 40 <= one_pass <= 100
 
@@ -584,6 +651,11 @@ def test_read_table_oracle_edge_files(tmp_path):
             (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), data[:80]
 
 
+# projections read_pairs is given: kind and scores, a gap, and a capture join
+_PROJECTIONS = [("kind", "score_m1"), ("kind", "gap_T_months", "score_m1", "score_m9"),
+                ("kind", "DC", "Q_probe", "gallery_subject", "score_m1")]
+
+
 def _captures_for_pairs():
     return capture_table([make_capture(f"I{i}", subject=f"S{i % 2}", age=4 + i)
                           for i in range(4)])
@@ -605,6 +677,11 @@ def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, se
         table = read_pairs(p, captures)
         return _table_bits(table, pair_names), table.matchers, _bits(table.scores["m1"])
 
+    def projected(p, columns):
+        table = read_pairs(p, captures, columns)
+        return (table.columns, _table_bits(table, table.columns),
+                {name: _bits(values) for name, values in table.scores.items()})
+
     accepted = 0
     for i in range(60):
         if i % 2:
@@ -620,6 +697,13 @@ def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, se
             old = _outcome(read, path)
         assert new == old, repr(text)
         accepted += new[0] == "ok"
+        if read is pairs:   # and the column sets of the error-rate subcommands
+            for columns in _PROJECTIONS:
+                new = _outcome(projected, path, columns)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tableio, "read_table", _csv_read_table)
+                    old = _outcome(projected, path, columns)
+                assert new == old, (repr(text), columns)
     assert accepted >= 10
 
 
