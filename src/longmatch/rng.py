@@ -40,10 +40,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def unit(self) -> float:
-        """Float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
 
 def sample_indices(n: int, k: int, seed: int) -> list[int]:
     """Draw k of range(n) without replacement, in selection order.

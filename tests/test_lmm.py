@@ -75,12 +75,34 @@ def central_diff_grad(fun, x):
     return g
 
 
-def gls_beta(y, X, t, group_index, Sigma, sigma2):
+def gls_beta(y, X, t, group_index, Sigma, sigma2, reml=True):
     """GLS fixed effects and their covariance with the variance components
     frozen: the fit's evaluator at the log-Cholesky parameters of Sigma / sigma2."""
     gs = lmm._GroupStats(y, X, t, group_index)
-    ev = lmm._evaluate(lmm._pack_factor(np.linalg.cholesky(Sigma / sigma2)), gs, reml=True)
+    ev = lmm._evaluate(lmm._pack_factor(np.linalg.cholesky(Sigma / sigma2)), gs, reml=reml)
     return ev.beta, sigma2 * ev.XtWX_inv
+
+
+def ragged_design(rng):
+    """(y, X, t, group_index) of 9 subjects with unequal row counts, one of
+    them a single row, and group index 4 unused; rows shuffled across groups."""
+    sizes = [7, 3, 1, 5, 0, 9, 2, 4, 6, 8]
+    g = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = len(g)
+    t = rng.uniform(0, 3, n)
+    X = np.column_stack([np.ones(n), rng.normal(0, 1, n), t])
+    y = 1.0 + rng.normal(0, 0.8, len(sizes))[g] + rng.normal(0, 1, n)
+    return y, X, t, g
+
+
+def random_design(t, group_index, q):
+    """Dense Z of the random intercept (q = 1) or intercept and slope (q = 2),
+    one block of q columns per group index."""
+    Z = np.zeros((len(t), q * (int(group_index.max()) + 1)))
+    Z[np.arange(len(t)), q * group_index] = 1.0
+    if q == 2:
+        Z[np.arange(len(t)), q * group_index + 1] = t
+    return Z
 
 
 class TestBuildDesign:
@@ -219,18 +241,19 @@ class TestFitReml:
         y = rng.normal(0, 2, n)
         Sigma = np.array([[2.0, 0.3], [0.3, 0.5]])
         sigma2 = 1.7
-        beta_fast, cov_fast = gls_beta(y, X, t, g, Sigma, sigma2)
-
-        Z = np.zeros((n, 2 * m))
-        Z[np.arange(n), 2 * g] = 1.0
-        Z[np.arange(n), 2 * g + 1] = t
-        G = np.kron(np.eye(m), Sigma)
-        V = sigma2 * np.eye(n) + Z @ G @ Z.T
-        Vi = np.linalg.inv(V)
-        beta_dense = np.linalg.solve(X.T @ Vi @ X, X.T @ Vi @ y)
-        cov_dense = np.linalg.inv(X.T @ Vi @ X)
-        np.testing.assert_allclose(beta_fast, beta_dense, atol=1e-8)
-        np.testing.assert_allclose(cov_fast, cov_dense, rtol=1e-7)
+        y_r, X_r, t_r, g_r = ragged_design(rng)
+        for y, X, t, g in ((y, X, t, g), (y_r, X_r, t_r, g_r)):
+            for q in (1, 2):
+                Z = random_design(t, g, q)
+                G = np.kron(np.eye(Z.shape[1] // q), Sigma[:q, :q])
+                Vi = np.linalg.inv(sigma2 * np.eye(len(y)) + Z @ G @ Z.T)
+                beta_dense = np.linalg.solve(X.T @ Vi @ X, X.T @ Vi @ y)
+                cov_dense = np.linalg.inv(X.T @ Vi @ X)
+                for reml in (True, False):
+                    beta_fast, cov_fast = gls_beta(y, X, t if q == 2 else None, g,
+                                                   Sigma[:q, :q], sigma2, reml)
+                    np.testing.assert_allclose(beta_fast, beta_dense, atol=1e-8)
+                    np.testing.assert_allclose(cov_fast, cov_dense, rtol=1e-7)
 
     def test_analytic_gradient_matches_central_differences(self):
         from longmatch.lmm import _GroupStats, _evaluate
@@ -241,8 +264,9 @@ class TestFitReml:
         t = rng.uniform(0, 3, n)
         X = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
         y = 2.0 + 0.4 * np.repeat(rng.normal(0, 1, m), n_per) + rng.normal(0, 1, n)
-        for q, tt in ((1, None), (2, t)):
-            gs = _GroupStats(y, X, tt, g)
+        y_r, X_r, t_r, g_r = ragged_design(rng)
+        for q, gs in ((1, _GroupStats(y, X, None, g)), (2, _GroupStats(y, X, t, g)),
+                      (1, _GroupStats(y_r, X_r, None, g_r)), (2, _GroupStats(y_r, X_r, t_r, g_r))):
             for reml in (True, False):
                 for trial in range(5):
                     params = rng.uniform(-1.0, 0.5, 1 if q == 1 else 3)
@@ -260,8 +284,9 @@ class TestFitReml:
         t = rng.uniform(0, 3, n)
         X = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
         y = 2.0 + 0.4 * np.repeat(rng.normal(0, 1, m), n_per) + rng.normal(0, 1, n)
-        for q, tt in ((1, None), (2, t)):
-            gs = _GroupStats(y, X, tt, g)
+        y_r, X_r, t_r, g_r = ragged_design(rng)
+        for q, gs in ((1, _GroupStats(y, X, None, g)), (2, _GroupStats(y, X, t, g)),
+                      (1, _GroupStats(y_r, X_r, None, g_r)), (2, _GroupStats(y_r, X_r, t_r, g_r))):
             for reml in (True, False):
                 for trial in range(5):
                     params = rng.uniform(-1.0, 0.5, 1 if q == 1 else 3)
@@ -281,25 +306,27 @@ class TestFitReml:
         t = rng.uniform(0, 3, n)
         X = np.column_stack([np.ones(n), rng.normal(0, 1, n)])
         y = rng.normal(0, 1, n)
-        params = np.array([0.3, -0.2, -0.5])
-        gs = _GroupStats(y, X, t, g)
-        fast = _evaluate(params, gs, reml=True).crit
-
-        lam = _unpack_factor(params, 2)
-        Z = np.zeros((n, 2 * m))
-        Z[np.arange(n), 2 * g] = 1.0
-        Z[np.arange(n), 2 * g + 1] = t
-        W = np.eye(n) + Z @ np.kron(np.eye(m), lam @ lam.T) @ Z.T
-        Wi = np.linalg.inv(W)
-        XtWX = X.T @ Wi @ X
-        beta = np.linalg.solve(XtWX, X.T @ Wi @ y)
-        r = y - X @ beta
-        ryWy = r @ Wi @ r
-        p = X.shape[1]
-        s2 = ryWy / (n - p)
-        dense = ((n - p) * np.log(2 * np.pi) + np.linalg.slogdet(W)[1]
-                 + np.linalg.slogdet(XtWX)[1] + (n - p) * (1 + np.log(s2)))
-        assert fast == pytest.approx(dense, rel=1e-10)
+        y_r, X_r, t_r, g_r = ragged_design(rng)
+        for y, X, t, g in ((y, X, t, g), (y_r, X_r, t_r, g_r)):
+            n, p = X.shape
+            for q, params in ((1, np.array([0.3])), (2, np.array([0.3, -0.2, -0.5]))):
+                gs = _GroupStats(y, X, t if q == 2 else None, g)
+                lam = _unpack_factor(params, q)
+                Z = random_design(t, g, q)
+                W = np.eye(n) + Z @ np.kron(np.eye(Z.shape[1] // q), lam @ lam.T) @ Z.T
+                Wi = np.linalg.inv(W)
+                XtWX = X.T @ Wi @ X
+                beta = np.linalg.solve(XtWX, X.T @ Wi @ y)
+                r = y - X @ beta
+                ryWy = r @ Wi @ r
+                for reml in (True, False):
+                    fast = _evaluate(params, gs, reml=reml)
+                    dof = n - p if reml else n
+                    dense = (dof * np.log(2 * np.pi) + np.linalg.slogdet(W)[1]
+                             + (np.linalg.slogdet(XtWX)[1] if reml else 0.0)
+                             + dof * (1 + np.log(ryWy / dof)))
+                    assert fast.crit == pytest.approx(dense, rel=1e-10)
+                    assert fast.quadform == pytest.approx(ryWy, rel=1e-10)
 
     def test_noiseless_degenerate_recovery(self):
         rng = np.random.default_rng(8)
