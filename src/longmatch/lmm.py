@@ -10,8 +10,8 @@ GLS and sigma2 is profiled analytically, so the numerical optimization
 runs only over the log-Cholesky factor of the relative covariance
 Sigma/sigma2 (unconstrained, PSD by construction). One evaluator returns
 the profiled criterion with its exact gradient and Hessian; the Woodbury
-identity collapses each subject to 1x1 or 2x2 blocks, written out as
-formulas, so an evaluation is O(n) regardless of subject count.
+identity collapses each subject to q x q blocks (q = 1 or 2), stacked
+over subjects, so an evaluation is O(n) regardless of subject count.
 
 The fit is a damped Newton iteration from a moment start: Hessian
 eigenvalues shifted up where it is not positive definite, backtracking on
@@ -35,6 +35,7 @@ subjects.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -258,74 +259,65 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
 # profiled REML machinery
 
 class _GroupStats:
-    """Per-subject sums of the random-effects design Z = [1] or [1, t], one
-    length-m array per entry: zz[a][b] = sum z_a z_b, zx[a] = sum z_a x', zy[a] = sum z_a y."""
+    """Per-subject sums of the random-effects design Z = [1] or [1, t] (the
+    rows of `Z`), stacked over the m subjects: zz (m, q, q) holds Z_i'Z_i,
+    zx (m, q, p) Z_i'X_i and zy (m, q) Z_i'y_i."""
 
     def __init__(self, y, X, t, group_index):
         self.n, self.p = X.shape
-        self.m = m = int(group_index.max()) + 1
-        self.zcols = [np.ones(self.n)] if t is None else [np.ones(self.n), t]
-        self.q = len(self.zcols)
-
-        def sums(weights):
-            return np.bincount(group_index, weights=weights, minlength=m)
-
-        self.zz = [[sums(za * zb) for zb in self.zcols] for za in self.zcols]
-        self.zx = [np.column_stack([sums(z * X[:, j]) for j in range(self.p)])
-                   for z in self.zcols]
-        self.zy = [sums(z * y) for z in self.zcols]
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
+        self.m = int(group_index.max()) + 1
+        self.Z = np.ones((1, self.n)) if t is None else np.stack([np.ones(self.n), t])
+        self.q = len(self.Z)
         self.group_index = group_index
-        self.y = y
-        self.X = X
+        self.zz, self.zx = (np.stack([self.sums(w) for w in W], axis=2) for W in (self.Z, X.T))
+        self.zy = self.sums(y)
+        self.XtX, self.Xty = X.T @ X, X.T @ y
+        self.y, self.X = y, X
+
+    def sums(self, w):
+        """Per-subject Z_i'w_i of a vector w (n), an (m, q) array."""
+        return np.column_stack([np.bincount(self.group_index, weights=z * w, minlength=self.m)
+                                for z in self.Z])
 
 
-def _congruence(L, S):
-    """Per-subject L' S L for a constant q x q matrix L."""
-    Q = range(len(L))
-    return [[sum(L[c, a] * L[d, b] * S[c][d] for c in Q for d in Q) for b in Q] for a in Q]
+def _cross(P, R):
+    """sum_i P_i (x) R_i over stacks P (m, ...) and R (m, ...), as one matrix product."""
+    return (P.reshape(len(P), -1).T @ R.reshape(len(R), -1)).reshape(P.shape[1:] + R.shape[1:])
 
 
-def _times(S, D):
-    """Per-subject S D for a constant q x q matrix D."""
-    Q = range(len(D))
-    return [[sum(S[a][c] * D[c, b] for c in Q) for b in Q] for a in Q]
-
-
-def _trace_sum(S, T):
-    """tr(S T) summed over subjects."""
-    Q = range(len(S))
-    return sum(float(S[a][b] @ T[b][a]) for a in Q for b in Q)
+def _inverse(A):
+    """Inverses and determinants of a stack of 1x1 or 2x2 matrices, in closed form."""
+    if A.shape[-1] == 1:
+        return 1.0 / A, A[:, 0, 0]
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    det = a * d - b * c
+    return np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None], det
 
 
 _LOG_BOUND = 14.0
 _MAX_NEWTON_STEPS = 500
 
 
+@functools.cache
+def _layout(q):
+    """Rows and columns in L of the log-Cholesky parameters log L00[, L10,
+    log L11], and the mask of the diagonal ones, which are stored as logs."""
+    rows, cols = np.tril_indices(q)
+    return rows, cols, rows == cols
+
+
 def _unpack_factor(params, q):
     """The lower-triangular factor L of log-Cholesky parameters."""
-    return np.array([[np.exp(params[0])]]) if q == 1 else \
-        np.array([[np.exp(params[0]), 0.0], [params[1], np.exp(params[2])]])
+    rows, cols, diag = _layout(q)
+    L = np.zeros((q, q))
+    L[rows, cols] = np.exp(params, out=np.array(params, dtype=np.float64), where=diag)
+    return L
 
 
 def _pack_factor(L):
     """The log-Cholesky parameters of a lower-triangular factor L."""
-    return np.log(np.diag(L)) if len(L) == 1 else \
-        np.array([np.log(L[0, 0]), L[1, 0], np.log(L[1, 1])])
-
-
-def _factor_derivatives(L):
-    """dGamma, d2Gamma of Gamma = L L' in the parameters log L00[, L10, log L11]."""
-    entries = [(0, 0)] if len(L) == 1 else [(0, 0), (1, 0), (1, 1)]
-    dL = [np.zeros_like(L) for _ in entries]
-    for D, (i, j) in zip(dL, entries):
-        D[i, j] = L[i, j] if i == j else 1.0
-    dG = [D @ L.T + L @ D.T for D in dL]
-    # d2L vanishes but for d2L / d(log L_ii)^2 = dL, whose share of d2Gamma
-    # is dGamma itself
-    return dG, [[dL[k] @ dL[l].T + dL[l] @ dL[k].T + (dG[k] if k == l and i == j else 0.0)
-                 for l in range(len(dL))] for k, (i, j) in enumerate(entries)]
+    rows, cols, diag = _layout(len(L))
+    return np.log(L[rows, cols], out=L[rows, cols], where=diag)
 
 
 @dataclass
@@ -348,23 +340,18 @@ def _evaluate(params, gs: _GroupStats, reml: bool) -> _Evaluation | None:
         df   = tr(P dW_k) - c y'P dW_k P y
         d2f  = tr(P d2W_kl) - tr(P dW_l P dW_k)
                - c (y'P d2W_kl P y - 2 y'P dW_l P dW_k P y)
-               - (dof / r^2) (y'P dW_k P y) (y'P dW_l P y),
-    and every term collapses to per-subject q x q blocks through
-    M = Z'W^-1 Z, B = Z'W^-1 X, v = Z'W^-1 e and E = B (X'W^-1 X)^-1 B'.
+               - (dof / r^2) (y'P dW_k P y) (y'P dW_l P y).
+    Woodbury gives W^-1 = I - Z Gamma H Z' with H = (I + Z'Z Gamma)^-1 per
+    subject, and every term collapses to the stacks M = Z'W^-1 Z = H Z'Z,
+    B = Z'W^-1 X = H Z'X, v = Z'W^-1 e = H Z'e and E = B (X'W^-1 X)^-1 B'.
     """
-    q = gs.q
-    Q = range(q)
-    L = _unpack_factor(params, q)
-    # Woodbury per subject: A = I + L'Z'Z L, N = L A^-1 L', W^-1 = I - Z N Z'
-    A = _congruence(L, gs.zz)
-    for a in Q:
-        A[a][a] = A[a][a] + 1.0
-    det = A[0][0] if q == 1 else A[0][0] * A[1][1] - A[0][1] * A[0][1]
-    adj = [[1.0]] if q == 1 else [[A[1][1], -A[0][1]], [-A[0][1], A[0][0]]]
-    N = _congruence(L.T, [[entry / det for entry in row] for row in adj])
-    NX = [sum(N[a][b][:, None] * gs.zx[b] for b in Q) for a in Q]
-    XtWX = gs.XtX - sum(gs.zx[a].T @ NX[a] for a in Q)
-    XtWy = gs.Xty - sum(NX[a].T @ gs.zy[a] for a in Q)
+    L = _unpack_factor(params, gs.q)
+    Gamma = L @ L.T
+    H, det = _inverse(gs.zz @ Gamma + np.eye(gs.q))
+    B = H @ gs.zx
+    GB = (Gamma @ B).reshape(-1, gs.p)                                # Gamma H Z'X
+    XtWX = gs.XtX - gs.zx.reshape(-1, gs.p).T @ GB
+    XtWy = gs.Xty - GB.T @ gs.zy.ravel()
     sign, logdet_XtWX = np.linalg.slogdet(XtWX)
     if sign <= 0 or not np.isfinite(logdet_XtWX):
         return None
@@ -373,56 +360,50 @@ def _evaluate(params, gs: _GroupStats, reml: bool) -> _Evaluation | None:
 
     # residual quadratic form from the residual vector (cancellation-safe)
     e = gs.y - gs.X @ beta
-    ze = [np.bincount(gs.group_index, weights=z * e, minlength=gs.m) for z in gs.zcols]
-    Nze = [sum(N[a][b] * ze[b] for b in Q) for a in Q]
-    r = max(float(e @ e) - sum(float(ze[a] @ Nze[a]) for a in Q), 1e-300)
+    ze = gs.sums(e)
+    v = (H @ ze[:, :, None])[:, :, 0]
+    r = max(float(e @ e) - float(np.sum(Gamma * _cross(ze, v))), 1e-300)
     dof = gs.n - gs.p if reml else gs.n
     crit = dof * np.log(2.0 * np.pi) + float(np.log(det).sum()) \
         + (logdet_XtWX if reml else 0.0) + dof * (1.0 + np.log(r / dof))
     if not np.isfinite(crit):
         return None
 
-    zz = gs.zz
-    M = [[zz[a][b] - sum(zz[a][c] * N[c][d] * zz[d][b] for c in Q for d in Q)
-          for b in Q] for a in Q]
-    B = [gs.zx[a] - sum(zz[a][c][:, None] * NX[c] for c in Q) for a in Q]
-    v = [ze[a] - sum(zz[a][c] * Nze[c] for c in Q) for a in Q]
+    Mp = M = H @ gs.zz
     if reml:
-        BK = [B[a] @ K for a in Q]
-        E = [[np.sum(BK[a] * B[b], axis=1) for b in Q] for a in Q]
-        Mp = [[M[a][b] - E[a][b] for b in Q] for a in Q]     # diagonal blocks of Z'PZ
-    else:
-        Mp = M
+        E = (B.reshape(-1, gs.p) @ K).reshape(B.shape) @ B.transpose(0, 2, 1)
+        Mp = M - E                                                    # diagonal blocks of Z'PZ
     c = dof / r
-    V = np.array([[float(v[a] @ v[b]) for b in Q] for a in Q])
-    S = np.array([[float(Mp[a][b].sum()) for b in Q] for a in Q]) - c * V
+    V = _cross(v, v)
+    S = Mp.sum(axis=0) - c * V
 
-    dG, d2G = _factor_derivatives(L)
-    grad = np.array([np.sum(S * D) for D in dG])
-    w = [np.sum(V * D) for D in dG]                                   # y'P dW_k P y
-    G = [_times(Mp, D) for D in dG]
-    h = [[sum(D[a, b] * v[b] for b in Q) for a in Q] for D in dG]     # dGamma_k v
-    Bh = [sum(B[a].T @ hk[a] for a in Q) for hk in h]
+    rows, cols, diag = _layout(gs.q)
+    dL = np.zeros((len(rows), gs.q, gs.q))                             # dL / dparams_k
+    dL[np.arange(len(rows)), rows, cols] = np.where(diag, L[rows, cols], 1.0)
+    dG = dL @ L.T + L @ dL.transpose(0, 2, 1)                         # dGamma / dparams_k
+    grad = dG.reshape(len(dG), -1) @ S.ravel()
+    w = dG.reshape(len(dG), -1) @ V.ravel()                           # y'P dW_k P y
+    # tr(P dW_l P dW_k): sum_i tr(Mp_i dGamma_l Mp_i dGamma_k), and for REML
+    # tr(KC_l KC_k) - sum_i tr(E_i dGamma_l E_i dGamma_k)
+    traces = np.einsum("abcd,lbc,kda->lk", _cross(Mp, Mp) - (_cross(E, E) if reml else 0), dG, dG)
     if reml:
-        GE = [_times(E, D) for D in dG]
-        R = [[B[a].T @ B[b] for b in Q] for a in Q]
-        KC = [K @ sum(D[a, b] * R[a][b] for a in Q for b in Q) for D in dG]
-    hess = np.empty((len(dG), len(dG)))
-    for k in range(len(dG)):
-        for l in range(k + 1):
-            trace = _trace_sum(G[l], G[k])                            # tr(P dW_l P dW_k)
-            if reml:
-                trace += float(np.sum(KC[l] * KC[k].T)) - _trace_sum(GE[l], GE[k])
-            quad = sum(float((h[l][a] * M[a][b]) @ h[k][b]) for a in Q for b in Q) \
-                - float(Bh[l] @ K @ Bh[k])                            # y'P dW_l P dW_k P y
-            hess[k, l] = hess[l, k] = (float(np.sum(S * d2G[k][l])) - trace
-                                       + 2.0 * c * quad - dof / r**2 * w[k] * w[l])
-    return _Evaluation(float(crit), grad, hess, beta, r, K)
+        KC = K @ np.einsum("kcd,cadb->kab", dG, _cross(B, B))
+        traces += np.einsum("lpr,krp->lk", KC, KC)
+    # y'P dW_l P dW_k P y: with h_k = dGamma_k v, sum_i h_l' M_i h_k less the
+    # share through beta-hat
+    Bh = np.einsum("kcd,cad->ka", dG, _cross(B, v))
+    quad = np.einsum("lba,kcd,bcad->lk", dG, dG, _cross(M, v[:, :, None] * v[:, None, :])) \
+        - Bh @ K @ Bh.T
+    # tr(S d2Gamma_kl): d2Gamma_kl = dL_k dL_l' + dL_l dL_k', plus dGamma_k
+    # itself for k = l a log parameter, as d2L / d(log L_ii)^2 = dL
+    hess = np.einsum("ab,kac,lbc->kl", S + S.T, dL, dL) + np.diag(grad * diag) \
+        - traces + 2.0 * c * quad - dof / r**2 * np.outer(w, w)
+    return _Evaluation(float(crit), grad, 0.5 * (hess + hess.T), beta, r, K)
 
 
 def _box(q):
     """Bounds of the log-Cholesky parameters."""
-    hi = np.array([_LOG_BOUND] if q == 1 else [_LOG_BOUND, 1e4, _LOG_BOUND])
+    hi = np.where(_layout(q)[2], _LOG_BOUND, 1e4)
     return -hi, hi
 
 
@@ -440,7 +421,7 @@ def _newton(x, gs: _GroupStats, reml: bool):
     Newton steps, evaluator calls).
     """
     lo, hi = _box(gs.q)
-    logs = [0] if gs.q == 1 else [0, 2]
+    logs = np.flatnonzero(_layout(gs.q)[2]).tolist()
     ev = _evaluate(x, gs, reml)
     if ev is None:
         raise ModelError("the REML criterion is not finite at the starting values")
@@ -546,19 +527,16 @@ def _start_params(gs: _GroupStats):
     """Moment start from per-subject least-squares fits b of the OLS residuals
     on [1(, t)]: the second moment of b less its sampling part, relative to
     the pooled within-subject variance, its eigenvalues floored at 1e-2."""
-    q = gs.q
+    q, zz = gs.q, gs.zz
     resid = gs.y - gs.X @ np.linalg.solve(gs.XtX, gs.Xty)
-    rs = _GroupStats(resid, np.ones((gs.n, 1)), gs.zcols[1] if q == 2 else None, gs.group_index)
-    S = np.array(rs.zz).transpose(2, 0, 1)                    # m x q x q
-    counts = rs.zz[0][0]
-    ok = (counts > q) & (np.linalg.det(S) > 1e-8 * np.prod(np.diagonal(S, 0, 1, 2), axis=1))
+    ok = (zz[:, 0, 0] > q) & (np.linalg.det(zz) > 1e-8 * np.prod(np.diagonal(zz, 0, 1, 2), axis=1))
     if ok.sum() < 2:
-        return np.zeros(1 if q == 1 else 3)
-    Sinv = np.linalg.inv(S[ok])
-    zr = np.array(rs.zy).T[ok]
+        return np.zeros(q * (q + 1) // 2)
+    Sinv = np.linalg.inv(zz[ok])
+    zr = gs.sums(resid)[ok]
     b = (Sinv @ zr[:, :, None])[:, :, 0]
     rr = np.bincount(gs.group_index, weights=resid * resid, minlength=gs.m)[ok]
-    within = max(float((rr - (zr * b).sum(axis=1)).sum() / (counts[ok] - q).sum()), 1e-12)
+    within = max(float((rr - (zr * b).sum(axis=1)).sum() / (zz[ok, 0, 0] - q).sum()), 1e-12)
     # random effects have mean zero: the fixed intercept takes the mean
     # intercept, a mean slope left in the residuals belongs to the random slope
     mean = b.mean(axis=0)
@@ -641,10 +619,8 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     factor = _unpack_factor(x_hat, q)
     dof = n - p if reml else n
     sigma2_s = ev.quadform / dof
-    Sigma_s = sigma2_s * (factor @ factor.T)
-    if q == 2:
-        unscale = np.diag([1.0, 1.0 / t_scale])
-        Sigma_s = unscale @ Sigma_s @ unscale
+    unscale = np.diag([1.0, 1.0 / t_scale][:q])
+    Sigma_s = unscale @ (sigma2_s * (factor @ factor.T)) @ unscale
 
     # map back to the original outcome scale
     beta = ev.beta * y_scale
@@ -661,9 +637,8 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     # boundary: a random-effect variance negligible on the (unit-variance)
     # internal outcome scale, or a log parameter pinned at its bound
     diag_rel = sigma2_s * (factor ** 2).sum(axis=1)
-    log_params = x_hat[[0, 2]] if q == 2 else x_hat[[0]]
     boundary = bool(np.any(diag_rel < 1e-9) or
-                    np.any(np.abs(log_params) >= _LOG_BOUND - 1e-6))
+                    np.any(np.abs(x_hat[_layout(q)[2]]) >= _LOG_BOUND - 1e-6))
 
     diagnostics = {
         "newton_steps": int(newton_steps),

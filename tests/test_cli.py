@@ -296,11 +296,11 @@ def test_synth_and_pairs_golden_digests(tmp_path):
 # and Wald p-values, so their digests also pin the normal kernels bit for bit.
 GOLDEN_PIPELINE = {
     **GOLDEN_SYNTH_PAIRS,
-    "apc_models.csv": "9da9bf09984887d56ee3c6cf1c65db245a69fe05bda8d5c64e530055515d0539",
+    "apc_models.csv": "ec4f8566a266cc07f0df740a3cd6b761e52e813807bc528a87ec3c851c11d11b",
     "apc_report.txt": "a683e71db84345bf14c9424ba95a6eae219e06dd794a09bde40e2c821d13d2e5",
     "calibrate_summary.txt": "757732e17ee960dea19f026a882fb57c52c71eb25a882cfce9cbb89451d91947",
-    "coefficients_simA.csv": "ad7372655b1a118b93aa160c529f7394f98eed25ca3514b19e17e0bb5f7e6b6e",
-    "cv_report.csv": "baefe7b7513da5e14670d24b6aeccd56bc0e4cc2b069b01726fa754effda8a48",
+    "coefficients_simA.csv": "d01d2fada0a900c01bb3807a2c818adde2e4fff4351b221bb248956b5b930262",
+    "cv_report.csv": "f512e663524a7739a2410d56c67b7c1fc24d457210c7ff964f8496f2ca8dca5c",
     "cv_summary.txt": "e1ab1decfe6d39f2232b15af6768137c69bfc1f8b25d0404b9d4a5d1a46448c5",
     "det.svg": "7e6d8a6f5454c414febbafb7fb924c6fd7fe6b8037dc62416efa410eb8ee352b",
     "det_simA.csv": "39134f1d8b722b774a8d567f21412c9635d0f351618e66cd3cad90eddd84f5f8",
@@ -321,10 +321,10 @@ GOLDEN_PIPELINE = {
     "interval_fnmr_simA.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "interval_fnmr_simB.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "pairs_summary.txt": "15b4e7a8d6e1a96887c99d060fc0537b07899e9e6653aa0438fae73aeb8c3ae2",
-    "qq_simA.csv": "d56aa4706a5bf4e76698b8121828585e4cb7ee3dec69bd24b30188a5e218aede",
+    "qq_simA.csv": "2ceaa7a80ad2375aead65da44a51b215fb2de8279bb0c0dd930916d5e8282242",
     "synth_summary.txt": "e8d5ab732d98e1036d9408eac092d8bb0572fb0f91766a11234be04904466104",
     "thresholds.json": "fed8db91ef23eca31c470f6d6232f7442537ce7f226dfccb58559dd706af2978",
-    "trajectories_simA.csv": "70debf2018be0514fff927b30d7159b6f0fd19a1ab205c21b399a47d01bb37cf",
+    "trajectories_simA.csv": "7058efdc5d3a7696c557453707069a8aa204711ef212a44569d68bc64c8726ae",
     "trajectories_simA.svg": "d5c11cbec69551673dbeb9fbabc40a4b02be8b6a99ca7113479b15a7fff854b1",
 }
 # (inputs, outputs) each manifest names; their digests are the files' above
