@@ -132,7 +132,8 @@ def _kind(requirement: str, accepts, convert=None):
     return parse
 
 
-INTEGER = _kind("an integer", lambda v: type(v) is int)
+INTEGER = _kind("an integer in [-2**63, 2**63)",   # what numpy's int64 holds
+                lambda v: type(v) is int and -2**63 <= v < 2**63)
 NUMBER = _kind("a finite number",   # NaN fails the comparison; a huge int is exact
                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 TEXT = _kind("a non-empty string", lambda v: type(v) is str and v != "")
@@ -221,12 +222,13 @@ def _load_captures(ctx: RunContext):
     return ingest_captures(path)
 
 
-def _load_pairs(ctx: RunContext, captures, kind: str, profiles, columns) -> ComparisonTable:
+def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTable:
     """The `kind` ("genuine" or "impostor") pair table written by `pairs`,
     holding the `columns` a subcommand uses (as `read_pairs` takes them;
     None: every column, captures joined) and a score column for each of
     `profiles`, each score within its profile's range (the rule
-    `attach_scores` applies when it writes them)."""
+    `attach_scores` applies when it writes them). The capture table is
+    ingested only if `read_pairs` joins it."""
     path = ctx.outdir / f"pairs_{kind}.csv"
     if not path.exists():
         raise CliError(EXIT_MISSING_INPUT,
@@ -234,7 +236,7 @@ def _load_pairs(ctx: RunContext, captures, kind: str, profiles, columns) -> Comp
     ctx.record_input(path)
     if columns is not None:
         columns = (*columns, *(f"score_{p.name}" for p in profiles))
-    table = read_pairs(path, captures, columns)
+    table = read_pairs(path, lambda: _load_captures(ctx).table, columns)
     for p in profiles:
         if p.name not in table.scores:
             raise CliError(EXIT_DATA_INVALID,
@@ -421,9 +423,8 @@ def cmd_calibrate(ctx: RunContext) -> None:
     """Sweep thresholds to hit a target FMR."""
     from .metrics import calibrate_threshold
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
-    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
+    genuine = _load_pairs(ctx, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, "impostor", profiles, ())
     target = _setting(ctx, "calibration.target_fmr", 0.001, NUMBER,
                       ("in [0, 1]", lambda t: 0.0 <= t <= 1.0))
     names = _setting(ctx, "calibration.matchers", (), _list_of(TEXT)) or [
@@ -446,8 +447,7 @@ def cmd_fnmr(ctx: RunContext) -> None:
     """Interval FNMR with Wilson / rule-of-three confidence bounds."""
     from .metrics import fnmr_by_interval
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, ("gap_T_months",))
+    genuine = _load_pairs(ctx, "genuine", profiles, ("gap_T_months",))
     thresholds = _thresholds(ctx, profiles)
     bin_width = _setting(ctx, "fnmr.bin_width_months", 6, INTEGER, (">= 1", lambda b: b >= 1))
     confidence = _setting(ctx, "fnmr.confidence", 0.95, NUMBER,
@@ -473,9 +473,8 @@ def cmd_det(ctx: RunContext) -> None:
     """DET curve, EER and AUC per matcher."""
     from .metrics import det_curve
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
-    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
+    genuine = _load_pairs(ctx, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, "impostor", profiles, ())
     curves = []
     lines = []
     for profile in profiles:
@@ -504,9 +503,8 @@ def cmd_failures(ctx: RunContext) -> None:
     """Categorize genuine failures and their quality correlates."""
     from .metrics import failure_analysis
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
     # gallery_subject joins the capture table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles,
+    genuine = _load_pairs(ctx, "genuine", profiles,
                           ("gap_T_months", *QUALITY_TERMS, "gallery_subject"))
     thresholds = _thresholds(ctx, profiles)
     pa, pb = _two_matchers(ctx, profiles)
@@ -540,9 +538,8 @@ def cmd_fuse(ctx: RunContext) -> None:
     """AND-rule fusion error rates and agreement breakdown."""
     from .metrics import fuse_and_rule
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, ())
-    impostor = _load_pairs(ctx, captures, "impostor", profiles, ())
+    genuine = _load_pairs(ctx, "genuine", profiles, ())
+    impostor = _load_pairs(ctx, "impostor", profiles, ())
     thresholds = _thresholds(ctx, profiles)
     pa, pb = _two_matchers(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
@@ -565,8 +562,7 @@ def cmd_lmm(ctx: RunContext) -> None:
     """Fit the longitudinal mixed model and age-group companion."""
     from .lmm import AgeGroups
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine_all = _load_pairs(ctx, captures, "genuine", profiles, None)
+    genuine_all = _load_pairs(ctx, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine_all)
     eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
                     ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
@@ -640,8 +636,7 @@ def cmd_apc(ctx: RunContext) -> None:
     """Compare the three age-period-cohort parameterizations."""
     from .lmm import compare_apc
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, None)
+    genuine = _load_pairs(ctx, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine)
     report = compare_apc(genuine, spec)
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
@@ -670,8 +665,7 @@ def cmd_cv(ctx: RunContext) -> None:
     from .lmm import fit_spec, marginal_r2
     from .validation import kfold_subject_cv
     profiles = _profiles(ctx)
-    captures = _load_captures(ctx).table
-    genuine = _load_pairs(ctx, captures, "genuine", profiles, None)
+    genuine = _load_pairs(ctx, "genuine", profiles, None)
     spec = _model_spec(ctx, genuine)
     k = _setting(ctx, "cv.k", 5, INTEGER, (">= 2", lambda k: k >= 2))
     seed = _setting(ctx, "cv.seed", ctx.seed, SEED)

@@ -67,8 +67,8 @@ PAIR_COLUMNS = {
     "R_gallery": np.float64,            # dilation ratio pupil / iris radius
     "R_probe": np.float64,
 }
-# the ComparisonTable columns a pair file does not hold; read_pairs joins them
-# back in from the capture table through the image ids
+# the ComparisonTable columns a pair file does not hold, derived from the
+# capture table through the image ids by CaptureTable.joined alone
 JOINED_COLUMNS = {
     "gallery_subject": object,
     "probe_subject": object,
@@ -199,14 +199,20 @@ class CaptureTable:
     def order(self) -> np.ndarray:
         """Row permutation into the global canonical order: subject, eye,
         collection, time, image id (file order among equal keys)."""
-        keys = list(zip(self.subject_id, self.eye, self.collection_index.tolist(),
-                        self.capture_time_months.tolist(), self.image_id))
-        return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        return np.lexsort((self.image_id, self.capture_time_months, self.collection_index,
+                           self.eye, self.subject_id))
 
     def rows(self, image_ids) -> np.ndarray:
         """The row of each of `image_ids` (the first, should an id repeat);
         -1 for an id not in the table."""
         return np.fromiter(map(self._row.get, image_ids, repeat(-1)), dtype=np.intp)
+
+    def joined(self, gallery_rows, probe_rows) -> dict:
+        """The JOINED_COLUMNS of the pairs of rows (gallery_rows[i], probe_rows[i])."""
+        return dict(gallery_subject=self.subject_id[gallery_rows],
+                    probe_subject=self.subject_id[probe_rows],
+                    A_gallery=self.age_years[gallery_rows].astype(np.float64),
+                    A_probe=self.age_years[probe_rows].astype(np.float64))
 
 
 class ScoreTable:

@@ -71,14 +71,18 @@ class IntervalStat:
 def assign_interval(gap_months: np.ndarray, bin_width: int = 6) -> np.ndarray:
     """Nearest bin-center multiple of bin_width, half rounded away from zero.
 
-    Integer arithmetic, so 45 months -> 48 exactly.
+    Integer arithmetic, so 45 months -> 48 exactly, in uint64 with no
+    intermediate past the center: the center of any int64 gap fits, for any
+    width below 2**64.
     """
     if bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     gap = np.asarray(gap_months, dtype=np.int64)
     if np.any(gap < 0):
         raise ValueError("gaps must be non-negative")
-    return bin_width * ((2 * gap + bin_width) // (2 * bin_width))
+    gap, width = gap.astype(np.uint64), np.uint64(bin_width)
+    r = gap % width
+    return gap - r + width * (r >= width - r)
 
 
 def _require_kind(table: ComparisonTable, kind: str, op: str) -> None:

@@ -70,17 +70,16 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
         dilation_ratio(float(pupil[row]), float(iris[row]))
 
     sides = {"gallery": g, "probe": p}
-    values = {"Q": captures.quality, "U": captures.usable_area,
-              "C": captures.circularity, "A": age.astype(np.float64)}
+    values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity}
     columns = {f"{name}_{side}": col[rows]
                for name, col in values.items() for side, rows in sides.items()}
     columns.update(R_gallery=pupil[g] / iris[g], R_probe=pupil[p] / iris[p])
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
-        gallery_subject=captures.subject_id[g], probe_subject=captures.subject_id[p],
         gap_T_months=gap, delta_age_years=age[p] - age[g],
-        DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns, scores={})
+        DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns,
+        **captures.joined(g, p), scores={})
 
 
 def generate_genuine_pairs(captures: CaptureTable) -> ComparisonTable:

@@ -30,6 +30,13 @@ class SynthConfigError(ValueError):
     pass
 
 
+# the most images, and the most genuine plus impostor comparisons, a config
+# may ask for: ten times the paper-sized panel (276 subjects, 14 sessions,
+# two images per eye, 10 impostor probes: about 2e5 comparisons), about 1 GB
+# at the ~500 bytes a comparison takes while generating
+MAX_SYNTH_WORK = 2_000_000
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """Location-scale score distribution: normal(loc, scale) or uniform[loc, loc+scale)."""
@@ -145,6 +152,16 @@ class SynthConfig:
             raise SynthConfigError("matcher names must be unique")
         if set(self.covariates) != set(DEFAULT_COVARIATES):
             raise SynthConfigError(f"covariates must be exactly {sorted(DEFAULT_COVARIATES)}")
+        # upper bounds, as if no subject dropped out: every first-session image
+        # of an eye is a gallery for every later image of that eye
+        per_eye = self.images_per_eye_per_session
+        n_images = self.n_subjects * len(sched) * 2 * per_eye
+        n_genuine = self.n_subjects * 2 * per_eye * per_eye * (len(sched) - 1)
+        n_impostor = n_images * self.pairing.max_impostor_probes if self.include_impostors else 0
+        if max(n_images, n_genuine + n_impostor) > MAX_SYNTH_WORK:
+            raise SynthConfigError(
+                f"up to {n_images} images and {n_genuine + n_impostor} comparisons exceed "
+                f"the limit of {MAX_SYNTH_WORK} each")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -182,7 +182,7 @@ def write_pairs(table: ComparisonTable, path) -> None:
                 [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()])
 
 
-def read_pairs(path, captures: CaptureTable, columns=None) -> ComparisonTable:
+def read_pairs(path, captures: Callable[[], CaptureTable], columns=None) -> ComparisonTable:
     """Read a pair table back, in the `columns` a caller uses.
 
     The pair file holds the PAIR_COLUMNS and one score_<matcher> column per
@@ -190,11 +190,12 @@ def read_pairs(path, captures: CaptureTable, columns=None) -> ComparisonTable:
     names and score_<matcher> file columns, `kind` always read with them; a
     score column the file lacks is left out. None reads every PAIR_COLUMNS
     and score column. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are
-    joined in from `captures` through the two image ids only when one of them
-    is asked for, and with None. A kind other than genuine or impostor, an id
-    missing from `captures` (when joining), and a non-finite real or score
-    cell read raise IngestError naming the row; a column not read is not
-    judged.
+    joined in through the two image ids only when one of them is asked for,
+    and with None; only then is `captures` called, with no argument, for the
+    capture table. A kind other than genuine or impostor, an id missing from
+    the capture table (when joining), a non-finite real or score cell and a
+    negative gap_T_months read raise IngestError naming the row; a column
+    not read is not judged.
     """
     path = Path(path)
     join = columns is None or not JOINED_COLUMNS.keys().isdisjoint(columns)
@@ -213,20 +214,21 @@ def read_pairs(path, captures: CaptureTable, columns=None) -> ComparisonTable:
 
     joined = {}
     if join:
-        g_rows = captures.rows(parsed["gallery_image_id"])
-        p_rows = captures.rows(parsed["probe_image_id"])
+        table = captures()
+        g_rows = table.rows(parsed["gallery_image_id"])
+        p_rows = table.rows(parsed["probe_image_id"])
         unknown = np.flatnonzero((g_rows < 0) | (p_rows < 0))
         if unknown.size:
             raise IngestError(f"{path}: data row {unknown[0] + 1} references image ids "
                               f"missing from the capture table")
-        joined = dict(gallery_subject=captures.subject_id[g_rows],
-                      probe_subject=captures.subject_id[p_rows],
-                      A_gallery=captures.age_years[g_rows].astype(np.float64),
-                      A_probe=captures.age_years[p_rows].astype(np.float64))
+        joined = table.joined(g_rows, p_rows)
     for name, values in parsed.items():
         if values.dtype == np.float64 and not np.isfinite(values).all():
             row = int(np.argmin(np.isfinite(values))) + 1
             raise IngestError(f"{path}: non-finite {name} at data row {row}")
+    if "gap_T_months" in parsed and (parsed["gap_T_months"] < 0).any():
+        row = int(np.argmax(parsed["gap_T_months"] < 0)) + 1
+        raise IngestError(f"{path}: negative gap_T_months at data row {row}")
     scores = {name[len("score_"):]: parsed.pop(name) for name in names[len(schema):]}
     return ComparisonTable(**parsed, **joined, scores=scores)
 

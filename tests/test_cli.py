@@ -270,6 +270,29 @@ def test_seed_range_ends_accepted():
         assert args.seed == seed
 
 
+@pytest.mark.parametrize("path, value", [
+    ("synth.n_subjects", 10**9),
+    ("synth.images_per_eye_per_session", 2**62),
+    ("synth.session_schedule", list(range(0, 6 * 10**5, 6))),
+    ("pairing.max_impostor_probes", 10**7),
+])
+def test_synth_refuses_unbounded_work_before_drawing(tmp_path, capsys, monkeypatch,
+                                                      path, value):
+    from longmatch import synth
+
+    def refuse(cfg):
+        raise AssertionError("generate_longitudinal called")
+
+    monkeypatch.setattr(synth, "generate_longitudinal", refuse)
+    config = json.loads(write_config(tmp_path / "config.json", tmp_path / "run").read_text())
+    _set(config, path, value)
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["synth", "--config", str(tmp_path / "config.json")]) == 3
+    line = _one_error_line(capsys, "config-invalid")
+    assert "config synth: " in line and f"the limit of {synth.MAX_SYNTH_WORK}" in line
+    assert not (tmp_path / "run" / "captures.csv").exists()
+
+
 # SHA-256 of the synth and pairs outputs on the write_config config; a change
 # to any of them is a change to the program's output and says why
 GOLDEN_SYNTH_PAIRS = {
@@ -336,15 +359,15 @@ GOLDEN_MANIFESTS = {
     "pairs": (("captures.csv", "scores.csv"),
               ("pairs_genuine.csv", "pairs_impostor.csv", "pairs_incomplete.csv",
                "pairs_summary.txt")),
-    "calibrate": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv"),
+    "calibrate": (("pairs_genuine.csv", "pairs_impostor.csv"),
                   ("calibrate_summary.txt", "thresholds.json")),
-    "fnmr": (("captures.csv", "pairs_genuine.csv", "thresholds.json"),
+    "fnmr": (("pairs_genuine.csv", "thresholds.json"),
              ("fnmr_summary.txt", "interval_fnmr_simA.csv", "interval_fnmr_simB.csv")),
-    "det": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv"),
+    "det": (("pairs_genuine.csv", "pairs_impostor.csv"),
             ("det_simA.csv", "det_simB.csv", "det_summary.csv", "det_summary.txt")),
     "failures": (("captures.csv", "pairs_genuine.csv", "thresholds.json"),
                  ("failure_categories.csv", "failure_report.txt")),
-    "fuse": (("captures.csv", "pairs_genuine.csv", "pairs_impostor.csv", "thresholds.json"),
+    "fuse": (("pairs_genuine.csv", "pairs_impostor.csv", "thresholds.json"),
              ("fusion_report.txt",)),
     "lmm": (("captures.csv", "pairs_genuine.csv"),
             ("coefficients_simA.csv", "fit_report_simA.txt", "fit_report_simA_age_groups.txt",
@@ -598,21 +621,35 @@ PAIR_READS = {
 }
 
 
+# the times each subcommand ingests captures.csv: once for a capture join,
+# else never
+CAPTURE_INGESTS = {"calibrate": 0, "fnmr": 0, "det": 0, "failures": 1, "fuse": 0,
+                   "lmm": 1, "apc": 1, "cv": 1}
+
+
 def test_each_subcommand_reads_only_its_pair_columns(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "config.json", tmp_path / "run")
     run_pipeline(cfg, ["synth", "pairs"])
-    read_pairs, asked = cli.read_pairs, []
+    read_pairs, ingest_captures, asked, ingested = cli.read_pairs, cli.ingest_captures, [], []
 
     def recording(path, captures, columns=None):
         asked.append((Path(path).stem.removeprefix("pairs_"),
                       None if columns is None else set(columns)))
         return read_pairs(path, captures, columns)
 
+    def counting(path):
+        ingested.append(Path(path).name)
+        return ingest_captures(path)
+
     monkeypatch.setattr(cli, "read_pairs", recording)
+    monkeypatch.setattr(cli, "ingest_captures", counting)
+    assert list(CAPTURE_INGESTS) == list(PAIR_READS)
     for command, reads in PAIR_READS.items():
         asked.clear()
+        ingested.clear()
         assert main([command, "--config", str(cfg)]) == 0, command
         assert asked == reads, command
+        assert ingested == ["captures.csv"] * CAPTURE_INGESTS[command], command
 
 
 def test_package_import_loads_no_submodule():
@@ -894,6 +931,27 @@ FAULTS = [
      ["target FMR: ", "simA: threshold="]),
     ("failures", {}, {"pairs_genuine.csv": _cell("probe_image_id", "nope", row=3)}, 5,
      ["pairs_genuine.csv", "data row 3 references image ids missing from the capture table"]),
+    # only a subcommand that joins captures reads captures.csv
+    ("det", {}, {"captures.csv": _removed}, 0, ["simA: EER=", "simB: EER="]),
+    ("fuse", {}, {"captures.csv": _removed}, 0, ["fused FMR: ", "fused FNMR: "]),
+    ("failures", {}, {"captures.csv": _removed}, 4, ["capture table", "captures.csv",
+                                                     "does not exist"]),
+    ("lmm", {}, {"captures.csv": _at(9000)}, 5, ["captures.csv", "byte offset 9000"]),
+    # a gap is never negative: genuine gaps are positive, impostor gaps absolute
+    ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "-6")}, 5,
+     ["pairs_genuine.csv", "negative gap_T_months at data row 1"]),
+    ("lmm", {}, {"pairs_genuine.csv": _cell("gap_T_months", "-1", row=5)}, 5,
+     ["pairs_genuine.csv", "negative gap_T_months at data row 5"]),
+    # a config int is an int64
+    ("synth", {"synth.session_schedule": [0, 10**30]}, {}, 3,
+     ["config synth.session_schedule[1]", "an integer in [-2**63, 2**63)"]),
+    ("synth", {"synth.enrollment_age_high": 10**30}, {}, 3, ["config synth.enrollment_age_high"]),
+    ("synth", {"synth.enrollment_age_low": -2**63 - 1}, {}, 3, ["config synth.enrollment_age_low"]),
+    ("fnmr", {"fnmr.bin_width_months": 10**30}, {}, 3, ["config fnmr.bin_width_months"]),
+    ("fnmr", {"fnmr.bin_width_months": 2**63}, {}, 3, ["config fnmr.bin_width_months"]),
+    ("fnmr", {"fnmr.bin_width_months": 2**62}, {}, 0,
+     ["simA: threshold=", "simB: threshold=", "over 1 intervals"]),
+    ("fnmr", {"fnmr.bin_width_months": 2**63 - 1}, {}, 0, ["over 1 intervals"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

@@ -53,6 +53,21 @@ class TestCaptureTable:
         with pytest.raises(ValueError):
             table.quality[0] = 1.0
 
+    def test_order_is_a_stable_sort_of_the_canonical_keys(self):
+        # the sorted() of the keys as Python objects is the oracle: ties, ids
+        # that repeat and int64 extremes keep file order among equal keys
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            table = capture_table([
+                make_capture(f"I{rng.integers(4)}", subject=f"S{rng.integers(3)}",
+                             eye=("L", "R")[rng.integers(2)],
+                             collection=int(rng.choice([1, 2, 2**63 - 1])),
+                             months=int(rng.choice([-2**63, -1, 0, 6, 2**63 - 1])))
+                for _ in range(int(rng.integers(0, 60)))])
+            keys = list(zip(table.subject_id, table.eye, table.collection_index.tolist(),
+                            table.capture_time_months.tolist(), table.image_id))
+            assert table.order().tolist() == sorted(range(len(table)), key=keys.__getitem__)
+
     def test_empty_table(self):
         table = capture_table([])
         assert len(table) == 0

@@ -114,6 +114,21 @@ class TestIntervalAssignment:
         expected = [6 * math.floor(g / 6 + 0.5) for g in gaps]
         np.testing.assert_array_equal(got, expected)
 
+    def test_matches_python_ints_on_random_and_extreme_gaps(self):
+        # no intermediate overflows: every int64 gap and width, up to the
+        # bin centers past 2**63 - 1
+        rng = np.random.default_rng(19)
+        top = 2**63 - 1
+        widths = [1, 2, 3, 6, 7, 12, 2**32 + 1, 2**62, top - 1, top,
+                  *rng.integers(1, 100, 20).tolist(), *rng.integers(1, top, 40).tolist()]
+        for width in widths:
+            gaps = [0, 1, width // 2, (width + 1) // 2, width - 1, width, top - 1, top,
+                    *rng.integers(0, 1000, 20).tolist(), *rng.integers(0, top, 40).tolist()]
+            gaps = [g for g in gaps if g <= top]
+            got = assign_interval(np.array(gaps, dtype=np.int64), width)
+            assert [int(c) for c in got] == \
+                [width * ((2 * g + width) // (2 * width)) for g in gaps], width
+
     @pytest.mark.parametrize("bin_width", [0, -6])
     def test_rejects_bin_width_below_one(self, bin_width):
         with pytest.raises(ValueError, match="bin_width must be >= 1"):

@@ -5,7 +5,7 @@ from longmatch.lmm import fit_reml
 from longmatch.metrics import det_curve
 from longmatch.pairing import PairingConfig, attach_scores, generate_genuine_pairs
 from longmatch.synth import (
-    CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
+    MAX_SYNTH_WORK, CovariateSpec, DistSpec, MatcherSim, SynthConfig, SynthConfigError,
     generate_longitudinal,
 )
 from longmatch.tableio import ingest_captures, write_captures, write_scores
@@ -112,6 +112,27 @@ class TestGenerateLongitudinal:
             SynthConfig(attrition_rate=1.0)
         with pytest.raises(SynthConfigError):
             MatcherSim(Sigma=((1.0, 5.0), (5.0, 1.0))).sigma_matrix()
+
+    def test_work_bound_counts_images_and_comparisons(self):
+        # 4 images and 2 genuine comparisons per subject without impostors
+        at_bound = dict(session_schedule=(0, 6), images_per_eye_per_session=1,
+                        include_impostors=False)
+        SynthConfig(n_subjects=MAX_SYNTH_WORK // 4, **at_bound)
+        with pytest.raises(SynthConfigError, match="images .* exceed the limit"):
+            SynthConfig(n_subjects=MAX_SYNTH_WORK // 4 + 1, **at_bound)
+        # with impostors: 4 images x 9 probes + 2 genuine = 38 comparisons per subject
+        probes = dict(at_bound, include_impostors=True,
+                      pairing=PairingConfig(max_impostor_probes=9))
+        SynthConfig(n_subjects=MAX_SYNTH_WORK // 38, **probes)
+        with pytest.raises(SynthConfigError, match="comparisons exceed the limit"):
+            SynthConfig(n_subjects=MAX_SYNTH_WORK // 38 + 1, **probes)
+        # k images per eye per session give k * k genuine comparisons per eye
+        # and later session
+        SynthConfig(n_subjects=1, session_schedule=(0, 6), images_per_eye_per_session=1000,
+                    include_impostors=False)
+        with pytest.raises(SynthConfigError, match="comparisons exceed the limit"):
+            SynthConfig(n_subjects=1, session_schedule=(0, 6),
+                        images_per_eye_per_session=1001, include_impostors=False)
 
 
 class TestEndToEndOracle:

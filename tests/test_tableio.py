@@ -257,7 +257,7 @@ def test_pairs_round_trip_with_age_join(tmp_path):
                       "delta_age_years,DC,Q_gallery,Q_probe,U_gallery,U_probe,"
                       "C_gallery,C_probe,R_gallery,R_probe,score_m1")
 
-    back = read_pairs(path, captures)
+    back = read_pairs(path, lambda: captures)
     assert len(back) == len(table)
     np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
     np.testing.assert_array_equal(back.kind, table.kind)
@@ -285,7 +285,26 @@ def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
     first = 1 + min(i for i, pid in enumerate(pairs.probe_image_id) if pid == dropped)
     with pytest.raises(IngestError, match=f"data row {first} references image ids "
                                           f"missing from the capture table"):
-        read_pairs(path, known)
+        read_pairs(path, lambda: known)
+
+
+def test_read_pairs_ingests_captures_only_to_join(tmp_path):
+    captures = random_capture_table(np.random.default_rng(10), n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    write_pairs(pairs.with_scores({"m1": np.zeros(len(pairs))}), tmp_path / "pairs.csv")
+    calls = []
+
+    def ingest():
+        calls.append(len(calls))
+        return captures
+
+    read_pairs(tmp_path / "pairs.csv", ingest, ("kind", "gap_T_months", "DC", "score_m1"))
+    assert calls == []
+    back = read_pairs(tmp_path / "pairs.csv", ingest, ("kind", "A_probe"))
+    assert calls == [0]
+    assert back.A_probe.tolist() == pairs.A_probe.tolist()
+    read_pairs(tmp_path / "pairs.csv", ingest)
+    assert calls == [0, 1]
 
 
 def _edge_floats(rng, n):
@@ -303,7 +322,7 @@ def test_float_cells_round_trip_bit_exactly(tmp_path):
     values = _edge_floats(rng, len(pairs))
     table = pairs.with_scores({"m1": values, "m2": -values[::-1]})
     write_pairs(table, tmp_path / "pairs.csv")
-    back = read_pairs(tmp_path / "pairs.csv", captures)
+    back = read_pairs(tmp_path / "pairs.csv", lambda: captures)
     for name in ("m1", "m2"):
         assert back.scores[name].view(np.uint64).tolist() == \
             table.scores[name].view(np.uint64).tolist()
@@ -334,7 +353,7 @@ def test_repeated_pair_column_reads_its_first(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([lines[0] + ",score_m1"] + [line + ",-1.0" for line in lines[1:]])
                     + "\n", encoding="utf-8")
-    back = read_pairs(path, captures)
+    back = read_pairs(path, lambda: captures)
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
@@ -345,7 +364,7 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     table = pairs.with_scores({"m1": np.arange(len(pairs), dtype=np.float64)})
     path = tmp_path / "pairs.csv"
     write_pairs(table, path)
-    back = read_pairs(path, captures, ("kind", "gallery_subject"))
+    back = read_pairs(path, lambda: captures, ("kind", "gallery_subject"))
     assert back.columns == ("kind", "gallery_image_id", "probe_image_id", *JOINED_COLUMNS)
     assert back.gallery_subject.tolist() == table.gallery_subject.tolist()
     assert back.matchers == ()
@@ -357,16 +376,16 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     cells[header.index("DC")] = "inf"
     lines[2] = ",".join(cells)
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-    back = read_pairs(path, captures, ("kind", "score_m1", "score_m9"))
+    back = read_pairs(path, lambda: captures, ("kind", "score_m1", "score_m9"))
     assert back.columns == ("kind",)
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
     with pytest.raises(AttributeError, match="'DC'"):
         back.DC
     with pytest.raises(IngestError, match="data row 2 references image ids missing"):
-        read_pairs(path, captures, ("kind", "A_probe"))
+        read_pairs(path, lambda: captures, ("kind", "A_probe"))
     with pytest.raises(IngestError, match="non-finite DC at data row 2"):
-        read_pairs(path, captures, ("kind", "DC"))
+        read_pairs(path, lambda: captures, ("kind", "DC"))
 
 
 def test_short_row_outside_the_projection_is_refused_on_both_paths(tmp_path):
@@ -674,11 +693,11 @@ def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, se
         return _table_bits(result.table, CAPTURE_HEADER), result.rejections
 
     def pairs(p):
-        table = read_pairs(p, captures)
+        table = read_pairs(p, lambda: captures)
         return _table_bits(table, pair_names), table.matchers, _bits(table.scores["m1"])
 
     def projected(p, columns):
-        table = read_pairs(p, captures, columns)
+        table = read_pairs(p, lambda: captures, columns)
         return (table.columns, _table_bits(table, table.columns),
                 {name: _bits(values) for name, values in table.scores.items()})
 
@@ -721,7 +740,7 @@ def test_pipeline_tables_never_need_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(csv, "reader", refuse)
     assert capture_rows(ingest_captures(tmp_path / "captures.csv").table) == \
         capture_rows(captures)
-    back = read_pairs(tmp_path / "pairs.csv", captures)
+    back = read_pairs(tmp_path / "pairs.csv", lambda: captures)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
     quoted = tmp_path / "quoted.csv"
