@@ -6,15 +6,10 @@ the output directory, and records a run manifest (inputs, seed, versions,
 checksums). Nothing written contains timestamps, so identical config + seed
 reproduces a byte-identical output tree.
 
-Exit codes:
-    0  success
-    2  usage error (unknown flag / missing argument; raised by argparse)
-    3  config-invalid
-    4  missing-input
-    5  data-invalid
-    6  calibration-infeasible
-    7  model-error
-Errors print one machine-parsable line to stderr: "error code=<name>: <msg>".
+Exit codes: 0 success, 2 usage error (unknown flag / missing argument; raised
+by argparse), 3 config-invalid, 4 missing-input, 5 data-invalid,
+6 calibration-infeasible, 7 model-error. Errors print one machine-parsable
+line to stderr: "error code=<name>: <msg>".
 """
 
 from __future__ import annotations
@@ -24,10 +19,9 @@ import functools
 import glob
 import hashlib
 import json
-import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -59,6 +53,12 @@ _CODE_NAMES = {
     EXIT_CALIBRATION_INFEASIBLE: "calibration-infeasible",
     EXIT_MODEL_ERROR: "model-error",
 }
+# the exit code of each error main reports, the first match applying; a
+# CliError carries its own
+_EXIT_CODES = {CalibrationInfeasibleError: EXIT_CALIBRATION_INFEASIBLE,
+               IngestError: EXIT_DATA_INVALID, DataError: EXIT_DATA_INVALID,
+               ModelError: EXIT_MODEL_ERROR,
+               OSError: EXIT_MISSING_INPUT}   # a path absent, a directory, unreadable, ...
 
 
 class CliError(Exception):
@@ -73,12 +73,14 @@ class RunContext:
     config_path: Path
     outdir: Path
     seed: int
-    inputs: dict
-    outputs: dict
+    captures: Path
+    scores: Path
+    inputs: dict = field(default_factory=dict)
+    outputs: dict = field(default_factory=dict)
 
-    def resolve(self, name: str, default: str) -> Path:
-        p = Path(_setting(self, name, default, TEXT))
-        return p if p.is_absolute() else self.outdir / p
+    def section(self, name: str, kind):
+        """Top-level config section `name` through `kind`; absent, it reads as {}."""
+        return kind(self.config.get(name, {}), _child("config", name))
 
     def _key(self, path: Path) -> str:
         """The manifest key of `path`: relative to `outdir` when inside it."""
@@ -119,12 +121,18 @@ def _read_json(path: Path):
 
 
 # ---------------------------------------------------------------------------
-# config reading: every config value passes through _setting and one of these
-# strict converters, each a function (value, label) -> value that exits 3
-# naming `label` when the JSON value has the wrong type
+# config reading: each JSON object is read in one place, by an `_object` kind;
+# a kind is a strict converter (value, label) -> value that exits 3 naming
+# `label` when the JSON value is REQUIRED (absent) or of the wrong type
+
+REQUIRED = object()   # the default of a key that must be present
+UNSET = object()      # the default of a key whose dataclass field default applies
+
 
 def _kind(requirement: str, accepts, convert=None):
     def parse(value, label: str):
+        if value is REQUIRED:
+            raise CliError(EXIT_CONFIG_INVALID, f"{label} is required")
         if not accepts(value):
             raise CliError(EXIT_CONFIG_INVALID,
                            f"{label} must be {requirement}, got {value!r}")
@@ -148,57 +156,79 @@ def _list_of(kind):
         kind(v, f"{label}[{i}]") for i, v in enumerate(LIST(value, label)))
 
 
-def _map_of(kind):
-    return lambda value, label: {
-        k: kind(v, f"{label}[{k!r}]") for k, v in OBJECT(value, label).items()}
+def _child(label: str, key: str) -> str:
+    """The label of `key` in the object labelled `label` ("config" at the top)."""
+    return f"config {key}" if label == "config" else f"{label}.{key}"
 
 
-REQUIRED = object()   # the default of a key that must be present
-_ABSENT = object()
+def _refuse_unknown(obj: dict, label: str, known) -> None:
+    """Exit 3 naming the first key of `obj` that is not in `known`."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        import difflib   # only on refusal
+        close = difflib.get_close_matches(unknown[0], known, n=1)
+        hint = f"did you mean {close[0]!r}?" if close else f"known keys: {', '.join(known)}"
+        raise CliError(EXIT_CONFIG_INVALID,
+                       f"{_child(label, unknown[0])} is not a known key ({hint})")
 
 
-def _setting(ctx: RunContext, path: str, default, kind, ok=None):
-    """Config value at `path` (keys and list indexes, "synth.matchers[0].sigma2")
-    through the strict converter `kind`, or `default` when absent.
+def _map_of(kind, keys=None):
+    """A free-keyed object of `kind` values; with `keys`, only those keys."""
+    def parse(value, label: str):
+        obj = OBJECT(value, label)
+        if keys is not None:
+            _refuse_unknown(obj, label, keys)
+        return {k: kind(v, f"{label}[{k!r}]") for k, v in obj.items()}
+    return parse
 
-    Exits 3 naming the path when a container on the way is not an object or
-    list, a REQUIRED value is absent, `kind` rejects the value, or it fails
-    `ok`, a (requirement, predicate) pair. The only reader of ctx.config.
+
+def _object(keys: dict, build=None, taken=()):
+    """The kind of a JSON object whose keys are `keys`, each name -> (default,
+    kind[, (requirement, predicate)]), plus `taken`, which another reader
+    reads. It returns {name: parsed value}, without an UNSET one, or
+    `build(**values)`. An absent key takes its default, parsed like a given
+    value. Exits 3 naming the path for a key outside `keys` and `taken`, a
+    value `kind` refuses or that fails the predicate, and a ValueError of a
+    kind or of `build`.
     """
-    value = ctx.config
-    for step in re.finditer(r"\[(\d+)\]|[^.\[]+", path):
-        where = f"config {path[:step.start()].rstrip('.')}"
-        if step[1] is None:
-            value = OBJECT(value, where).get(step[0], _ABSENT)
-        else:
-            value = LIST(value, where)[int(step[1])]
-        if value is _ABSENT:
-            if default is REQUIRED:
-                raise CliError(EXIT_CONFIG_INVALID, f"config {path} is required")
-            return default
-    parsed = kind(value, f"config {path}")
-    if ok is not None and not ok[1](parsed):
-        raise CliError(EXIT_CONFIG_INVALID, f"config {path} must be {ok[0]}, got {value!r}")
-    return parsed
+    def parse(value, label: str):
+        obj = OBJECT(value, label)
+        _refuse_unknown(obj, label, [*keys, *taken])
+        values = {}
+        try:
+            for key, (default, kind, *rule) in keys.items():
+                at = _child(label, key)
+                raw = obj.get(key, default)
+                parsed = UNSET if raw is UNSET else kind(raw, at)
+                if parsed is UNSET:
+                    continue
+                if rule and not rule[0][1](parsed):
+                    raise CliError(EXIT_CONFIG_INVALID, f"{at} must be {rule[0][0]}, got {raw!r}")
+                values[key] = parsed
+            at = label
+            return values if build is None else build(**values)
+        except ValueError as exc:   # a dataclass refusing its fields
+            raise CliError(EXIT_CONFIG_INVALID, f"{at}: {exc}")
+    return parse
 
 
-def _build(ctx: RunContext, path: str, cls, given=None, **fields):
-    """`cls(**given, **fields)`, each of `fields` a (default, kind) pair read
-    at config `path.<field>`; exit 3 naming `path` when cls rejects them."""
-    values = {name: _setting(ctx, f"{path}.{name}", default, kind)
-              for name, (default, kind) in fields.items()}
-    try:
-        return cls(**(given or {}), **values)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG_INVALID, f"config {path}: {exc}")
+# the top level: main reads these keys, and the subcommands each section
+TOP_LEVEL = {"seed": (0, SEED), "out": (".", TEXT), "captures": ("captures.csv", TEXT),
+             "scores": ("scores.csv", TEXT)}
+SECTIONS = ("matchers", "pairing", "thresholds", "calibration", "fnmr", "fusion", "model",
+            "cv", "synth")
+
+
+_MATCHERS = _list_of(_object(
+    {"name": (REQUIRED, TEXT), "orientation": (REQUIRED, TEXT), "score_min": (REQUIRED, NUMBER),
+     "score_max": (REQUIRED, NUMBER), "default_threshold": (REQUIRED, NUMBER)}, MatcherProfile))
 
 
 def _profiles(ctx: RunContext) -> list[MatcherProfile]:
-    n = len(_setting(ctx, "matchers", REQUIRED, LIST, ("a non-empty list", len)))
-    return [_build(ctx, f"matchers[{i}]", MatcherProfile, name=(REQUIRED, TEXT),
-                   orientation=(REQUIRED, TEXT), score_min=(REQUIRED, NUMBER),
-                   score_max=(REQUIRED, NUMBER), default_threshold=(REQUIRED, NUMBER))
-            for i in range(n)]
+    profiles = _MATCHERS(ctx.config.get("matchers", REQUIRED), "config matchers")
+    if not profiles:
+        raise CliError(EXIT_CONFIG_INVALID, "config matchers must be a non-empty list, got []")
+    return list(profiles)
 
 
 def _profile_by_name(profiles, name) -> MatcherProfile:
@@ -210,16 +240,14 @@ def _profile_by_name(profiles, name) -> MatcherProfile:
 
 def _pairing_config(ctx: RunContext):
     from .pairing import PairingConfig
-    return _build(ctx, "pairing", PairingConfig, max_impostor_probes=(10, INTEGER),
-                  base_seed=(ctx.seed, SEED))
+    return ctx.section("pairing", _object(
+        {"max_impostor_probes": (UNSET, INTEGER), "base_seed": (ctx.seed, SEED)}, PairingConfig))
 
 
 def _load_captures(ctx: RunContext):
-    path = ctx.resolve("captures", "captures.csv")
-    if not path.exists():
-        raise CliError(EXIT_MISSING_INPUT, f"capture table {path} does not exist")
-    ctx.record_input(path)
-    return ingest_captures(path)
+    if not ctx.captures.exists():
+        raise CliError(EXIT_MISSING_INPUT, f"capture table {ctx.captures} does not exist")
+    return ingest_captures(ctx.record_input(ctx.captures))
 
 
 def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTable:
@@ -255,7 +283,7 @@ def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTabl
 def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     """One finite threshold per profile: config 'thresholds', then
     thresholds.json from `calibrate`, then each profile's default."""
-    conf = _setting(ctx, "thresholds", {}, _map_of(NUMBER))
+    conf = ctx.section("thresholds", _map_of(NUMBER, [p.name for p in profiles]))
     source = "config thresholds"
     if not conf:
         artifact = ctx.outdir / "thresholds.json"
@@ -271,27 +299,34 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     return {p.name: conf[p.name] for p in profiles}
 
 
-def _model_spec(ctx: RunContext, table: ComparisonTable):
-    """The config's model, every column of which `table` must have."""
-    from .lmm import Continuous, Interaction, ModelSpec
-    outcome = _setting(ctx, "model.outcome", REQUIRED, TEXT)
-    columns = _setting(ctx, "model.quality_terms", QUALITY_TERMS, _list_of(TEXT))
-    pairs = _setting(ctx, "model.interactions", (), _list_of(_list_of(TEXT)),
-                     ("a list of [column, column] pairs", lambda ps: all(len(p) == 2 for p in ps)))
-    named = [("outcome", outcome)] + [("quality_terms", c) for c in columns] + [
-        ("interactions", c) for pair in pairs for c in pair]
-    for key, name in named:
-        try:
-            table.column(name)
-        except KeyError:
-            raise CliError(EXIT_CONFIG_INVALID,
-                           f"config model.{key} names unknown column {name!r}")
-    terms = tuple(Continuous(c) for c in columns)
-    terms += tuple(Interaction(a, b) for a, b in pairs)
-    return _build(ctx, "model", ModelSpec, {"outcome": outcome, "fixed_terms": terms},
-                  apc_mode=("gallery_age_plus_t", TEXT),
-                  random_structure=("intercept_slope", TEXT),
-                  standardize_outcome=(False, BOOL))
+def _model(ctx: RunContext, table: ComparisonTable):
+    """The config's model as (ModelSpec, eyes, AgeGroups); every column it
+    names must be one of `table`'s."""
+    from .lmm import AgeGroups, Continuous, Interaction, ModelSpec
+
+    def build(outcome, quality_terms, interactions, eyes, age_groups=None, **options):
+        named = [("outcome", outcome)] + [("quality_terms", c) for c in quality_terms] + [
+            ("interactions", c) for pair in interactions for c in pair]
+        for key, name in named:
+            try:
+                table.column(name)
+            except KeyError:
+                raise CliError(EXIT_CONFIG_INVALID,
+                               f"config model.{key} names unknown column {name!r}")
+        terms = (*map(Continuous, quality_terms), *(Interaction(a, b) for a, b in interactions))
+        return ModelSpec(outcome, terms, **options), eyes, age_groups or AgeGroups()
+
+    return ctx.section("model", _object({
+        "outcome": (REQUIRED, TEXT),
+        "quality_terms": (list(QUALITY_TERMS), _list_of(TEXT)),
+        "interactions": ([], _list_of(_list_of(TEXT)), (
+            "a list of [column, column] pairs", lambda ps: all(len(p) == 2 for p in ps))),
+        "apc_mode": (UNSET, TEXT), "random_structure": (UNSET, TEXT),
+        "standardize_outcome": (UNSET, BOOL),
+        "eyes": (["pooled"], _list_of(TEXT), (
+            "a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"})),
+        "age_groups": (UNSET, lambda v, at: AgeGroups(_list_of(_list_of(INTEGER))(v, at)))},
+        build))
 
 
 def _write_text(ctx: RunContext, name: str, text: str) -> None:
@@ -322,42 +357,35 @@ def cmd_synth(ctx: RunContext) -> None:
         SynthConfigError, generate_longitudinal,
     )
 
-    def matcher(at):
-        impostor = _build(ctx, f"{at}.impostor", DistSpec, family=(REQUIRED, TEXT),
-                          loc=(REQUIRED, NUMBER), scale=(REQUIRED, NUMBER))
-        return _build(ctx, at, MatcherSim, {"impostor": impostor}, name=(REQUIRED, TEXT),
-                      orientation=("higher", TEXT), beta=(REQUIRED, _map_of(NUMBER)),
-                      Sigma=(REQUIRED, _list_of(_list_of(NUMBER))), sigma2=(REQUIRED, NUMBER))
-
-    n_matchers = len(_setting(ctx, "synth.matchers", (), LIST))
-    named = _setting(ctx, "synth.covariates", {}, OBJECT,
-                     (f"an object keyed by some of {sorted(DEFAULT_COVARIATES)}",
-                      lambda c: set(c) <= set(DEFAULT_COVARIATES)))
-    covariates = {name: _build(ctx, f"synth.covariates.{name}", CovariateSpec,
-                               mean=(REQUIRED, NUMBER), sd=(REQUIRED, NUMBER),
-                               low=(REQUIRED, NUMBER), high=(REQUIRED, NUMBER),
-                               between_sd=(0.0, NUMBER)) for name in named}
-    cfg = _build(ctx, "synth", SynthConfig, {
-        "covariates": {**DEFAULT_COVARIATES, **covariates},
-        "matchers": tuple(matcher(f"synth.matchers[{i}]") for i in range(n_matchers))
-        or SynthConfig.matchers,
-        "pairing": _pairing_config(ctx), "seed": ctx.seed},
-        n_subjects=(100, INTEGER), enrollment_age_low=(4, INTEGER),
-        enrollment_age_high=(12, INTEGER),
-        session_schedule=(SynthConfig.session_schedule, _list_of(INTEGER)),
-        images_per_eye_per_session=(2, INTEGER), attrition_rate=(0.134, NUMBER),
-        include_impostors=(True, BOOL))
+    impostor = _object({"family": (REQUIRED, TEXT), "loc": (REQUIRED, NUMBER),
+                        "scale": (REQUIRED, NUMBER)}, DistSpec)
+    matchers = _list_of(_object(
+        {"impostor": (REQUIRED, impostor), "name": (REQUIRED, TEXT), "orientation": (UNSET, TEXT),
+         "beta": (REQUIRED, _map_of(NUMBER)), "Sigma": (REQUIRED, _list_of(_list_of(NUMBER))),
+         "sigma2": (REQUIRED, NUMBER)}, MatcherSim))
+    covariate = _object({"mean": (REQUIRED, NUMBER), "sd": (REQUIRED, NUMBER),
+                         "low": (REQUIRED, NUMBER), "high": (REQUIRED, NUMBER),
+                         "between_sd": (UNSET, NUMBER)}, CovariateSpec)
+    cfg = ctx.section("synth", _object({
+        **dict.fromkeys(("n_subjects", "enrollment_age_low", "enrollment_age_high",
+                         "images_per_eye_per_session"), (UNSET, INTEGER)),
+        "session_schedule": (UNSET, _list_of(INTEGER)), "attrition_rate": (UNSET, NUMBER),
+        "include_impostors": (UNSET, BOOL),
+        # each given covariate replaces its default
+        "covariates": (UNSET, _object(dict.fromkeys(DEFAULT_COVARIATES, (UNSET, covariate)),
+                                      lambda **given: {**DEFAULT_COVARIATES, **given})),
+        # no matcher block means the default matcher
+        "matchers": (UNSET, lambda v, at: matchers(v, at) or UNSET)},
+        functools.partial(SynthConfig, pairing=_pairing_config(ctx), seed=ctx.seed)))
 
     try:
         result = generate_longitudinal(cfg)
     except SynthConfigError as exc:   # covariate bounds found infeasible while drawing
         raise CliError(EXIT_CONFIG_INVALID, f"config synth: {exc}")
-    captures_path = ctx.resolve("captures", "captures.csv")
-    scores_path = ctx.resolve("scores", "scores.csv")
-    write_captures(result.captures, captures_path)
-    write_scores(result.scores, scores_path)
-    ctx.record_output(captures_path)
-    ctx.record_output(scores_path)
+    write_captures(result.captures, ctx.captures)
+    write_scores(result.scores, ctx.scores)
+    ctx.record_output(ctx.captures)
+    ctx.record_output(ctx.scores)
     truth_path = ctx.outdir / "ground_truth.json"
     result.truth.to_json(truth_path)
     ctx.record_output(truth_path)
@@ -391,21 +419,18 @@ def cmd_pairs(ctx: RunContext) -> None:
     from .pairing import attach_scores, generate_genuine_pairs, generate_impostor_pairs
     profiles = _profiles(ctx)
     captures = _load_captures(ctx).table
-    scores_path = ctx.resolve("scores", "scores.csv")
-    if not scores_path.exists():
-        raise CliError(EXIT_MISSING_INPUT, f"score table {scores_path} does not exist")
-    ctx.record_input(scores_path)
-    scores = ingest_scores(scores_path)
+    if not ctx.scores.exists():
+        raise CliError(EXIT_MISSING_INPUT, f"score table {ctx.scores} does not exist")
+    scores = ingest_scores(ctx.record_input(ctx.scores))
 
     genuine = generate_genuine_pairs(captures)
     impostor = generate_impostor_pairs(captures, _pairing_config(ctx))
     attached_g = attach_scores(genuine, scores, profiles)
     attached_i = attach_scores(impostor, scores, profiles)
 
-    write_pairs(attached_g.table, ctx.outdir / "pairs_genuine.csv")
-    write_pairs(attached_i.table, ctx.outdir / "pairs_impostor.csv")
-    ctx.record_output(ctx.outdir / "pairs_genuine.csv")
-    ctx.record_output(ctx.outdir / "pairs_impostor.csv")
+    for kind, attached in (("genuine", attached_g), ("impostor", attached_i)):
+        write_pairs(attached.table, ctx.outdir / f"pairs_{kind}.csv")
+        ctx.record_output(ctx.outdir / f"pairs_{kind}.csv")
     incomplete = list(attached_g.incomplete) + list(attached_i.incomplete)
     _write_table(ctx, "pairs_incomplete.csv",
                  ["gallery_image_id", "probe_image_id", "missing_matchers"],
@@ -425,14 +450,14 @@ def cmd_calibrate(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     genuine = _load_pairs(ctx, "genuine", profiles, ())
     impostor = _load_pairs(ctx, "impostor", profiles, ())
-    target = _setting(ctx, "calibration.target_fmr", 0.001, NUMBER,
-                      ("in [0, 1]", lambda t: 0.0 <= t <= 1.0))
-    names = _setting(ctx, "calibration.matchers", (), _list_of(TEXT)) or [
-        p.name for p in profiles]
+    calibration = ctx.section("calibration", _object(
+        {"target_fmr": (0.001, NUMBER, ("in [0, 1]", lambda t: 0.0 <= t <= 1.0)),
+         "matchers": ([], _list_of(TEXT))}))
+    target = calibration["target_fmr"]
 
     thresholds = {}
     lines = [f"target FMR: {target}"]
-    for name in names:
+    for name in calibration["matchers"] or [p.name for p in profiles]:
         profile = _profile_by_name(profiles, name)
         res = calibrate_threshold(genuine, impostor, profile, target)
         thresholds[name] = res.threshold
@@ -449,14 +474,14 @@ def cmd_fnmr(ctx: RunContext) -> None:
     profiles = _profiles(ctx)
     genuine = _load_pairs(ctx, "genuine", profiles, ("gap_T_months",))
     thresholds = _thresholds(ctx, profiles)
-    bin_width = _setting(ctx, "fnmr.bin_width_months", 6, INTEGER, (">= 1", lambda b: b >= 1))
-    confidence = _setting(ctx, "fnmr.confidence", 0.95, NUMBER,
-                          ("in (0, 1)", lambda c: 0.0 < c < 1.0))
+    fnmr = ctx.section("fnmr", _object(
+        {"bin_width_months": (6, INTEGER, (">= 1", lambda b: b >= 1)),
+         "confidence": (0.95, NUMBER, ("in (0, 1)", lambda c: 0.0 < c < 1.0))}))
 
     lines = []
     for profile in profiles:
         stats_rows = fnmr_by_interval(genuine, profile, thresholds[profile.name],
-                                      bin_width, confidence)
+                                      fnmr["bin_width_months"], fnmr["confidence"])
         header = ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
                   "ci_low", "ci_high", "ci_method"]
         _write_table(ctx, f"interval_fnmr_{profile.name}.csv", header,
@@ -488,15 +513,20 @@ def cmd_det(ctx: RunContext) -> None:
     _write_text(ctx, "det_summary.txt", "\n".join(lines) + "\n")
 
 
-def _two_matchers(ctx: RunContext, profiles):
-    names = (_setting(ctx, "fusion.matcher_a", None, TEXT),
-             _setting(ctx, "fusion.matcher_b", None, TEXT))
+def _fusion(ctx: RunContext, profiles):
+    """The config's fusion: its two profiles (by default the first two) and
+    the min-quality cut."""
+    fusion = ctx.section("fusion", _object({"matcher_a": (UNSET, TEXT),
+                                            "matcher_b": (UNSET, TEXT),
+                                            "min_quality_cut": (45.0, NUMBER)}))
+    names = (fusion.get("matcher_a"), fusion.get("matcher_b"))
     if None in names:
         if len(profiles) < 2:
             raise CliError(EXIT_CONFIG_INVALID,
                            "fusion/failure analysis needs two matchers (config 'fusion')")
         names = (profiles[0].name, profiles[1].name)
-    return _profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1])
+    return (_profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1]),
+            fusion["min_quality_cut"])
 
 
 def cmd_failures(ctx: RunContext) -> None:
@@ -507,8 +537,7 @@ def cmd_failures(ctx: RunContext) -> None:
     genuine = _load_pairs(ctx, "genuine", profiles,
                           ("gap_T_months", *QUALITY_TERMS, "gallery_subject"))
     thresholds = _thresholds(ctx, profiles)
-    pa, pb = _two_matchers(ctx, profiles)
-    cut = _setting(ctx, "fusion.min_quality_cut", 45.0, NUMBER)
+    pa, pb, cut = _fusion(ctx, profiles)
     report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], cut)
     _write_table(ctx, "failure_categories.csv",
                  ["category", "n_pairs", "n_subjects", "min_quality_capture_rate",
@@ -541,11 +570,10 @@ def cmd_fuse(ctx: RunContext) -> None:
     genuine = _load_pairs(ctx, "genuine", profiles, ())
     impostor = _load_pairs(ctx, "impostor", profiles, ())
     thresholds = _thresholds(ctx, profiles)
-    pa, pb = _two_matchers(ctx, profiles)
+    pa, pb, _ = _fusion(ctx, profiles)
     combined = ComparisonTable.concat([genuine, impostor])
     report = fuse_and_rule(combined, pa, thresholds[pa.name], pb, thresholds[pb.name])
-    ia = report.impostor_accepts
-    gr = report.genuine_rejects
+    ia, gr = report.impostor_accepts, report.genuine_rejects
     _write_text(ctx, "fusion_report.txt", "\n".join([
         f"AND-rule fusion of {pa.name} (thr={thresholds[pa.name]!r}) and "
         f"{pb.name} (thr={thresholds[pb.name]!r})",
@@ -560,14 +588,9 @@ def cmd_fuse(ctx: RunContext) -> None:
 
 def cmd_lmm(ctx: RunContext) -> None:
     """Fit the longitudinal mixed model and age-group companion."""
-    from .lmm import AgeGroups
     profiles = _profiles(ctx)
     genuine_all = _load_pairs(ctx, "genuine", profiles, None)
-    spec = _model_spec(ctx, genuine_all)
-    eyes = _setting(ctx, "model.eyes", ("pooled",), _list_of(TEXT),
-                    ("a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"}))
-    bins = _setting(ctx, "model.age_groups", AgeGroups.bins, _list_of(_list_of(INTEGER)))
-    age_term = _build(ctx, "model.age_groups", AgeGroups, {"bins": bins})
+    spec, eyes, age_term = _model(ctx, genuine_all)
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in eyes:
         if eye == "pooled":
@@ -578,7 +601,7 @@ def cmd_lmm(ctx: RunContext) -> None:
 
 
 def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> None:
-    from .lmm import Continuous, ModelSpec, fit_spec, format_fit_report
+    from .lmm import Continuous, fit_spec, format_fit_report
     from .validation import residual_diagnostics
 
     fit = fit_spec(genuine, spec)
@@ -594,12 +617,8 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
                  [fit.column_names, fit.beta, fit.se, fit.z_stats, fit.p_values])
 
     # enrollment age-group companion model and predicted trajectories
-    group_spec = ModelSpec(
-        outcome=spec.outcome,
-        fixed_terms=(Continuous("T"), age_term) + tuple(
-            t for t in spec.fixed_terms if isinstance(t, Continuous)),
-        apc_mode=None, random_structure=spec.random_structure,
-        standardize_outcome=spec.standardize_outcome)
+    group_spec = replace(spec, apc_mode=None, fixed_terms=(Continuous("T"), age_term) + tuple(
+        t for t in spec.fixed_terms if isinstance(t, Continuous)))
     try:
         group_fit = fit_spec(genuine, group_spec)
     except ModelError as exc:
@@ -637,7 +656,7 @@ def cmd_apc(ctx: RunContext) -> None:
     from .lmm import compare_apc
     profiles = _profiles(ctx)
     genuine = _load_pairs(ctx, "genuine", profiles, None)
-    spec = _model_spec(ctx, genuine)
+    spec, _, _ = _model(ctx, genuine)
     report = compare_apc(genuine, spec)
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
     for e in report.entries:
@@ -666,11 +685,11 @@ def cmd_cv(ctx: RunContext) -> None:
     from .validation import kfold_subject_cv
     profiles = _profiles(ctx)
     genuine = _load_pairs(ctx, "genuine", profiles, None)
-    spec = _model_spec(ctx, genuine)
-    k = _setting(ctx, "cv.k", 5, INTEGER, (">= 2", lambda k: k >= 2))
-    seed = _setting(ctx, "cv.seed", ctx.seed, SEED)
+    spec, _, _ = _model(ctx, genuine)
+    cv = ctx.section("cv", _object({"k": (5, INTEGER, (">= 2", lambda k: k >= 2)),
+                                    "seed": (ctx.seed, SEED)}))
     try:
-        report = kfold_subject_cv(genuine, spec, k, seed)
+        report = kfold_subject_cv(genuine, spec, cv["k"], cv["seed"])
     except ValueError as exc:
         raise CliError(EXIT_DATA_INVALID, str(exc))
     header = ["fold", "oos_r2", "rmse", "n_test_subjects", "n_test_rows"]
@@ -701,8 +720,8 @@ def cmd_report(ctx: RunContext) -> None:
                 x=text.column("interval_months").tolist(), y=percent["fnmr"],
                 whisker_low=percent["ci_low"], whisker_high=percent["ci_high"]))
 
-    det_files = sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
-    det_files = [p for p in det_files if not p.endswith("det_summary.csv")]
+    det_files = [p for p in sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
+                 if not p.endswith("det_summary.csv")]
     if det_files:
         chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
@@ -752,10 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
-        p.add_argument("--config", required=True,
-                       help="path to the JSON run config")
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides config 'out')")
+        p.add_argument("--config", required=True, help="path to the JSON run config")
+        p.add_argument("--out", default=None, help="output directory (overrides config 'out')")
         p.add_argument("--seed", type=_seed_arg, default=None,
                        help="unsigned 64-bit master seed (overrides config 'seed')")
         p.set_defaults(handler=handler)
@@ -763,19 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(ctx: RunContext, command: str) -> None:
-    manifest = {
-        "command": command,
-        "config": str(ctx.config_path),
-        "config_sha256": _sha256(ctx.config_path),
-        "seed": ctx.seed,
-        "versions": {
-            "longmatch": __version__,
-            "numpy": np.__version__,
-        },
-        "inputs": dict(sorted(ctx.inputs.items())),
-        "outputs": dict(sorted(ctx.outputs.items())),
-    }
-    path = ctx.outdir / f"manifest_{command}.json"
+    manifest = {"command": command, "config": str(ctx.config_path),
+                "config_sha256": _sha256(ctx.config_path), "seed": ctx.seed,
+                "versions": {"longmatch": __version__, "numpy": np.__version__},
+                "inputs": ctx.inputs, "outputs": ctx.outputs}
+    path = ctx.outdir / f"manifest_{command}.json"   # sort_keys orders every level
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
@@ -784,30 +793,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config_path = Path(args.config)
-        ctx = RunContext(config=OBJECT(_read_json(config_path), f"config {config_path}"),
-                         config_path=config_path, outdir=None, seed=args.seed,
-                         inputs={}, outputs={})
-        ctx.outdir = Path(args.out or _setting(ctx, "out", ".", TEXT))
-        if ctx.seed is None:
-            ctx.seed = _setting(ctx, "seed", 0, SEED)
+        config = OBJECT(_read_json(config_path), f"config {config_path}")
+        # read in full whatever the flags override
+        top = _object(TOP_LEVEL, taken=SECTIONS)(config, "config")
+        outdir = Path(args.out or top["out"])
+        ctx = RunContext(config=config, config_path=config_path, outdir=outdir,
+                         seed=top["seed"] if args.seed is None else args.seed,
+                         captures=outdir / top["captures"], scores=outdir / top["scores"])
         ctx.outdir.mkdir(parents=True, exist_ok=True)
         args.handler(ctx)
         _write_manifest(ctx, args.command)
-    except CliError as exc:
-        print(f"error code={_CODE_NAMES[exc.exit_code]}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except CalibrationInfeasibleError as exc:
-        print(f"error code=calibration-infeasible: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION_INFEASIBLE
-    except (IngestError, DataError) as exc:
-        print(f"error code=data-invalid: {exc}", file=sys.stderr)
-        return EXIT_DATA_INVALID
-    except ModelError as exc:
-        print(f"error code=model-error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_ERROR
-    except OSError as exc:   # a path that is absent, a directory, unreadable, ...
-        print(f"error code=missing-input: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+    except (CliError, *_EXIT_CODES) as exc:
+        code = exc.exit_code if isinstance(exc, CliError) else next(
+            code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"error code={_CODE_NAMES[code]}: {exc}", file=sys.stderr)
+        return code
     print(f"ok: {args.command} -> {ctx.outdir}")
     return EXIT_OK
 

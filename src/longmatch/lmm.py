@@ -234,16 +234,8 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         scale = (mean, sd)
 
     subjects_col = table.gallery_subject[row_ok]
-    if like is not None:
-        subject_ids = list(like.subject_ids)
-        lookup = {s: i for i, s in enumerate(subject_ids)}
-        extra = sorted(set(subjects_col) - lookup.keys())
-        for s in extra:
-            lookup[s] = len(subject_ids)
-            subject_ids.append(s)
-    else:
-        subject_ids = sorted(set(subjects_col))
-        lookup = {s: i for i, s in enumerate(subject_ids)}
+    subject_ids = sorted(set(subjects_col))
+    lookup = {s: i for i, s in enumerate(subject_ids)}
     group_index = np.fromiter((lookup[s] for s in subjects_col), dtype=np.int64,
                               count=len(subjects_col))
 
@@ -840,7 +832,6 @@ class CoefSummary:
 class ApcModelEntry:
     mode: str
     n_obs: int
-    outcome_checksum: float
     loglik_ml: float
     aic_ml: float
     delta_aic: float
@@ -855,7 +846,6 @@ class OveridentifiedEntry:
     vifs: dict[str, float]
     temporal: CoefSummary
     fit: FittedModel
-    diagnostic_only: bool = True
 
 
 @dataclass(frozen=True)
@@ -882,7 +872,7 @@ def compare_apc(table: ComparisonTable, base_spec: ModelSpec) -> ApcReport:
         fit = fit_spec(table, dataclasses.replace(base_spec, apc_mode=mode))
         fit_ml = refit(fit, "ml")
         entries.append(ApcModelEntry(
-            mode=mode, n_obs=fit.n_obs, outcome_checksum=float(np.sum(fit.design.y)),
+            mode=mode, n_obs=fit.n_obs,
             loglik_ml=fit_ml.loglik, aic_ml=fit_ml.aic, delta_aic=0.0,
             temporal=_coef_summary(fit, temporal_name),
             age=tuple(_coef_summary(fit, nm) for nm in ("A_gallery", "A_probe")

@@ -46,22 +46,36 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
     of `captures`, `order` being its canonical row order.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
-    gaps are absolute. Every capture in a pair needs 0 < pupil < iris; the
-    first offending pair raises, as `dilation_ratio` does.
+    gaps are absolute. Both differences, of time and of age, must fit in
+    int64, and every capture in a pair needs 0 < pupil < iris; the first
+    offending pair raises DataError, or ValueError as `dilation_ratio` does.
     """
     g = order[np.asarray(gallery, dtype=np.intp)]
     p = order[np.asarray(probe, dtype=np.intp)]
-    months, age = captures.capture_time_months, captures.age_years
     pupil, iris = captures.pupil_radius, captures.iris_radius
-    gap = months[p] - months[g]
+
+    def difference(column):
+        """column[p] - column[g] as int64 arrays wrap it, and where it wraps."""
+        a, b = column[p], column[g]
+        d = a - b
+        return d, ((a ^ b) & (a ^ d)) < 0   # operands of unlike sign, result unlike a
+
+    gap, gap_wraps = difference(captures.capture_time_months)
+    delta_age, age_wraps = difference(captures.age_years)
+    if kind != GENUINE:
+        gap_wraps |= gap == np.iinfo(np.int64).min   # whose absolute value does not fit
+        gap = np.abs(gap)
     bad_radii = ~((pupil > 0.0) & (iris > 0.0) & (pupil < iris))
-    bad = bad_radii[g] | bad_radii[p]
+    bad = bad_radii[g] | bad_radii[p] | gap_wraps | age_wraps
     if kind == GENUINE:
         bad |= gap <= 0
-    else:
-        gap = np.abs(gap)
     if bad.any():
         i = int(np.argmax(bad))
+        if gap_wraps[i] or age_wraps[i]:
+            raise DataError(
+                f"the {'capture_time_months' if gap_wraps[i] else 'age_years'} difference of "
+                f"gallery {captures.image_id[g[i]]} and probe {captures.image_id[p[i]]} "
+                f"does not fit in int64")
         if kind == GENUINE and gap[i] <= 0:
             raise DataError(
                 f"probe {captures.image_id[p[i]]} in a later collection than gallery "
@@ -77,7 +91,7 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
-        gap_T_months=gap, delta_age_years=age[p] - age[g],
+        gap_T_months=gap, delta_age_years=delta_age,
         DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns,
         **captures.joined(g, p), scores={})
 

@@ -142,6 +142,8 @@ class SynthConfig:
         sched = tuple(self.session_schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise SynthConfigError("session_schedule must be non-empty and strictly increasing")
+        if sched[-1] - sched[0] >= 2**63:   # the gap of its first and last capture is an int64
+            raise SynthConfigError("session_schedule must span less than 2**63 months")
         if not (0.0 <= self.attrition_rate < 1.0):
             raise SynthConfigError("attrition_rate must lie in [0, 1)")
         if self.images_per_eye_per_session < 1:
@@ -293,22 +295,15 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         factor = _psd_factor(sim.sigma_matrix())
         effects[sim.name] = rng.standard_normal((m, 2)) @ factor.T
 
-    # capture skeleton in (subject, session, eye, image) order
-    skel_subject: list[int] = []
-    skel_session: list[int] = []
-    skel_eye: list[str] = []
-    for i in range(m):
-        for s in range(n_sessions):
-            if not attends[i, s]:
-                continue
-            for eye in ("L", "R"):
-                for _ in range(cfg.images_per_eye_per_session):
-                    skel_subject.append(i)
-                    skel_session.append(s)
-                    skel_eye.append(eye)
-    n_images = len(skel_subject)
-    subj_arr = np.array(skel_subject, dtype=np.int64)
-    sess_arr = np.array(skel_session, dtype=np.int64)
+    # capture skeleton in (subject, session, eye, image) order: each attended
+    # (subject, session) visit, in row-major order, holds L then R images
+    visit_subject, visit_session = np.nonzero(attends)
+    per_eye = cfg.images_per_eye_per_session
+    subj_arr = np.repeat(visit_subject.astype(np.int64), 2 * per_eye)
+    sess_arr = np.repeat(visit_session.astype(np.int64), 2 * per_eye)
+    skel_eye = np.tile(np.repeat(np.array(["L", "R"], dtype=object), per_eye),
+                       len(visit_subject))
+    n_images = len(subj_arr)
 
     image_cov = {}
     for name in cov_names:
@@ -321,7 +316,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
                                             n_images)
     iris = np.clip(rng.normal(120.0, 6.0, n_images), 80.0, 160.0)
 
-    months = np.array([schedule[s] for s in skel_session], dtype=np.int64)
+    months = np.asarray(schedule, dtype=np.int64)[sess_arr]
     latent_age = ages0[subj_arr] + birth_frac[subj_arr] + months / 12.0
     age_years = np.floor(latent_age).astype(np.int64)
 

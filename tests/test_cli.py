@@ -952,6 +952,32 @@ FAULTS = [
     ("fnmr", {"fnmr.bin_width_months": 2**62}, {}, 0,
      ["simA: threshold=", "simB: threshold=", "over 1 intervals"]),
     ("fnmr", {"fnmr.bin_width_months": 2**63 - 1}, {}, 0, ["over 1 intervals"]),
+    # the first and last capture of a schedule are an int64 gap apart at most
+    ("synth", {"synth.session_schedule": [-2**63, 0]}, {}, 3,
+     ["config synth: ", "session_schedule must span less than 2**63 months"]),
+    # a key no reader names: the top level in every subcommand, a section in
+    # each subcommand that reads it
+    ("det", {"modle": {"outcome": "simA"}}, {}, 3,
+     ["config modle is not a known key (did you mean 'model'?)"]),
+    ("det", {"xyzzy": 1}, {}, 3,
+     ["config xyzzy is not a known key (known keys: seed, out, captures, scores, matchers,"]),
+    ("fnmr", {"fnmr.bin_width_month": 12}, {}, 3,
+     ["config fnmr.bin_width_month is not a known key (did you mean 'bin_width_months'?)"]),
+    ("pairs", {"pairing.max_impostor_probe": 5}, {}, 3,
+     ["config pairing.max_impostor_probe is not a known key "
+      "(did you mean 'max_impostor_probes'?)"]),
+    ("apc", {"model.eye": ["L"]}, {}, 3,
+     ["config model.eye is not a known key (did you mean 'eyes'?)"]),
+    ("failures", {"fusion": {"min_quality": 40.0}}, {}, 3,
+     ["config fusion.min_quality is not a known key (did you mean 'min_quality_cut'?)"]),
+    ("fnmr", {"thresholds": {"simA": 150.0, "simB": -150.0, "simC": 0.0}}, {}, 3,
+     ["config thresholds.simC is not a known key (did you mean 'simB'?)"]),
+    ("synth", {"synth.covariates": {"Q": {"meen": 70.0, "sd": 10.0, "low": 0.0, "high": 100.0}}},
+     {}, 3, ["config synth.covariates.Q.meen is not a known key (did you mean 'mean'?)"]),
+    ("synth", {"synth.matchers[0].impostor.sclae": 40.0}, {}, 3,
+     ["config synth.matchers[0].impostor.sclae is not a known key (did you mean 'scale'?)"]),
+    # det reads no fnmr section
+    ("det", {"fnmr.bin_width_month": 12}, {}, 0, ["simA: EER=", "simB: EER="]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}
@@ -981,6 +1007,45 @@ def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code
                                         5: "data-invalid", 7: "model-error"}[code])
     for text in named:
         assert text in line, line
+
+
+@pytest.mark.parametrize("edits, flags, named", [
+    ({"seed": -1}, ["--seed", "5"], "config seed"),
+    ({"out": 5}, ["--out", "elsewhere"], "config out"),
+    ({"captures": ""}, [], "config captures"),
+])
+def test_top_level_is_read_whatever_the_flags_override(fault_tree, tmp_path, capsys,
+                                                        edits, flags, named):
+    outdir, config = _copy_tree(fault_tree, tmp_path)
+    config.update(edits)
+    (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["det", "--config", str(outdir / "config.json"), *flags]) == 3
+    assert named in _one_error_line(capsys, "config-invalid")
+
+
+def test_difflib_loads_only_to_refuse_a_key(tmp_path):
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    write_config(tmp_path / "config.json", Path("run"))
+    write_config(tmp_path / "typo.json", Path("run"), modle={})
+    probe = ("import sys\nfrom longmatch.cli import main\n"
+             "code = main(['synth', '--config', sys.argv[1]])\n"
+             "print(code, 'difflib' in sys.modules)")
+    for config, expected in (("config.json", "0 False"), ("typo.json", "3 True")):
+        out = subprocess.run([sys.executable, "-c", probe, config], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == expected, config
+
+
+def test_readme_config_table_lists_the_top_level_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config schema")[1]
+    table = section.split("| key | meaning |")[1].split("\n\n")[0]
+    names = [name for row in re.findall(r"^\| (`.*?) \|", table, re.M)
+             for name in re.findall(r"`(\w+)`", row)]
+    assert names == [*cli.TOP_LEVEL, *cli.SECTIONS]
 
 
 # the subcommands that read each fuzzed file; on seeds 0-7 every file gets a

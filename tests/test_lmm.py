@@ -588,9 +588,9 @@ class TestCompareApc:
         report = compare_apc(table, ModelSpec(outcome="m1"))
         assert len(report.entries) == 3
         counts = {e.n_obs for e in report.entries}
-        checksums = {round(e.outcome_checksum, 9) for e in report.entries}
-        assert len(counts) == 1 and len(checksums) == 1
-        assert report.overidentified.diagnostic_only
+        assert len(counts) == 1
+        y = report.entries[0].fit.design.y
+        assert all(np.array_equal(e.fit.design.y, y) for e in report.entries[1:])
         assert "A_probe" in report.overidentified.vifs
 
 

@@ -230,6 +230,34 @@ class TestPreservedErrors:
                                             "gallery G0 but not later in time"):
             generate_genuine_pairs(capture_table(recs))
 
+    def test_genuine_difference_past_int64_raises_data_error(self):
+        # 2**63 - 1 minus -2**63 wraps to -1, which read as "not later in time"
+        recs = [make_capture("G0", collection=1, months=-2**63),
+                make_capture("P0", collection=2, months=2**63 - 1),
+                make_capture("G1", subject="S002", collection=1, age=-2**63),
+                make_capture("P1", subject="S002", collection=2, months=6, age=2**63 - 1)]
+        with pytest.raises(DataError, match="the capture_time_months difference of gallery "
+                                            "G0 and probe P0 does not fit in int64"):
+            generate_genuine_pairs(capture_table(recs[:2]))
+        with pytest.raises(DataError, match="the age_years difference of gallery G1 and "
+                                            "probe P1 does not fit in int64"):
+            generate_genuine_pairs(capture_table(recs[2:]))
+
+    def test_impostor_difference_past_int64_raises_data_error(self):
+        # the true gaps are 2**63 and 2**63 + 6: one wraps, one's absolute value
+        # does not fit
+        recs = [make_capture("A0", subject="S1", collection=1, months=0),
+                make_capture("A1", subject="S1", collection=2, months=6),
+                make_capture("B0", subject="S2", collection=1, months=-2**63),
+                make_capture("B1", subject="S2", collection=2, months=-2**63 + 6)]
+        with pytest.raises(DataError, match="the capture_time_months difference of gallery "
+                                            "A0 and probe B0 does not fit in int64"):
+            generate_impostor_pairs(capture_table(recs), PairingConfig(base_seed=1))
+        # every difference in range: the extreme gaps are kept exactly
+        recs[2]["capture_time_months"] = -2**63 + 7
+        pairs = generate_impostor_pairs(capture_table(recs[:3]), PairingConfig(base_seed=1))
+        assert sorted(pairs.gap_T_months.tolist()) == [2**63 - 7] * 2 + [2**63 - 1] * 2
+
     def test_time_order_is_checked_before_radii(self):
         recs = [make_capture("G0", collection=1, months=6),
                 make_capture("P0", collection=2, months=6, pupil=0.0)]
