@@ -254,7 +254,8 @@ class ComparisonTable:
     `columns` names them in schema order, and reading a column the table
     does not hold raises AttributeError naming it. `scores` is a read-only
     mapping from matcher name to its read-only score column. Pairing builds
-    it unscored with every column, `attach_scores` adds the scores,
+    it unscored, a genuine table with every column and an impostor table
+    without the capture covariates, `attach_scores` adds the scores,
     `read_pairs` reads back the columns a subcommand asks for, and metric
     and model code reads them.
     """
@@ -290,14 +291,14 @@ class ComparisonTable:
 
     @classmethod
     def concat(cls, tables: list["ComparisonTable"]) -> "ComparisonTable":
-        """The rows of `tables` in order, in the columns of the first; NaN
-        scores where a table lacks a matcher."""
+        """The rows of `tables` in order, in the columns every table holds;
+        NaN scores where a table lacks a matcher."""
         if not tables:
             raise ValueError("nothing to concatenate")
         matchers = sorted(set().union(*(t.scores for t in tables)))
         return cls(
             **{name: np.concatenate([getattr(t, name) for t in tables])
-               for name in tables[0].columns},
+               for name in tables[0].columns if all(name in t.columns for t in tables)},
             scores={m: np.concatenate([t.scores[m] if m in t.scores else np.full(len(t), np.nan)
                                        for t in tables]) for m in matchers})
 

@@ -324,7 +324,8 @@ class _Evaluation:
 
 def _evaluate(params, gs: _GroupStats, reml: bool) -> _Evaluation | None:
     """Profiled criterion with its exact gradient and Hessian, or None where
-    the criterion is not finite.
+    the criterion is not finite; ModelError where r (below) is not above
+    1e-300, as the criterion then has no minimum.
 
     W = I + Z Gamma Z' with Gamma = L L' relative to sigma2, r = e'W^-1 e at
     the GLS beta-hat, c = dof / r and P the REML projection (W^-1 for ML).
@@ -354,7 +355,9 @@ def _evaluate(params, gs: _GroupStats, reml: bool) -> _Evaluation | None:
     e = gs.y - gs.X @ beta
     ze = gs.sums(e)
     v = (H @ ze[:, :, None])[:, :, 0]
-    r = max(float(e @ e) - float(np.sum(Gamma * _cross(ze, v))), 1e-300)
+    r = float(e @ e) - float(np.sum(Gamma * _cross(ze, v)))
+    if r <= 1e-300:   # the criterion falls without bound as r -> 0: no optimum
+        raise ModelError("the outcome is fitted exactly")
     dof = gs.n - gs.p if reml else gs.n
     crit = dof * np.log(2.0 * np.pi) + float(np.log(det).sum()) \
         + (logdet_XtWX if reml else 0.0) + dof * (1.0 + np.log(r / dof))

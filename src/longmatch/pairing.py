@@ -2,7 +2,8 @@
 
 Both protocols return an unscored ComparisonTable (no score columns), one
 row per pair in protocol order; `attach_scores` then joins one score per
-matcher onto it.
+matcher onto it. A genuine table holds every pair column, an impostor table
+the key and joined ones only: no model reads impostor capture covariates.
 
 Genuine protocol: for each subject and eye, every image from the subject's
 first attended collection is a gallery template, compared against every
@@ -43,7 +44,8 @@ class PairingConfig:
 def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
                 probe: list[int], kind: str) -> ComparisonTable:
     """Unscored table of the pairs of rows (order[gallery[i]], order[probe[i]])
-    of `captures`, `order` being its canonical row order.
+    of `captures`, `order` being its canonical row order; the capture-derived
+    pair columns (delta_age_years, DC, Q_*, U_*, C_*, R_*) for genuine pairs only.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
     gaps are absolute. Both differences, of time and of age, must fit in
@@ -83,17 +85,19 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
         row = g[i] if bad_radii[g[i]] else p[i]
         dilation_ratio(float(pupil[row]), float(iris[row]))
 
-    sides = {"gallery": g, "probe": p}
-    values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity}
-    columns = {f"{name}_{side}": col[rows]
-               for name, col in values.items() for side, rows in sides.items()}
-    columns.update(R_gallery=pupil[g] / iris[g], R_probe=pupil[p] / iris[p])
+    columns = {}
+    if kind == GENUINE:
+        sides = {"gallery": g, "probe": p}
+        values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity}
+        columns = {f"{name}_{side}": col[rows]
+                   for name, col in values.items() for side, rows in sides.items()}
+        columns.update(R_gallery=pupil[g] / iris[g], R_probe=pupil[p] / iris[p])
+        columns.update(delta_age_years=delta_age,
+                       DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]))
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
-        gap_T_months=gap, delta_age_years=delta_age,
-        DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns,
-        **captures.joined(g, p), scores={})
+        gap_T_months=gap, **columns, **captures.joined(g, p), scores={})
 
 
 def generate_genuine_pairs(captures: CaptureTable) -> ComparisonTable:

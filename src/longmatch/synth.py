@@ -144,6 +144,13 @@ class SynthConfig:
             raise SynthConfigError("session_schedule must be non-empty and strictly increasing")
         if sched[-1] - sched[0] >= 2**63:   # the gap of its first and last capture is an int64
             raise SynthConfigError("session_schedule must span less than 2**63 months")
+        # integer ages run from about low + sched[0] / 12 to high + 1 + sched[-1] / 12;
+        # each, and each difference of two, is an int64, with room for float64 rounding
+        lowest = self.enrollment_age_low + sched[0] / 12
+        highest = self.enrollment_age_high + 1 + sched[-1] / 12
+        if max(-lowest, highest, highest - lowest) >= 2**62:
+            raise SynthConfigError("enrollment ages over the session_schedule must lie in "
+                                   "(-2**62, 2**62) and span less than 2**62 years")
         if not (0.0 <= self.attrition_rate < 1.0):
             raise SynthConfigError("attrition_rate must lie in [0, 1)")
         if self.images_per_eye_per_session < 1:

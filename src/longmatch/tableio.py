@@ -177,19 +177,23 @@ def write_scores(table: ScoreTable, path) -> None:
 
 
 def write_pairs(table: ComparisonTable, path) -> None:
-    """Emit the PAIR_COLUMNS of `table`, then one score_<matcher> column per matcher."""
-    write_table(path, [*PAIR_COLUMNS, *(f"score_{m}" for m in table.matchers)],
-                [*(getattr(table, name) for name in PAIR_COLUMNS), *table.scores.values()])
+    """Emit the PAIR_COLUMNS `table` holds, in schema order, then one
+    score_<matcher> column per matcher."""
+    names = [name for name in table.columns if name in PAIR_COLUMNS]
+    write_table(path, [*names, *(f"score_{m}" for m in table.matchers)],
+                [*(getattr(table, name) for name in names), *table.scores.values()])
 
 
 def read_pairs(path, captures: Callable[[], CaptureTable], columns=None) -> ComparisonTable:
     """Read a pair table back, in the `columns` a caller uses.
 
-    The pair file holds the PAIR_COLUMNS and one score_<matcher> column per
-    matcher. `columns` names what to read: PAIR_COLUMNS and JOINED_COLUMNS
-    names and score_<matcher> file columns, `kind` always read with them; a
-    score column the file lacks is left out. None reads every PAIR_COLUMNS
-    and score column. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are
+    The pair file holds the PAIR_COLUMNS its table held (`write_pairs`:
+    every one for genuine pairs, the key columns for impostor pairs) and one
+    score_<matcher> column per matcher. `columns` names what to read:
+    PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher> file columns,
+    `kind` always read with them; a score column the file lacks is left out,
+    and any other column it lacks raises IngestError. None reads every
+    PAIR_COLUMNS and score column. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are
     joined in through the two image ids only when one of them is asked for,
     and with None; only then is `captures` called, with no argument, for the
     capture table. A kind other than genuine or impostor, an id missing from

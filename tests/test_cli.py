@@ -299,7 +299,7 @@ GOLDEN_SYNTH_PAIRS = {
     "captures.csv": "07e8231f4f6f141eb51416176da9f0c09d6dee9503e2a149c31b2ed3bcda5550",
     "scores.csv": "3a5db7b442ef6fbce7a963228a017eab7f46fe78db293cd7ee6ce408c1f19b80",
     "pairs_genuine.csv": "2c7f3347d2e563e75c43bae9662c3aac0c0d10faeee1cd9f2082bf85391d25c3",
-    "pairs_impostor.csv": "3615c2f13cd733ec572af733bbdbb6ed542f5ecbd57f467a32195f7a2cc60690",
+    "pairs_impostor.csv": "b45d6339f7ed4a0c2ea8a40664a29cce19862ce078afba3b255714dee1fa9ab5",
     "pairs_incomplete.csv": "da8e4b693bdd113b5e524c8f979798ce7a0167141f58e1c6cbf86cc8f8dce1ad",
 }
 
@@ -780,6 +780,16 @@ def _first(column: str):
     return damage
 
 
+def _impostor_layout(data: bytes) -> bytes:
+    """Damage: the pair file cut to the columns of the impostor layout, the
+    key columns and the scores."""
+    lines = [line.split(",") for line in data.decode("utf-8").split("\r\n")]
+    keep = [i for i, name in enumerate(lines[0]) if name.startswith("score_") or name in (
+        "kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months")]
+    rows = [[cells[i] for i in keep] for cells in lines[:-1]]   # the last line is empty
+    return "\r\n".join(map(",".join, [*rows, []])).encode("utf-8")
+
+
 WIDE_RANGE = {"matchers[0].score_min": -1e306, "matchers[0].score_max": 1e306}
 
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
@@ -978,6 +988,16 @@ FAULTS = [
      ["config synth.matchers[0].impostor.sclae is not a known key (did you mean 'scale'?)"]),
     # det reads no fnmr section
     ("det", {"fnmr.bin_width_month": 12}, {}, 0, ["simA: EER=", "simB: EER="]),
+    # a noiseless outcome is fitted exactly, and the REML criterion has no minimum
+    ("lmm", {"synth.matchers[0].sigma2": 0.0}, {}, 7, ["the outcome is fitted exactly"]),
+    ("apc", {"synth.matchers[0].sigma2": 0.0}, {}, 7, ["the outcome is fitted exactly"]),
+    ("cv", {"synth.matchers[0].sigma2": 0.0}, {}, 7, ["the outcome is fitted exactly"]),
+    # ages synth would draw beyond int64 are a config fault, not a fault of its data
+    ("synth", {"synth.enrollment_age_low": -2**63, "synth.enrollment_age_high": 2**63 - 1},
+     {}, 3, ["config synth: ", "enrollment ages over the session_schedule"]),
+    # a genuine pair file in the impostor layout lacks the covariates failures reads
+    ("failures", {}, {"pairs_genuine.csv": _impostor_layout}, 5,
+     ["pairs_genuine.csv", "missing mandatory column(s) ['DC', 'Q_gallery',"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}
@@ -990,6 +1010,9 @@ def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code
     for path, value in edits.items():
         _set(config, path, value)
     (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    if command != "synth" and any(path.startswith("synth.") for path in edits):
+        for stage in ("synth", "pairs"):   # a synth edit reaches a later stage through its data
+            assert main([stage, "--config", str(outdir / "config.json")]) == 0
     for name, edit in damage.items():
         data = edit((outdir / name).read_bytes())
         if data is None:

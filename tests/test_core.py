@@ -188,6 +188,25 @@ class TestComparisonTable:
         with pytest.raises(TypeError, match="kind"):
             ComparisonTable(DC=table.DC, scores={})
 
+    def test_concat_keeps_the_columns_every_table_holds_in_schema_order(self):
+        table = scored_pairs()
+        # an impostor-like table: key and joined columns, no covariates
+        keys = ComparisonTable(**{name: getattr(table, name) for name in (
+            "probe_subject", "gap_T_months", "kind", "gallery_image_id", "A_gallery")},
+            scores={"m2": np.ones(len(table))})
+        rows = ComparisonTable(kind=table.kind, DC=table.DC, A_gallery=table.A_gallery,
+                               scores={})
+        common = ("kind", "gallery_image_id", "gap_T_months", "probe_subject", "A_gallery")
+        for tables, columns in (([table, keys], common), ([keys, table], common),
+                                ([rows, table, keys], ("kind", "A_gallery"))):
+            joined = ComparisonTable.concat(tables)
+            assert joined.columns == columns
+            for name in columns:
+                assert getattr(joined, name).tolist() == \
+                    [v for t in tables for v in getattr(t, name).tolist()], name
+        np.testing.assert_array_equal(ComparisonTable.concat([keys, table]).scores["m2"],
+                                      [1.0] * 4 + [-0.0, -1.0, -2.0, -3.0])
+
     def test_column_names(self):
         table = scored_pairs()
         for name in ("T", "gap_T_months"):

@@ -16,6 +16,10 @@ from conftest import (
 
 
 TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
+# the pair columns derived from capture covariates, which only genuine tables hold
+COVARIATE_COLUMNS = ("delta_age_years", "DC", "Q_gallery", "Q_probe", "U_gallery", "U_probe",
+                     "C_gallery", "C_probe", "R_gallery", "R_probe")
+IMPOSTOR_COLUMNS = tuple(name for name in TABLE_COLUMNS if name not in COVARIATE_COLUMNS)
 
 
 def _pair_keys(table):
@@ -142,6 +146,12 @@ class TestImpostorPairs:
         table = random_capture_table(rng, n_subjects=10)
         genuine = generate_genuine_pairs(table)
         impostor = generate_impostor_pairs(table, PairingConfig(base_seed=2))
+        # capture covariates on genuine pairs only
+        assert genuine.columns == tuple(TABLE_COLUMNS)
+        assert impostor.columns == IMPOSTOR_COLUMNS
+        for name in COVARIATE_COLUMNS:
+            with pytest.raises(AttributeError, match=name):
+                getattr(impostor, name)
         assert np.all(genuine.gap_T_months > 0)
         assert np.all(impostor.gallery_subject != impostor.probe_subject)
         by_id = {r["image_id"]: r for r in capture_rows(table)}
@@ -270,17 +280,22 @@ class TestUnscoredTable:
         rng = np.random.default_rng(17)
         table = random_capture_table(rng, n_subjects=6)
         by_id = {r["image_id"]: r for r in capture_rows(table)}
-        for pairs in (generate_genuine_pairs(table),
-                      generate_impostor_pairs(table, PairingConfig(base_seed=4))):
+        impostor = generate_impostor_pairs(table, PairingConfig(base_seed=4))
+        for kind, pairs in ((GENUINE, generate_genuine_pairs(table)), (IMPOSTOR, impostor)):
             assert isinstance(pairs, ComparisonTable)
             assert pairs.matchers == ()
+            # only genuine tables hold the capture covariates
+            held = set(COVARIATE_COLUMNS) & set(pairs.columns)
+            assert held == (set(COVARIATE_COLUMNS) if kind == GENUINE else set())
             for i, (gid, pid) in enumerate(_pair_keys(pairs)):
                 g, p = by_id[gid], by_id[pid]
+                assert pairs.A_gallery[i] == float(g["age_years"])
+                if kind == IMPOSTOR:
+                    continue
                 d_g = g["pupil_radius"] / g["iris_radius"]
                 d_p = p["pupil_radius"] / p["iris_radius"]
                 assert pairs.DC[i] == 1.0 - abs(d_g - d_p)
                 assert pairs.Q_probe[i] == p["quality"]
-                assert pairs.A_gallery[i] == float(g["age_years"])
                 assert pairs.delta_age_years[i] == p["age_years"] - g["age_years"]
 
     def test_attach_keeps_profile_order_and_pair_order(self):
@@ -349,7 +364,7 @@ def _join_outcome(join, pairs, scores, profiles):
     except ScoreRangeError as exc:
         return str(exc)
     table = result.table
-    columns = {name: getattr(table, name) for name in TABLE_COLUMNS}
+    columns = {name: getattr(table, name) for name in table.columns}
     columns.update({f"score_{m}": values for m, values in table.scores.items()})
     return ({name: (values.view(np.uint64) if values.dtype == np.float64 else values).tolist()
              for name, values in columns.items()}, table.matchers, result.incomplete)

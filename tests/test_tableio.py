@@ -248,28 +248,37 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     pairs = ComparisonTable.concat([genuine, impostor])
     scores = score_table([(gid, pid, "m1", float(rng.normal(50, 10)))
                           for gid, pid in zip(pairs.gallery_image_id, pairs.probe_image_id)])
-    table = attach_scores(pairs, scores, [profile]).table
-
-    path = tmp_path / "pairs.csv"
-    write_pairs(table, path)
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == ("kind,eye,gallery_image_id,probe_image_id,gap_T_months,"
-                      "delta_age_years,DC,Q_gallery,Q_probe,U_gallery,U_probe,"
-                      "C_gallery,C_probe,R_gallery,R_probe,score_m1")
-
-    back = read_pairs(path, lambda: captures)
-    assert len(back) == len(table)
-    np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
-    np.testing.assert_array_equal(back.kind, table.kind)
-    np.testing.assert_allclose(back.DC, table.DC)
-    np.testing.assert_allclose(back.scores["m1"], table.scores["m1"])
-    # ages and subjects re-joined through the capture table
-    np.testing.assert_array_equal(back.gallery_subject, table.gallery_subject)
-    np.testing.assert_allclose(back.A_gallery,
-                               table.A_gallery)
+    # each kind's file holds the pair columns its table holds, and an
+    # impostor table holds no capture covariates
+    headers = {"genuine": ("kind,eye,gallery_image_id,probe_image_id,gap_T_months,"
+                           "delta_age_years,DC,Q_gallery,Q_probe,U_gallery,U_probe,"
+                           "C_gallery,C_probe,R_gallery,R_probe,score_m1"),
+               "impostor": "kind,eye,gallery_image_id,probe_image_id,gap_T_months,score_m1"}
+    tables, backs = {}, {}
+    for kind, unscored in (("genuine", genuine), ("impostor", impostor)):
+        table = tables[kind] = attach_scores(unscored, scores, [profile]).table
+        path = tmp_path / f"pairs_{kind}.csv"
+        write_pairs(table, path)
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header == headers[kind]
+        # None reads every pair column, which the impostor file lacks
+        if kind == "impostor":
+            with pytest.raises(IngestError, match="missing mandatory column.*delta_age_years"):
+                read_pairs(path, lambda: captures)
+        columns = None if kind == "genuine" else ("gap_T_months", "A_gallery", "score_m1")
+        back = backs[kind] = read_pairs(path, lambda: captures, columns)
+        assert len(back) == len(table)
+        np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
+        np.testing.assert_array_equal(back.kind, table.kind)
+        np.testing.assert_allclose(back.scores["m1"], table.scores["m1"])
+        # ages and subjects re-joined through the capture table
+        np.testing.assert_array_equal(back.gallery_subject, table.gallery_subject)
+        np.testing.assert_allclose(back.A_gallery,
+                                   table.A_gallery)
+    np.testing.assert_allclose(backs["genuine"].DC, tables["genuine"].DC)
     # DC = 1 - |R_gallery - R_probe| holds exactly for the stored covariates,
     # before and after the file round trip
-    for t in (table, back):
+    for t in (tables["genuine"], backs["genuine"]):
         np.testing.assert_array_equal(
             t.DC, 1.0 - np.abs(t.R_gallery - t.R_probe))
 
