@@ -34,7 +34,7 @@ print(f"{len(result.captures)} images -> {len(genuine)} genuine / "
       f"{len(impostor)} impostor comparisons")
 
 threshold = 520.0
-stats = fnmr_by_interval(genuine, profile, threshold, bin_width=6)
+stats = fnmr_by_interval(genuine, profile, threshold)
 print(f"\ninterval FNMR at threshold {threshold} ({profile.orientation} is better):")
 print(f"{'months':>7} {'n':>7} {'errors':>7} {'FNMR':>9} {'CI':>22} method")
 for s in stats:

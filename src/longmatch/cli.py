@@ -126,7 +126,7 @@ def _read_json(path: Path):
 # `label` when the JSON value is REQUIRED (absent) or of the wrong type
 
 REQUIRED = object()   # the default of a key that must be present
-UNSET = object()      # the default of a key whose dataclass field default applies
+UNSET = object()      # the default of a key whose dataclass field or parameter default applies
 
 
 def _kind(requirement: str, accepts, convert=None):
@@ -475,13 +475,12 @@ def cmd_fnmr(ctx: RunContext) -> None:
     genuine = _load_pairs(ctx, "genuine", profiles, ("gap_T_months",))
     thresholds = _thresholds(ctx, profiles)
     fnmr = ctx.section("fnmr", _object(
-        {"bin_width_months": (6, INTEGER, (">= 1", lambda b: b >= 1)),
-         "confidence": (0.95, NUMBER, ("in (0, 1)", lambda c: 0.0 < c < 1.0))}))
+        {"bin_width_months": (UNSET, INTEGER, (">= 1", lambda b: b >= 1)),
+         "confidence": (UNSET, NUMBER, ("in (0, 1)", lambda c: 0.0 < c < 1.0))}))
 
     lines = []
     for profile in profiles:
-        stats_rows = fnmr_by_interval(genuine, profile, thresholds[profile.name],
-                                      fnmr["bin_width_months"], fnmr["confidence"])
+        stats_rows = fnmr_by_interval(genuine, profile, thresholds[profile.name], **fnmr)
         header = ["interval_months", "n_genuine", "n_false_nonmatch", "fnmr",
                   "ci_low", "ci_high", "ci_method"]
         _write_table(ctx, f"interval_fnmr_{profile.name}.csv", header,
@@ -515,18 +514,17 @@ def cmd_det(ctx: RunContext) -> None:
 
 def _fusion(ctx: RunContext, profiles):
     """The config's fusion: its two profiles (by default the first two) and
-    the min-quality cut."""
+    the failure_analysis keywords it gives ({} or {"min_quality_cut": ...})."""
     fusion = ctx.section("fusion", _object({"matcher_a": (UNSET, TEXT),
                                             "matcher_b": (UNSET, TEXT),
-                                            "min_quality_cut": (45.0, NUMBER)}))
-    names = (fusion.get("matcher_a"), fusion.get("matcher_b"))
+                                            "min_quality_cut": (UNSET, NUMBER)}))
+    names = (fusion.pop("matcher_a", None), fusion.pop("matcher_b", None))
     if None in names:
         if len(profiles) < 2:
             raise CliError(EXIT_CONFIG_INVALID,
                            "fusion/failure analysis needs two matchers (config 'fusion')")
         names = (profiles[0].name, profiles[1].name)
-    return (_profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1]),
-            fusion["min_quality_cut"])
+    return _profile_by_name(profiles, names[0]), _profile_by_name(profiles, names[1]), fusion
 
 
 def cmd_failures(ctx: RunContext) -> None:
@@ -537,8 +535,8 @@ def cmd_failures(ctx: RunContext) -> None:
     genuine = _load_pairs(ctx, "genuine", profiles,
                           ("gap_T_months", *QUALITY_TERMS, "gallery_subject"))
     thresholds = _thresholds(ctx, profiles)
-    pa, pb, cut = _fusion(ctx, profiles)
-    report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], cut)
+    pa, pb, options = _fusion(ctx, profiles)
+    report = failure_analysis(genuine, pa, thresholds[pa.name], pb, thresholds[pb.name], **options)
     _write_table(ctx, "failure_categories.csv",
                  ["category", "n_pairs", "n_subjects", "min_quality_capture_rate",
                   "mean_gap_months"],
@@ -706,7 +704,21 @@ def cmd_cv(ctx: RunContext) -> None:
 def cmd_report(ctx: RunContext) -> None:
     """Render SVG figures from previously written tables."""
     from .svgplot import Chart, Series, render
-    charts = {}
+    charts, largest = {}, {}   # largest: chart title -> (|value|, where) of its largest value
+
+    def plotted(chart, path, text, column, scale=1.0):
+        """`scale` times a column; exit 5 at a value that does not plot as a finite number."""
+        cells = text.column(column)
+        with np.errstate(over="ignore"):
+            values = scale * cells
+        if values.size:
+            row = int(np.abs(values).argmax())   # a NaN first, then an infinity
+            top = (abs(values[row]), f"{path}: {column} {cells[row]} at data row {row + 1}")
+            if not np.isfinite(top[0]):
+                raise CliError(EXIT_DATA_INVALID, f"{top[1]} does not plot as a finite number")
+            largest[chart.title] = max(largest.get(chart.title, top), top)
+        return values
+
     fnmr_files = sorted(glob.glob(str(ctx.outdir / "interval_fnmr_*.csv")))
     if fnmr_files:
         chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
@@ -714,11 +726,10 @@ def cmd_report(ctx: RunContext) -> None:
         for path in fnmr_files:
             text = read_table(ctx.record_input(Path(path)), dict.fromkeys(
                 ("interval_months", "fnmr", "ci_low", "ci_high"), np.float64))
-            percent = {c: (100.0 * text.column(c)).tolist() for c in ("fnmr", "ci_low", "ci_high")}
-            chart.series.append(Series(
-                name=Path(path).stem.removeprefix("interval_fnmr_"),
-                x=text.column("interval_months").tolist(), y=percent["fnmr"],
-                whisker_low=percent["ci_low"], whisker_high=percent["ci_high"]))
+            x, y, low, high = (plotted(chart, path, text, c, scale) for c, scale in (
+                ("interval_months", 1.0), ("fnmr", 100.0), ("ci_low", 100.0), ("ci_high", 100.0)))
+            chart.series.append(Series(name=Path(path).stem.removeprefix("interval_fnmr_"),
+                                       x=x, y=y, whisker_low=low, whisker_high=high))
 
     det_files = [p for p in sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
                  if not p.endswith("det_summary.csv")]
@@ -728,8 +739,8 @@ def cmd_report(ctx: RunContext) -> None:
             text = read_table(ctx.record_input(Path(path)),
                               dict.fromkeys(("fmr", "fnmr"), np.float64))
             chart.series.append(Series(
-                name=Path(path).stem.removeprefix("det_"),
-                x=text.column("fmr").tolist(), y=text.column("fnmr").tolist(), markers=False))
+                name=Path(path).stem.removeprefix("det_"), x=plotted(chart, path, text, "fmr"),
+                y=plotted(chart, path, text, "fnmr"), markers=False))
 
     for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
         name = Path(path).stem.removeprefix("trajectories_")
@@ -737,23 +748,24 @@ def cmd_report(ctx: RunContext) -> None:
             "age_group": object, "T_months": np.float64, "predicted": np.float64})
         if not len(text):
             continue
-        group = text.column("age_group")
-        t_months = text.column("T_months")
-        predicted = text.column("predicted")
         chart = charts[f"trajectories_{name}.svg"] = Chart(
-            f"Predicted {name} score by enrollment age group", "gap T (months)",
-            "predicted score")
+            f"Predicted {name} score by enrollment age group", "gap T (months)", "predicted score")
+        group = text.column("age_group")
+        t_months = plotted(chart, path, text, "T_months")
+        predicted = plotted(chart, path, text, "predicted")
         for label in sorted(set(group)):
             sel = group == label
-            chart.series.append(Series(
-                name=f"enrolled {label}", x=t_months[sel].tolist(),
-                y=predicted[sel].tolist(), markers=False))
+            chart.series.append(Series(name=f"enrolled {label}", x=t_months[sel],
+                                       y=predicted[sel], markers=False))
 
     if not charts:
         raise CliError(EXIT_MISSING_INPUT,
                        "no report inputs found (run fnmr/det/lmm first)")
     for name, chart in charts.items():
-        render(chart, ctx.outdir / name)
+        try:
+            render(chart, ctx.outdir / name)
+        except ValueError as exc:   # an axis without a finite span: blame its largest value
+            raise CliError(EXIT_DATA_INVALID, f"{largest[chart.title][1]}: {name}: {exc}")
         ctx.record_output(ctx.outdir / name)
 
 

@@ -68,7 +68,7 @@ class IntervalStat:
     ci_method: str
 
 
-def assign_interval(gap_months: np.ndarray, bin_width: int = 6) -> np.ndarray:
+def assign_interval(gap_months: np.ndarray, bin_width: int) -> np.ndarray:
     """Nearest bin-center multiple of bin_width, half rounded away from zero.
 
     Integer arithmetic, so 45 months -> 48 exactly, in uint64 with no
@@ -91,17 +91,17 @@ def _require_kind(table: ComparisonTable, kind: str, op: str) -> None:
 
 
 def fnmr_by_interval(table: ComparisonTable, profile: MatcherProfile,
-                     threshold: float, bin_width: int = 6,
+                     threshold: float, bin_width_months: int = 6,
                      confidence: float = 0.95) -> list[IntervalStat]:
     """Per-interval FNMR with Wilson bounds; Rule of Three when errors = 0.
 
-    Each genuine pair is assigned to the nearest bin_width-month increment of
+    Each genuine pair is assigned to the nearest bin_width_months increment of
     its enrollment-to-probe gap. Empty bins are omitted, never emitted 0/0.
     """
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
     _require_kind(table, GENUINE, "fnmr_by_interval")
-    bins = assign_interval(table.gap_T_months, bin_width)
+    bins = assign_interval(table.gap_T_months, bin_width_months)
     matches = match_mask(table.score(profile.name), threshold, profile.orientation)
     out: list[IntervalStat] = []
     for center in distinct(bins):

@@ -1,10 +1,12 @@
-"""Dependency-free SVG line charts (textual, diffable figures)."""
+"""SVG line charts drawn with numpy alone (textual, diffable figures)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 _WIDTH, _HEIGHT = 840, 520
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 48, 56
@@ -15,10 +17,10 @@ _LOG_FLOOR = 1e-6   # zeros are clamped here on log axes
 @dataclass
 class Series:
     name: str
-    x: list
-    y: list
-    whisker_low: list | None = None
-    whisker_high: list | None = None
+    x: list | np.ndarray
+    y: list | np.ndarray
+    whisker_low: list | np.ndarray | None = None
+    whisker_high: list | np.ndarray | None = None
     markers: bool = True
 
 
@@ -37,8 +39,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -66,50 +66,57 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _axis(values: np.ndarray, log: bool, name: str, origin: int, length: int) -> tuple:
+    """The axis (lo, hi, log, origin, length) drawing `values`: a decade or more from the
+    clamped minimum if `log`, else padded 5% each way; a tick step must move a value."""
+    lo, hi = float(values.min()), float(values.max())
+    if log:
+        lo = max(lo, _LOG_FLOOR)
+        hi = max(hi, lo * 10.0)
+    else:
+        hi = lo + 1.0 if hi == lo else hi
+        lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    if not 0.0 < hi - lo < math.inf or max(-lo, hi) + (hi - lo) / 10 == max(-lo, hi):
+        raise ValueError(f"the {name} axis from {lo!r} to {hi!r} has no span float64 can tick")
+    return lo, hi, log, origin, length
+
+
+def _pixels(values, axis) -> np.ndarray:
+    """Pixel positions of `values` on an axis (lo, hi, log, origin, length)."""
+    lo, hi, log, origin, length = axis
+    v = np.asarray(values, dtype=np.float64)
+    if log:   # math.log10, which np.log10 can miss in the last bit
+        v = np.array([math.log10(max(t, _LOG_FLOOR)) for t in v.tolist()])
+        lo, hi = math.log10(lo), math.log10(hi)
+    return origin + (v - lo) / (hi - lo) * length
+
+
+def _labels(values, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's pixel position as 2-decimal text and as the number that text
+    writes; each distinct value is placed and formatted once."""
+    distinct, index = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True)
+    text = [f"{p:.2f}" for p in _pixels(distinct, axis).tolist()]
+    return np.array(text, dtype=str)[index], np.array(text, dtype=np.float64)[index]
+
+
+def _drawn(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the points that change the polyline through (x, y): all but a repeat of
+    the previous point and one whose steps in and out go the same horizontal or vertical way."""
+    kept = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])][:len(x)])
+    sx, sy = np.sign(np.diff(x[kept])), np.sign(np.diff(y[kept]))
+    inside = (sx[:-1] == sx[1:]) & (sy[:-1] == sy[1:]) & (sx[1:] * sy[1:] == 0)
+    return kept[np.r_[True, ~inside, True][:len(kept)]]
+
+
 def render(chart: Chart, path) -> None:
-    xs, ys = [], []
-    for s in chart.series:
-        for v in s.x:
-            xs.append(max(v, _LOG_FLOOR) if chart.log_x else v)
-        vals = list(s.y)
-        if s.whisker_low is not None:
-            vals += list(s.whisker_low)
-        if s.whisker_high is not None:
-            vals += list(s.whisker_high)
-        for v in vals:
-            ys.append(max(v, _LOG_FLOOR) if chart.log_y else v)
-    if not xs or not ys:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-
-    def span(values, log):
-        lo, hi = min(values), max(values)
-        if log:
-            lo = max(lo, _LOG_FLOOR)
-            hi = max(hi, lo * 10.0)
-            return lo, hi
-        if hi == lo:
-            hi = lo + 1.0
-        pad = 0.05 * (hi - lo)
-        return lo - pad, hi + pad
-
-    x_lo, x_hi = span(xs, chart.log_x)
-    y_lo, y_hi = span(ys, chart.log_y)
-
-    def sx(v):
-        v = max(v, _LOG_FLOOR) if chart.log_x else v
-        if chart.log_x:
-            f = (math.log10(v) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            f = (v - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + f * (_WIDTH - _MARGIN_L - _MARGIN_R)
-
-    def sy(v):
-        v = max(v, _LOG_FLOOR) if chart.log_y else v
-        if chart.log_y:
-            f = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            f = (v - y_lo) / (y_hi - y_lo)
-        return _HEIGHT - _MARGIN_B - f * (_HEIGHT - _MARGIN_T - _MARGIN_B)
+    """Write `chart` as SVG; a series without markers draws only the points that change
+    its line (`_drawn`). Raises ValueError for an axis `_axis` refuses."""
+    xs = np.concatenate([[], *(s.x for s in chart.series)])
+    ys = np.concatenate([[], *(v for s in chart.series
+                               for v in (s.y, s.whisker_low, s.whisker_high) if v is not None)])
+    xs, ys = (xs, ys) if xs.size and ys.size else (np.array([0.0, 1.0]),) * 2
+    x_axis = _axis(xs, chart.log_x, "x", _MARGIN_L, _WIDTH - _MARGIN_L - _MARGIN_R)
+    y_axis = _axis(ys, chart.log_y, "y", _HEIGHT - _MARGIN_B, _MARGIN_T + _MARGIN_B - _HEIGHT)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -124,10 +131,9 @@ def render(chart: Chart, path) -> None:
             f'y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>')
     parts.append(axis)
 
-    x_ticks = _log_ticks(x_lo, x_hi) if chart.log_x else _ticks(x_lo, x_hi)
-    y_ticks = _log_ticks(y_lo, y_hi) if chart.log_y else _ticks(y_lo, y_hi)
-    for v in x_ticks:
-        px = sx(v)
+    x_ticks = (_log_ticks if chart.log_x else _ticks)(*x_axis[:2])
+    y_ticks = (_log_ticks if chart.log_y else _ticks)(*y_axis[:2])
+    for v, px in zip(x_ticks, _pixels(x_ticks, x_axis).tolist()):
         if px < _MARGIN_L - 1 or px > _WIDTH - _MARGIN_R + 1:
             continue
         parts.append(f'<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" x2="{px:.1f}" '
@@ -135,8 +141,7 @@ def render(chart: Chart, path) -> None:
         parts.append(f'<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 20}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="11">'
                      f'{_fmt(v)}</text>')
-    for v in y_ticks:
-        py = sy(v)
+    for v, py in zip(y_ticks, _pixels(y_ticks, y_axis).tolist()):
         if py < _MARGIN_T - 1 or py > _HEIGHT - _MARGIN_B + 1:
             continue
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" '
@@ -153,18 +158,19 @@ def render(chart: Chart, path) -> None:
 
     for k, s in enumerate(chart.series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y))
+        (px, nx), (py, ny) = _labels(s.x, x_axis), _labels(s.y, y_axis)
+        drawn = slice(None) if s.markers else _drawn(nx, ny)
+        pts = " ".join(f"{x},{y}" for x, y in zip(px[drawn].tolist(), py[drawn].tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         if s.whisker_low is not None and s.whisker_high is not None:
-            for x, lo, hi in zip(s.x, s.whisker_low, s.whisker_high):
-                px = sx(x)
-                parts.append(f'<line x1="{px:.2f}" y1="{sy(lo):.2f}" x2="{px:.2f}" '
-                             f'y2="{sy(hi):.2f}" stroke="{color}" stroke-width="1"/>')
+            for x, lo, hi in zip(px.tolist(), _labels(s.whisker_low, y_axis)[0].tolist(),
+                                 _labels(s.whisker_high, y_axis)[0].tolist()):
+                parts.append(f'<line x1="{x}" y1="{lo}" x2="{x}" y2="{hi}" '
+                             f'stroke="{color}" stroke-width="1"/>')
         if s.markers:
-            for x, y in zip(s.x, s.y):
-                parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.6" '
-                             f'fill="{color}"/>')
+            for x, y in zip(px.tolist(), py.tolist()):
+                parts.append(f'<circle cx="{x}" cy="{y}" r="2.6" fill="{color}"/>')
         ly = _MARGIN_T + 16 * k
         lx = _WIDTH - _MARGIN_R + 10
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '

@@ -325,7 +325,7 @@ GOLDEN_PIPELINE = {
     "coefficients_simA.csv": "d01d2fada0a900c01bb3807a2c818adde2e4fff4351b221bb248956b5b930262",
     "cv_report.csv": "f512e663524a7739a2410d56c67b7c1fc24d457210c7ff964f8496f2ca8dca5c",
     "cv_summary.txt": "e1ab1decfe6d39f2232b15af6768137c69bfc1f8b25d0404b9d4a5d1a46448c5",
-    "det.svg": "7e6d8a6f5454c414febbafb7fb924c6fd7fe6b8037dc62416efa410eb8ee352b",
+    "det.svg": "a75707e2267dab62754781ac1dae38eb31cf81290df4beaa47aaad828e95d6bb",
     "det_simA.csv": "39134f1d8b722b774a8d567f21412c9635d0f351618e66cd3cad90eddd84f5f8",
     "det_simB.csv": "80947123084d532a009413f5866d5eb93730a1052dad050d474e2e6d6dacf987",
     "det_summary.csv": "6c6e33c903be570069ed7f7e90cf9ec9c2acdd15603505deed73e403e9a8ed12",
@@ -388,6 +388,9 @@ def test_pipeline_golden_digests(tmp_path):
     written = sorted(p.name for p in outdir.iterdir() if not p.name.startswith("manifest_"))
     assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             for name in written} == GOLDEN_PIPELINE
+    # det.svg draws only the corners of its two staircases (3,289 bytes; it
+    # was 25,231 when it drew every DET row)
+    assert (outdir / "det.svg").stat().st_size < 4000
     for command, (inputs, outputs) in GOLDEN_MANIFESTS.items():
         manifest = json.loads((outdir / f"manifest_{command}.json").read_text())
         assert manifest["command"] == command and manifest["seed"] == 404
@@ -713,7 +716,7 @@ def fault_tree(tmp_path_factory):
     """A small output tree every fault case copies: pairs, thresholds, tables."""
     outdir = tmp_path_factory.mktemp("faults") / "run"
     run_pipeline(write_config(outdir.parent / "config.json", outdir),
-                 ["synth", "pairs", "calibrate", "lmm"])
+                 ["synth", "pairs", "calibrate", "fnmr", "det", "lmm"])
     return outdir
 
 
@@ -998,6 +1001,16 @@ FAULTS = [
     # a genuine pair file in the impostor layout lacks the covariates failures reads
     ("failures", {}, {"pairs_genuine.csv": _impostor_layout}, 5,
      ["pairs_genuine.csv", "missing mandatory column(s) ['DC', 'Q_gallery',"]),
+    # report plots finite numbers only, on axes whose span float64 holds
+    ("report", {}, {"det_simA.csv": _cell("fmr", "inf", row=3)}, 5,
+     ["det_simA.csv", "fmr inf at data row 3 does not plot as a finite number"]),
+    ("report", {}, {"interval_fnmr_simB.csv": _cell("fnmr", "1e307", row=2)}, 5,
+     ["interval_fnmr_simB.csv", "fnmr 1e+307 at data row 2 does not plot as a finite number"]),
+    ("report", {}, {"trajectories_simA.csv": _cell("predicted", "nan", row=4)}, 5,
+     ["trajectories_simA.csv", "predicted nan at data row 4 does not plot as a finite number"]),
+    ("report", {}, {"trajectories_simA.csv": _cell("T_months", "1.75e308", row=2)}, 5,
+     ["trajectories_simA.csv", "T_months 1.75e+308 at data row 2", "trajectories_simA.svg",
+      "the x axis from -8.75e+306 to inf"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

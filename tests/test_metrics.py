@@ -105,11 +105,11 @@ class TestRuleOfThree:
 
 class TestIntervalAssignment:
     def test_half_rounds_away_from_zero(self):
-        assert assign_interval(np.array([45]))[0] == 48
+        assert assign_interval(np.array([45]), 6)[0] == 48
 
     def test_matches_scalar_oracle(self):
         gaps = np.arange(0, 400)
-        got = assign_interval(gaps)
+        got = assign_interval(gaps, 6)
         # independent scalar oracle: round-half-away-from-zero on gap/6
         expected = [6 * math.floor(g / 6 + 0.5) for g in gaps]
         np.testing.assert_array_equal(got, expected)
