@@ -105,23 +105,25 @@ class ModelSpec:
 
 @dataclass
 class DesignMatrices:
+    """The rows one model fits, checked once when made (by build_design, or
+    by fit_reml from bare arrays): X has full column rank and the spread of
+    y is finite. Every fit and refit on these rows reads them from here."""
     y: np.ndarray
     X: np.ndarray
     t: np.ndarray | None          # slope column of Z, None for intercept-only
-    group_index: np.ndarray
+    group_index: np.ndarray       # subject codes 0..m-1, in sorted subject order
     column_names: list[str]
-    subject_ids: list[str]
-    n_dropped_missing: int
-    outcome_scale: tuple[float, float] | None   # (mean, sd) when standardized
-    spec: ModelSpec | None = None
+    n_dropped_missing: int = 0
+    outcome_scale: tuple[float, float] | None = None   # (mean, sd) when standardized
 
     @property
     def n_obs(self) -> int:
         return len(self.y)
 
-    @property
-    def n_subjects(self) -> int:
-        return len(self.subject_ids)
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """The canonical content order of the rows, sorted once for all fits on them."""
+        return _canonical_order(self.y, self.X, self.t, self.group_index)
 
 
 def _independent_columns(X: np.ndarray) -> np.ndarray:
@@ -145,15 +147,19 @@ def _independent_columns(X: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _outcome_spread(y: np.ndarray, label: str) -> float:
-    """np.std of the outcome `y`; ModelError names `label` when the spread
-    overflows float64, as it then overflows every sum of squares after this
-    one, in the fit and in scoring held-out rows alike."""
+def _check_design(y: np.ndarray, X: np.ndarray, names: list[str], label: str) -> None:
+    """The checks a design gets once, when it is made: RankDeficientError
+    naming the columns of X aliased with those before them, and ModelError
+    naming the outcome `label` where the spread of y overflows float64, as it
+    then overflows every sum of squares after this one, in the fit and in
+    scoring held-out rows alike."""
+    keep = _independent_columns(X)
+    if not keep.all():
+        raise RankDeficientError([name for name, kept in zip(names, keep) if not kept])
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(y))
     if not np.isfinite(spread):
         raise ModelError(f"the spread of {label} overflows float64")
-    return spread
 
 
 def build_design(table: ComparisonTable, spec: ModelSpec, *,
@@ -215,11 +221,7 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         if j > 0 and not np.any(X[:, j] != 0.0):
             raise ModelError(f"factor level absent from data: column {name!r} is all zero")
 
-    keep = _independent_columns(X)
-    if not keep.all():
-        raise RankDeficientError([names[j] for j in range(len(names)) if not keep[j]])
-
-    _outcome_spread(y, f"outcome {spec.outcome!r}")
+    _check_design(y, X, names, f"outcome {spec.outcome!r}")
 
     scale = None
     if spec.standardize_outcome:
@@ -233,18 +235,11 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         y = (y - mean) / sd
         scale = (mean, sd)
 
-    subjects_col = table.gallery_subject[row_ok]
-    subject_ids = sorted(set(subjects_col))
-    lookup = {s: i for i, s in enumerate(subject_ids)}
-    group_index = np.fromiter((lookup[s] for s in subjects_col), dtype=np.int64,
-                              count=len(subjects_col))
-
+    _, group_index = np.unique(table.gallery_subject[row_ok], return_inverse=True)
     t = table.column("T")[row_ok] \
         if spec.random_structure == INTERCEPT_AND_SLOPE else None
-    return DesignMatrices(y=y, X=X, t=t, group_index=group_index,
-                          column_names=names, subject_ids=subject_ids,
-                          n_dropped_missing=n_dropped, outcome_scale=scale,
-                          spec=spec)
+    return DesignMatrices(y=y, X=X, t=t, group_index=group_index, column_names=names,
+                          n_dropped_missing=n_dropped, outcome_scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +484,8 @@ class FittedModel:
     converged: bool
     iterations: int
     diagnostics: dict
-    design: DesignMatrices | None = field(default=None, repr=False)
-    _internal: dict = field(default_factory=dict, repr=False)
+    design: DesignMatrices = field(repr=False)   # the rows fitted
+    log_cholesky: np.ndarray = field(repr=False)   # the optimum, on the internal scale
 
     def coefficient(self, name: str):
         """(beta, se, z, p) for one named fixed effect."""
@@ -550,8 +545,13 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     ----------
     y, X : outcome vector and fixed-effects design (intercept included).
     t : slope column of the random design (None for intercept-only).
-    group_index : int array mapping rows to subject index.
+    group_index : int array of subject codes; distinct codes are distinct
+        subjects, whatever their values.
+    column_names : names of the columns of X (default x0, x1, ...).
     method : "reml" (default) or "ml".
+    design : the checked DesignMatrices that y, X, t and group_index come
+        from (fit_spec and refit pass it); its checks and row order are
+        reused, and column_names is taken from it.
     start : log-Cholesky parameters on the internal scale to start from
         (refit passes the other method's optimum); default _start_params.
 
@@ -562,36 +562,45 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
     estimates (a component collapsing to zero) are flagged in
     diagnostics["boundary"], never raised.
     """
-    y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    group_index = np.asarray(group_index, dtype=np.int64)
-    t = None if t is None else np.asarray(t, dtype=np.float64)
+    bare = design is None
+    if bare:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-d")
+        _, codes = np.unique(np.asarray(group_index, dtype=np.int64), return_inverse=True)
+        design = DesignMatrices(
+            np.asarray(y, dtype=np.float64), X,
+            None if t is None else np.asarray(t, dtype=np.float64), codes,
+            [f"x{j}" for j in range(X.shape[1])] if column_names is None else list(column_names))
     reml = method == "reml"
     if method not in ("reml", "ml"):
         raise ValueError("method must be 'reml' or 'ml'")
 
-    n, p = X.shape
-    q = 1 if t is None else 2
+    n, p = design.X.shape
+    q = 1 if design.t is None else 2
     n_params = p + q * (q + 1) // 2 + 1
-    m = int(group_index.max()) + 1 if len(group_index) else 0
+    m = int(design.group_index.max(initial=-1)) + 1
     if m < 2:
         raise ModelError("at least 2 subjects are required")
     if n <= n_params:
         raise ModelError("n_obs must exceed the parameter count")
-    if _outcome_spread(y, "the outcome") == 0.0:
-        raise ModelError("outcome is constant (all-identical y)")
-    if not _independent_columns(X).all():
-        raise ModelError("singular fixed-effects design")
+    if bare:
+        try:
+            _check_design(design.y, design.X, design.column_names, "the outcome")
+        except RankDeficientError:
+            raise ModelError("singular fixed-effects design") from None
 
     # canonical content order: permutation-invariant sums, bitwise refits
-    order = _canonical_order(y, X, t, group_index)
-    yc = y[order]
-    Xc = X[order]
-    tc = None if t is None else t[order]
-    gc = group_index[order]
+    order = design._order
+    yc = design.y[order]
+    Xc = design.X[order]
+    tc = None if design.t is None else design.t[order]
+    gc = design.group_index[order]
 
     # internal unit-variance outcome: affine equivariance by construction
     y_scale = float(np.std(yc, ddof=1))
+    if y_scale == 0.0:
+        raise ModelError("outcome is constant (all-identical y)")
     ys = yc / y_scale
     # unit-RMS slope column: keeps the Cholesky parameters of the relative
     # covariance on a common scale (months run to ~100, intercepts are O(1))
@@ -644,20 +653,16 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
         "local_optimum_ok": local_ok,
         "y_scale": y_scale,
         "criterion": float(ev.crit + 2.0 * dof * np.log(y_scale)),
-        "n_dropped_missing": design.n_dropped_missing if design is not None else 0,
     }
 
-    names = list(column_names) if column_names is not None else \
-        (design.column_names if design is not None else [f"x{j}" for j in range(p)])
     return FittedModel(
         method=method,
         random_structure=INTERCEPT_ONLY if q == 1 else INTERCEPT_AND_SLOPE,
-        column_names=names, beta=beta, se=se, z_stats=zs, p_values=pvals,
+        column_names=design.column_names, beta=beta, se=se, z_stats=zs, p_values=pvals,
         cov_beta=cov_beta, Sigma=Sigma, sigma2=sigma2, loglik=float(loglik),
         aic=float(aic), n_obs=n, n_subjects=m, n_params=n_params,
         converged=bool(converged), iterations=int(newton_steps),
-        diagnostics=diagnostics, design=design,
-        _internal={"y": y, "X": X, "t": t, "group_index": group_index, "params": x_hat},
+        diagnostics=diagnostics, design=design, log_cholesky=x_hat,
     )
 
 
@@ -671,10 +676,9 @@ def refit(fit: FittedModel, method: str) -> FittedModel:
     """The same model on the same rows by `method`, started at `fit`'s optimum."""
     if fit.method == method:
         return fit
-    inner = fit._internal
-    return fit_reml(inner["y"], inner["X"], inner["t"], inner["group_index"],
-                    column_names=fit.column_names, method=method,
-                    design=fit.design, start=inner["params"])
+    design = fit.design
+    return fit_reml(design.y, design.X, design.t, design.group_index, method=method,
+                    design=design, start=fit.log_cholesky)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +706,7 @@ def likelihood_ratio_test(nested: FittedModel, full: FittedModel) -> LrtResult:
     chi2(df - 1) and chi2(df) (Self & Liang 1987; Stram & Lee 1994); a test
     of fixed effects alone uses plain chi2(df).
     """
-    if nested.n_obs != full.n_obs or not np.allclose(
-            nested._internal["y"], full._internal["y"], rtol=0.0, atol=0.0):
+    if not np.array_equal(nested.design.y, full.design.y):
         raise ModelError("LRT requires both models fit on identical rows")
     nested_cols = set(nested.column_names)
     full_cols = set(full.column_names)
@@ -765,16 +768,12 @@ def marginal_r2(fit: FittedModel, X: np.ndarray | None = None) -> float:
     which is why subject-level out-of-sample R2 can sit well below this
     within-sample value.
     """
-    if X is None:
-        X = fit._internal["X"]
-    fitted = np.asarray(X, dtype=np.float64) @ fit.beta
+    fitted = np.asarray(fit.design.X if X is None else X, dtype=np.float64) @ fit.beta
     var_f = float(np.var(fitted))
     if fit.Sigma.shape[0] == 1:
         re_var = float(fit.Sigma[0, 0])
     else:
-        t = fit._internal["t"]
-        tbar = float(np.mean(t)) if t is not None else 0.0
-        v = np.array([1.0, tbar])
+        v = np.array([1.0, float(np.mean(fit.design.t))])
         re_var = float(v @ fit.Sigma @ v)
     denom = var_f + re_var + fit.sigma2
     if denom <= 0.0:
@@ -901,7 +900,7 @@ def format_fit_report(fit: FittedModel, title: str = "mixed model") -> str:
     lines = [f"=== {title} ===",
              f"method={fit.method}  n_obs={fit.n_obs}  n_subjects={fit.n_subjects}  "
              f"n_params={fit.n_params}",
-             f"rows dropped for missing values: {fit.diagnostics.get('n_dropped_missing', 0)}",
+             f"rows dropped for missing values: {fit.design.n_dropped_missing}",
              f"converged={fit.converged}  iterations={fit.iterations}  "
              f"boundary={fit.diagnostics.get('boundary')}",
              "",

@@ -15,6 +15,7 @@ import longmatch
 from longmatch import cli
 from longmatch.cli import _COMMANDS, build_parser, main
 from longmatch.core import QUALITY_TERMS
+from longmatch.rng import shuffled
 from longmatch.tableio import CAPTURE_HEADER
 
 
@@ -793,6 +794,31 @@ def _impostor_layout(data: bytes) -> bytes:
     return "\r\n".join(map(",".join, [*rows, []])).encode("utf-8")
 
 
+def _constant_fold(column: str, text: str, k: int, seed: int) -> dict:
+    """Damage: `column` set to `text` on every genuine pair of the subjects of
+    CV fold 0 (k folds, shuffle seed `seed`). captures.csv, left unchanged,
+    tells which subject each gallery image belongs to."""
+    subject_of = {}
+
+    def read_captures(data: bytes) -> bytes:
+        header, *rows = [line.split(",") for line in data.decode("utf-8").split("\r\n")[:-1]]
+        image, subject = header.index("image_id"), header.index("subject_id")
+        subject_of.update((cells[image], cells[subject]) for cells in rows)
+        return data
+
+    def damage(data: bytes) -> bytes:
+        header, *rows = [line.split(",") for line in data.decode("utf-8").split("\r\n")[:-1]]
+        gallery, target = header.index("gallery_image_id"), header.index(column)
+        subjects = sorted({subject_of[cells[gallery]] for cells in rows})
+        held = set(shuffled(subjects, seed)[::k])
+        for cells in rows:
+            if subject_of[cells[gallery]] in held:
+                cells[target] = text
+        return "\r\n".join(map(",".join, [header, *rows, []])).encode("utf-8")
+
+    return {"captures.csv": read_captures, "pairs_genuine.csv": damage}
+
+
 WIDE_RANGE = {"matchers[0].score_min": -1e306, "matchers[0].score_max": 1e306}
 
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
@@ -1011,6 +1037,9 @@ FAULTS = [
     ("report", {}, {"trajectories_simA.csv": _cell("T_months", "1.75e308", row=2)}, 5,
      ["trajectories_simA.csv", "T_months 1.75e+308 at data row 2", "trajectories_simA.svg",
       "the x axis from -8.75e+306 to inf"]),
+    # out-of-sample R2 is undefined on a held-out fold whose outcome is constant
+    ("cv", {}, _constant_fold("score_simA", "60.0", k=3, seed=5), 5,
+     ["fold 0: the held-out outcome is constant"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}

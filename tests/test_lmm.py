@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -353,6 +354,18 @@ class TestFitReml:
         with pytest.raises(ModelError, match="subjects"):
             fit_reml(y, X, None, np.zeros(20, dtype=int))
 
+    def test_subjects_are_the_distinct_codes(self):
+        rng = np.random.default_rng(34)
+        y = np.repeat(rng.normal(0, 1, 2), 10) + rng.normal(0, 1, 20)
+        X = np.ones((20, 1))
+        dense = fit_reml(y, X, None, np.repeat([0, 1], 10))
+        sparse = fit_reml(y, X, None, np.repeat([0, 7], 10))
+        assert sparse.n_subjects == dense.n_subjects == 2
+        for name in ("beta", "se", "Sigma", "sigma2", "loglik", "log_cholesky"):
+            np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name))
+        with pytest.raises(ModelError, match="at least 2 subjects"):
+            fit_reml(y, X, None, np.full(20, 5))
+
     def test_outcome_spread_beyond_float64_raises_model_error(self):
         # build_design's rule holds for a direct call too: no overflow
         # warning, and ModelError in place of a ZeroDivisionError
@@ -612,6 +625,24 @@ def test_refit_method_round_trip():
     assert fit_ml.method == "ml"
     assert fit_ml.loglik != fit.loglik
     assert refit(fit, "reml") is fit
+
+
+def test_each_design_is_checked_and_ordered_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_independent_columns", "_canonical_order", "fit_reml"):
+        def counted(*args, _name=name, _fn=getattr(lmm, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lmm, name, counted)
+    table = make_model_table(np.random.default_rng(29))
+    fit = fit_spec(table, ModelSpec(outcome="m1"))
+    assert calls == {"_independent_columns": 1, "_canonical_order": 1, "fit_reml": 1}
+    calls.clear()
+    refit(fit, "ml")
+    assert calls == {"fit_reml": 1}
+    calls.clear()
+    compare_apc(table, ModelSpec(outcome="m1"))
+    assert calls == {"_independent_columns": 4, "_canonical_order": 4, "fit_reml": 7}
 
 
 def _interior_fits():

@@ -58,6 +58,17 @@ class TestKfoldSubjectCv:
         err = test_design.y - fit.predict_fixed(test_design.X)
         assert fold.rmse ** 2 == pytest.approx(np.mean(err ** 2), abs=1e-12)
 
+    # 30 rows of 0.1 leave a sum of squares of about 1e-32, not 0
+    @pytest.mark.parametrize("value", [60.0, 0.1])
+    def test_constant_held_out_outcome_names_its_fold(self, value):
+        table = self._table(np.random.default_rng(45), obs_per=6)
+        spec = ModelSpec(outcome="m1")
+        held = kfold_subject_cv(table, spec, k=5, seed=3).fold_subjects[0]
+        y = table.scores["m1"].copy()
+        y[np.isin(table.gallery_subject, held)] = value
+        with pytest.raises(ValueError, match="fold 0: the held-out outcome is constant"):
+            kfold_subject_cv(table.with_scores({"m1": y}), spec, k=5, seed=3)
+
     def test_k_too_small_or_large(self):
         rng = np.random.default_rng(44)
         table = self._table(rng, n_subjects=4)
