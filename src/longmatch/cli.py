@@ -19,11 +19,19 @@ import functools
 import glob
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
+
+# one OpenBLAS thread: the CLI hands BLAS nothing wider than n x 12, where a
+# second thread only burns CPU, and outputs then do not depend on the core
+# count. The pool is sized when numpy loads, so an explicit setting, or a
+# numpy the importer loaded first, is left alone.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

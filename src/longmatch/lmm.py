@@ -228,10 +228,10 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         if like is not None and like.outcome_scale is not None:
             mean, sd = like.outcome_scale
         else:
+            if np.all(y == y[0]):
+                raise ModelError("cannot standardize a constant outcome")
             mean = float(np.mean(y))
             sd = float(np.std(y, ddof=1))
-            if sd == 0.0:
-                raise ModelError("cannot standardize a constant outcome")
         y = (y - mean) / sd
         scale = (mean, sd)
 
@@ -599,7 +599,7 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
 
     # internal unit-variance outcome: affine equivariance by construction
     y_scale = float(np.std(yc, ddof=1))
-    if y_scale == 0.0:
+    if np.all(yc == yc[0]):
         raise ModelError("outcome is constant (all-identical y)")
     ys = yc / y_scale
     # unit-RMS slope column: keeps the Cholesky parameters of the relative

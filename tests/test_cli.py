@@ -666,6 +666,61 @@ def test_package_import_loads_no_submodule():
     assert out.strip() == "['longmatch']"
 
 
+def _env_without_blas_threads(**given) -> dict:
+    """This process's environment for a child that imports the source tree,
+    with OPENBLAS_NUM_THREADS only as `given`."""
+    src = str(Path(longmatch.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **given}
+
+
+@pytest.mark.parametrize("prelude, given, changed", [
+    ("", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ("", {"OPENBLAS_NUM_THREADS": "3"}, {}),
+    ("import numpy\n", {}, {}),
+], ids=["unset", "given", "numpy-first"])
+def test_cli_import_pins_blas_to_one_thread_unless_set_or_numpy_loaded(prelude, given,
+                                                                       changed):
+    probe = prelude + (
+        "import json, os\nbefore = dict(os.environ)\nimport longmatch.cli\n"
+        "task = '/proc/self/task'\n"
+        "print(json.dumps([{k: v for k, v in os.environ.items() if before.get(k) != v},\n"
+        "                  os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  len(os.listdir(task)) if os.path.isdir(task) else None]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_env_without_blas_threads(**given),
+                         check=True, capture_output=True, text=True).stdout
+    seen, value, threads = json.loads(out)
+    assert seen == changed
+    assert value == given.get("OPENBLAS_NUM_THREADS", changed.get("OPENBLAS_NUM_THREADS"))
+    if changed:
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == 1
+
+
+def test_model_outputs_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    # one tree up to pairs, copied; lmm, apc and cv in fresh processes on
+    # each copy, one with one BLAS thread and one with two
+    trees = [tmp_path / "one", tmp_path / "two"]
+    trees[0].mkdir()
+    write_config(trees[0] / "config.json", Path("run"))
+    monkeypatch.chdir(trees[0])
+    run_pipeline(Path("config.json"), ["synth", "pairs"])
+    shutil.copytree(trees[0], trees[1])
+    for tree, threads in zip(trees, ("1", "2")):
+        env = _env_without_blas_threads(OPENBLAS_NUM_THREADS=threads)
+        for command in ("lmm", "apc", "cv"):
+            subprocess.run([sys.executable, "-m", "longmatch.cli", command, "--config",
+                            "config.json"], cwd=tree, env=env, check=True, capture_output=True)
+    files = sorted(p.relative_to(trees[0]) for p in trees[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(trees[1]) for p in trees[1].rglob("*") if p.is_file())
+    assert {"run/manifest_lmm.json", "run/manifest_apc.json",
+            "run/manifest_cv.json"} <= {str(rel) for rel in files}
+    for rel in files:
+        assert (trees[0] / rel).read_bytes() == (trees[1] / rel).read_bytes(), rel
+
+
 def test_package_names_resolve_to_their_submodules():
     import ast
     import importlib

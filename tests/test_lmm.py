@@ -354,6 +354,18 @@ class TestFitReml:
         with pytest.raises(ModelError, match="subjects"):
             fit_reml(y, X, None, np.zeros(20, dtype=int))
 
+    @pytest.mark.parametrize("value", [1 / 3, 0.1, 60.0])
+    def test_constant_outcome_raises_whatever_its_rounding(self, value):
+        # the sample sd of twenty 1/3s or 0.1s is about 1e-17, not 0
+        with pytest.raises(ModelError, match=r"outcome is constant \(all-identical y\)"):
+            fit_reml(np.full(20, value), np.ones((20, 1)), None, np.repeat(np.arange(4), 5))
+        table = make_model_table(np.random.default_rng(13), n_subjects=10, obs_per=4)
+        constant = table.with_scores({"m1": np.full(len(table), value)})
+        with pytest.raises(ModelError, match=r"outcome is constant \(all-identical y\)"):
+            fit_spec(constant, ModelSpec(outcome="m1"))
+        with pytest.raises(ModelError, match="cannot standardize a constant outcome"):
+            build_design(constant, ModelSpec(outcome="m1", standardize_outcome=True))
+
     def test_subjects_are_the_distinct_codes(self):
         rng = np.random.default_rng(34)
         y = np.repeat(rng.normal(0, 1, 2), 10) + rng.normal(0, 1, 20)
