@@ -39,8 +39,8 @@ from . import __version__
 # only what every subcommand shares: each subcommand runs in its own process,
 # and each cmd_* (or helper) imports the layer modules it calls in its body
 from .core import (
-    QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable, DataError, MatcherProfile,
-    ModelError, ScoreRangeError,
+    MODEL_COLUMNS, QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable, DataError,
+    MatcherProfile, ModelError, ScoreRangeError,
 )
 from .tableio import (
     IngestError, ingest_captures, ingest_scores, open_text, read_pairs, read_table,
@@ -260,18 +260,16 @@ def _load_captures(ctx: RunContext):
 
 def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTable:
     """The `kind` ("genuine" or "impostor") pair table written by `pairs`,
-    holding the `columns` a subcommand uses (as `read_pairs` takes them;
-    None: every column, captures joined) and a score column for each of
-    `profiles`, each score within its profile's range (the rule
-    `attach_scores` applies when it writes them). The capture table is
-    ingested only if `read_pairs` joins it."""
+    holding the `columns` a subcommand uses (as `read_pairs` takes them)
+    and a score column for each of `profiles`, each score within its
+    profile's range (the rule `attach_scores` applies when it writes them).
+    The capture table is ingested only if `read_pairs` joins it."""
     path = ctx.outdir / f"pairs_{kind}.csv"
     if not path.exists():
         raise CliError(EXIT_MISSING_INPUT,
                        f"{path} does not exist (run the pairs subcommand first)")
     ctx.record_input(path)
-    if columns is not None:
-        columns = (*columns, *(f"score_{p.name}" for p in profiles))
+    columns = (*columns, *(f"score_{p.name}" for p in profiles))
     table = read_pairs(path, lambda: _load_captures(ctx).table, columns)
     for p in profiles:
         if p.name not in table.scores:
@@ -307,34 +305,38 @@ def _thresholds(ctx: RunContext, profiles) -> dict[str, float]:
     return {p.name: conf[p.name] for p in profiles}
 
 
-def _model(ctx: RunContext, table: ComparisonTable):
-    """The config's model as (ModelSpec, eyes, AgeGroups); every column it
-    names must be one of `table`'s."""
-    from .lmm import AgeGroups, Continuous, Interaction, ModelSpec
+def _model(ctx: RunContext):
+    """The genuine pairs and the config's model, as (genuine, ModelSpec,
+    eyes, AgeGroups). Every name the model gives must be a MODEL_COLUMNS
+    name or a declared matcher; that is checked first, and the pairs are
+    then read in lmm.DESIGN_COLUMNS and the columns the model names."""
+    from .lmm import DESIGN_COLUMNS, AgeGroups, Continuous, Interaction, ModelSpec
+    profiles = _profiles(ctx)
+    matchers = {p.name for p in profiles}
 
     def build(outcome, quality_terms, interactions, eyes, age_groups=None, **options):
         named = [("outcome", outcome)] + [("quality_terms", c) for c in quality_terms] + [
             ("interactions", c) for pair in interactions for c in pair]
         for key, name in named:
-            try:
-                table.column(name)
-            except KeyError:
+            if name not in MODEL_COLUMNS and name not in matchers:
                 raise CliError(EXIT_CONFIG_INVALID,
                                f"config model.{key} names unknown column {name!r}")
         terms = (*map(Continuous, quality_terms), *(Interaction(a, b) for a, b in interactions))
-        return ModelSpec(outcome, terms, **options), eyes, age_groups or AgeGroups()
+        columns = (*DESIGN_COLUMNS, *(MODEL_COLUMNS[n] for _, n in named if n in MODEL_COLUMNS))
+        return ModelSpec(outcome, terms, **options), eyes, age_groups or AgeGroups(), columns
 
-    return ctx.section("model", _object({
+    spec, eyes, age_groups, columns = ctx.section("model", _object({
         "outcome": (REQUIRED, TEXT),
         "quality_terms": (list(QUALITY_TERMS), _list_of(TEXT)),
         "interactions": ([], _list_of(_list_of(TEXT)), (
             "a list of [column, column] pairs", lambda ps: all(len(p) == 2 for p in ps))),
         "apc_mode": (UNSET, TEXT), "random_structure": (UNSET, TEXT),
         "standardize_outcome": (UNSET, BOOL),
-        "eyes": (["pooled"], _list_of(TEXT), (
-            "a list of 'L', 'R' or 'pooled'", lambda e: set(e) <= {"L", "R", "pooled"})),
+        "eyes": (["pooled"], _list_of(TEXT), ("a non-empty list of 'L', 'R' or 'pooled'",
+                                              lambda e: e and set(e) <= {"L", "R", "pooled"})),
         "age_groups": (UNSET, lambda v, at: AgeGroups(_list_of(_list_of(INTEGER))(v, at)))},
         build))
+    return _load_pairs(ctx, "genuine", profiles, columns), spec, eyes, age_groups
 
 
 def _write_text(ctx: RunContext, name: str, text: str) -> None:
@@ -594,9 +596,7 @@ def cmd_fuse(ctx: RunContext) -> None:
 
 def cmd_lmm(ctx: RunContext) -> None:
     """Fit the longitudinal mixed model and age-group companion."""
-    profiles = _profiles(ctx)
-    genuine_all = _load_pairs(ctx, "genuine", profiles, None)
-    spec, eyes, age_term = _model(ctx, genuine_all)
+    genuine_all, spec, eyes, age_term = _model(ctx)
     # eyes are independent biometric instances; fit pooled or per eye
     for eye in eyes:
         if eye == "pooled":
@@ -660,9 +660,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
 def cmd_apc(ctx: RunContext) -> None:
     """Compare the three age-period-cohort parameterizations."""
     from .lmm import compare_apc
-    profiles = _profiles(ctx)
-    genuine = _load_pairs(ctx, "genuine", profiles, None)
-    spec, _, _ = _model(ctx, genuine)
+    genuine, spec, _, _ = _model(ctx)
     report = compare_apc(genuine, spec)
     lines = ["APC parameterization comparison (loglik/AIC from ML refits)"]
     for e in report.entries:
@@ -689,9 +687,7 @@ def cmd_cv(ctx: RunContext) -> None:
     """Subject-level k-fold cross-validation."""
     from .lmm import fit_spec, marginal_r2
     from .validation import kfold_subject_cv
-    profiles = _profiles(ctx)
-    genuine = _load_pairs(ctx, "genuine", profiles, None)
-    spec, _, _ = _model(ctx, genuine)
+    genuine, spec, _, _ = _model(ctx)
     cv = ctx.section("cv", _object({"k": (5, INTEGER, (">= 2", lambda k: k >= 2)),
                                     "seed": (ctx.seed, SEED)}))
     try:

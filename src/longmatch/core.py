@@ -81,6 +81,10 @@ COLUMN_ALIASES = {"T": "gap_T_months", "delta_A": "delta_age_years"}
 QUALITY_TERMS = ("Q_gallery", "Q_probe", "U_gallery", "U_probe", "C_gallery",
                  "C_probe", "DC")
 _TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
+# the numeric ComparisonTable columns by each name a model may give them (a
+# synth beta, a model term or outcome): its own, or an alias
+MODEL_COLUMNS = {**{name: name for name, dtype in _TABLE_COLUMNS.items() if dtype is not object},
+                 **COLUMN_ALIASES}
 
 
 class DataError(Exception):
@@ -311,16 +315,10 @@ class ComparisonTable:
         return self.scores[matcher]
 
     def column(self, name: str) -> np.ndarray:
-        """A numeric column, alias (T, delta_A) or matcher's scores as float64;
-        KeyError for any other name."""
-        name = COLUMN_ALIASES.get(name, name)
-        if _TABLE_COLUMNS.get(name, object) is not object:
-            return getattr(self, name).astype(np.float64, copy=False)
+        """A MODEL_COLUMNS column or a matcher's scores as float64; KeyError
+        for any other name."""
+        if name in MODEL_COLUMNS:
+            return getattr(self, MODEL_COLUMNS[name]).astype(np.float64, copy=False)
         if name in self.scores:
             return self.scores[name]
         raise KeyError(f"unknown column {name!r}")
-
-    def subjects(self) -> list[str]:
-        """Distinct genuine-pair subjects, sorted."""
-        mask = self.genuine_mask()
-        return sorted(set(self.gallery_subject[mask]))

@@ -52,6 +52,10 @@ APC_MODES = {
     "probe_age_plus_t": ("A_probe", "T"),
     "gallery_age_plus_delta_a": ("A_gallery", "delta_A"),
 }
+# the genuine-pair columns any design may read besides its outcome and
+# terms: the eye fitted apart, the subject, the APC variables, the slope
+DESIGN_COLUMNS = ("eye", "gallery_subject", "A_gallery", "A_probe", "gap_T_months",
+                  "delta_age_years")
 
 
 class RankDeficientError(ModelError):
@@ -70,13 +74,16 @@ class Continuous:
 
 @dataclass(frozen=True)
 class AgeGroups:
-    """Integer enrollment-age (A_gallery) bins expanded to dummies against
-    the first bin."""
+    """Integer enrollment-age (A_gallery) bins, no two overlapping, expanded
+    to dummies against the first bin."""
     bins: tuple[tuple[int, int], ...] = ((4, 5), (6, 7), (8, 9), (10, 12))
 
     def __post_init__(self):
         if not self.bins or any(len(b) != 2 or b[0] > b[1] for b in self.bins):
             raise ValueError("age groups must be non-empty [low, high] bins, low <= high")
+        for a, b in itertools.combinations(self.bins, 2):
+            if a[0] <= b[1] and b[0] <= a[1]:
+                raise ValueError(f"age groups {list(a)} and {list(b)} overlap")
 
     def labels(self) -> list[str]:
         return [f"{lo}-{hi}" for lo, hi in self.bins]
@@ -537,8 +544,7 @@ def _start_params(gs: _GroupStats):
     return np.clip(_pack_factor(L), *_box(q))
 
 
-def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
-             design: DesignMatrices | None = None, start=None) -> FittedModel:
+def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml") -> FittedModel:
     """Fit the random-intercept(-and-slope) model by profiled REML (or ML).
 
     Parameters
@@ -549,29 +555,36 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
         subjects, whatever their values.
     column_names : names of the columns of X (default x0, x1, ...).
     method : "reml" (default) or "ml".
-    design : the checked DesignMatrices that y, X, t and group_index come
-        from (fit_spec and refit pass it); its checks and row order are
-        reused, and column_names is taken from it.
-    start : log-Cholesky parameters on the internal scale to start from
-        (refit passes the other method's optimum); default _start_params.
 
-    Returns a FittedModel. If the cap of _MAX_NEWTON_STEPS is hit or the
-    iteration stalls short of a stationary point, converged is False, but
-    estimates are still returned; diagnostics["local_optimum_ok"] certifies
-    a converged fit by the Hessian's eigenvalues. Boundary variance
-    estimates (a component collapsing to zero) are flagged in
-    diagnostics["boundary"], never raised.
+    The arrays are checked as build_design checks a design: ModelError
+    "singular fixed-effects design" where X lacks full column rank, then
+    the other checks of the fit. Returns a FittedModel. If the cap of
+    _MAX_NEWTON_STEPS is hit or the iteration stalls short of a stationary
+    point, converged is False, but estimates are still returned;
+    diagnostics["local_optimum_ok"] certifies a converged fit by the
+    Hessian's eigenvalues. Boundary variance estimates (a component
+    collapsing to zero) are flagged in diagnostics["boundary"], never
+    raised.
     """
-    bare = design is None
-    if bare:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-d")
-        _, codes = np.unique(np.asarray(group_index, dtype=np.int64), return_inverse=True)
-        design = DesignMatrices(
-            np.asarray(y, dtype=np.float64), X,
-            None if t is None else np.asarray(t, dtype=np.float64), codes,
-            [f"x{j}" for j in range(X.shape[1])] if column_names is None else list(column_names))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-d")
+    _, codes = np.unique(np.asarray(group_index, dtype=np.int64), return_inverse=True)
+    design = DesignMatrices(
+        np.asarray(y, dtype=np.float64), X,
+        None if t is None else np.asarray(t, dtype=np.float64), codes,
+        [f"x{j}" for j in range(X.shape[1])] if column_names is None else list(column_names))
+    try:
+        _check_design(design.y, design.X, design.column_names, "the outcome")
+    except RankDeficientError:
+        raise ModelError("singular fixed-effects design") from None
+    return _fit(design, method)
+
+
+def _fit(design: DesignMatrices, method: str, start=None) -> FittedModel:
+    """The fit of a checked design by `method`, from the log-Cholesky
+    parameters `start` on the internal scale (default _start_params); its
+    checks and row order are the design's own."""
     reml = method == "reml"
     if method not in ("reml", "ml"):
         raise ValueError("method must be 'reml' or 'ml'")
@@ -584,11 +597,6 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
         raise ModelError("at least 2 subjects are required")
     if n <= n_params:
         raise ModelError("n_obs must exceed the parameter count")
-    if bare:
-        try:
-            _check_design(design.y, design.X, design.column_names, "the outcome")
-        except RankDeficientError:
-            raise ModelError("singular fixed-effects design") from None
 
     # canonical content order: permutation-invariant sums, bitwise refits
     order = design._order
@@ -667,18 +675,15 @@ def fit_reml(y, X, t, group_index, *, column_names=None, method: str = "reml",
 
 
 def fit_spec(table: ComparisonTable, spec: ModelSpec) -> FittedModel:
-    """build_design + fit_reml (REML) in one step."""
-    design = build_design(table, spec)
-    return fit_reml(design.y, design.X, design.t, design.group_index, design=design)
+    """build_design + its REML fit in one step."""
+    return _fit(build_design(table, spec), "reml")
 
 
 def refit(fit: FittedModel, method: str) -> FittedModel:
     """The same model on the same rows by `method`, started at `fit`'s optimum."""
     if fit.method == method:
         return fit
-    design = fit.design
-    return fit_reml(design.y, design.X, design.t, design.group_index, method=method,
-                    design=design, start=fit.log_cholesky)
+    return _fit(fit.design, method, fit.log_cholesky)
 
 
 # ---------------------------------------------------------------------------

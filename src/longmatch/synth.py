@@ -20,8 +20,8 @@ import numpy as np
 
 from ._special import ndtr
 from .core import (
-    COLUMN_ALIASES, HIGHER_IS_BETTER, JOINED_COLUMNS, LOWER_IS_BETTER, PAIR_COLUMNS,
-    CaptureTable, MatcherProfile, ScoreTable, check_matcher_name, distinct,
+    HIGHER_IS_BETTER, LOWER_IS_BETTER, MODEL_COLUMNS, CaptureTable, MatcherProfile, ScoreTable,
+    check_matcher_name, distinct,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 
@@ -84,10 +84,8 @@ DEFAULT_COVARIATES = {
 }
 
 
-# the genuine-pair columns a beta may weight: the numeric ComparisonTable
-# columns and their aliases
-_BETA_TERMS = frozenset(["intercept", *COLUMN_ALIASES, *(
-    name for name, dtype in {**PAIR_COLUMNS, **JOINED_COLUMNS}.items() if dtype is not object)])
+# the genuine-pair columns a beta may weight
+_BETA_TERMS = frozenset(["intercept", *MODEL_COLUMNS])
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def write_pairs(table: ComparisonTable, path) -> None:
                 [*(getattr(table, name) for name in names), *table.scores.values()])
 
 
-def read_pairs(path, captures: Callable[[], CaptureTable], columns=None) -> ComparisonTable:
+def read_pairs(path, captures: Callable[[], CaptureTable], columns) -> ComparisonTable:
     """Read a pair table back, in the `columns` a caller uses.
 
     The pair file holds the PAIR_COLUMNS its table held (`write_pairs`:
@@ -192,22 +192,19 @@ def read_pairs(path, captures: Callable[[], CaptureTable], columns=None) -> Comp
     score_<matcher> column per matcher. `columns` names what to read:
     PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher> file columns,
     `kind` always read with them; a score column the file lacks is left out,
-    and any other column it lacks raises IngestError. None reads every
-    PAIR_COLUMNS and score column. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are
-    joined in through the two image ids only when one of them is asked for,
-    and with None; only then is `captures` called, with no argument, for the
-    capture table. A kind other than genuine or impostor, an id missing from
-    the capture table (when joining), a non-finite real or score cell and a
-    negative gap_T_months read raise IngestError naming the row; a column
-    not read is not judged.
+    and any other column it lacks raises IngestError. The JOINED_COLUMNS
+    (subjects, A_gallery/A_probe) are joined in through the two image ids
+    only when one of them is asked for; only then is `captures` called, with
+    no argument, for the capture table. A kind other than genuine or
+    impostor, an id missing from the capture table (when joining), a
+    non-finite real or score cell and a negative gap_T_months read raise
+    IngestError naming the row; a column not read is not parsed or judged.
     """
     path = Path(path)
-    join = columns is None or not JOINED_COLUMNS.keys().isdisjoint(columns)
-    if columns is not None:
-        ids = ("gallery_image_id", "probe_image_id") if join else ()
-        columns = {"kind", *columns, *ids} - JOINED_COLUMNS.keys()
-    schema = {name: dtype for name, dtype in PAIR_COLUMNS.items()
-              if columns is None or name in columns}
+    join = not JOINED_COLUMNS.keys().isdisjoint(columns)
+    ids = ("gallery_image_id", "probe_image_id") if join else ()
+    columns = {"kind", *columns, *ids} - JOINED_COLUMNS.keys()
+    schema = {name: dtype for name, dtype in PAIR_COLUMNS.items() if name in columns}
     text = read_table(path, schema, _score_dtype, columns)
     kind = text.column("kind")
     bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))

@@ -42,15 +42,14 @@ def kfold_subject_cv(table: ComparisonTable, spec: ModelSpec, k: int,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    subjects = table.subjects()
-    if len(subjects) < k:
-        raise ValueError(f"need at least k={k} subjects, have {len(subjects)}")
-    order = shuffled(subjects, seed)
-    folds = [tuple(order[i::k]) for i in range(k)]
-
     # folds select subject codes: np.isin on the subject strings compares
     # objects pair by pair, some 200 times slower at 1,000 subjects
     ids, codes = np.unique(table.gallery_subject, return_inverse=True)
+    if len(ids) < k:
+        raise ValueError(f"need at least k={k} subjects, have {len(ids)}")
+    order = shuffled(ids.tolist(), seed)
+    folds = [tuple(order[i::k]) for i in range(k)]
+
     results = []
     for fold_idx, held_out in enumerate(folds):
         test_mask = np.isin(codes, np.searchsorted(ids, held_out))

@@ -609,19 +609,21 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
 
 
 # the pair columns each subcommand asks read_pairs for, by pair file in the
-# order read (None: every column, with the capture join); read_pairs reads
-# kind with any set, and the two image ids with a joined column such as
-# gallery_subject. The config's matchers are simA and simB.
+# order read; read_pairs reads kind with any set, and the two image ids with
+# a joined column such as gallery_subject. The config's matchers are simA
+# and simB, and its model names Q_gallery, Q_probe and DC besides simA.
 _SCORES = {"score_simA", "score_simB"}
+_MODEL_READ = {"eye", "gallery_subject", "A_gallery", "A_probe", "gap_T_months",
+               "delta_age_years", "Q_gallery", "Q_probe", "DC", *_SCORES}
 PAIR_READS = {
     "calibrate": [("genuine", _SCORES), ("impostor", _SCORES)],
     "fnmr": [("genuine", {"gap_T_months", *_SCORES})],
     "det": [("genuine", _SCORES), ("impostor", _SCORES)],
     "failures": [("genuine", {"gap_T_months", *QUALITY_TERMS, "gallery_subject", *_SCORES})],
     "fuse": [("genuine", _SCORES), ("impostor", _SCORES)],
-    "lmm": [("genuine", None)],
-    "apc": [("genuine", None)],
-    "cv": [("genuine", None)],
+    "lmm": [("genuine", _MODEL_READ)],
+    "apc": [("genuine", _MODEL_READ)],
+    "cv": [("genuine", _MODEL_READ)],
 }
 
 
@@ -636,9 +638,8 @@ def test_each_subcommand_reads_only_its_pair_columns(tmp_path, monkeypatch):
     run_pipeline(cfg, ["synth", "pairs"])
     read_pairs, ingest_captures, asked, ingested = cli.read_pairs, cli.ingest_captures, [], []
 
-    def recording(path, captures, columns=None):
-        asked.append((Path(path).stem.removeprefix("pairs_"),
-                      None if columns is None else set(columns)))
+    def recording(path, captures, columns):
+        asked.append((Path(path).stem.removeprefix("pairs_"), set(columns)))
         return read_pairs(path, captures, columns)
 
     def counting(path):
@@ -875,6 +876,10 @@ def _constant_fold(column: str, text: str, k: int, seed: int) -> dict:
 
 
 WIDE_RANGE = {"matchers[0].score_min": -1e306, "matchers[0].score_max": 1e306}
+# simA declared alone, and simB, still scored in the pair files, as the outcome
+SIM_A_ONLY = {"matchers": [{"name": "simA", "orientation": "higher", "score_min": -5000.0,
+                            "score_max": 5000.0, "default_threshold": 150.0}],
+              "model.outcome": "simB"}
 
 # (subcommand, config edits {path: value}, file damage {name: edit}, exit code,
 # texts the single stderr line must hold; on exit 0, texts the subcommand's
@@ -1095,9 +1100,27 @@ FAULTS = [
     # out-of-sample R2 is undefined on a held-out fold whose outcome is constant
     ("cv", {}, _constant_fold("score_simA", "60.0", k=3, seed=5), 5,
      ["fold 0: the held-out outcome is constant"]),
+    # a model names declared matchers only: simB's scores are in the pair
+    # file, but no range rule has checked them
+    *((command, SIM_A_ONLY, {}, 3, ["config model.outcome names unknown column 'simB'"])
+      for command in ("lmm", "apc", "cv")),
+    # the model is read before the pairs
+    ("cv", {"model.outcome": "nope"}, {"pairs_genuine.csv": _removed}, 3,
+     ["config model.outcome names unknown column 'nope'"]),
+    # bins that overlap would put an age in the later bin alone
+    ("lmm", {"model.age_groups": [[4, 8], [6, 12]]}, {}, 3,
+     ["config model.age_groups", "age groups [4, 8] and [6, 12] overlap"]),
+    ("apc", {"model.eyes": []}, {}, 3,
+     ["config model.eyes must be a non-empty list of 'L', 'R' or 'pooled', got []"]),
+    # the model subcommands judge the pair columns a design reads, and no other
+    ("lmm", {}, {"pairs_genuine.csv": _cell("R_gallery", "inf", row=2)}, 0,
+     ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
+    ("lmm", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
+     ["pairs_genuine.csv", "non-finite DC at data row 2"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
-REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt"}
+REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",
+           "lmm": "fit_report_simA.txt"}
 
 
 @pytest.mark.filterwarnings("error")   # a warning would be a second stderr line

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from longmatch.core import (
-    JOINED_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
+    JOINED_COLUMNS, MODEL_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
     dilation_ratio,
 )
 from longmatch.pairing import generate_genuine_pairs
@@ -184,7 +184,7 @@ class TestComparisonTable:
             with pytest.raises(AttributeError):
                 read(part)
         with pytest.raises(AttributeError, match="'gallery_subject'"):
-            part.subjects()
+            part.gallery_subject
         with pytest.raises(TypeError, match="kind"):
             ComparisonTable(DC=table.DC, scores={})
 
@@ -215,6 +215,11 @@ class TestComparisonTable:
         assert table.column("delta_A").tolist() == table.column("delta_age_years").tolist()
         assert table.column("DC") is table.DC
         assert table.column("m2") is table.scores["m2"]
+        # the one numeric-column rule: each numeric column by its name, and the aliases
+        assert set(MODEL_COLUMNS) == {"T", "delta_A", *(
+            name for name, dtype in TABLE_COLUMNS.items() if dtype is not object)}
+        for name, column in MODEL_COLUMNS.items():
+            assert table.column(name).tolist() == getattr(table, column).tolist(), name
         for name in ("kind", "eye", "gallery_image_id", "probe_image_id",
                      "gallery_subject", "probe_subject", "m3"):
             with pytest.raises(KeyError):

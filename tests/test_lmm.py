@@ -124,6 +124,13 @@ class TestBuildDesign:
         dummies = [c for c in design.column_names if c.startswith("A_gallery[")]
         assert dummies == ["A_gallery[6-7]", "A_gallery[8-9]", "A_gallery[10-12]"]
 
+    @pytest.mark.parametrize("bins", [((4, 8), (6, 12)), ((6, 12), (4, 6)), ((4, 9), (5, 5))])
+    def test_overlapping_age_groups_refused(self, bins):
+        # an age in two bins would count in the later one alone
+        with pytest.raises(ValueError, match="overlap"):
+            AgeGroups(bins)
+        assert AgeGroups(((4, 5), (6, 12))).labels() == ["4-5", "6-12"]
+
     def test_interaction_is_elementwise_product(self):
         rng = np.random.default_rng(2)
         table = make_model_table(rng)
@@ -353,6 +360,17 @@ class TestFitReml:
             fit_reml(y, np.column_stack([X, X]), None, g)
         with pytest.raises(ModelError, match="subjects"):
             fit_reml(y, X, None, np.zeros(20, dtype=int))
+
+    def test_bare_arrays_are_checked_for_rank_first(self):
+        # one subject and a rank-deficient X: the design check comes first,
+        # as it does in build_design
+        y = np.random.default_rng(9).normal(0, 1, 20)
+        X = np.ones((20, 1))
+        with pytest.raises(ModelError, match="singular fixed-effects design"):
+            fit_reml(y, np.column_stack([X, X]), None, np.zeros(20, dtype=int))
+        for keyword in ("design", "start"):
+            with pytest.raises(TypeError, match=keyword):
+                fit_reml(y, X, None, np.repeat(np.arange(4), 5), **{keyword: None})
 
     @pytest.mark.parametrize("value", [1 / 3, 0.1, 60.0])
     def test_constant_outcome_raises_whatever_its_rounding(self, value):
@@ -641,20 +659,20 @@ def test_refit_method_round_trip():
 
 def test_each_design_is_checked_and_ordered_once(monkeypatch):
     calls = collections.Counter()
-    for name in ("_independent_columns", "_canonical_order", "fit_reml"):
+    for name in ("_independent_columns", "_canonical_order", "_fit"):
         def counted(*args, _name=name, _fn=getattr(lmm, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(lmm, name, counted)
     table = make_model_table(np.random.default_rng(29))
     fit = fit_spec(table, ModelSpec(outcome="m1"))
-    assert calls == {"_independent_columns": 1, "_canonical_order": 1, "fit_reml": 1}
+    assert calls == {"_independent_columns": 1, "_canonical_order": 1, "_fit": 1}
     calls.clear()
     refit(fit, "ml")
-    assert calls == {"fit_reml": 1}
+    assert calls == {"_fit": 1}
     calls.clear()
     compare_apc(table, ModelSpec(outcome="m1"))
-    assert calls == {"_independent_columns": 4, "_canonical_order": 4, "fit_reml": 7}
+    assert calls == {"_independent_columns": 4, "_canonical_order": 4, "_fit": 7}
 
 
 def _interior_fits():

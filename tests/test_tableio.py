@@ -21,6 +21,9 @@ from conftest import (
     capture_rows, capture_table, make_capture, random_capture_table, score_table,
 )
 
+# every column a ComparisonTable holds, as read_pairs names them
+EVERY_COLUMN = (*PAIR_COLUMNS, *JOINED_COLUMNS)
+
 
 def _write_rows(path, rows, header=CAPTURE_HEADER):
     lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
@@ -261,11 +264,12 @@ def test_pairs_round_trip_with_age_join(tmp_path):
         write_pairs(table, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == headers[kind]
-        # None reads every pair column, which the impostor file lacks
+        # a pair column the file lacks: the impostor file holds no covariates
         if kind == "impostor":
             with pytest.raises(IngestError, match="missing mandatory column.*delta_age_years"):
-                read_pairs(path, lambda: captures)
-        columns = None if kind == "genuine" else ("gap_T_months", "A_gallery", "score_m1")
+                read_pairs(path, lambda: captures, EVERY_COLUMN)
+        columns = (*(EVERY_COLUMN if kind == "genuine" else ("gap_T_months", "A_gallery")),
+                   "score_m1")
         back = backs[kind] = read_pairs(path, lambda: captures, columns)
         assert len(back) == len(table)
         np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
@@ -294,7 +298,7 @@ def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
     first = 1 + min(i for i, pid in enumerate(pairs.probe_image_id) if pid == dropped)
     with pytest.raises(IngestError, match=f"data row {first} references image ids "
                                           f"missing from the capture table"):
-        read_pairs(path, lambda: known)
+        read_pairs(path, lambda: known, ("kind", "gallery_subject"))
 
 
 def test_read_pairs_ingests_captures_only_to_join(tmp_path):
@@ -312,7 +316,7 @@ def test_read_pairs_ingests_captures_only_to_join(tmp_path):
     back = read_pairs(tmp_path / "pairs.csv", ingest, ("kind", "A_probe"))
     assert calls == [0]
     assert back.A_probe.tolist() == pairs.A_probe.tolist()
-    read_pairs(tmp_path / "pairs.csv", ingest)
+    read_pairs(tmp_path / "pairs.csv", ingest, EVERY_COLUMN)
     assert calls == [0, 1]
 
 
@@ -331,7 +335,8 @@ def test_float_cells_round_trip_bit_exactly(tmp_path):
     values = _edge_floats(rng, len(pairs))
     table = pairs.with_scores({"m1": values, "m2": -values[::-1]})
     write_pairs(table, tmp_path / "pairs.csv")
-    back = read_pairs(tmp_path / "pairs.csv", lambda: captures)
+    back = read_pairs(tmp_path / "pairs.csv", lambda: captures,
+                      ("kind", "DC", "score_m1", "score_m2"))
     for name in ("m1", "m2"):
         assert back.scores[name].view(np.uint64).tolist() == \
             table.scores[name].view(np.uint64).tolist()
@@ -362,7 +367,7 @@ def test_repeated_pair_column_reads_its_first(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([lines[0] + ",score_m1"] + [line + ",-1.0" for line in lines[1:]])
                     + "\n", encoding="utf-8")
-    back = read_pairs(path, lambda: captures)
+    back = read_pairs(path, lambda: captures, ("kind", "score_m1"))
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
@@ -695,15 +700,14 @@ def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, se
     path = tmp_path / "table.csv"
     captures = _captures_for_pairs()
     pair_columns = {**PAIR_COLUMNS, "score_m1": np.float64}
-    pair_names = [*PAIR_COLUMNS, *JOINED_COLUMNS]
 
     def ingest(p):
         result = ingest_captures(p)
         return _table_bits(result.table, CAPTURE_HEADER), result.rejections
 
     def pairs(p):
-        table = read_pairs(p, lambda: captures)
-        return _table_bits(table, pair_names), table.matchers, _bits(table.scores["m1"])
+        table = read_pairs(p, lambda: captures, (*EVERY_COLUMN, "score_m1"))
+        return _table_bits(table, EVERY_COLUMN), table.matchers, _bits(table.scores["m1"])
 
     def projected(p, columns):
         table = read_pairs(p, lambda: captures, columns)
@@ -749,7 +753,7 @@ def test_pipeline_tables_never_need_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(csv, "reader", refuse)
     assert capture_rows(ingest_captures(tmp_path / "captures.csv").table) == \
         capture_rows(captures)
-    back = read_pairs(tmp_path / "pairs.csv", lambda: captures)
+    back = read_pairs(tmp_path / "pairs.csv", lambda: captures, (*EVERY_COLUMN, "score_m1"))
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
     quoted = tmp_path / "quoted.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from longmatch.lmm import Continuous, ModelSpec, fit_reml, fit_spec, marginal_r2
+from longmatch.rng import shuffled
 from longmatch.validation import kfold_subject_cv, residual_diagnostics
 
 from test_lmm import make_model_table
@@ -18,7 +19,11 @@ class TestKfoldSubjectCv:
         spec = ModelSpec(outcome="m1")
         report = kfold_subject_cv(table, spec, k=5, seed=3)
         all_subjects = [s for fold in report.fold_subjects for s in fold]
-        assert sorted(all_subjects) == table.subjects()
+        subjects = sorted(set(table.gallery_subject.tolist()))
+        assert sorted(all_subjects) == subjects
+        # the sorted subjects, shuffled by the seed and dealt round-robin
+        order = shuffled(subjects, 3)
+        assert report.fold_subjects == tuple(tuple(order[i::5]) for i in range(5))
         assert len(all_subjects) == len(set(all_subjects))
         assert len(report.per_fold) == 5
 
