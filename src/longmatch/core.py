@@ -39,6 +39,32 @@ CAPTURE_COLUMNS = {
     "iris_radius": np.float64,          # pixels
 }
 
+# the value rules every capture row keeps, in the order ingest applies them, the
+# rule on text first: (reason, columns, the mask of the rows that keep it given
+# those columns); a rule on several columns is one entry per column, so that a
+# row is named by its first column at fault
+CAPTURE_RULES = (
+    ("invalid eye", ("eye",), lambda eye: np.isin(eye, EYES)),
+    *(("invalid number", (name,), np.isfinite)
+      for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64),
+    ("collection index", ("collection_index",), lambda index: index >= 1),
+    ("dilation bounds", ("pupil_radius", "iris_radius"),
+     lambda pupil, iris: (0.0 < pupil) & (pupil < iris)),
+    *(("quality range", (name,), lambda value: (0.0 <= value) & (value <= 100.0))
+      for name in ("quality", "usable_area", "circularity")),
+)
+
+
+def rule_breaks(columns: dict, rules=CAPTURE_RULES):
+    """(reason, mask of the rows that break it, detail(row): its cells as
+    name=value) of each of `rules` whose columns `columns` holds, in order."""
+    for reason, names, holds in rules:
+        if columns.keys() >= set(names):
+            yield reason, ~holds(*map(columns.get, names)), lambda row, names=names: " ".join(
+                f"{name}={columns[name][row]!r}" if columns[name].dtype == object
+                else f"{name}={columns[name][row]}" for name in names)
+
+
 # the score-file columns in file order, each with the dtype a ScoreTable holds
 # it in
 SCORE_COLUMNS = {
@@ -105,18 +131,6 @@ class CalibrationInfeasibleError(Exception):
 
 class ModelError(Exception):
     """A mixed model cannot be built or fit on the data given."""
-
-
-def dilation_ratio(r_pupil: float, r_iris: float) -> float:
-    """Pupil-to-iris radius ratio, dimensionless in (0, 1).
-
-    Scale invariant, so radii can be in any common unit (pixels here).
-    """
-    if not (r_pupil > 0.0 and r_iris > 0.0):
-        raise ValueError(f"radii must be positive, got ({r_pupil}, {r_iris})")
-    if r_pupil >= r_iris:
-        raise ValueError(f"pupil radius {r_pupil} must be smaller than iris radius {r_iris}")
-    return r_pupil / r_iris
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -188,11 +202,19 @@ class CaptureTable:
     """Columnar, read-only table of captures, one row per eye image in file order.
 
     Holds one numpy column per CAPTURE_COLUMNS entry, as the attribute of that
-    name (`table.subject_id`, `table.iris_radius`, ...).
+    name (`table.subject_id`, `table.iris_radius`, ...). DataError names the
+    first row (1-based) that breaks a CAPTURE_RULES rule, and the first rule.
     """
 
     def __init__(self, **columns):
         _set_columns(self, CAPTURE_COLUMNS, columns)
+        breaks = list(rule_breaks(vars(self)))
+        first = [int(np.argmax(np.append(mask, True))) for _, mask, _ in breaks]   # n: none
+        row = min(first)
+        if row < len(self):
+            reason, _, detail = breaks[first.index(row)]
+            raise DataError(f"capture row {row + 1} (image_id {self.image_id[row]!r}) breaks "
+                            f"the {reason!r} rule: {detail(row)}")
         self._row: dict[str, int] = {}
         for row, image_id in enumerate(self.image_id):
             self._row.setdefault(image_id, row)

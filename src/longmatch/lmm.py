@@ -219,6 +219,9 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         row_ok &= np.isfinite(col)
 
     n_dropped = int((~row_ok).sum())
+    if n_dropped == len(table):
+        raise ModelError(f"no rows left to model ({n_dropped} of {len(table)} genuine rows "
+                         f"dropped for missing values)")
     y = y[row_ok]
     X = np.column_stack([np.ones(row_ok.sum())] + [c[row_ok] for c in columns]) \
         if columns else np.ones((int(row_ok.sum()), 1))

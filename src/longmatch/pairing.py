@@ -4,6 +4,9 @@ Both protocols return an unscored ComparisonTable (no score columns), one
 row per pair in protocol order; `attach_scores` then joins one score per
 matcher onto it. A genuine table holds every pair column, an impostor table
 the key and joined ones only: no model reads impostor capture covariates.
+Every capture keeps the capture-row rules (`core.CAPTURE_RULES`, checked
+when its CaptureTable was built), so pairing checks only what relates two
+captures: the differences of their times and ages.
 
 Genuine protocol: for each subject and eye, every image from the subject's
 first attended collection is a gallery template, compared against every
@@ -26,7 +29,7 @@ import numpy as np
 
 from .core import (
     GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, DataError, MatcherProfile,
-    ScoreRangeError, ScoreTable, dilation_ratio,
+    ScoreRangeError, ScoreTable,
 )
 from .rng import sample_indices
 
@@ -49,12 +52,11 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
     gaps are absolute. Both differences, of time and of age, must fit in
-    int64, and every capture in a pair needs 0 < pupil < iris; the first
-    offending pair raises DataError, or ValueError as `dilation_ratio` does.
+    int64; the first offending pair raises DataError. The rules on one
+    capture, 0 < pupil < iris among them, held when `captures` was built.
     """
     g = order[np.asarray(gallery, dtype=np.intp)]
     p = order[np.asarray(probe, dtype=np.intp)]
-    pupil, iris = captures.pupil_radius, captures.iris_radius
 
     def difference(column):
         """column[p] - column[g] as int64 arrays wrap it, and where it wraps."""
@@ -67,8 +69,7 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
     if kind != GENUINE:
         gap_wraps |= gap == np.iinfo(np.int64).min   # whose absolute value does not fit
         gap = np.abs(gap)
-    bad_radii = ~((pupil > 0.0) & (iris > 0.0) & (pupil < iris))
-    bad = bad_radii[g] | bad_radii[p] | gap_wraps | age_wraps
+    bad = gap_wraps | age_wraps
     if kind == GENUINE:
         bad |= gap <= 0
     if bad.any():
@@ -78,12 +79,9 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
                 f"the {'capture_time_months' if gap_wraps[i] else 'age_years'} difference of "
                 f"gallery {captures.image_id[g[i]]} and probe {captures.image_id[p[i]]} "
                 f"does not fit in int64")
-        if kind == GENUINE and gap[i] <= 0:
-            raise DataError(
-                f"probe {captures.image_id[p[i]]} in a later collection than gallery "
-                f"{captures.image_id[g[i]]} but not later in time")
-        row = g[i] if bad_radii[g[i]] else p[i]
-        dilation_ratio(float(pupil[row]), float(iris[row]))
+        raise DataError(
+            f"probe {captures.image_id[p[i]]} in a later collection than gallery "
+            f"{captures.image_id[g[i]]} but not later in time")
 
     columns = {}
     if kind == GENUINE:
@@ -91,7 +89,8 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
         values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity}
         columns = {f"{name}_{side}": col[rows]
                    for name, col in values.items() for side, rows in sides.items()}
-        columns.update(R_gallery=pupil[g] / iris[g], R_probe=pupil[p] / iris[p])
+        ratio = captures.pupil_radius / captures.iris_radius
+        columns.update(R_gallery=ratio[g], R_probe=ratio[p])
         columns.update(delta_age_years=delta_age,
                        DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]))
     return ComparisonTable(

@@ -21,7 +21,7 @@ import numpy as np
 from ._special import ndtr
 from .core import (
     HIGHER_IS_BETTER, LOWER_IS_BETTER, MODEL_COLUMNS, CaptureTable, MatcherProfile, ScoreTable,
-    check_matcher_name, distinct,
+    check_matcher_name, distinct, rule_breaks,
 )
 from .pairing import PairingConfig, generate_genuine_pairs, generate_impostor_pairs
 
@@ -82,6 +82,8 @@ DEFAULT_COVARIATES = {
     "C": CovariateSpec(85.0, 6.0, 0.0, 100.0),
     "D": CovariateSpec(0.45, 0.08, 0.10, 0.90),   # per-image dilation ratio
 }
+# the capture column each covariate sets (D, the dilation ratio, times the iris radius)
+_COVARIATE_COLUMNS = {"Q": "quality", "U": "usable_area", "C": "circularity", "D": "pupil_radius"}
 
 
 # the genuine-pair columns a beta may weight
@@ -159,6 +161,17 @@ class SynthConfig:
             raise SynthConfigError("matcher names must be unique")
         if set(self.covariates) != set(DEFAULT_COVARIATES):
             raise SynthConfigError(f"covariates must be exactly {sorted(DEFAULT_COVARIATES)}")
+        # a value drawn lies in its bounds, and a capture-row rule that holds at
+        # both holds between them (for D, on an iris of radius 1: the rule is scale free)
+        for name, column in _COVARIATE_COLUMNS.items():
+            spec = self.covariates[name]
+            bounds = {column: np.array([spec.low, spec.high], dtype=np.float64),
+                      "iris_radius": np.ones(2)}
+            for reason, mask, detail in rule_breaks(bounds):
+                if mask.any():
+                    raise SynthConfigError(
+                        f"covariate {name!r} bounds [{spec.low}, {spec.high}] break the "
+                        f"capture-row rule {reason!r}: {detail(int(np.argmax(mask)))}")
         # upper bounds, as if no subject dropped out: every first-session image
         # of an eye is a gallery for every later image of that eye
         per_eye = self.images_per_eye_per_session
@@ -320,6 +333,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         image_cov[name] = _truncated_normal(rng, name, base, spec.sd, spec.low, spec.high,
                                             n_images)
     iris = np.clip(rng.normal(120.0, 6.0, n_images), 80.0, 160.0)
+    image_cov["D"] = image_cov["D"] * iris
 
     months = np.asarray(schedule, dtype=np.int64)[sess_arr]
     latent_age = ages0[subj_arr] + birth_frac[subj_arr] + months / 12.0
@@ -329,8 +343,8 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         image_id=[f"I{j:07d}" for j in range(n_images)],
         subject_id=np.array(subject_ids, dtype=object)[subj_arr], eye=skel_eye,
         collection_index=sess_arr + 1, capture_time_months=months, age_years=age_years,
-        quality=image_cov["Q"], usable_area=image_cov["U"], circularity=image_cov["C"],
-        pupil_radius=image_cov["D"] * iris, iris_radius=iris)
+        **{column: image_cov[name] for name, column in _COVARIATE_COLUMNS.items()},
+        iris_radius=iris)
 
     gen_table = generate_genuine_pairs(captures)
     subj_index = {sid: i for i, sid in enumerate(subject_ids)}

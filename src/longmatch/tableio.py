@@ -38,8 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    CAPTURE_COLUMNS, EYES, GENUINE, IMPOSTOR, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS,
-    CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
+    CAPTURE_COLUMNS, CAPTURE_RULES, GENUINE, IMPOSTOR, JOINED_COLUMNS, PAIR_COLUMNS,
+    SCORE_COLUMNS, CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
+    rule_breaks,
 )
 
 CAPTURE_HEADER = list(CAPTURE_COLUMNS)
@@ -48,6 +49,9 @@ _INTEGERS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np
 _REALS = tuple(name for name, dtype in CAPTURE_COLUMNS.items() if dtype is np.float64)
 # the reason TextColumns.parse gives for an integer that np.int64 cannot hold
 OUTSIDE_64_BITS = "outside 64 bits"
+# the reasons of ingest_captures besides the CAPTURE_RULES: an empty cell, and
+# a cell int() or float() refuses (checked after the rule on text)
+MISSING_FIELD, INTEGER_FAULT, NUMBER_FAULT = "missing field", "invalid integer", "invalid number"
 # rows per block of write_table: each block is formatted and written at once
 BLOCK_ROWS = 4096
 # a cell holding one of these is quoted, as csv.writer's QUOTE_MINIMAL does
@@ -123,42 +127,28 @@ def ingest_captures(path) -> IngestResult:
                 found[row] = RowRejection(row + 1, reason, detail(row))
 
     for name in CAPTURE_HEADER:
-        reject("missing field", np.array(text.cells[name], dtype=object) == "", lambda row: name)
-    eye = columns["eye"]
-    reject("invalid eye", ~np.isin(eye, EYES), lambda row: f"eye={eye[row]!r}")
+        reject(MISSING_FIELD, np.array(text.cells[name], dtype=object) == "", lambda row: name)
+    for rule in rule_breaks(columns, CAPTURE_RULES[:1]):   # the rule on text
+        reject(*rule)
     for name in _INTEGERS:
-        reject("invalid integer", [row for row, why in faults[name].items()
-                                   if why != OUTSIDE_64_BITS], faults[name].get)
+        reject(INTEGER_FAULT, [row for row, why in faults[name].items()
+                               if why != OUTSIDE_64_BITS], faults[name].get)
     for name in _INTEGERS:   # the faults left are integers outside 64 bits
-        reject("invalid integer", faults[name],
+        reject(INTEGER_FAULT, faults[name],
                lambda row: f"{name}={int(text.cells[name][row])} outside the 64-bit range")
     for name in _REALS:
-        reject("invalid number", faults[name], faults[name].get)
-    for name in _REALS:
-        values = columns[name]
-        reject("invalid number", ~np.isfinite(values), lambda row: f"{name}={values[row]}")
-    collection = columns["collection_index"]
-    reject("collection index", collection < 1, lambda row: f"collection_index={collection[row]}")
-    pupil, iris = columns["pupil_radius"], columns["iris_radius"]
-    reject("dilation bounds", ~((0.0 < pupil) & (pupil < iris)),
-           lambda row: f"pupil_radius={pupil[row]} iris_radius={iris[row]}")
-    for name in ("quality", "usable_area", "circularity"):
-        values = columns[name]
-        reject("quality range", ~((0.0 <= values) & (values <= 100.0)),
-               lambda row: f"{name}={values[row]}")
+        reject(NUMBER_FAULT, faults[name], faults[name].get)
+    for rule in rule_breaks(columns, CAPTURE_RULES[1:]):   # a cell that does not parse holds 0
+        reject(*rule)
 
     kept = ~np.isin(np.arange(len(text)), list(found))
-    accepted = np.flatnonzero(kept)
-    _, first = np.unique(columns["image_id"][accepted], return_index=True)
-    repeated = np.ones(len(accepted), dtype=bool)
-    repeated[first] = False
-    repeats = np.flatnonzero(repeated)
+    table = CaptureTable(**{name: values[kept] for name, values in columns.items()})
+    repeats = np.flatnonzero(table.rows(table.image_id) != np.arange(len(table)))
     if repeats.size:
-        row = accepted[repeats[0]]
+        row = np.flatnonzero(kept)[repeats[0]]
         raise DuplicateImageIdError(f"{text.path}: duplicate image_id "
                                     f"{columns['image_id'][row]!r} at data row {row + 1}")
-    return IngestResult(CaptureTable(**{name: values[kept] for name, values in columns.items()}),
-                        tuple(found[row] for row in sorted(found)))
+    return IngestResult(table, tuple(found[row] for row in sorted(found)))
 
 
 def write_captures(table: CaptureTable, path) -> None:

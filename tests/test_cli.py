@@ -968,8 +968,10 @@ FAULTS = [
      ["genuine pairs: 0\n", "failure pairs: 0\n"]),
     ("fuse", {}, {"pairs_genuine.csv": _header_only}, 0,
      ["fused FNMR: None\n", "genuine rejects: a_only=0 b_only=0 both=0 neither=0\n"]),
-    ("lmm", {}, {"pairs_genuine.csv": _header_only}, 7, ["factor level absent from data"]),
-    ("apc", {}, {"pairs_genuine.csv": _header_only}, 7, ["factor level absent from data"]),
+    ("lmm", {}, {"pairs_genuine.csv": _header_only}, 7,
+     ["no rows left to model (0 of 0 genuine rows dropped"]),
+    ("apc", {}, {"pairs_genuine.csv": _header_only}, 7,
+     ["no rows left to model (0 of 0 genuine rows dropped"]),
     ("cv", {}, {"pairs_genuine.csv": _header_only}, 5, ["need at least k=3 subjects, have 0"]),
     ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "100000000000000000000")}, 5,
      ["pairs_genuine.csv", "gap_T_months", "data row 1"]),
@@ -1117,6 +1119,16 @@ FAULTS = [
      ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
     ("lmm", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
      ["pairs_genuine.csv", "non-finite DC at data row 2"]),
+    # synth covariates whose bounds would make capture rows that ingest rejects
+    ("synth", {"synth.covariates": {"D": {"mean": 1.0, "sd": 0.1, "low": 0.5, "high": 1.5}}},
+     {}, 3, ["config synth: covariate 'D' bounds [0.5, 1.5] break the capture-row rule "
+             "'dilation bounds': pupil_radius=1.5 iris_radius=1.0"]),
+    ("synth", {"synth.covariates": {"D": {"mean": 0.0, "sd": 0.0, "low": 0.0, "high": 0.5}}},
+     {}, 3, ["config synth: covariate 'D' bounds [0.0, 0.5] break the capture-row rule "
+             "'dilation bounds': pupil_radius=0.0 iris_radius=1.0"]),
+    ("synth", {"synth.covariates": {"Q": {"mean": 50, "sd": 0, "low": -50, "high": -10}}},
+     {}, 3, ["config synth: covariate 'Q' bounds [-50.0, -10.0] break the capture-row rule "
+             "'quality range': quality=-50.0"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",

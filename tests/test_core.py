@@ -3,35 +3,89 @@ import pytest
 
 from longmatch.core import (
     JOINED_COLUMNS, MODEL_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
-    dilation_ratio,
 )
 from longmatch.pairing import generate_genuine_pairs
 
-from conftest import capture_table, make_capture, score_table
+from conftest import capture_rows, capture_table, make_capture, score_table
+
+
+def _ratios(*radii):
+    """R_gallery, then R_probe of each later capture, of one subject's eye
+    captured once per collection with the (pupil, iris) `radii` in turn."""
+    table = capture_table([make_capture(f"I{i}", collection=i + 1, months=6 * i,
+                                        pupil=pupil, iris=iris)
+                           for i, (pupil, iris) in enumerate(radii)])
+    pairs = generate_genuine_pairs(table)
+    return [pairs.R_gallery[0], *pairs.R_probe.tolist()]
 
 
 class TestDilationRatio:
+    """The pupil-to-iris radius ratio of a genuine pair's two captures."""
+
     def test_direct_arithmetic(self):
-        assert dilation_ratio(30.0, 100.0) == pytest.approx(0.30)
-        assert dilation_ratio(50.0, 100.0) == pytest.approx(0.50)
+        assert _ratios((30.0, 100.0), (50.0, 100.0)) == [pytest.approx(0.30),
+                                                         pytest.approx(0.50)]
 
     def test_near_boundary(self):
-        assert dilation_ratio(99.0, 100.0) == pytest.approx(0.99)
+        assert _ratios((45.0, 110.0), (99.0, 100.0))[1] == pytest.approx(0.99)
 
     @pytest.mark.parametrize("pupil,iris", [(0.0, 10.0), (-1.0, 10.0),
                                             (10.0, 10.0), (11.0, 10.0),
                                             (5.0, 0.0)])
     def test_rejects_bad_radii(self, pupil, iris):
-        with pytest.raises(ValueError):
-            dilation_ratio(pupil, iris)
+        with pytest.raises(DataError, match="'dilation bounds'"):
+            capture_table([make_capture("I0", pupil=pupil, iris=iris)])
 
     def test_always_in_open_unit_interval(self):
         rng = np.random.default_rng(1)
+        radii = []
         for _ in range(200):
             iris = rng.uniform(1e-3, 1e3)
-            pupil = rng.uniform(1e-6, 1.0) * iris * 0.999
-            d = dilation_ratio(pupil, iris)
-            assert 0.0 < d < 1.0
+            radii.append((rng.uniform(1e-6, 1.0) * iris * 0.999, iris))
+        ratios = np.array(_ratios(*radii))
+        assert len(ratios) == 200 and np.all((0.0 < ratios) & (ratios < 1.0))
+
+
+# (cells that differ from make_capture's, the rule the capture breaks, its detail)
+BROKEN_RULES = [
+    ({"eye": "X"}, "invalid eye", "eye='X'"),
+    ({"collection": 0}, "collection index", "collection_index=0"),
+    *(({key: bad}, "invalid number", f"{name}={bad}")
+      for key, name in (("quality", "quality"), ("usable", "usable_area"),
+                        ("circularity", "circularity"), ("pupil", "pupil_radius"),
+                        ("iris", "iris_radius"))
+      for bad in (np.nan, np.inf)),
+    ({"pupil": 0.0}, "dilation bounds", "pupil_radius=0.0 iris_radius=110.0"),
+    ({"pupil": 110.0}, "dilation bounds", "pupil_radius=110.0 iris_radius=110.0"),
+    *(({key: bad}, "quality range", f"{name}={bad}")
+      for key, name in (("quality", "quality"), ("usable", "usable_area"),
+                        ("circularity", "circularity"))
+      for bad in (-0.1, 100.5)),
+]
+
+
+class TestCaptureRules:
+    @pytest.mark.parametrize("cells, reason, detail", BROKEN_RULES)
+    def test_a_broken_rule_raises_naming_row_and_reason(self, cells, reason, detail):
+        rows = [make_capture("I0"), make_capture("I1", **cells), make_capture("I2")]
+        with pytest.raises(DataError) as caught:
+            capture_table(rows)
+        assert str(caught.value) == \
+            f"capture row 2 (image_id 'I1') breaks the {reason!r} rule: {detail}"
+        assert capture_rows(capture_table(rows[::2])) == rows[::2]
+
+    def test_first_offending_row_is_named(self):
+        # the first row at fault, and the first rule in CAPTURE_RULES order it breaks
+        rows = [make_capture("I0"), make_capture("I1", quality=101.0, eye="X"),
+                make_capture("I2", pupil=-3.0)]
+        with pytest.raises(DataError, match=r"^capture row 2 \(image_id 'I1'\) breaks the "
+                                            r"'invalid eye' rule: eye='X'$"):
+            capture_table(rows)
+
+    def test_values_at_the_limits_keep_the_rules(self):
+        edge = make_capture("I0", eye="R", collection=1, quality=0.0, usable=100.0,
+                            circularity=100.0, pupil=5e-324, iris=np.nextafter(5e-324, 1.0))
+        assert capture_rows(capture_table([edge])) == [edge]
 
 
 class TestCaptureTable:

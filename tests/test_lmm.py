@@ -156,6 +156,18 @@ class TestBuildDesign:
         assert design.n_dropped_missing == 7
         assert design.n_obs == len(table) - 7
 
+    def test_no_row_left_to_model_is_named_before_a_factor_level(self):
+        # with no row left every age-group dummy is all zero: the empty design is named
+        table = make_model_table(np.random.default_rng(3))
+        spec = ModelSpec(outcome="m1", fixed_terms=(AgeGroups(), Continuous("Q_gallery")))
+        for rows, dropped in ((np.zeros(len(table), dtype=bool), "0 of 0"),
+                              (np.ones(len(table), dtype=bool), f"{len(table)} of {len(table)}")):
+            part = table.select(rows)
+            part = with_columns(part, Q_gallery=np.full(len(part), np.nan))
+            with pytest.raises(ModelError, match=rf"^no rows left to model \({dropped} genuine "
+                                                 r"rows dropped for missing values\)$"):
+                build_design(part, spec)
+
     def test_rank_deficiency_names_offender(self):
         rng = np.random.default_rng(4)
         table = make_model_table(rng)

@@ -195,40 +195,6 @@ class TestAttachScores:
 
 
 class TestPreservedErrors:
-    @pytest.mark.parametrize("pupil, iris, message", [
-        (0.0, 110.0, "radii must be positive"),
-        (45.0, -1.0, "radii must be positive"),
-        (120.0, 110.0, "must be smaller than iris radius"),
-    ])
-    def test_bad_radii_raise_value_error(self, pupil, iris, message):
-        recs = [
-            make_capture("G0", collection=1, months=0),
-            make_capture("P0", collection=2, months=6, pupil=pupil, iris=iris),
-            make_capture("I0", subject="S002"),
-        ]
-        table = capture_table(recs)
-        with pytest.raises(ValueError, match=message):
-            generate_genuine_pairs(table)
-        with pytest.raises(ValueError, match=message):
-            generate_impostor_pairs(table, PairingConfig(base_seed=1))
-
-    def test_first_offending_pair_is_named(self):
-        recs = [
-            make_capture("G0", collection=1, months=0),
-            make_capture("P0", collection=2, months=6, pupil=-3.0),
-            make_capture("P1", collection=3, months=12, pupil=-7.0),
-        ]
-        with pytest.raises(ValueError, match=r"\(-3\.0, 110\.0\)"):
-            generate_genuine_pairs(capture_table(recs))
-
-    def test_capture_in_no_pair_is_not_checked(self):
-        # a subject with one collection forms no genuine pair
-        recs = [make_capture("G0", collection=1, months=0),
-                make_capture("P0", collection=2, months=6),
-                make_capture("X0", subject="S002", pupil=0.0)]
-        pairs = generate_genuine_pairs(capture_table(recs))
-        assert _pair_keys(pairs) == [("G0", "P0")]
-
     def test_later_collection_not_later_in_time_raises_data_error(self):
         recs = [
             make_capture("G0", collection=1, months=6),
@@ -267,12 +233,6 @@ class TestPreservedErrors:
         recs[2]["capture_time_months"] = -2**63 + 7
         pairs = generate_impostor_pairs(capture_table(recs[:3]), PairingConfig(base_seed=1))
         assert sorted(pairs.gap_T_months.tolist()) == [2**63 - 7] * 2 + [2**63 - 1] * 2
-
-    def test_time_order_is_checked_before_radii(self):
-        recs = [make_capture("G0", collection=1, months=6),
-                make_capture("P0", collection=2, months=6, pupil=0.0)]
-        with pytest.raises(DataError, match="probe P0"):
-            generate_genuine_pairs(capture_table(recs))
 
 
 class TestUnscoredTable:

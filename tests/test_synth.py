@@ -105,6 +105,22 @@ class TestGenerateLongitudinal:
         with pytest.raises(SynthConfigError, match="infeasible"):
             generate_longitudinal(small_config(covariates=cov))
 
+    @pytest.mark.parametrize("name, low, high, rule", [
+        ("Q", -50.0, -10.0, "'quality range': quality=-50.0"),
+        ("U", 0.0, 100.5, "'quality range': usable_area=100.5"),
+        ("C", -0.1, 50.0, "'quality range': circularity=-0.1"),
+        ("D", 0.0, 0.5, "'dilation bounds': pupil_radius=0.0 iris_radius=1.0"),
+        ("D", 0.5, 1.0, "'dilation bounds': pupil_radius=1.0 iris_radius=1.0"),
+        ("Q", 0.0, float("inf"), "'invalid number': quality=inf"),
+    ])
+    def test_covariate_bounds_must_keep_the_capture_rules(self, name, low, high, rule):
+        cov = dict(SynthConfig().covariates)
+        cov[name] = CovariateSpec(mean=low, sd=0.0, low=low, high=high)
+        with pytest.raises(SynthConfigError, match=f"^covariate '{name}' bounds "
+                                                   rf"\[{low}, {high}\] break the "
+                                                   f"capture-row rule {rule}$"):
+            small_config(covariates=cov)
+
     def test_config_validation(self):
         with pytest.raises(SynthConfigError):
             SynthConfig(session_schedule=(0, 6, 6))
@@ -133,6 +149,37 @@ class TestGenerateLongitudinal:
         with pytest.raises(SynthConfigError, match="comparisons exceed the limit"):
             SynthConfig(n_subjects=1, session_schedule=(0, 6),
                         images_per_eye_per_session=1001, include_impostors=False)
+
+
+def _covariate(rng, low, high):
+    """A CovariateSpec on bounds drawn from [low, high], perhaps `low` and
+    `high` themselves, with mass enough between them to draw from."""
+    bounds = np.sort(rng.uniform(low, high, 2))
+    if rng.uniform() < 0.4:
+        bounds[0] = low
+    if rng.uniform() < 0.4:
+        bounds[1] = high
+    lo, hi = (float(b) for b in bounds)
+    span = hi - lo
+    sd = 0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.05, 2.0) * span)
+    between = float(rng.uniform(0.05, 1.0) * span) if rng.uniform() < 0.4 else 0.0
+    return CovariateSpec(mean=float(rng.uniform(lo, hi)), sd=sd, low=lo, high=hi,
+                         between_sd=between)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_synth_writes_no_capture_its_ingest_rejects(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    # D lies in (0, 1): its limits are the doubles next to 0 and 1
+    covariates = {name: _covariate(rng, 0.0, 100.0) for name in ("Q", "U", "C")}
+    covariates["D"] = _covariate(rng, 5e-324, 1.0 - 2**-53)
+    cfg = small_config(n_subjects=6, covariates=covariates, include_impostors=False,
+                       images_per_eye_per_session=int(rng.integers(1, 3)), seed=seed)
+    result = generate_longitudinal(cfg)
+    write_captures(result.captures, tmp_path / "captures.csv")
+    ingested = ingest_captures(tmp_path / "captures.csv")
+    assert ingested.rejections == ()
+    assert capture_rows(ingested.table) == capture_rows(result.captures)
 
 
 class TestEndToEndOracle:

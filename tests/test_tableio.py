@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 
 from longmatch import tableio
 from longmatch.core import (
-    CAPTURE_COLUMNS, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS, ComparisonTable,
-    MatcherProfile,
+    CAPTURE_COLUMNS, CAPTURE_RULES, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS,
+    ComparisonTable, MatcherProfile,
 )
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
 from longmatch.tableio import (
-    BLOCK_ROWS, CAPTURE_HEADER, OUTSIDE_64_BITS, DuplicateImageIdError, IngestError,
-    TextColumns, ingest_captures, ingest_scores, open_text, read_pairs, read_table,
-    write_captures, write_pairs, write_scores, write_table,
+    BLOCK_ROWS, CAPTURE_HEADER, INTEGER_FAULT, MISSING_FIELD, NUMBER_FAULT, OUTSIDE_64_BITS,
+    DuplicateImageIdError, IngestError, TextColumns, ingest_captures, ingest_scores, open_text,
+    read_pairs, read_table, write_captures, write_pairs, write_scores, write_table,
 )
 
 from conftest import (
@@ -140,6 +141,17 @@ def test_capture_rules_table(tmp_path):
     with pytest.raises(DuplicateImageIdError,
                        match=f"duplicate image_id 'D' at data row {len(rows) + 1}$"):
         ingest_captures(path)
+
+
+def test_readme_lists_the_rejection_reasons_in_ingest_order():
+    # ingest applies the empty-cell rule, the rule on text, the parse of each
+    # number, then the other capture-row rules
+    steps = [MISSING_FIELD, CAPTURE_RULES[0][0], INTEGER_FAULT, NUMBER_FAULT,
+             *(rule[0] for rule in CAPTURE_RULES[1:])]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.split("Capture rows that break a row rule")[1]
+                         .split("\n\n")[0].split())
+    assert re.findall(r"\(`([^`]+)`\)", paragraph) == list(dict.fromkeys(steps))
 
 
 def test_int64_limits_accepted(tmp_path):
