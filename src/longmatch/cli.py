@@ -277,7 +277,7 @@ def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTabl
                            f"{path} has no scores for matcher {p.name!r} declared in "
                            f"config 'matchers' (re-run the pairs subcommand)")
         scores = table.scores[p.name]
-        outside = np.flatnonzero((scores < p.score_min) | (scores > p.score_max))
+        outside = np.flatnonzero(p.out_of_range(scores))
         if outside.size:
             row = int(outside[0])
             raise ScoreRangeError(f"{path}: score_{p.name} {float(scores[row])!r} at data row "

@@ -176,6 +176,10 @@ class MatcherProfile:
         if not (self.score_min <= self.default_threshold <= self.score_max):
             raise ValueError("default_threshold outside the score range")
 
+    def out_of_range(self, scores: np.ndarray) -> np.ndarray:
+        """Where `scores` lie outside [score_min, score_max]; NaN does."""
+        return ~((self.score_min <= scores) & (scores <= self.score_max))
+
 
 def _read_only(values, dtype, n: int) -> np.ndarray:
     """`values` as a read-only numpy array of `dtype`; ValueError unless it has

@@ -154,13 +154,13 @@ def _independent_columns(X: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _check_design(y: np.ndarray, X: np.ndarray, names: list[str], label: str) -> None:
-    """The checks a design gets once, when it is made: RankDeficientError
-    naming the columns of X aliased with those before them, and ModelError
-    naming the outcome `label` where the spread of y overflows float64, as it
-    then overflows every sum of squares after this one, in the fit and in
-    scoring held-out rows alike."""
-    keep = _independent_columns(X)
+def _check_design(y: np.ndarray, X: np.ndarray, names: list[str], label: str, fitted=True) -> None:
+    """The checks a design gets once, when it is made: for a design to be
+    `fitted`, RankDeficientError naming the columns of X aliased with those
+    before them; for every design, ModelError naming the outcome `label`
+    where the spread of y overflows float64, as it then overflows every sum
+    of squares after this one, in the fit and in scoring held-out rows alike."""
+    keep = _independent_columns(X) if fitted else np.ones(X.shape[1], dtype=bool)
     if not keep.all():
         raise RankDeficientError([name for name, kept in zip(names, keep) if not kept])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,7 +179,9 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     of the parent columns. Rows with any missing value are dropped and
     counted. Standardization of the outcome (when requested) uses the mean
     and sample sd within the modeled rows, or the training design's values
-    when `like` is given.
+    when `like` is given. Rows scored against `like` (a held-out CV fold) are
+    not fitted, so only a design without `like` is checked for all-zero and
+    aliased columns.
     """
     if not np.all(table.kind == GENUINE):
         raise DataError("models are fit on genuine comparisons only")
@@ -228,10 +230,10 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
     names = ["intercept"] + names
 
     for j, name in enumerate(names):
-        if j > 0 and not np.any(X[:, j] != 0.0):
+        if like is None and j > 0 and not np.any(X[:, j] != 0.0):
             raise ModelError(f"factor level absent from data: column {name!r} is all zero")
 
-    _check_design(y, X, names, f"outcome {spec.outcome!r}")
+    _check_design(y, X, names, f"outcome {spec.outcome!r}", fitted=like is None)
 
     scale = None
     if spec.standardize_outcome:

@@ -178,9 +178,9 @@ def det_curve(genuine, impostor, profile: MatcherProfile) -> DetCurve:
         alpha = d0 / (d0 - d1)
         eer = float((1 - alpha) * fmr_x[idx - 1] + alpha * fmr_x[idx])
 
-    fpr = np.concatenate([[1.0], fmr, [0.0]])
-    tpr = np.concatenate([[1.0], 1.0 - fnmr, [0.0]])
-    auc = float(np.trapezoid(tpr[::-1], fpr[::-1]))
+    fpr = np.concatenate([[0.0], fmr[::-1], [1.0]])
+    tpr = np.concatenate([[0.0], 1.0 - fnmr[::-1], [1.0]])
+    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())   # np.trapezoid's, numpy < 2 too
 
     out_thr = thresholds if profile.orientation == HIGHER_IS_BETTER else -thresholds
     return DetCurve(out_thr, fmr, fnmr, eer, auc)

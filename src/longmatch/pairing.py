@@ -8,14 +8,17 @@ Every capture keeps the capture-row rules (`core.CAPTURE_RULES`, checked
 when its CaptureTable was built), so pairing checks only what relates two
 captures: the differences of their times and ages.
 
+Both protocols are index arithmetic over one grouping of the capture table
+in its global sorted order (subject, eye, collection, time, image id): its
+(subject, eye) runs and where each subject starts.
+
 Genuine protocol: for each subject and eye, every image from the subject's
 first attended collection is a gallery template, compared against every
 same-eye image from strictly later collections.
 
-Impostor protocol: the capture table is put in its global sorted order
-(subject, eye, collection, time, image id); every image serves as gallery and
-up to `max_impostor_probes` same-eye images of other subjects are drawn
-without replacement. The draw for gallery row r uses SplitMix64 seeded with
+Impostor protocol: every image serves as gallery and up to
+`max_impostor_probes` same-eye images of other subjects are drawn without
+replacement. The draw for gallery row r uses SplitMix64 seeded with
 base_seed XOR r (r = 0-based position in the sorted table), so output is
 bit-identical across runs and platforms and each row's draw is independent
 of every other row.
@@ -24,6 +27,7 @@ of every other row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,20 +48,17 @@ class PairingConfig:
             raise ValueError("max_impostor_probes must be >= 1")
 
 
-def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
-                probe: list[int], kind: str) -> ComparisonTable:
-    """Unscored table of the pairs of rows (order[gallery[i]], order[probe[i]])
-    of `captures`, `order` being its canonical row order; the capture-derived
-    pair columns (delta_age_years, DC, Q_*, U_*, C_*, R_*) for genuine pairs only.
+def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
+                kind: str) -> ComparisonTable:
+    """Unscored table of the pairs of rows (g[i], p[i]) of `captures`; the
+    capture-derived pair columns (delta_age_years, DC, Q_*, U_*, C_*, R_*)
+    for genuine pairs only.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
     gaps are absolute. Both differences, of time and of age, must fit in
     int64; the first offending pair raises DataError. The rules on one
     capture, 0 < pupil < iris among them, held when `captures` was built.
     """
-    g = order[np.asarray(gallery, dtype=np.intp)]
-    p = order[np.asarray(probe, dtype=np.intp)]
-
     def difference(column):
         """column[p] - column[g] as int64 arrays wrap it, and where it wraps."""
         a, b = column[p], column[g]
@@ -85,12 +86,10 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
 
     columns = {}
     if kind == GENUINE:
-        sides = {"gallery": g, "probe": p}
-        values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity}
-        columns = {f"{name}_{side}": col[rows]
-                   for name, col in values.items() for side, rows in sides.items()}
-        ratio = captures.pupil_radius / captures.iris_radius
-        columns.update(R_gallery=ratio[g], R_probe=ratio[p])
+        values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity,
+                  "R": captures.pupil_radius / captures.iris_radius}
+        columns = {f"{name}_{side}": col[rows] for name, col in values.items()
+                   for side, rows in (("gallery", g), ("probe", p))}
         columns.update(delta_age_years=delta_age,
                        DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]))
     return ComparisonTable(
@@ -99,29 +98,35 @@ def _pair_table(captures: CaptureTable, order: np.ndarray, gallery: list[int],
         gap_T_months=gap, **columns, **captures.joined(g, p), scores={})
 
 
+def _sorted_runs(captures: CaptureTable):
+    """The canonical row order of `captures` and, over the rows in that
+    order: each row's (subject, eye) run, the first and one-past-last row
+    of every run, and the first row of every subject."""
+    order = captures.order()
+    subject, eye = captures.subject_id[order], captures.eye[order]
+    new_subject = np.ones(len(order), dtype=bool)
+    new_subject[1:] = subject[1:] != subject[:-1]
+    new_run = new_subject.copy()
+    new_run[1:] |= eye[1:] != eye[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], len(order))
+    return order, np.cumsum(new_run) - 1, starts, ends, np.flatnonzero(new_subject)
+
+
 def generate_genuine_pairs(captures: CaptureTable) -> ComparisonTable:
     """Fixed-gallery genuine pairs; subjects with one collection contribute none."""
-    order = captures.order()
-    subject = captures.subject_id[order].tolist()
-    eye = captures.eye[order].tolist()
-    collection = captures.collection_index[order].tolist()
-    # sorted positions of each subject, subjects in sorted order
-    by_subject: dict[str, list[int]] = {}
-    for idx, sid in enumerate(subject):
-        by_subject.setdefault(sid, []).append(idx)
-
-    gallery: list[int] = []
-    probe: list[int] = []
-    for rows in by_subject.values():
-        first = min(collection[r] for r in rows)
-        for e in ("L", "R"):
-            same_eye = [r for r in rows if eye[r] == e]
-            probes = [r for r in same_eye if collection[r] > first]
-            for r in same_eye:
-                if collection[r] == first:
-                    gallery += [r] * len(probes)
-                    probe += probes
-    return _pair_table(captures, order, gallery, probe, GENUINE)
+    order, run, starts, ends, subject_starts = _sorted_runs(captures)
+    collection = captures.collection_index[order]
+    first = np.repeat(np.minimum.reduceat(collection, subject_starts),
+                      np.diff(np.append(subject_starts, len(order))))
+    # a run is sorted by collection: its gallery rows, those of the subject's
+    # first collection, are a prefix, and every row after them is a probe
+    gallery = np.flatnonzero(collection == first)
+    probe_start = starts + np.bincount(run[gallery], minlength=len(starts))
+    n_probes = (ends - probe_start)[run[gallery]]
+    offsets = np.repeat(probe_start[run[gallery]] - (np.cumsum(n_probes) - n_probes), n_probes)
+    g = np.repeat(gallery, n_probes)
+    return _pair_table(captures, order[g], order[offsets + np.arange(len(g))], GENUINE)
 
 
 def generate_impostor_pairs(captures: CaptureTable,
@@ -133,35 +138,25 @@ def generate_impostor_pairs(captures: CaptureTable,
     partial Fisher-Yates shuffle driven by SplitMix64(base_seed XOR row).
     The pool is indexed virtually, so nothing is materialized per row.
     """
-    order = captures.order()
-    keys = list(zip(captures.subject_id[order].tolist(), captures.eye[order].tolist()))
-    # sorted positions of each eye's rows, and each (subject, eye) contiguous span
-    eye_rows: dict[str, list[int]] = {"L": [], "R": []}
-    spans: dict[tuple[str, str], tuple[int, int]] = {}
-    for idx, key in enumerate(keys):
-        lst = eye_rows.setdefault(key[1], [])
-        if key not in spans:
-            spans[key] = (len(lst), len(lst))
-        a, _ = spans[key]
-        lst.append(idx)
-        spans[key] = (a, len(lst))
-
-    gallery: list[int] = []
-    probe: list[int] = []
-    for row_index, key in enumerate(keys):
-        lst = eye_rows[key[1]]
-        a, b = spans[key]
-        own = b - a
-        pool_size = len(lst) - own
-        if pool_size == 0:
-            continue
-        k = min(pool_size, cfg.max_impostor_probes)
-        seed = cfg.base_seed ^ row_index
-        for pos in sample_indices(pool_size, k, seed):
-            gallery.append(row_index)
-            # skip over the gallery subject's own contiguous block
-            probe.append(lst[pos if pos < a else pos + own])
-    return _pair_table(captures, order, gallery, probe, IMPOSTOR)
+    order, run, starts, ends, _ = _sorted_runs(captures)
+    n = len(order)
+    right = captures.eye[order] == "R"
+    # the sorted rows of the left eye, then of the right; slot[r] is row r's place
+    by_eye = np.argsort(right, kind="stable")
+    slot = np.argsort(by_eye)
+    n_left = n - int(right.sum())
+    eye_start = np.where(right, n_left, 0)
+    own = (ends - starts)[run]
+    own_start = slot[starts][run]
+    pool = np.where(right, n - n_left, n_left) - own
+    k = np.minimum(pool, min(cfg.max_impostor_probes, n))
+    draws = [sample_indices(size, count, cfg.base_seed ^ row)
+             for row, (size, count) in enumerate(zip(pool.tolist(), k.tolist())) if count]
+    g = np.repeat(np.arange(n), k)
+    j = eye_start[g] + np.fromiter(chain.from_iterable(draws), dtype=np.intp, count=len(g))
+    # skip over the gallery subject's own contiguous block
+    p = by_eye[j + own[g] * (j >= own_start[g])]
+    return _pair_table(captures, order[g], order[p], IMPOSTOR)
 
 
 @dataclass(frozen=True)
@@ -189,15 +184,15 @@ def attach_scores(pairs: ComparisonTable, scores: ScoreTable,
     """
     gallery = pairs.gallery_image_id.tolist()
     probe = pairs.probe_image_id.tolist()
+    score = np.append(scores.score, np.nan)   # row -1 reads the NaN after the last score
     rows = np.empty((len(pairs), len(profiles)), dtype=np.intp)
+    outside = np.empty(rows.shape, dtype=bool)
     for j, profile in enumerate(profiles):
         rows[:, j] = scores.rows(gallery, probe, profile.name)
+        outside[:, j] = profile.out_of_range(score[rows[:, j]])
     present = rows >= 0
-    # row -1 reads the NaN appended after the last score
-    values = np.append(scores.score, np.nan)[rows]
-    low = np.array([profile.score_min for profile in profiles])
-    high = np.array([profile.score_max for profile in profiles])
-    outside = np.flatnonzero(present & ~((low <= values) & (values <= high)))
+    values = score[rows]
+    outside = np.flatnonzero(present & outside)
     if outside.size:
         i, j = divmod(int(outside[0]), len(profiles))
         profile = profiles[j]

@@ -347,9 +347,7 @@ def generate_longitudinal(cfg: SynthConfig) -> SynthResult:
         iris_radius=iris)
 
     gen_table = generate_genuine_pairs(captures)
-    subj_index = {sid: i for i, sid in enumerate(subject_ids)}
-    gi = np.fromiter((subj_index[s] for s in gen_table.gallery_subject),
-                     dtype=np.int64, count=len(gen_table))
+    gi = subj_arr[captures.rows(gen_table.gallery_image_id)]
     gap = gen_table.column("T")
 
     # (pairs, matcher, scores) blocks of the score table: genuine blocks in

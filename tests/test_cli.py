@@ -745,6 +745,21 @@ def test_package_names_resolve_to_their_submodules():
         from longmatch import no_such_name  # noqa: F401
 
 
+def test_traced_launcher_finds_the_names_it_wraps(tmp_path):
+    # perfbench/launcher.py rebinds package functions by name and reads
+    # cli._COMMANDS and ComparisonTable.concat; a rename blanks its spans or
+    # crashes it, and only a traced run shows it
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_config(tmp_path / "config.json", tmp_path / "out")
+    spans = tmp_path / "spans.json"
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "launcher.py"), str(spans),
+                          "synth", "--config", str(cfg)],
+                         env=_env_without_blas_threads(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert {"cli.cmd.synth", "synth.generate", "pairing.genuine", "pairing.impostor"} <= names
+
+
 def test_model_outputs_match_golden(tmp_path):
     # numeric cells of the model tables on the write_config config, written
     # by the L-BFGS-B fitter this package used before its Newton fitter; a

@@ -275,6 +275,23 @@ class TestDetCurve:
                 assert np.all(np.diff(curve.fmr) <= 0)
                 assert np.all(np.diff(curve.fnmr) >= 0)
 
+    def test_auc_needs_no_np_trapezoid(self, similarity_profile, monkeypatch):
+        # np.trapezoid arrived in numpy 2.0; the AUC keeps its bits without it
+        rng = np.random.default_rng(23)
+        cases = [(np.round(rng.normal(1.0, 1.0, n), 1), np.round(rng.normal(0.0, 1.0, 2 * n), 1))
+                 for n in (5, 97, 1000)]
+        expected = []
+        for g, im in cases:
+            curve = det_curve(g, im, similarity_profile)
+            fpr = np.concatenate([[1.0], curve.fmr, [0.0]])[::-1]
+            tpr = np.concatenate([[1.0], 1.0 - curve.fnmr, [0.0]])[::-1]
+            assert float(np.trapezoid(tpr, fpr)) == curve.auc
+            expected.append(curve.auc)
+        monkeypatch.delattr(np, "trapezoid")
+        for (g, im), auc in zip(cases, expected):
+            assert np.float64(det_curve(g, im, similarity_profile).auc).view(np.uint64) == \
+                np.float64(auc).view(np.uint64)
+
     def test_eer_matches_brute_force(self, similarity_profile):
         rng = np.random.default_rng(22)
         for trial in range(30):

@@ -6,9 +6,11 @@ from longmatch.core import (
     DataError, MatcherProfile, ScoreRangeError, ScoreTable,
 )
 from longmatch.pairing import (
-    AttachResult, IncompletePair, PairingConfig, attach_scores, generate_genuine_pairs,
-    generate_impostor_pairs,
+    AttachResult, IncompletePair, PairingConfig, _pair_table, attach_scores,
+    generate_genuine_pairs, generate_impostor_pairs,
 )
+from longmatch.rng import sample_indices
+from longmatch.synth import SynthConfig, generate_longitudinal
 
 from conftest import (
     capture_rows, capture_table, make_capture, random_capture_table, score_table,
@@ -398,3 +400,155 @@ def test_join_on_an_empty_score_table():
     assert all(p.missing_matchers == ("m1", "m2") for p in expected[2])
     assert _join_outcome(attach_scores, pairs.select(np.zeros(len(pairs), dtype=bool)),
                          empty, profiles)[2] == ()
+
+
+def _genuine_loop(captures):
+    """The oracle: the per-subject loop over lists of sorted rows that
+    `generate_genuine_pairs` replaced."""
+    order = captures.order()
+    subject = captures.subject_id[order].tolist()
+    eye = captures.eye[order].tolist()
+    collection = captures.collection_index[order].tolist()
+    by_subject: dict[str, list[int]] = {}
+    for idx, sid in enumerate(subject):
+        by_subject.setdefault(sid, []).append(idx)
+    gallery: list[int] = []
+    probe: list[int] = []
+    for rows in by_subject.values():
+        first = min(collection[r] for r in rows)
+        for e in ("L", "R"):
+            same_eye = [r for r in rows if eye[r] == e]
+            probes = [r for r in same_eye if collection[r] > first]
+            for r in same_eye:
+                if collection[r] == first:
+                    gallery += [r] * len(probes)
+                    probe += probes
+    return _pair_table(captures, order[np.asarray(gallery, dtype=np.intp)],
+                       order[np.asarray(probe, dtype=np.intp)], GENUINE)
+
+
+def _impostor_loop(captures, cfg):
+    """The oracle: the per-row loop over per-eye row lists and per-(subject,
+    eye) spans that `generate_impostor_pairs` replaced."""
+    order = captures.order()
+    keys = list(zip(captures.subject_id[order].tolist(), captures.eye[order].tolist()))
+    eye_rows: dict[str, list[int]] = {"L": [], "R": []}
+    spans: dict[tuple[str, str], tuple[int, int]] = {}
+    for idx, key in enumerate(keys):
+        lst = eye_rows.setdefault(key[1], [])
+        if key not in spans:
+            spans[key] = (len(lst), len(lst))
+        a, _ = spans[key]
+        lst.append(idx)
+        spans[key] = (a, len(lst))
+    gallery: list[int] = []
+    probe: list[int] = []
+    for row_index, key in enumerate(keys):
+        lst = eye_rows[key[1]]
+        a, b = spans[key]
+        own = b - a
+        pool_size = len(lst) - own
+        if pool_size == 0:
+            continue
+        k = min(pool_size, cfg.max_impostor_probes)
+        for pos in sample_indices(pool_size, k, cfg.base_seed ^ row_index):
+            gallery.append(row_index)
+            probe.append(lst[pos if pos < a else pos + own])
+    return _pair_table(captures, order[np.asarray(gallery, dtype=np.intp)],
+                       order[np.asarray(probe, dtype=np.intp)], IMPOSTOR)
+
+
+def _pairing_outcome(protocol, *args):
+    """Every column of the table `protocol` gives, with its dtype and float
+    columns as bit patterns, or the text of the DataError it raises."""
+    try:
+        table = protocol(*args)
+    except DataError as exc:
+        return str(exc)
+    columns = {name: getattr(table, name) for name in table.columns}
+    return table.matchers, {
+        name: (values.dtype.str,
+               (values.view(np.uint64) if values.dtype == np.float64 else values).tolist())
+        for name, values in columns.items()}
+
+
+def _fuzzed_captures(rng, n_subjects, eyes=("L", "R"), p_absent=0.25, p_late=0.0):
+    """Captures of `n_subjects` subjects in shuffled file order, ids sorting
+    apart from creation order: one to four collections each, an eye absent
+    from a collection (the first among them) with probability `p_absent`,
+    one to three images per eye, ties in time within a collection, and with
+    probability `p_late` a capture no later than an earlier collection's."""
+    subjects = [f"S{i}" for i in rng.permutation(max(n_subjects, 1) * 3)[:n_subjects]]
+    rows = []
+    for subject in subjects:
+        n_collections = int(rng.integers(1, 5))
+        for c in sorted(rng.choice(np.arange(1, 8), n_collections, replace=False).tolist()):
+            for eye in eyes:
+                if rng.uniform() < p_absent:
+                    continue
+                for _ in range(int(rng.integers(1, 4))):
+                    months = 6 * c + int(rng.integers(0, 3))
+                    if rng.uniform() < p_late:
+                        months -= 12
+                    rows.append(make_capture("", subject=subject, eye=eye, collection=c,
+                                             months=months, age=5 + c // 2,
+                                             quality=float(rng.uniform(0, 100)),
+                                             pupil=float(rng.uniform(20, 60))))
+    for i, row in zip(rng.permutation(len(rows)), rows):
+        row["image_id"] = f"I{i:04d}"
+    return capture_table([rows[i] for i in rng.permutation(len(rows))])
+
+
+def _assert_protocols_match(captures, cfg):
+    genuine = _pairing_outcome(_genuine_loop, captures)
+    assert _pairing_outcome(generate_genuine_pairs, captures) == genuine
+    impostor = _pairing_outcome(_impostor_loop, captures, cfg)
+    assert _pairing_outcome(generate_impostor_pairs, captures, cfg) == impostor
+    return genuine, impostor
+
+
+@pytest.mark.parametrize("n_subjects, eyes, p_absent, probes, seed", [
+    (0, ("L", "R"), 0.0, 3, 0),                     # empty
+    (1, ("L", "R"), 0.0, 3, 2**64 - 1),             # one subject: no impostor pool
+    (6, ("L",), 0.0, 2, 0),                         # one eye only
+    (6, ("R",), 0.3, 2, 2**64 - 1),
+    (5, ("L", "R"), 0.5, 1000, 7),                  # max_impostor_probes past every pool
+    (8, ("L", "R"), 0.6, 1, 2**64 - 1),             # eyes absent from first collections
+])
+def test_pairing_matches_the_per_row_loops_on_shaped_tables(n_subjects, eyes, p_absent,
+                                                            probes, seed):
+    for trial in range(10):
+        rng = np.random.default_rng([n_subjects, trial])
+        captures = _fuzzed_captures(rng, n_subjects, eyes, p_absent)
+        _assert_protocols_match(captures, PairingConfig(probes, seed))
+
+
+def test_pairing_matches_the_per_row_loops_on_fuzzed_tables():
+    outcomes = []
+    for trial in range(300):
+        rng = np.random.default_rng(trial)
+        eyes = [("L", "R"), ("L",), ("R",), ("R", "L")][int(rng.integers(4))]
+        captures = _fuzzed_captures(rng, int(rng.integers(0, 9)), eyes,
+                                    float(rng.choice([0.0, 0.25, 0.6])),
+                                    float(rng.choice([0.0, 0.0, 0.05])))
+        seed = [0, 2**64 - 1, int(rng.integers(2**63))][trial % 3]
+        cfg = PairingConfig(int(rng.choice([1, 2, 5, 50])), seed)
+        outcomes.append((len(captures), *_assert_protocols_match(captures, cfg)))
+    genuine = [g for _, g, _ in outcomes]
+    # the fuzz reaches empty tables, pairs, no genuine pairs and the time-order fault
+    assert any(n == 0 for n, _, _ in outcomes)
+    assert any(isinstance(g, str) for g in genuine)
+    assert any(not isinstance(g, str) and g[1]["kind"][1] for g in genuine)
+    assert any(n and not isinstance(g, str) and not g[1]["kind"][1]
+               for n, g, _ in outcomes)
+
+
+@pytest.mark.parametrize("n_subjects, per_eye, probes, seed", [
+    (12, 1, 3, 17), (20, 2, 10, 2**64 - 1), (30, 1, 40, 0)])
+def test_pairing_matches_the_per_row_loops_on_synth_captures(n_subjects, per_eye, probes,
+                                                             seed):
+    cfg = SynthConfig(n_subjects=n_subjects, session_schedule=(0, 6, 12, 24),
+                      images_per_eye_per_session=per_eye, attrition_rate=0.2,
+                      include_impostors=False, seed=n_subjects)
+    captures = generate_longitudinal(cfg).captures
+    _assert_protocols_match(captures, PairingConfig(probes, seed))

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from longmatch.cli import main
 from longmatch.lmm import Continuous, ModelSpec, fit_reml, fit_spec, marginal_r2
 from longmatch.rng import shuffled
 from longmatch.validation import kfold_subject_cv, residual_diagnostics
@@ -73,6 +76,32 @@ class TestKfoldSubjectCv:
         y[np.isin(table.gallery_subject, held)] = value
         with pytest.raises(ValueError, match="fold 0: the held-out outcome is constant"):
             kfold_subject_cv(table.with_scores({"m1": y}), spec, k=5, seed=3)
+
+    # ten subjects enrolled at ages 4 and 5: a held-out fold often shares one
+    # enrollment age, or one gap, although every training fold but seed 5's
+    # identifies both
+    @pytest.mark.parametrize("seed, code", [(1, 0), (3, 0), (5, 7)])
+    def test_held_out_fold_is_scored_not_fitted(self, tmp_path, capsys, seed, code):
+        config = {
+            "out": str(tmp_path / "out"), "captures": "captures.csv", "scores": "scores.csv",
+            "matchers": [{"name": "simmatch", "orientation": "higher", "score_min": -1e6,
+                          "score_max": 1e6, "default_threshold": 150.0}],
+            "model": {"outcome": "simmatch", "quality_terms": ["Q_gallery"],
+                      "random_structure": "intercept"},
+            "cv": {"k": 5},
+            "synth": {"n_subjects": 10, "enrollment_age_low": 4, "enrollment_age_high": 5,
+                      "session_schedule": [0, 12, 24], "images_per_eye_per_session": 1},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("synth", "pairs"):
+            assert main([command, "--config", str(path), "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert main(["cv", "--config", str(path), "--seed", str(seed)]) == code
+        if code:   # the training fold itself is rank deficient
+            assert "rank deficient" in capsys.readouterr().err
+        else:
+            assert (tmp_path / "out" / "cv_report.csv").read_text().count("\n") == 6
 
     def test_k_too_small_or_large(self):
         rng = np.random.default_rng(44)
