@@ -270,12 +270,8 @@ def _load_pairs(ctx: RunContext, kind: str, profiles, columns) -> ComparisonTabl
                        f"{path} does not exist (run the pairs subcommand first)")
     ctx.record_input(path)
     columns = (*columns, *(f"score_{p.name}" for p in profiles))
-    table = read_pairs(path, lambda: _load_captures(ctx).table, columns)
+    table = read_pairs(path, kind, lambda: _load_captures(ctx).table, columns)
     for p in profiles:
-        if p.name not in table.scores:
-            raise CliError(EXIT_DATA_INVALID,
-                           f"{path} has no scores for matcher {p.name!r} declared in "
-                           f"config 'matchers' (re-run the pairs subcommand)")
         scores = table.scores[p.name]
         outside = np.flatnonzero(p.out_of_range(scores))
         if outside.size:

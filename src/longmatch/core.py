@@ -251,7 +251,7 @@ class ScoreTable:
 
     Holds one numpy column per SCORE_COLUMNS entry, as the attribute of that
     name; the key -> row lookup is built once, and a key that repeats raises
-    DataError naming it.
+    DataError naming it and the 1-based row of its first repeat.
     """
 
     def __init__(self, **columns):
@@ -261,9 +261,9 @@ class ScoreTable:
         self._row = dict(zip(keys, range(len(keys))))
         if len(self._row) < len(keys):
             seen = set()
-            for key in keys:
+            for row, key in enumerate(keys, 1):
                 if key in seen:
-                    raise DataError(f"duplicate score row for {key}")
+                    raise DataError(f"duplicate score row for {key} at data row {row}")
                 seen.add(key)
 
     def rows(self, gallery_image_ids, probe_image_ids, matcher: str) -> np.ndarray:

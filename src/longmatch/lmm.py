@@ -769,7 +769,7 @@ def icc(fit: FittedModel) -> float:
     return s_u0 / (s_u0 + fit.sigma2)
 
 
-def marginal_r2(fit: FittedModel, X: np.ndarray | None = None) -> float:
+def marginal_r2(fit: FittedModel) -> float:
     """Fixed-effects variance share: var(Xb) / (var(Xb) + RE + sigma2).
 
     The random-effect contribution evaluates Sigma with the slope component
@@ -778,7 +778,7 @@ def marginal_r2(fit: FittedModel, X: np.ndarray | None = None) -> float:
     which is why subject-level out-of-sample R2 can sit well below this
     within-sample value.
     """
-    fitted = np.asarray(fit.design.X if X is None else X, dtype=np.float64) @ fit.beta
+    fitted = fit.design.X @ fit.beta
     var_f = float(np.var(fitted))
     if fit.Sigma.shape[0] == 1:
         re_var = float(fit.Sigma[0, 0])

@@ -7,16 +7,16 @@ csv's minimal quoting and "\r\n" line ends; a float is written as its
 shortest round-trip repr, formatted once per distinct value in a block, so
 every table round-trips bit-exactly.
 
-`read_table` is given each column's dtype, and may be given the columns to
-read (a projection: `read_pairs` reads the pair columns a subcommand uses,
-and no other column is parsed or judged). It picks one of two paths from
-the file's text. Text that is printable ASCII, TAB, CR and LF with no `"`,
+`read_table` is given a schema, each column to read with its dtype; every
+one is required and no other column is parsed or judged (`read_pairs` asks
+for the pair columns a subcommand uses). It picks one of two paths from the
+file's text. Text that is printable ASCII, TAB, CR and LF with no `"`,
 whose lines fit csv's field size limit and hold as many commas as the
 header, goes to one `np.loadtxt` call that splits every line and converts
 the cells of the columns read in C; its float parse is the one float()
 runs, and on that alphabet it accepts no cell that int() or float() would
 refuse or read otherwise. Any other text (a ragged row among it, even one
-short only outside the projection, which `np.loadtxt` with `usecols` would
+short only outside the schema, which `np.loadtxt` with `usecols` would
 read), and any text `np.loadtxt` refuses (a bad cell) or reads to fewer
 rows than it has data lines (a blank line), goes through csv.reader and
 int()/float() cell by cell, the path that names faults and short rows;
@@ -38,9 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    CAPTURE_COLUMNS, CAPTURE_RULES, GENUINE, IMPOSTOR, JOINED_COLUMNS, PAIR_COLUMNS,
-    SCORE_COLUMNS, CaptureTable, ComparisonTable, DataError, DuplicateImageIdError, ScoreTable,
-    rule_breaks,
+    CAPTURE_COLUMNS, CAPTURE_RULES, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS, CaptureTable,
+    ComparisonTable, DataError, DuplicateImageIdError, ScoreTable, rule_breaks,
 )
 
 CAPTURE_HEADER = list(CAPTURE_COLUMNS)
@@ -156,10 +155,14 @@ def write_captures(table: CaptureTable, path) -> None:
 
 
 def ingest_scores(path) -> ScoreTable:
-    """Read a score table; IngestError names a cell that does not parse,
-    DataError a (gallery, probe, matcher) key that repeats."""
+    """Read a score table; IngestError names a cell that does not parse, and
+    DataError the file and data row of a repeated (gallery, probe, matcher) key."""
     text = read_table(path, SCORE_COLUMNS)
-    return ScoreTable(**{name: text.column(name) for name in SCORE_HEADER})
+    columns = {name: text.column(name) for name in SCORE_HEADER}
+    try:
+        return ScoreTable(**columns)
+    except DataError as exc:
+        raise DataError(f"{text.path}: {exc}") from None
 
 
 def write_scores(table: ScoreTable, path) -> None:
@@ -174,32 +177,37 @@ def write_pairs(table: ComparisonTable, path) -> None:
                 [*(getattr(table, name) for name in names), *table.scores.values()])
 
 
-def read_pairs(path, captures: Callable[[], CaptureTable], columns) -> ComparisonTable:
-    """Read a pair table back, in the `columns` a caller uses.
+def read_pairs(path, kind: str, captures: Callable[[], CaptureTable], columns) -> ComparisonTable:
+    """The `kind` ("genuine" or "impostor") pair table at `path`, in the
+    `columns` a caller uses.
 
     The pair file holds the PAIR_COLUMNS its table held (`write_pairs`:
     every one for genuine pairs, the key columns for impostor pairs) and one
-    score_<matcher> column per matcher. `columns` names what to read:
-    PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher> file columns,
-    `kind` always read with them; a score column the file lacks is left out,
-    and any other column it lacks raises IngestError. The JOINED_COLUMNS
-    (subjects, A_gallery/A_probe) are joined in through the two image ids
-    only when one of them is asked for; only then is `captures` called, with
-    no argument, for the capture table. A kind other than genuine or
-    impostor, an id missing from the capture table (when joining), a
-    non-finite real or score cell and a negative gap_T_months read raise
-    IngestError naming the row; a column not read is not parsed or judged.
+    score_<matcher> column per matcher. `columns` names what to read, each
+    required: PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher>
+    file columns, `kind` always read with them; any other name raises
+    ValueError. The JOINED_COLUMNS (subjects, A_gallery/A_probe) are joined
+    in through the two image ids only when one of them is asked for; only
+    then is `captures` called, with no argument, for the capture table. A
+    column the file lacks, a row of another kind, an id missing from the
+    capture table (when joining), a non-finite real or score cell and a
+    negative gap_T_months read raise IngestError naming the row; a column
+    not read is not parsed or judged.
     """
     path = Path(path)
     join = not JOINED_COLUMNS.keys().isdisjoint(columns)
     ids = ("gallery_image_id", "probe_image_id") if join else ()
-    columns = {"kind", *columns, *ids} - JOINED_COLUMNS.keys()
-    schema = {name: dtype for name, dtype in PAIR_COLUMNS.items() if name in columns}
-    text = read_table(path, schema, _score_dtype, columns)
-    kind = text.column("kind")
-    bad = np.flatnonzero((kind != GENUINE) & (kind != IMPOSTOR))
-    if bad.size:
-        raise IngestError(f"{path}: bad kind {kind[bad[0]]!r} at data row {bad[0] + 1}")
+    wanted = {"kind", *columns, *ids} - JOINED_COLUMNS.keys()
+    foreign = sorted(n for n in wanted if n not in PAIR_COLUMNS and not n.startswith("score_"))
+    if foreign:
+        raise ValueError(f"read_pairs cannot read column(s) {foreign}")
+    schema = {name: dtype for name, dtype in PAIR_COLUMNS.items() if name in wanted}
+    text = read_table(path, {**schema, **dict.fromkeys(
+        (name for name in columns if name.startswith("score_")), np.float64)})
+    other = np.flatnonzero(text.column("kind") != kind)
+    if other.size:
+        raise IngestError(f"{path}: {text.cells['kind'][other[0]]!r} pair at data row "
+                          f"{other[0] + 1} of a file of {kind} pairs")
     names = [*schema, *(name for name in text.cells if name.startswith("score_"))]
     parsed = {name: text.column(name) for name in names}
 
@@ -222,11 +230,6 @@ def read_pairs(path, captures: Callable[[], CaptureTable], columns) -> Compariso
         raise IngestError(f"{path}: negative gap_T_months at data row {row}")
     scores = {name[len("score_"):]: parsed.pop(name) for name in names[len(schema):]}
     return ComparisonTable(**parsed, **joined, scores=scores)
-
-
-def _score_dtype(name: str):
-    """The dtype of a pair-file column outside PAIR_COLUMNS."""
-    return np.float64 if name.startswith("score_") else object
 
 
 def _stripped(cells):
@@ -295,10 +298,10 @@ class TextColumns:
     with fewer cells than the header is padded with "" cells."""
     path: Path
     n_rows: int
-    # header name -> its column, in header order: a sequence of cell texts,
+    # schema name -> its column, in header order: a sequence of cell texts,
     # or the numeric array read_table's one-pass parse made of them
     cells: dict
-    dtypes: dict   # header name -> the dtype `parse` reads its column as
+    dtypes: dict   # schema name -> the dtype `parse` reads its column as
     short_row: str   # the error of the first data row shorter than the header, or ""
 
     def __len__(self) -> int:
@@ -341,40 +344,31 @@ class TextColumns:
         return values
 
 
-def read_table(path, schema, other=lambda name: object, only=None) -> TextColumns:
-    """The columns of the delimited-text table at `path`: the one table reader.
+def read_table(path, schema) -> TextColumns:
+    """The `schema` columns of the delimited-text table at `path`: the one
+    table reader.
 
-    `schema` maps each name the header must hold to the dtype its column is
-    read as; `other(name)` gives the dtype of any other header name. `only`,
-    when given, holds every `schema` name and any other names to read: a
-    header name outside it is not read, and a name of it that the header
-    lacks is left out. A repeated name keeps its first column. Text
-    `_read_plain` accepts is parsed in one pass; any other goes through
+    `schema` maps each name to read to the dtype its column is read as;
+    every name is required, and a name the header lacks raises IngestError.
+    No other column is read. A repeated header name keeps its first column.
+    Text `_read_plain` accepts is parsed in one pass; any other goes through
     csv.reader. The cyclic garbage collector is paused while rows accumulate
     and transpose: it would traverse them again and again.
     """
     path = Path(path)
-
-    def dtype_of(name):
-        return schema[name] if name in schema else other(name)
-
-    def read(header):
-        """The names of `header` to read, each once, in header order."""
-        return [name for name in dict.fromkeys(header) if only is None or name in only]
-
     collecting = gc.isenabled()
     gc.disable()
     try:
-        table = _read_plain(path, schema, dtype_of, read)
-        return _read_csv(path, schema, dtype_of, read) if table is None else table
+        table = _read_plain(path, schema)
+        return _read_csv(path, schema) if table is None else table
     finally:
         if collecting:
             gc.enable()
 
 
-def _read_plain(path: Path, schema, dtype_of, read) -> TextColumns | None:
-    """The `read(header)` columns of the table at `path` parsed by one
-    np.loadtxt call, or None when its text needs csv.reader: a byte outside
+def _read_plain(path: Path, schema) -> TextColumns | None:
+    """The `schema` columns of the table at `path` parsed by one np.loadtxt
+    call, or None when its text needs csv.reader: a byte outside
     _PLAIN_BYTES, a line longer than csv's field size limit, no data row, a
     missing column, a line whose comma count is not the header's (np.loadtxt
     would not see a ragged row outside the columns read), a cell or row
@@ -390,29 +384,29 @@ def _read_plain(path: Path, schema, dtype_of, read) -> TextColumns | None:
         return None
     if len(set(map(str.count, lines, repeat(",")))) > 1:
         return None
-    dtypes = {name: dtype_of(name) for name in read(header)}
+    names = [name for name in dict.fromkeys(header) if name in schema]
     try:
         # a warning also sends the text to csv.reader: numpy < 2 warns, where
         # int() fails, on an integer cell like "8.0", and all-blank data warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None,
-                              dtype=[(f"f{i}", dtype) for i, dtype in enumerate(dtypes.values())],
-                              usecols=[header.index(name) for name in dtypes], ndmin=1)
+                              dtype=[(f"f{i}", schema[name]) for i, name in enumerate(names)],
+                              usecols=[header.index(name) for name in names], ndmin=1)
     except (ValueError, Warning):
         return None
     if len(rows) != len(lines) - 1:
         return None
     cells = {}
-    for i, (name, dtype) in enumerate(dtypes.items()):   # copies, not strided views
+    for i, name in enumerate(names):   # copies, not strided views
         values = rows[f"f{i}"]
-        cells[name] = values.tolist() if dtype is object else values.copy()
-    return TextColumns(path, len(rows), cells, dtypes, "")
+        cells[name] = values.tolist() if schema[name] is object else values.copy()
+    return TextColumns(path, len(rows), cells, dict(schema), "")
 
 
-def _read_csv(path: Path, schema, dtype_of, read) -> TextColumns:
-    """The `read(header)` columns of the table at `path` split by csv.reader,
-    their cells left as text; a short row is judged on every column."""
+def _read_csv(path: Path, schema) -> TextColumns:
+    """The `schema` columns of the table at `path` split by csv.reader, their
+    cells left as text; a short row is judged on every column."""
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -430,7 +424,6 @@ def _read_csv(path: Path, schema, dtype_of, read) -> TextColumns:
         rows = [row + [""] * (width - len(row)) for row in rows]
     cells: dict[str, tuple[str, ...]] = {}
     for name, column in zip(header, zip(*rows) if rows else [()] * width):
-        cells.setdefault(name, column)
-    cells = {name: cells[name] for name in read(header)}
-    return TextColumns(path, len(rows), cells, {name: dtype_of(name) for name in cells},
-                       short_row)
+        if name in schema:
+            cells.setdefault(name, column)
+    return TextColumns(path, len(rows), cells, dict(schema), short_row)

@@ -463,11 +463,10 @@ def test_matcher_missing_from_pair_tables_exit_five(tmp_path, capsys):
                                "default_threshold": 0.5})
     cfg.write_text(json.dumps(config), encoding="utf-8")
     capsys.readouterr()
-    for command in ("calibrate", "fnmr", "det", "failures", "fuse"):
+    for command in ("calibrate", "fnmr", "det", "failures", "fuse", "lmm", "apc", "cv"):
         assert main([command, "--config", str(cfg)]) == 5
         line = _one_error_line(capsys, "data-invalid")
-        assert "'nope'" in line and "pairs_genuine.csv" in line
-        assert "re-run the pairs subcommand" in line
+        assert "pairs_genuine.csv: missing mandatory column(s) ['score_nope']" in line
 
 
 @pytest.mark.parametrize("damage", ["non-numeric", "truncated"])
@@ -608,10 +607,11 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         assert not {"urllib.request", "http.client", "email"} & set(modules), command
 
 
-# the pair columns each subcommand asks read_pairs for, by pair file in the
-# order read; read_pairs reads kind with any set, and the two image ids with
-# a joined column such as gallery_subject. The config's matchers are simA
-# and simB, and its model names Q_gallery, Q_probe and DC besides simA.
+# the pair columns each subcommand asks read_pairs for, by the kind of pair
+# file, in the order read; read_pairs reads kind with any set, and the two
+# image ids with a joined column such as gallery_subject. The config's
+# matchers are simA and simB, and its model names Q_gallery, Q_probe and DC
+# besides simA.
 _SCORES = {"score_simA", "score_simB"}
 _MODEL_READ = {"eye", "gallery_subject", "A_gallery", "A_probe", "gap_T_months",
                "delta_age_years", "Q_gallery", "Q_probe", "DC", *_SCORES}
@@ -638,9 +638,10 @@ def test_each_subcommand_reads_only_its_pair_columns(tmp_path, monkeypatch):
     run_pipeline(cfg, ["synth", "pairs"])
     read_pairs, ingest_captures, asked, ingested = cli.read_pairs, cli.ingest_captures, [], []
 
-    def recording(path, captures, columns):
-        asked.append((Path(path).stem.removeprefix("pairs_"), set(columns)))
-        return read_pairs(path, captures, columns)
+    def recording(path, kind, captures, columns):
+        assert Path(path).name == f"pairs_{kind}.csv"
+        asked.append((kind, set(columns)))
+        return read_pairs(path, kind, captures, columns)
 
     def counting(path):
         ingested.append(Path(path).name)
@@ -760,6 +761,26 @@ def test_traced_launcher_finds_the_names_it_wraps(tmp_path):
     assert {"cli.cmd.synth", "synth.generate", "pairing.genuine", "pairing.impostor"} <= names
 
 
+def test_traced_launcher_counts_the_pair_rows_it_reads(tmp_path):
+    # perfbench/launcher.py wraps read_pairs by name in cli's namespace and
+    # counts its rows with len(): a change of its signature or result shows
+    # only in a traced run
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_config(tmp_path / "config.json", tmp_path / "out")
+    run_pipeline(cfg, ["synth", "pairs"])
+    spans = tmp_path / "spans.json"
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "launcher.py"), str(spans),
+                          "calibrate", "--config", str(cfg)],
+                         env=_env_without_blas_threads(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    counts = [span[5] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]
+              if span[0] == "tableio.read_pairs"]
+    data_rows = [len((tmp_path / "out" / f"pairs_{kind}.csv").read_bytes().splitlines()) - 1
+                 for kind in ("genuine", "impostor")]
+    assert min(data_rows) > 0
+    assert counts == [{"rows": n} for n in data_rows]
+
+
 def test_model_outputs_match_golden(tmp_path):
     # numeric cells of the model tables on the write_config config, written
     # by the L-BFGS-B fitter this package used before its Newton fitter; a
@@ -852,6 +873,14 @@ def _first(column: str):
         for cells in lines[:-1]:   # the text after the last line break is empty
             cells.insert(0, cells.pop(i))
         return "\r\n".join(",".join(cells) for cells in lines).encode("utf-8")
+    return damage
+
+
+def _repeated(row: int):
+    """Damage: 1-based data row `row` written twice, the copy right after it."""
+    def damage(data: bytes) -> bytes:
+        lines = data.decode("utf-8").split("\r\n")
+        return "\r\n".join([*lines[:row + 1], *lines[row:]]).encode("utf-8")
     return damage
 
 
@@ -1144,6 +1173,16 @@ FAULTS = [
     ("synth", {"synth.covariates": {"Q": {"mean": 50, "sd": 0, "low": -50, "high": -10}}},
      {}, 3, ["config synth: covariate 'Q' bounds [-50.0, -10.0] break the capture-row rule "
              "'quality range': quality=-50.0"]),
+    # a pair row of another kind than its file's, in each subcommand that reads the file
+    *((command, {}, {"pairs_genuine.csv": _cell("kind", "impostor")}, 5,
+       ["pairs_genuine.csv: 'impostor' pair at data row 1 of a file of genuine pairs"])
+      for command in ("calibrate", "fnmr", "det", "failures", "fuse", "lmm", "apc", "cv")),
+    *((command, {}, {"pairs_impostor.csv": _cell("kind", "genuine", row=2)}, 5,
+       ["pairs_impostor.csv: 'genuine' pair at data row 2 of a file of impostor pairs"])
+      for command in ("calibrate", "det", "fuse")),
+    # a score key that repeats, named with its file and the row of the repeat
+    ("pairs", {}, {"scores.csv": _repeated(3)}, 5,
+     ["scores.csv: duplicate score row for ('", "at data row 4"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",

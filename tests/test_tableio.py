@@ -279,10 +279,10 @@ def test_pairs_round_trip_with_age_join(tmp_path):
         # a pair column the file lacks: the impostor file holds no covariates
         if kind == "impostor":
             with pytest.raises(IngestError, match="missing mandatory column.*delta_age_years"):
-                read_pairs(path, lambda: captures, EVERY_COLUMN)
+                read_pairs(path, kind, lambda: captures, EVERY_COLUMN)
         columns = (*(EVERY_COLUMN if kind == "genuine" else ("gap_T_months", "A_gallery")),
                    "score_m1")
-        back = backs[kind] = read_pairs(path, lambda: captures, columns)
+        back = backs[kind] = read_pairs(path, kind, lambda: captures, columns)
         assert len(back) == len(table)
         np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
         np.testing.assert_array_equal(back.kind, table.kind)
@@ -310,7 +310,7 @@ def test_read_pairs_names_first_row_with_unknown_image_id(tmp_path):
     first = 1 + min(i for i, pid in enumerate(pairs.probe_image_id) if pid == dropped)
     with pytest.raises(IngestError, match=f"data row {first} references image ids "
                                           f"missing from the capture table"):
-        read_pairs(path, lambda: known, ("kind", "gallery_subject"))
+        read_pairs(path, "genuine", lambda: known, ("kind", "gallery_subject"))
 
 
 def test_read_pairs_ingests_captures_only_to_join(tmp_path):
@@ -323,12 +323,13 @@ def test_read_pairs_ingests_captures_only_to_join(tmp_path):
         calls.append(len(calls))
         return captures
 
-    read_pairs(tmp_path / "pairs.csv", ingest, ("kind", "gap_T_months", "DC", "score_m1"))
+    read_pairs(tmp_path / "pairs.csv", "genuine", ingest,
+               ("kind", "gap_T_months", "DC", "score_m1"))
     assert calls == []
-    back = read_pairs(tmp_path / "pairs.csv", ingest, ("kind", "A_probe"))
+    back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "A_probe"))
     assert calls == [0]
     assert back.A_probe.tolist() == pairs.A_probe.tolist()
-    read_pairs(tmp_path / "pairs.csv", ingest, EVERY_COLUMN)
+    read_pairs(tmp_path / "pairs.csv", "genuine", ingest, EVERY_COLUMN)
     assert calls == [0, 1]
 
 
@@ -347,7 +348,7 @@ def test_float_cells_round_trip_bit_exactly(tmp_path):
     values = _edge_floats(rng, len(pairs))
     table = pairs.with_scores({"m1": values, "m2": -values[::-1]})
     write_pairs(table, tmp_path / "pairs.csv")
-    back = read_pairs(tmp_path / "pairs.csv", lambda: captures,
+    back = read_pairs(tmp_path / "pairs.csv", "genuine", lambda: captures,
                       ("kind", "DC", "score_m1", "score_m2"))
     for name in ("m1", "m2"):
         assert back.scores[name].view(np.uint64).tolist() == \
@@ -379,7 +380,7 @@ def test_repeated_pair_column_reads_its_first(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([lines[0] + ",score_m1"] + [line + ",-1.0" for line in lines[1:]])
                     + "\n", encoding="utf-8")
-    back = read_pairs(path, lambda: captures, ("kind", "score_m1"))
+    back = read_pairs(path, "genuine", lambda: captures, ("kind", "score_m1"))
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
@@ -390,7 +391,7 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     table = pairs.with_scores({"m1": np.arange(len(pairs), dtype=np.float64)})
     path = tmp_path / "pairs.csv"
     write_pairs(table, path)
-    back = read_pairs(path, lambda: captures, ("kind", "gallery_subject"))
+    back = read_pairs(path, "genuine", lambda: captures, ("kind", "gallery_subject"))
     assert back.columns == ("kind", "gallery_image_id", "probe_image_id", *JOINED_COLUMNS)
     assert back.gallery_subject.tolist() == table.gallery_subject.tolist()
     assert back.matchers == ()
@@ -402,16 +403,43 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     cells[header.index("DC")] = "inf"
     lines[2] = ",".join(cells)
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-    back = read_pairs(path, lambda: captures, ("kind", "score_m1", "score_m9"))
+    back = read_pairs(path, "genuine", lambda: captures, ("kind", "score_m1"))
     assert back.columns == ("kind",)
     assert back.matchers == ("m1",)
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
     with pytest.raises(AttributeError, match="'DC'"):
         back.DC
+    # every column asked for is required, a matcher's scores too
+    with pytest.raises(IngestError, match=r"missing mandatory column\(s\) \['score_m9'\]"):
+        read_pairs(path, "genuine", lambda: captures, ("kind", "score_m1", "score_m9"))
     with pytest.raises(IngestError, match="data row 2 references image ids missing"):
-        read_pairs(path, lambda: captures, ("kind", "A_probe"))
+        read_pairs(path, "genuine", lambda: captures, ("kind", "A_probe"))
     with pytest.raises(IngestError, match="non-finite DC at data row 2"):
-        read_pairs(path, lambda: captures, ("kind", "DC"))
+        read_pairs(path, "genuine", lambda: captures, ("kind", "DC"))
+
+
+def test_read_pairs_reads_a_file_as_the_kind_it_holds(tmp_path):
+    captures = random_capture_table(np.random.default_rng(11), n_subjects=6)
+    tables = {"genuine": generate_genuine_pairs(captures),
+              "impostor": generate_impostor_pairs(captures, PairingConfig(2, base_seed=3))}
+    for kind, other in (("genuine", "impostor"), ("impostor", "genuine")):
+        path = tmp_path / f"pairs_{kind}.csv"
+        write_pairs(tables[kind], path)
+        assert len(read_pairs(path, kind, lambda: captures, ())) == len(tables[kind])
+        with pytest.raises(IngestError, match=re.escape(
+                f"{path}: '{kind}' pair at data row 1 of a file of {other} pairs")):
+            read_pairs(path, other, lambda: captures, ())
+        # one row of the other kind, or of no kind, in a file of this kind
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for label in (other, "x"):
+            path.write_text("\r\n".join([*lines[:3], label + lines[3][len(kind):], *lines[4:]])
+                            + "\r\n", encoding="utf-8")
+            with pytest.raises(IngestError, match=re.escape(
+                    f"{path}: '{label}' pair at data row 3 of a file of {kind} pairs")):
+                read_pairs(path, kind, lambda: captures, ("kind", "gap_T_months"))
+    # a name no pair file holds is the caller's error, whatever the file
+    with pytest.raises(ValueError, match=r"cannot read column\(s\) \['T', 'nope'\]"):
+        read_pairs(tmp_path / "absent.csv", "genuine", lambda: captures, ("nope", "T", "DC"))
 
 
 def test_short_row_outside_the_projection_is_refused_on_both_paths(tmp_path):
@@ -421,17 +449,16 @@ def test_short_row_outside_the_projection_is_refused_on_both_paths(tmp_path):
     assert len(np.loadtxt(lines, delimiter=",", dtype=object, usecols=[0, 1])) == 2
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\r\n" + "\r\n".join(lines) + "\r\n", encoding="utf-8")
-    schema, only = {"a": object, "b": np.float64}, {"a", "b"}
+    schema = {"a": object, "b": np.float64}
     for read in (read_table, _csv_read_table):
-        text = read(path, schema, lambda name: object, only)
+        text = read(path, schema)
         assert list(text.cells) == ["a", "b"]
         assert text.short_row == f"{path}: data row 2 has 2 cells, fewer than the 4 header columns"
         with pytest.raises(IngestError, match="data row 2 has 2 cells"):
             text.column("b")
     # a longer row is read as csv.reader reads it: its extra cells dropped
     path.write_text("a,b,c,d\r\nx,1,2,3\r\nz,5,6,7,8\r\n", encoding="utf-8")
-    new, old = (read(path, schema, lambda name: object, only)
-                for read in (read_table, _csv_read_table))
+    new, old = (read(path, schema) for read in (read_table, _csv_read_table))
     assert _summary(new) == _summary(old)
     assert new.column("b").tolist() == [1.0, 5.0]
 
@@ -519,7 +546,7 @@ class _CsvColumns(TextColumns):
         return values, faults
 
 
-def _csv_read_table(path, schema, other=lambda name: object, only=None):
+def _csv_read_table(path, schema):
     """The oracle: read_table as csv.reader alone reads a table."""
     path = Path(path)
     with open_text(path) as fh:
@@ -539,10 +566,9 @@ def _csv_read_table(path, schema, other=lambda name: object, only=None):
         rows = [row + [""] * (width - len(row)) for row in rows]
     cells = {}
     for name, column in zip(header, zip(*rows) if rows else [()] * width):
-        if only is None or name in only:
+        if name in schema:
             cells.setdefault(name, column)
-    dtypes = {name: schema[name] if name in schema else other(name) for name in cells}
-    return _CsvColumns(path, len(rows), cells, dtypes, short_row)
+    return _CsvColumns(path, len(rows), cells, dict(schema), short_row)
 
 
 def _bits(values):
@@ -611,6 +637,8 @@ def _fuzz_text(rng, columns, dirty: bool) -> str:
             dtype = columns.get(name, object)
             if dirty and rng.uniform() < odd_rate:
                 row.append(str(rng.choice(_ODD_CELLS)))
+            elif name == "kind" and rng.uniform() < 0.9:
+                row.append("genuine")
             elif dtype is np.int64:
                 row.append(str(int(rng.integers(-10**12, 10**12))))
             elif dtype is np.float64:
@@ -628,22 +656,21 @@ def _fuzz_text(rng, columns, dirty: bool) -> str:
     return "".join(line + str(rng.choice(ends)) for line in lines[:-1]) + lines[-1] + tail
 
 
+# the full schemas of the tables read: captures, scores, pairs with two
+# matchers, and a report table
 _SCHEMAS = [
-    (CAPTURE_COLUMNS, lambda name: object, CAPTURE_COLUMNS),
-    (SCORE_COLUMNS, lambda name: object, SCORE_COLUMNS),
-    (PAIR_COLUMNS, tableio._score_dtype,
-     {**PAIR_COLUMNS, "score_m1": np.float64, "score_m2": np.float64}),
-    ({"age_group": object, "T_months": np.float64, "predicted": np.float64},
-     lambda name: object, None),
+    CAPTURE_COLUMNS, SCORE_COLUMNS,
+    {**PAIR_COLUMNS, "score_m1": np.float64, "score_m2": np.float64},
+    {"age_group": object, "T_months": np.float64, "predicted": np.float64},
 ]
 
 
-def _projection(rng, schema, columns):
-    """A random `only` for a table of `columns`: some of its names, perhaps
-    "note" and a name no table holds, and the `schema` it implies."""
-    names = list(columns) + ["note", "absent"]
-    only = {name for name in names if rng.uniform() < 0.4}
-    return {name: dtype for name, dtype in schema.items() if name in only}, only
+def _sub_schema(rng, schema):
+    """Some names of `schema`, perhaps with "note" (a column some texts hold)
+    and "absent" (one no text holds) at random dtypes."""
+    extra = {name: [object, np.int64, np.float64][int(rng.integers(3))]
+             for name in ("note", "absent")}
+    return {name: dtype for name, dtype in {**schema, **extra}.items() if rng.uniform() < 0.4}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -652,20 +679,19 @@ def test_read_table_matches_csv_reader_oracle(tmp_path, seed):
     path = tmp_path / "table.csv"
     one_pass = 0
     for i in range(120):
-        schema, other, columns = _SCHEMAS[i % len(_SCHEMAS)]
-        text = _fuzz_text(rng, columns or schema, dirty=i % 3 != 0)
+        schema = _SCHEMAS[i % len(_SCHEMAS)]
+        text = _fuzz_text(rng, schema, dirty=i % 3 != 0)
         path.write_bytes(text.encode("utf-8"))
-        # every column, then a projection: the same columns, faults, short
+        # the full schema, then a sub-schema: the same columns, faults, short
         # row and error text on both paths
-        projected, kept = _projection(rng, schema, columns or schema)
-        for schema_read, only in ((schema, None), (projected, kept)):
-            new = _outcome(read_table, path, schema_read, other, only)
-            old = _outcome(_csv_read_table, path, schema_read, other, only)
+        for schema_read in (schema, _sub_schema(rng, schema)):
+            new = _outcome(read_table, path, schema_read)
+            old = _outcome(_csv_read_table, path, schema_read)
             assert (new[0], _summary(new[1]) if new[0] == "ok" else new[1]) == \
-                (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), (repr(text), only)
-            if only is not None and new[0] == "ok":
-                assert set(new[1].cells) <= only
-            one_pass += only is None and new[0] == "ok" and any(
+                (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), (repr(text), schema_read)
+            if new[0] == "ok":
+                assert set(new[1].cells) == set(schema_read)
+            one_pass += schema_read is schema and new[0] == "ok" and any(
                 isinstance(cells, np.ndarray) for cells in new[1].cells.values())
     # both paths ran: clean texts take the one pass, dirty ones mostly csv.reader
     assert 40 <= one_pass <= 100
@@ -696,9 +722,10 @@ def test_read_table_oracle_edge_files(tmp_path):
             (old[0], _summary(old[1]) if old[0] == "ok" else old[1]), data[:80]
 
 
-# projections read_pairs is given: kind and scores, a gap, and a capture join
-_PROJECTIONS = [("kind", "score_m1"), ("kind", "gap_T_months", "score_m1", "score_m9"),
-                ("kind", "DC", "Q_probe", "gallery_subject", "score_m1")]
+# column sets read_pairs is given: kind and scores, a gap, a capture join, and a
+# matcher whose scores the file lacks
+_PROJECTIONS = [("kind", "score_m1"), ("kind", "gap_T_months", "score_m1"),
+                ("kind", "DC", "Q_probe", "gallery_subject", "score_m1"), ("kind", "score_m9")]
 
 
 def _captures_for_pairs():
@@ -718,11 +745,11 @@ def test_ingest_and_read_pairs_match_csv_reader_oracle(tmp_path, monkeypatch, se
         return _table_bits(result.table, CAPTURE_HEADER), result.rejections
 
     def pairs(p):
-        table = read_pairs(p, lambda: captures, (*EVERY_COLUMN, "score_m1"))
+        table = read_pairs(p, "genuine", lambda: captures, (*EVERY_COLUMN, "score_m1"))
         return _table_bits(table, EVERY_COLUMN), table.matchers, _bits(table.scores["m1"])
 
     def projected(p, columns):
-        table = read_pairs(p, lambda: captures, columns)
+        table = read_pairs(p, "genuine", lambda: captures, columns)
         return (table.columns, _table_bits(table, table.columns),
                 {name: _bits(values) for name, values in table.scores.items()})
 
@@ -765,7 +792,8 @@ def test_pipeline_tables_never_need_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(csv, "reader", refuse)
     assert capture_rows(ingest_captures(tmp_path / "captures.csv").table) == \
         capture_rows(captures)
-    back = read_pairs(tmp_path / "pairs.csv", lambda: captures, (*EVERY_COLUMN, "score_m1"))
+    back = read_pairs(tmp_path / "pairs.csv", "genuine", lambda: captures,
+                      (*EVERY_COLUMN, "score_m1"))
     assert back.scores["m1"].tolist() == table.scores["m1"].tolist()
 
     quoted = tmp_path / "quoted.csv"
