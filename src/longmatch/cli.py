@@ -537,7 +537,7 @@ def cmd_failures(ctx: RunContext) -> None:
     """Categorize genuine failures and their quality correlates."""
     from .metrics import failure_analysis
     profiles = _profiles(ctx)
-    # gallery_subject joins the capture table
+    # the quality terms and gallery_subject are joined from the capture table
     genuine = _load_pairs(ctx, "genuine", profiles,
                           ("gap_T_months", *QUALITY_TERMS, "gallery_subject"))
     thresholds = _thresholds(ctx, profiles)

@@ -93,13 +93,16 @@ PAIR_COLUMNS = {
     "R_gallery": np.float64,            # dilation ratio pupil / iris radius
     "R_probe": np.float64,
 }
-# the ComparisonTable columns a pair file does not hold, derived from the
-# capture table through the image ids by CaptureTable.joined alone
+# the ComparisonTable columns CaptureTable.joined alone derives from the capture
+# table through the image ids: subjects, ages and the nine capture covariates
+# (the float PAIR_COLUMNS), which are in both schemas: write_pairs writes them to
+# the genuine file for readers outside longmatch, and read_pairs never reads them
 JOINED_COLUMNS = {
     "gallery_subject": object,
     "probe_subject": object,
     "A_gallery": np.float64,            # age in years at capture
     "A_probe": np.float64,
+    **{name: dtype for name, dtype in PAIR_COLUMNS.items() if dtype is np.float64},
 }
 # model names of two pair columns
 COLUMN_ALIASES = {"T": "gap_T_months", "delta_A": "delta_age_years"}
@@ -238,11 +241,17 @@ class CaptureTable:
         return np.fromiter(map(self._row.get, image_ids, repeat(-1)), dtype=np.intp)
 
     def joined(self, gallery_rows, probe_rows) -> dict:
-        """The JOINED_COLUMNS of the pairs of rows (gallery_rows[i], probe_rows[i])."""
+        """The JOINED_COLUMNS of the pairs of rows (gallery_rows[i], probe_rows[i]):
+        the one derivation of the capture covariates."""
+        values = {"Q": self.quality, "U": self.usable_area, "C": self.circularity,
+                  "R": self.pupil_radius / self.iris_radius}
+        columns = {f"{name}_{side}": column[rows] for name, column in values.items()
+                   for side, rows in (("gallery", gallery_rows), ("probe", probe_rows))}
         return dict(gallery_subject=self.subject_id[gallery_rows],
                     probe_subject=self.subject_id[probe_rows],
                     A_gallery=self.age_years[gallery_rows].astype(np.float64),
-                    A_probe=self.age_years[probe_rows].astype(np.float64))
+                    A_probe=self.age_years[probe_rows].astype(np.float64),
+                    DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns)
 
 
 class ScoreTable:
@@ -285,7 +294,7 @@ class ComparisonTable:
     does not hold raises AttributeError naming it. `scores` is a read-only
     mapping from matcher name to its read-only score column. Pairing builds
     it unscored, a genuine table with every column and an impostor table
-    without the capture covariates, `attach_scores` adds the scores,
+    with its file's columns only, `attach_scores` adds the scores,
     `read_pairs` reads back the columns a subcommand asks for, and metric
     and model code reads them.
     """

@@ -3,10 +3,10 @@
 Both protocols return an unscored ComparisonTable (no score columns), one
 row per pair in protocol order; `attach_scores` then joins one score per
 matcher onto it. A genuine table holds every pair column, an impostor table
-the key and joined ones only: no model reads impostor capture covariates.
+the key columns only: no model reads impostor capture covariates.
 Every capture keeps the capture-row rules (`core.CAPTURE_RULES`, checked
 when its CaptureTable was built), so pairing checks only what relates two
-captures: the differences of their times and ages.
+captures: the difference of their times and, for a genuine pair, of their ages.
 
 Both protocols are index arithmetic over one grouping of the capture table
 in its global sorted order (subject, eye, collection, time, image id): its
@@ -51,13 +51,13 @@ class PairingConfig:
 def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
                 kind: str) -> ComparisonTable:
     """Unscored table of the pairs of rows (g[i], p[i]) of `captures`; the
-    capture-derived pair columns (delta_age_years, DC, Q_*, U_*, C_*, R_*)
-    for genuine pairs only.
+    age difference and the JOINED_COLUMNS for genuine pairs only.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
-    gaps are absolute. Both differences, of time and of age, must fit in
-    int64; the first offending pair raises DataError. The rules on one
-    capture, 0 < pupil < iris among them, held when `captures` was built.
+    gaps are absolute. The time difference, and a genuine pair's age
+    difference, must fit in int64; the first offending pair raises
+    DataError. The rules on one capture, 0 < pupil < iris among them, held
+    when `captures` was built.
     """
     def difference(column):
         """column[p] - column[g] as int64 arrays wrap it, and where it wraps."""
@@ -66,13 +66,12 @@ def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
         return d, ((a ^ b) & (a ^ d)) < 0   # operands of unlike sign, result unlike a
 
     gap, gap_wraps = difference(captures.capture_time_months)
-    delta_age, age_wraps = difference(captures.age_years)
-    if kind != GENUINE:
-        gap_wraps |= gap == np.iinfo(np.int64).min   # whose absolute value does not fit
-        gap = np.abs(gap)
-    bad = gap_wraps | age_wraps
     if kind == GENUINE:
-        bad |= gap <= 0
+        delta_age, age_wraps = difference(captures.age_years)
+        bad = gap_wraps | age_wraps | (gap <= 0)
+    else:
+        gap_wraps |= gap == np.iinfo(np.int64).min   # whose absolute value does not fit
+        gap, age_wraps, bad = np.abs(gap), np.zeros(len(g), dtype=bool), gap_wraps
     if bad.any():
         i = int(np.argmax(bad))
         if gap_wraps[i] or age_wraps[i]:
@@ -83,19 +82,11 @@ def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
         raise DataError(
             f"probe {captures.image_id[p[i]]} in a later collection than gallery "
             f"{captures.image_id[g[i]]} but not later in time")
-
-    columns = {}
-    if kind == GENUINE:
-        values = {"Q": captures.quality, "U": captures.usable_area, "C": captures.circularity,
-                  "R": captures.pupil_radius / captures.iris_radius}
-        columns = {f"{name}_{side}": col[rows] for name, col in values.items()
-                   for side, rows in (("gallery", g), ("probe", p))}
-        columns.update(delta_age_years=delta_age,
-                       DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]))
+    columns = dict(delta_age_years=delta_age, **captures.joined(g, p)) if kind == GENUINE else {}
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
-        gap_T_months=gap, **columns, **captures.joined(g, p), scores={})
+        gap_T_months=gap, **columns, scores={})
 
 
 def _sorted_runs(captures: CaptureTable):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import longmatch
-from longmatch import cli
+from longmatch import cli, tableio
 from longmatch.cli import _COMMANDS, build_parser, main
 from longmatch.core import QUALITY_TERMS
 from longmatch.rng import shuffled
@@ -609,7 +609,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
 
 # the pair columns each subcommand asks read_pairs for, by the kind of pair
 # file, in the order read; read_pairs reads kind with any set, and the two
-# image ids with a joined column such as gallery_subject. The config's
+# image ids with a joined column such as gallery_subject or DC. The config's
 # matchers are simA and simB, and its model names Q_gallery, Q_probe and DC
 # besides simA.
 _SCORES = {"score_simA", "score_simB"}
@@ -656,6 +656,27 @@ def test_each_subcommand_reads_only_its_pair_columns(tmp_path, monkeypatch):
         assert main([command, "--config", str(cfg)]) == 0, command
         assert asked == reads, command
         assert ingested == ["captures.csv"] * CAPTURE_INGESTS[command], command
+
+
+def test_no_subcommand_parses_a_capture_covariate_from_a_pair_file(tmp_path, monkeypatch):
+    # DC, Q_*, U_*, C_* and R_* come from the capture join alone; the genuine
+    # pair file shows them, but no subcommand reads them back from it
+    cfg = write_config(tmp_path / "config.json", tmp_path / "run")
+    run_pipeline(cfg, ["synth", "pairs"])
+    read_table, schemas = tableio.read_table, []
+
+    def recording(path, schema):
+        if Path(path).name.startswith("pairs_"):
+            schemas.append((Path(path).name, list(schema)))
+        return read_table(path, schema)
+
+    monkeypatch.setattr(tableio, "read_table", recording)
+    for command, reads in PAIR_READS.items():
+        schemas.clear()
+        assert main([command, "--config", str(cfg)]) == 0, command
+        assert [name for name, _ in schemas] == [f"pairs_{kind}.csv" for kind, _ in reads]
+        parsed = [c for _, schema in schemas for c in schema]
+        assert not [c for c in parsed if re.fullmatch(r"DC|[QUCR]_(gallery|probe)", c)], command
 
 
 def test_package_import_loads_no_submodule():
@@ -761,24 +782,42 @@ def test_traced_launcher_finds_the_names_it_wraps(tmp_path):
     assert {"cli.cmd.synth", "synth.generate", "pairing.genuine", "pairing.impostor"} <= names
 
 
-def test_traced_launcher_counts_the_pair_rows_it_reads(tmp_path):
-    # perfbench/launcher.py wraps read_pairs by name in cli's namespace and
-    # counts its rows with len(): a change of its signature or result shows
-    # only in a traced run
+def _traced_counts(tmp_path, command: str) -> tuple[dict, dict]:
+    """The counts of each span name of `command` run by perfbench/launcher.py
+    after synth and pairs, and the data rows of each file in the tree."""
     root = Path(__file__).resolve().parents[1]
     cfg = write_config(tmp_path / "config.json", tmp_path / "out")
     run_pipeline(cfg, ["synth", "pairs"])
     spans = tmp_path / "spans.json"
     out = subprocess.run([sys.executable, str(root / "perfbench" / "launcher.py"), str(spans),
-                          "calibrate", "--config", str(cfg)],
+                          command, "--config", str(cfg)],
                          env=_env_without_blas_threads(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    counts = [span[5] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]
-              if span[0] == "tableio.read_pairs"]
-    data_rows = [len((tmp_path / "out" / f"pairs_{kind}.csv").read_bytes().splitlines()) - 1
-                 for kind in ("genuine", "impostor")]
-    assert min(data_rows) > 0
-    assert counts == [{"rows": n} for n in data_rows]
+    counts = {}
+    for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]:
+        counts.setdefault(span[0], []).append(span[5])
+    data_rows = {path.name: len(path.read_bytes().splitlines()) - 1
+                 for path in (tmp_path / "out").glob("*.csv")}
+    return counts, data_rows
+
+
+def test_traced_launcher_counts_the_pair_rows_it_reads(tmp_path):
+    # perfbench/launcher.py wraps read_pairs by name in cli's namespace and
+    # counts its rows with len(): a change of its signature or result shows
+    # only in a traced run
+    counts, data_rows = _traced_counts(tmp_path, "calibrate")
+    rows = [data_rows[f"pairs_{kind}.csv"] for kind in ("genuine", "impostor")]
+    assert min(rows) > 0
+    assert counts["tableio.read_pairs"] == [{"rows": n} for n in rows]
+
+
+def test_traced_launcher_counts_the_capture_join_of_failures(tmp_path):
+    # failures takes its covariates from the capture join: one capture ingest
+    # and one read of the genuine pairs, each counted in a traced run
+    counts, data_rows = _traced_counts(tmp_path, "failures")
+    assert counts["tableio.ingest_captures"] == [{"rows": data_rows["captures.csv"]}]
+    assert counts["tableio.read_pairs"] == [{"rows": data_rows["pairs_genuine.csv"]}]
+    assert data_rows["pairs_genuine.csv"] > 0
 
 
 def test_model_outputs_match_golden(tmp_path):
@@ -972,8 +1011,9 @@ FAULTS = [
     ("fnmr", {}, {"thresholds.json": _at(5)}, 3, ["thresholds.json", "byte offset 5"]),
     ("fnmr", {}, {"pairs_genuine.csv": _cell("score_simA", "nan")}, 5,
      ["pairs_genuine.csv", "score_simA at data row 1"]),
-    ("failures", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
-     ["pairs_genuine.csv", "DC at data row 2"]),
+    # the capture covariates are joined from captures.csv, not read from the pair file
+    ("failures", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 0,
+     ["matchers: simA vs simB\n", "genuine pairs: "]),
     ("lmm", {}, {"pairs_genuine.csv": _cell("score_simB", "1e999", row=3)}, 5,
      ["pairs_genuine.csv", "score_simB at data row 3"]),
     ("report", {}, {"trajectories_simA.csv": _cell("T_months", "six", row=2)}, 5,
@@ -1130,9 +1170,10 @@ FAULTS = [
     # ages synth would draw beyond int64 are a config fault, not a fault of its data
     ("synth", {"synth.enrollment_age_low": -2**63, "synth.enrollment_age_high": 2**63 - 1},
      {}, 3, ["config synth: ", "enrollment ages over the session_schedule"]),
-    # a genuine pair file in the impostor layout lacks the covariates failures reads
-    ("failures", {}, {"pairs_genuine.csv": _impostor_layout}, 5,
-     ["pairs_genuine.csv", "missing mandatory column(s) ['DC', 'Q_gallery',"]),
+    # a genuine pair file in the impostor layout holds every column failures reads
+    # from it: the covariates are joined from captures.csv
+    ("failures", {}, {"pairs_genuine.csv": _impostor_layout}, 0,
+     ["matchers: simA vs simB\n", "genuine pairs: "]),
     # report plots finite numbers only, on axes whose span float64 holds
     ("report", {}, {"det_simA.csv": _cell("fmr", "inf", row=3)}, 5,
      ["det_simA.csv", "fmr inf at data row 3 does not plot as a finite number"]),
@@ -1161,8 +1202,9 @@ FAULTS = [
     # the model subcommands judge the pair columns a design reads, and no other
     ("lmm", {}, {"pairs_genuine.csv": _cell("R_gallery", "inf", row=2)}, 0,
      ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
-    ("lmm", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 5,
-     ["pairs_genuine.csv", "non-finite DC at data row 2"]),
+    # and DC is joined from captures.csv, not read from the pair file
+    ("lmm", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 0,
+     ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
     # synth covariates whose bounds would make capture rows that ingest rejects
     ("synth", {"synth.covariates": {"D": {"mean": 1.0, "sd": 0.1, "low": 0.5, "high": 1.5}}},
      {}, 3, ["config synth: covariate 'D' bounds [0.5, 1.5] break the capture-row rule "
@@ -1183,6 +1225,12 @@ FAULTS = [
     # a score key that repeats, named with its file and the row of the repeat
     ("pairs", {}, {"scores.csv": _repeated(3)}, 5,
      ["scores.csv: duplicate score row for ('", "at data row 4"]),
+    # a damaged capture is rejected at ingest, and the pairs that reference it
+    # fail the capture join
+    *((command, {}, {"captures.csv": _cell(column, text)}, 5,
+       ["pairs_genuine.csv", "references image ids missing from the capture table"])
+      for column, text in (("pupil_radius", "inf"), ("quality", "150"))
+      for command in ("failures", "lmm")),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",

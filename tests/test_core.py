@@ -244,7 +244,7 @@ class TestComparisonTable:
 
     def test_concat_keeps_the_columns_every_table_holds_in_schema_order(self):
         table = scored_pairs()
-        # an impostor-like table: key and joined columns, no covariates
+        # a table of some key columns, a subject and an age, and no covariates
         keys = ComparisonTable(**{name: getattr(table, name) for name in (
             "probe_subject", "gap_T_months", "kind", "gallery_image_id", "A_gallery")},
             scores={"m2": np.ones(len(table))})

@@ -18,10 +18,10 @@ from conftest import (
 
 
 TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
-# the pair columns derived from capture covariates, which only genuine tables hold
-COVARIATE_COLUMNS = ("delta_age_years", "DC", "Q_gallery", "Q_probe", "U_gallery", "U_probe",
-                     "C_gallery", "C_probe", "R_gallery", "R_probe")
-IMPOSTOR_COLUMNS = tuple(name for name in TABLE_COLUMNS if name not in COVARIATE_COLUMNS)
+# the columns derived from the captures besides the gap, which only genuine tables hold
+COVARIATE_COLUMNS = ("delta_age_years", *JOINED_COLUMNS)
+# an impostor table holds exactly its file's columns
+IMPOSTOR_COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months")
 
 
 def _pair_keys(table):
@@ -106,10 +106,11 @@ class TestImpostorPairs:
                                         PairingConfig(max_impostor_probes=2,
                                                       base_seed=3))
         assert len(pairs) == 12   # 6 gallery rows x 2 probes
-        for kind, gallery_subject, probe_subject, eye in zip(
-                pairs.kind, pairs.gallery_subject, pairs.probe_subject, pairs.eye):
+        subject = {r["image_id"]: r["subject_id"] for r in recs}
+        for kind, gid, pid, eye in zip(pairs.kind, pairs.gallery_image_id,
+                                       pairs.probe_image_id, pairs.eye):
             assert kind == IMPOSTOR
-            assert gallery_subject != probe_subject
+            assert subject[gid] != subject[pid]
             assert eye == "L"
         by_gallery = {}
         for gid, pid in _pair_keys(pairs):
@@ -155,8 +156,9 @@ class TestImpostorPairs:
             with pytest.raises(AttributeError, match=name):
                 getattr(impostor, name)
         assert np.all(genuine.gap_T_months > 0)
-        assert np.all(impostor.gallery_subject != impostor.probe_subject)
         by_id = {r["image_id"]: r for r in capture_rows(table)}
+        for gid, pid in _pair_keys(impostor):
+            assert by_id[gid]["subject_id"] != by_id[pid]["subject_id"]
         for gid, pid in _pair_keys(ComparisonTable.concat([genuine, impostor])):
             assert by_id[gid]["eye"] == by_id[pid]["eye"]
 
@@ -236,6 +238,17 @@ class TestPreservedErrors:
         pairs = generate_impostor_pairs(capture_table(recs[:3]), PairingConfig(base_seed=1))
         assert sorted(pairs.gap_T_months.tolist()) == [2**63 - 7] * 2 + [2**63 - 1] * 2
 
+    def test_impostor_age_difference_past_int64_is_not_judged(self):
+        # an impostor table holds no age difference, so one past int64 is no fault
+        ages = {"A": -(2**62 + 1), "B": 2**62}
+        recs = [make_capture(f"{s}{c}", subject=s, collection=c + 1, months=6 * c, age=age)
+                for s, age in ages.items() for c in range(2)]
+        assert len(generate_genuine_pairs(capture_table(recs))) == 2
+        pairs = generate_impostor_pairs(capture_table(recs), PairingConfig(base_seed=1))
+        assert pairs.columns == IMPOSTOR_COLUMNS
+        assert sorted(_pair_keys(pairs)) == [(f"{a}{i}", f"{b}{j}") for a, b in ("AB", "BA")
+                                             for i in range(2) for j in range(2)]
+
 
 class TestUnscoredTable:
     def test_pairing_returns_unscored_tables(self):
@@ -251,9 +264,9 @@ class TestUnscoredTable:
             assert held == (set(COVARIATE_COLUMNS) if kind == GENUINE else set())
             for i, (gid, pid) in enumerate(_pair_keys(pairs)):
                 g, p = by_id[gid], by_id[pid]
-                assert pairs.A_gallery[i] == float(g["age_years"])
                 if kind == IMPOSTOR:
                     continue
+                assert pairs.A_gallery[i] == float(g["age_years"])
                 d_g = g["pupil_radius"] / g["iris_radius"]
                 d_p = p["pupil_radius"] / p["iris_radius"]
                 assert pairs.DC[i] == 1.0 - abs(d_g - d_p)

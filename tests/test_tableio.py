@@ -8,10 +8,11 @@ import pytest
 from longmatch import tableio
 from longmatch.core import (
     CAPTURE_COLUMNS, CAPTURE_RULES, JOINED_COLUMNS, PAIR_COLUMNS, SCORE_COLUMNS,
-    ComparisonTable, MatcherProfile,
+    CaptureTable, ComparisonTable, MatcherProfile,
 )
 from longmatch.pairing import PairingConfig, attach_scores, \
     generate_genuine_pairs, generate_impostor_pairs
+from longmatch.synth import SynthConfig, generate_longitudinal
 from longmatch.tableio import (
     BLOCK_ROWS, CAPTURE_HEADER, INTEGER_FAULT, MISSING_FIELD, NUMBER_FAULT, OUTSIDE_64_BITS,
     DuplicateImageIdError, IngestError, TextColumns, ingest_captures, ingest_scores, open_text,
@@ -23,7 +24,7 @@ from conftest import (
 )
 
 # every column a ComparisonTable holds, as read_pairs names them
-EVERY_COLUMN = (*PAIR_COLUMNS, *JOINED_COLUMNS)
+EVERY_COLUMN = tuple({**PAIR_COLUMNS, **JOINED_COLUMNS})
 
 
 def _write_rows(path, rows, header=CAPTURE_HEADER):
@@ -287,10 +288,10 @@ def test_pairs_round_trip_with_age_join(tmp_path):
         np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
         np.testing.assert_array_equal(back.kind, table.kind)
         np.testing.assert_allclose(back.scores["m1"], table.scores["m1"])
-        # ages and subjects re-joined through the capture table
-        np.testing.assert_array_equal(back.gallery_subject, table.gallery_subject)
-        np.testing.assert_allclose(back.A_gallery,
-                                   table.A_gallery)
+        # ages and subjects joined through the capture table
+        rows = captures.rows(table.gallery_image_id)
+        np.testing.assert_array_equal(back.gallery_subject, captures.subject_id[rows])
+        np.testing.assert_array_equal(back.A_gallery, captures.age_years[rows])
     np.testing.assert_allclose(backs["genuine"].DC, tables["genuine"].DC)
     # DC = 1 - |R_gallery - R_probe| holds exactly for the stored covariates,
     # before and after the file round trip
@@ -324,13 +325,58 @@ def test_read_pairs_ingests_captures_only_to_join(tmp_path):
         return captures
 
     read_pairs(tmp_path / "pairs.csv", "genuine", ingest,
-               ("kind", "gap_T_months", "DC", "score_m1"))
+               ("kind", "gap_T_months", "delta_age_years", "score_m1"))
     assert calls == []
     back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "A_probe"))
     assert calls == [0]
     assert back.A_probe.tolist() == pairs.A_probe.tolist()
-    read_pairs(tmp_path / "pairs.csv", "genuine", ingest, EVERY_COLUMN)
+    # a capture covariate is joined, never read from the file
+    back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "DC"))
     assert calls == [0, 1]
+    assert back.DC.tolist() == pairs.DC.tolist()
+    read_pairs(tmp_path / "pairs.csv", "genuine", ingest, EVERY_COLUMN)
+    assert calls == [0, 1, 2]
+
+
+# the capture covariates: the genuine file shows them, read_pairs joins them
+COVARIATES = tuple(name for name in JOINED_COLUMNS if name in PAIR_COLUMNS)
+
+
+def _fuzzed_captures(rng):
+    """A random capture table whose reals reach the ends the capture-row rules
+    allow: 0 and 100, subnormals, and radii up to float64's largest."""
+    table = random_capture_table(rng, n_subjects=8)
+    n = len(table)
+    columns = {name: getattr(table, name) for name in CAPTURE_COLUMNS}
+    for name in ("quality", "usable_area", "circularity"):
+        columns[name] = np.where(rng.uniform(size=n) < 0.5, columns[name], rng.choice(
+            [0.0, 100.0, 5e-324, 0.1, 99.99999999999999, 1e-300], size=n))
+    iris = np.where(rng.uniform(size=n) < 0.5, columns["iris_radius"], rng.choice(
+        [np.finfo(np.float64).max, 1e300, 1e-300, 1e-320, 1.0], size=n))
+    share = rng.choice([0.3, 0.5, 1e-300, 5e-324, np.nextafter(1.0, 0.0)], size=n)
+    columns["pupil_radius"] = np.minimum(np.maximum(iris * share, 5e-324),
+                                         np.nextafter(iris, 0.0))
+    columns["iris_radius"] = iris
+    return CaptureTable(**columns)
+
+
+@pytest.mark.parametrize("source", ["fuzz", "synth"])
+def test_written_covariates_equal_the_joined_ones_bit_for_bit(tmp_path, source):
+    for seed in range(4):
+        if source == "fuzz":
+            captures = _fuzzed_captures(np.random.default_rng(200 + seed))
+        else:
+            captures = generate_longitudinal(SynthConfig(
+                n_subjects=12, session_schedule=(0, 6, 12, 24), include_impostors=False,
+                seed=seed)).captures
+        write_captures(captures, tmp_path / "captures.csv")
+        write_pairs(generate_genuine_pairs(captures), tmp_path / "pairs.csv")
+        shown = read_table(tmp_path / "pairs.csv", dict.fromkeys(COVARIATES, np.float64))
+        joined = read_pairs(tmp_path / "pairs.csv", "genuine",
+                            lambda: ingest_captures(tmp_path / "captures.csv").table, COVARIATES)
+        assert len(joined) > 0
+        for name in COVARIATES:
+            assert _bits(shown.column(name)) == _bits(getattr(joined, name)), (seed, name)
 
 
 def _edge_floats(rng, n):
@@ -392,15 +438,22 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     path = tmp_path / "pairs.csv"
     write_pairs(table, path)
     back = read_pairs(path, "genuine", lambda: captures, ("kind", "gallery_subject"))
-    assert back.columns == ("kind", "gallery_image_id", "probe_image_id", *JOINED_COLUMNS)
+    assert back.columns == ("kind", "gallery_image_id", "probe_image_id",
+                            *(name for name in EVERY_COLUMN if name in JOINED_COLUMNS))
     assert back.gallery_subject.tolist() == table.gallery_subject.tolist()
     assert back.matchers == ()
 
-    # an unknown probe id and a non-finite DC in data row 2
+    # a non-finite DC in data row 2 is not read: DC is joined from the captures
     lines = path.read_text(encoding="utf-8").splitlines()
     header, cells = lines[0].split(","), lines[2].split(",")
-    cells[header.index("probe_image_id")] = "nope"
     cells[header.index("DC")] = "inf"
+    lines[2] = ",".join(cells)
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    back = read_pairs(path, "genuine", lambda: captures, ("kind", "DC"))
+    assert back.DC.view(np.uint64).tolist() == table.DC.view(np.uint64).tolist()
+
+    # and an unknown probe id in data row 2
+    cells[header.index("probe_image_id")] = "nope"
     lines[2] = ",".join(cells)
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     back = read_pairs(path, "genuine", lambda: captures, ("kind", "score_m1"))
@@ -412,10 +465,9 @@ def test_projected_read_pairs_reads_and_judges_only_its_columns(tmp_path):
     # every column asked for is required, a matcher's scores too
     with pytest.raises(IngestError, match=r"missing mandatory column\(s\) \['score_m9'\]"):
         read_pairs(path, "genuine", lambda: captures, ("kind", "score_m1", "score_m9"))
-    with pytest.raises(IngestError, match="data row 2 references image ids missing"):
-        read_pairs(path, "genuine", lambda: captures, ("kind", "A_probe"))
-    with pytest.raises(IngestError, match="non-finite DC at data row 2"):
-        read_pairs(path, "genuine", lambda: captures, ("kind", "DC"))
+    for joined in ("A_probe", "DC"):
+        with pytest.raises(IngestError, match="data row 2 references image ids missing"):
+            read_pairs(path, "genuine", lambda: captures, ("kind", joined))
 
 
 def test_read_pairs_reads_a_file_as_the_kind_it_holds(tmp_path):
