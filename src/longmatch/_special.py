@@ -9,8 +9,9 @@
   regularized incomplete beta by a power series plus a modified-Lentz
   continued fraction (Press et al., *Numerical Recipes*, 3rd ed., 6.2 and
   6.4), to about 1e-12 relative or better.
-- `shapiro` is Royston's AS R94 (*Applied Statistics* 44(4), 1995) for
-  complete samples, with the AS 111 normal quantiles for its coefficients.
+- `shapiro` is the Shapiro-Wilk W of Royston's AS R94 (*Applied
+  Statistics* 44(4), 1995) for complete samples, with the AS 111 normal
+  quantiles for its coefficients.
 """
 
 from __future__ import annotations
@@ -239,11 +240,6 @@ def betainc(a: float, b: float, x: float) -> float:
 # AS R94 polynomial coefficients, constant term first
 _SW_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
 _SW_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_SW_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_SW_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
-_SW_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
-_SW_C6 = (-0.4803, -0.082676, 0.0030302)
-_SW_G = (-2.273, 0.459)
 _SW_SMALL = 1e-19
 
 
@@ -297,8 +293,8 @@ def _shapiro_coefficients(n: int) -> np.ndarray:
     return np.concatenate([-a, np.zeros(n % 2), a[::-1]])
 
 
-def shapiro(x) -> tuple[float, float]:
-    """Shapiro-Wilk (W, p) of a complete sample of 3 <= n <= SHAPIRO_MAX_N."""
+def shapiro(x) -> float:
+    """Shapiro-Wilk W of a complete sample of 3 <= n <= SHAPIRO_MAX_N."""
     x = np.asarray(x, dtype=np.float64).ravel()
     n = x.size
     if not 3 <= n <= SHAPIRO_MAX_N:
@@ -318,20 +314,4 @@ def shapiro(x) -> tuple[float, float]:
     # 1 - W, formed so that W near 1 keeps its digits
     ssassx = math.sqrt(ssa * ssx)
     w1 = (ssassx - sax) * (ssassx + sax) / (ssa * ssx)
-    w = 1.0 - w1
-    if w1 <= 0.0:   # W rounds to 1 or above: no sign of non-normality
-        return w, 1.0
-    if n == 3:   # exact
-        return w, max(0.0, 1.0 - 6.0 / math.pi * math.acos(math.sqrt(w)))
-    y = math.log(w1)
-    if n <= 11:
-        gamma = _poly(_SW_G, n)
-        if y >= gamma:
-            return w, _SW_SMALL
-        y = -math.log(gamma - y)
-        m = _poly(_SW_C3, n)
-        s = math.exp(_poly(_SW_C4, n))
-    else:
-        m = _poly(_SW_C5, math.log(n))
-        s = math.exp(_poly(_SW_C6, math.log(n)))
-    return w, float(ndtr(-(y - m) / s))
+    return 1.0 - w1

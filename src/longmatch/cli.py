@@ -778,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longmatch",
         description="Longitudinal permanence analysis for biometric match scores.",
-        epilog="Exit codes: 0 ok, 2 usage, 3 config-invalid, 4 missing-input, "
-               "5 data-invalid, 6 calibration-infeasible, 7 model-error.")
+        epilog="Exit codes: 0 ok, 2 usage, "
+               + ", ".join(f"{code} {name}" for code, name in _CODE_NAMES.items()) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)

@@ -149,6 +149,19 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def encode(values) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, codes): np.unique(values, return_inverse=True) of an object column,
+    by one dict over its sorted distinct values, without sorting the column.
+
+    ids are the distinct values in sorted order, as an object array; codes
+    the int64 index of each value among them.
+    """
+    ids = sorted(set(values))
+    code = dict(zip(ids, range(len(ids))))
+    return (np.array(ids, dtype=object),
+            np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values)))
+
+
 def check_matcher_name(name: str, error=ValueError) -> None:
     """Raise `error` when `name` is a pair-table column or alias, which
     ComparisonTable.column would resolve instead of the matcher's scores, or

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import chdtrc, ndtr
-from .core import GENUINE, ComparisonTable, DataError, ModelError
+from .core import GENUINE, ComparisonTable, DataError, ModelError, encode
 
 INTERCEPT_ONLY = "intercept"
 INTERCEPT_AND_SLOPE = "intercept_slope"
@@ -118,7 +118,7 @@ class DesignMatrices:
     y: np.ndarray
     X: np.ndarray
     t: np.ndarray | None          # slope column of Z, None for intercept-only
-    group_index: np.ndarray       # subject codes 0..m-1, in sorted subject order
+    group_index: np.ndarray       # core.encode subject codes 0..m-1, in sorted subject order
     column_names: list[str]
     n_dropped_missing: int = 0
     outcome_scale: tuple[float, float] | None = None   # (mean, sd) when standardized
@@ -247,7 +247,7 @@ def build_design(table: ComparisonTable, spec: ModelSpec, *,
         y = (y - mean) / sd
         scale = (mean, sd)
 
-    _, group_index = np.unique(table.gallery_subject[row_ok], return_inverse=True)
+    _, group_index = encode(table.gallery_subject[row_ok])
     t = table.column("T")[row_ok] \
         if spec.random_structure == INTERCEPT_AND_SLOPE else None
     return DesignMatrices(y=y, X=X, t=t, group_index=group_index, column_names=names,

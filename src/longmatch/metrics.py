@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (
     GENUINE, HIGHER_IS_BETTER, QUALITY_TERMS, CalibrationInfeasibleError, ComparisonTable,
-    DataError, MatcherProfile, distinct,
+    DataError, MatcherProfile, distinct, encode,
 )
 
 WILSON = "wilson"
@@ -331,13 +331,16 @@ def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: f
     fail_a = ~match_a
     fail_b = ~match_b
     min_quality = np.minimum(table.Q_gallery, table.Q_probe)
+    ids, codes = encode(table.gallery_subject)
+
+    def n_subjects(sel) -> int:
+        return int(np.count_nonzero(np.bincount(codes[sel])))
 
     def covariate(name):
         return min_quality if name == "min_quality" else table.column(name)
 
     def category(name, sel) -> FailureCategory:
         n = int(sel.sum())
-        subjects = set(table.gallery_subject[sel])
         corr = {}
         for prof in (profile_a, profile_b):
             scores = table.score(prof.name)[sel]
@@ -345,15 +348,13 @@ def failure_analysis(table: ComparisonTable, profile_a: MatcherProfile, thr_a: f
                 corr[(prof.name, cov_name)] = _pearson(scores, covariate(cov_name)[sel])
         capture = float((min_quality[sel] < min_quality_cut).mean()) if n else None
         gap = float(table.gap_T_months[sel].mean()) if n else None
-        return FailureCategory(name, n, len(subjects), capture, corr, gap)
+        return FailureCategory(name, n, n_subjects(sel), capture, corr, gap)
 
     union = fail_a | fail_b
-    failure_subjects = set(table.gallery_subject[union])
     return FailureReport(
         min_quality_cut=min_quality_cut,
         n_genuine=len(table), n_failures=int(union.sum()),
-        n_failure_subjects=len(failure_subjects),
-        n_subjects=len(set(table.gallery_subject)),
+        n_failure_subjects=n_subjects(union), n_subjects=len(ids),
         categories=(
             category("a_only", fail_a & ~fail_b),
             category("b_only", ~fail_a & fail_b),

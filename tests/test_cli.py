@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import longmatch
@@ -1264,6 +1265,23 @@ def test_fault_matrix(fault_tree, tmp_path, capsys, command, edits, damage, code
                                         5: "data-invalid", 7: "model-error"}[code])
     for text in named:
         assert text in line, line
+
+
+def test_subject_stages_sort_no_object_column(fault_tree, tmp_path, monkeypatch):
+    # subjects become integer keys through core.encode alone: np.unique on the
+    # subject strings would sort them as objects
+    unique = np.unique
+
+    def unique_of_numbers(values, *args, **kwargs):
+        if np.asarray(values).dtype == object:
+            raise AssertionError("np.unique on an object array")
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique_of_numbers)
+    outdir, config = _copy_tree(fault_tree, tmp_path)
+    (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for command in ("failures", "lmm", "apc", "cv"):
+        assert main([command, "--config", str(outdir / "config.json")]) == 0, command
 
 
 @pytest.mark.parametrize("edits, flags, named", [

@@ -3,6 +3,7 @@ import pytest
 
 from longmatch.core import (
     JOINED_COLUMNS, MODEL_COLUMNS, PAIR_COLUMNS, ComparisonTable, DataError, MatcherProfile,
+    encode,
 )
 from longmatch.pairing import generate_genuine_pairs
 
@@ -290,3 +291,30 @@ class TestComparisonTable:
             MatcherProfile(name, "higher", 0.0, 1.0, 0.5)
         for ok in ("det_x", "v1.2", "summary2"):
             MatcherProfile(ok, "higher", 0.0, 1.0, 0.5)
+
+
+def _fuzzed_columns():
+    """Object columns of subject-like ids: empty, one value, repeats, ids that
+    sort apart from their code points' lengths, and non-ASCII ids."""
+    rng = np.random.default_rng(31)
+    yield np.array([], dtype=object)
+    yield np.array(["S1"], dtype=object)
+    yield np.array(["S1"] * 7, dtype=object)
+    yield np.array(["b", "a", "b", "", "ab", "a", "B"], dtype=object)
+    yield np.array(["Ünal", "zoë", "Zoe", "ß", "儿童-7", "S\u00e9", "Se\u0301", "ß"], dtype=object)
+    alphabet = list("AaZz09-_éß儿")
+    for size in (1, 2, 50, 2000):
+        pool = ["".join(rng.choice(alphabet, rng.integers(0, 5))) for _ in range(max(1, size // 4))]
+        yield np.array(rng.choice(np.array(pool, dtype=object), size), dtype=object)
+
+
+@pytest.mark.parametrize("values", _fuzzed_columns(), ids=[
+    "empty", "one-row", "one-value", "ascii-order", "non-ascii",
+    *(f"fuzzed-{size}" for size in (1, 2, 50, 2000))])
+def test_encode_equals_np_unique_inverse(values):
+    ids, codes = encode(values)
+    want_ids, want_codes = np.unique(values, return_inverse=True)
+    assert ids.dtype == object and codes.dtype == np.int64
+    assert ids.tolist() == want_ids.tolist()
+    assert codes.tolist() == want_codes.ravel().tolist()
+    assert ids[codes].tolist() == values.tolist()

@@ -168,6 +168,21 @@ class TestBuildDesign:
                                                  r"rows dropped for missing values\)$"):
                 build_design(part, spec)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_group_index_codes_the_kept_subjects_as_np_unique_did(self, seed):
+        # subjects in shuffled row order, two dropped whole by a missing outcome
+        # and some others' rows, so that codes must be dense over kept subjects
+        rng = np.random.default_rng(seed)
+        table = make_model_table(rng, n_subjects=30, obs_per=5)
+        table = table.select(rng.permutation(len(table)))
+        kept = ~np.isin(table.gallery_subject, ["S0000", "S0017"]) \
+            & (rng.uniform(size=len(table)) > 0.2)
+        y = np.where(kept, table.scores["m1"], np.nan)
+        design = build_design(table.with_scores({"m1": y}), ModelSpec(outcome="m1"))
+        assert design.n_dropped_missing == int((~kept).sum())
+        assert design.group_index.dtype == np.int64
+        assert design.group_index.tolist() == _group_index_oracle(table, kept).tolist()
+
     def test_rank_deficiency_names_offender(self):
         rng = np.random.default_rng(4)
         table = make_model_table(rng)
@@ -176,6 +191,12 @@ class TestBuildDesign:
         with pytest.raises(RankDeficientError) as err:
             build_design(table, spec)
         assert "T" in err.value.columns
+
+
+def _group_index_oracle(table, kept):
+    """The subject codes build_design gave before core.encode: np.unique of
+    the kept rows' subject strings. Kept as the oracle."""
+    return np.unique(table.gallery_subject[kept], return_inverse=True)[1].ravel()
 
 
 def _greedy_independent_columns(X):

@@ -363,10 +363,34 @@ class TestFusion:
             assert rep.fused_fnmr >= max(fnmr_a, fnmr_b) - 1e-12
 
 
+def _failure_subject_counts_oracle(table, fail_a, fail_b):
+    """(failure subjects, subjects, per-category subjects) as failure_analysis
+    counted them before core.encode, by set. Kept as the oracle."""
+    def subjects(sel):
+        return len(set(table.gallery_subject[sel]))
+    return (subjects(fail_a | fail_b), len(set(table.gallery_subject)),
+            [subjects(fail_a & ~fail_b), subjects(~fail_a & fail_b), subjects(fail_a & fail_b)])
+
+
 class TestFailureAnalysis:
     def _profiles(self):
         return (MatcherProfile("A", "higher", -1e9, 1e9, 34.0),
                 MatcherProfile("B", "higher", -1e9, 1e9, 34.0))
+
+    @pytest.mark.parametrize("seed, n, n_subjects", [(0, 1, 1), (1, 40, 3), (2, 600, 97),
+                                                     (3, 600, 600)])
+    def test_subject_counts_match_the_set_oracle(self, seed, n, n_subjects):
+        rng = np.random.default_rng(seed)
+        pa, pb = self._profiles()
+        subjects = rng.choice([f"S{i:03d}é" for i in range(n_subjects)], n)
+        table = _table(GENUINE, subjects=subjects.tolist(),
+                       scores={"A": rng.normal(45.0, 10.0, n), "B": rng.normal(50.0, 10.0, n)})
+        report = failure_analysis(table, pa, 34.0, pb, 34.0)
+        fail_a = table.scores["A"] < 34.0
+        fail_b = table.scores["B"] < 34.0
+        assert (report.n_failure_subjects, report.n_subjects,
+                [cat.n_subjects for cat in report.categories]) \
+            == _failure_subject_counts_oracle(table, fail_a, fail_b)
 
     def test_capture_rate_hundred_percent(self):
         pa, pb = self._profiles()

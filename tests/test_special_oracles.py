@@ -212,15 +212,11 @@ def shapiro_samples(n):
 
 @pytest.mark.parametrize("n", SHAPIRO_NS)
 def test_shapiro_wilk_matches_scipy(n):
-    dw = dp = 0.0
+    dw = 0.0
     for x in shapiro_samples(n):
-        w, p = _special.shapiro(x)
-        want = stats.shapiro(x)
-        dw = max(dw, abs(w - float(want.statistic)))
-        dp = max(dp, max_rel(p, float(want.pvalue)))
-    print(f"shapiro n={n}: largest |W deviation| {dw:.3g}, "
-          f"largest relative p deviation {dp:.3g}")
-    assert dw <= 1e-12 and dp <= 1e-6
+        dw = max(dw, abs(_special.shapiro(x) - float(stats.shapiro(x).statistic)))
+    print(f"shapiro n={n}: largest |W deviation| {dw:.3g}")
+    assert dw <= 1e-12
 
 
 def test_shapiro_wilk_refuses_what_as_r94_does_not_cover():

@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 from longmatch.cli import main
-from longmatch.lmm import Continuous, ModelSpec, fit_reml, fit_spec, marginal_r2
+from longmatch.lmm import (
+    Continuous, ModelSpec, build_design, fit_reml, fit_spec, marginal_r2,
+)
 from longmatch.rng import shuffled
 from longmatch.validation import kfold_subject_cv, residual_diagnostics
 
 from test_lmm import make_model_table
+
+
+def _folds_oracle(table, k, seed):
+    """(fold subjects, held-out row masks) as kfold_subject_cv dealt them
+    before core.encode: np.unique of the subject strings, shuffled as strings,
+    and each fold mapped back to codes by searchsorted. Kept as the oracle."""
+    ids, codes = np.unique(table.gallery_subject, return_inverse=True)
+    order = shuffled(ids.tolist(), seed)
+    folds = [tuple(order[i::k]) for i in range(k)]
+    return folds, [np.isin(codes, np.searchsorted(ids, fold)) for fold in folds]
 
 
 class TestKfoldSubjectCv:
@@ -29,6 +41,22 @@ class TestKfoldSubjectCv:
         assert report.fold_subjects == tuple(tuple(order[i::5]) for i in range(5))
         assert len(all_subjects) == len(set(all_subjects))
         assert len(report.per_fold) == 5
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (4, 9), (7, 123)])
+    def test_folds_and_held_out_rows_as_the_string_oracle_dealt_them(self, k, seed):
+        rng = np.random.default_rng(seed)
+        table = self._table(rng, n_subjects=21, obs_per=6)
+        table = table.select(rng.permutation(len(table)))   # subjects out of row order
+        spec = ModelSpec(outcome="m1")
+        report = kfold_subject_cv(table, spec, k=k, seed=seed)
+        folds, held_out = _folds_oracle(table, k, seed)
+        assert report.fold_subjects == tuple(folds)
+        for result, fold, mask in zip(report.per_fold, folds, held_out):
+            assert (result.n_test_subjects, result.n_test_rows) == (len(fold), int(mask.sum()))
+        fit = fit_spec(table.select(~held_out[0]), spec)
+        design = build_design(table.select(held_out[0]), spec, like=fit.design)
+        err = design.y - fit.predict_fixed(design.X)
+        assert report.per_fold[0].rmse == float(np.sqrt(np.mean(err ** 2)))
 
     def test_same_seed_same_folds(self):
         rng = np.random.default_rng(41)
