@@ -609,8 +609,7 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
     fit = fit_spec(genuine, spec)
     name = spec.outcome + suffix
     diag = residual_diagnostics(fit)
-    _write_table(ctx, f"qq_{name}.csv", ["sample_quantile", "theoretical_quantile"],
-                 [diag.sample_quantiles, diag.theoretical_quantiles])
+    _write_table(ctx, f"qq_{name}.csv", ["sample_quantile"], [diag.sample_quantiles])
     report_text = format_fit_report(fit, f"{name} ~ {spec.apc_mode} + quality")
     report_text += (f"\nShapiro-Wilk W = {diag.shapiro_w:.4f} "
                     f"(n_used={diag.n_used}, subsampled={diag.subsampled})\n")
@@ -621,11 +620,11 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
     # enrollment age-group companion model and predicted trajectories
     group_spec = replace(spec, apc_mode=None, fixed_terms=(Continuous("T"), age_term) + tuple(
         t for t in spec.fixed_terms if isinstance(t, Continuous)))
+    header = ["age_group", "T_months", "predicted"]
     try:
         group_fit = fit_spec(genuine, group_spec)
     except ModelError as exc:
-        _write_text(ctx, f"trajectories_{name}.csv",
-                    "age_group,T_months,predicted\n")
+        _write_table(ctx, f"trajectories_{name}.csv", header, [[], [], []])
         _write_text(ctx, f"fit_report_{name}_age_groups.txt",
                     f"age-group model not fit: {exc}\n")
         return
@@ -633,24 +632,23 @@ def _fit_and_report(ctx: RunContext, genuine, spec, age_term, suffix: str) -> No
                 format_fit_report(group_fit, f"{name} ~ T + enrollment age group + quality") + "\n")
 
     design = group_fit.design
-    col_means = design.X.mean(axis=0)
-    t_grid = sorted(set(int(v) for v in design.X[:, design.column_names.index("T")].tolist()))
-    groups, months, predicted = [], [], []
+    t_col = design.column_names.index("T")
+    t_grid = sorted(set(int(v) for v in design.X[:, t_col].tolist()))
     labels = age_term.labels()
+    dummy = {label: design.column_names.index(f"A_gallery[{label}]") for label in labels
+             if f"A_gallery[{label}]" in design.column_names}
+    x = design.X.mean(axis=0)
+    x[0] = 1.0
+    groups, months, predicted = [], [], []
     for label in labels:
+        for other, column in dummy.items():
+            x[column] = float(other == label)
         for t_val in t_grid:
-            x = col_means.copy()
-            x[0] = 1.0
-            x[design.column_names.index("T")] = t_val
-            for other in labels:
-                cname = f"A_gallery[{other}]"
-                if cname in design.column_names:
-                    x[design.column_names.index(cname)] = 1.0 if other == label else 0.0
+            x[t_col] = t_val
             groups.append(label)
             months.append(t_val)
             predicted.append(float(x @ group_fit.beta))
-    _write_table(ctx, f"trajectories_{name}.csv", ["age_group", "T_months", "predicted"],
-                 [groups, months, predicted])
+    _write_table(ctx, f"trajectories_{name}.csv", header, [groups, months, predicted])
 
 
 def cmd_apc(ctx: RunContext) -> None:

@@ -218,6 +218,11 @@ def _set_columns(table, spec: dict, columns: dict) -> None:
         setattr(table, name, _read_only(columns[name], dtype, n))
 
 
+def _first_rows(keys: list) -> dict:
+    """key -> the row of its first occurrence in `keys`."""
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 class CaptureTable:
     """Columnar, read-only table of captures, one row per eye image in file order.
 
@@ -235,9 +240,7 @@ class CaptureTable:
             reason, _, detail = breaks[first.index(row)]
             raise DataError(f"capture row {row + 1} (image_id {self.image_id[row]!r}) breaks "
                             f"the {reason!r} rule: {detail(row)}")
-        self._row: dict[str, int] = {}
-        for row, image_id in enumerate(self.image_id):
-            self._row.setdefault(image_id, row)
+        self._row = _first_rows(self.image_id.tolist())
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -280,13 +283,10 @@ class ScoreTable:
         _set_columns(self, SCORE_COLUMNS, columns)
         keys = list(zip(self.gallery_image_id.tolist(), self.probe_image_id.tolist(),
                         self.matcher.tolist()))
-        self._row = dict(zip(keys, range(len(keys))))
+        self._row = _first_rows(keys)
         if len(self._row) < len(keys):
-            seen = set()
-            for row, key in enumerate(keys, 1):
-                if key in seen:
-                    raise DataError(f"duplicate score row for {key} at data row {row}")
-                seen.add(key)
+            row = next(row for row, key in enumerate(keys) if self._row[key] != row)
+            raise DataError(f"duplicate score row for {keys[row]} at data row {row + 1}")
 
     def rows(self, gallery_image_ids, probe_image_ids, matcher: str) -> np.ndarray:
         """The row of the (gallery, probe, `matcher`) key of each pair of ids;

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import SHAPIRO_MAX_N, ndtri, shapiro
+from ._special import SHAPIRO_MAX_N, shapiro
 from .core import ComparisonTable, encode
 from .lmm import FittedModel, ModelSpec, build_design, fit_spec
 from .rng import sample_indices, shuffled
@@ -82,20 +82,18 @@ def kfold_subject_cv(table: ComparisonTable, spec: ModelSpec, k: int,
 @dataclass(frozen=True)
 class DiagnosticsReport:
     shapiro_w: float
-    n_residuals: int
     n_used: int
     subsampled: bool
     sample_quantiles: np.ndarray        # sorted standardized residuals
-    theoretical_quantiles: np.ndarray   # matching normal quantiles (Blom)
 
 
-def residual_diagnostics(fit: FittedModel, y=None, X=None,
-                         subsample_seed: int = 0) -> DiagnosticsReport:
+def residual_diagnostics(fit: FittedModel, y=None, X=None) -> DiagnosticsReport:
     """Marginal residuals y - Xb with Q-Q export and Shapiro-Wilk W.
 
     W uses Royston's approximation, valid for 3 <= n <= 5000; beyond that a
-    seeded subsample of 5000 residuals is tested and the report is flagged
-    as subsampled.
+    subsample of 5000 residuals, drawn with seed 0, is tested and the report
+    is flagged as subsampled. The Q-Q partner of the i-th of n sample
+    quantiles is ndtri((i - 3/8) / (n + 1/4)), Blom's plotting position.
     """
     y = np.asarray(fit.design.y if y is None else y, dtype=np.float64)
     resid = y - fit.predict_fixed(fit.design.X if X is None else X)
@@ -107,19 +105,10 @@ def residual_diagnostics(fit: FittedModel, y=None, X=None,
         raise ValueError("residuals have zero variance")
 
     if n > SHAPIRO_MAX_N:
-        idx = sample_indices(n, SHAPIRO_MAX_N, subsample_seed)
-        tested = resid[np.array(idx, dtype=np.int64)]
-        subsampled = True
+        tested = resid[np.array(sample_indices(n, SHAPIRO_MAX_N, 0), dtype=np.int64)]
     else:
         tested = resid
-        subsampled = False
-    w = shapiro(tested)
-
-    standardized = np.sort((resid - resid.mean()) / sd)
-    ranks = np.arange(1, n + 1)
-    theo = ndtri((ranks - 0.375) / (n + 0.25))
     return DiagnosticsReport(
-        shapiro_w=float(w), n_residuals=n,
-        n_used=len(tested), subsampled=subsampled,
-        sample_quantiles=standardized, theoretical_quantiles=theo,
+        shapiro_w=float(shapiro(tested)), n_used=len(tested), subsampled=n > SHAPIRO_MAX_N,
+        sample_quantiles=np.sort((resid - resid.mean()) / sd),
     )

@@ -100,6 +100,18 @@ def test_full_pipeline_and_reports(tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_unfit_age_group_model_writes_an_empty_trajectory_table(tmp_path):
+    # every subject enrolls at 4-5, so the [6, 7] group has no gallery row
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config["synth"].update(enrollment_age_low=4, enrollment_age_high=5)
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    run_pipeline(cfg, ["synth", "pairs", "lmm"])
+    assert (outdir / "trajectories_simA.csv").read_bytes() == b"age_group,T_months,predicted\r\n"
+    assert "'A_gallery[6-7]'" in (outdir / "fit_report_simA_age_groups.txt").read_text()
+
+
 def test_calibration_infeasible_exit_code(tmp_path, capsys):
     outdir = tmp_path / "run"
     # impostors sit above every genuine score, so no observed threshold can
@@ -317,8 +329,8 @@ def test_synth_and_pairs_golden_digests(tmp_path):
 # SHA-256 of every other file that synth, ingest, pairs, calibrate, fnmr, det,
 # failures, fuse, lmm, apc, cv and report write on the write_config config;
 # like the digests above, a change to any of them is a change to the
-# program's output. The model-side files hold repr-written normal quantiles
-# and Wald p-values, so their digests also pin the normal kernels bit for bit.
+# program's output. The model-side files hold repr-written Wald p-values, so
+# their digests also pin the normal CDF bit for bit.
 GOLDEN_PIPELINE = {
     **GOLDEN_SYNTH_PAIRS,
     "apc_models.csv": "ec4f8566a266cc07f0df740a3cd6b761e52e813807bc528a87ec3c851c11d11b",
@@ -346,7 +358,7 @@ GOLDEN_PIPELINE = {
     "interval_fnmr_simA.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "interval_fnmr_simB.csv": "919255e102b8c18221a81cf050a052917b3101d04c84b8d0f2b93f6453a814fa",
     "pairs_summary.txt": "15b4e7a8d6e1a96887c99d060fc0537b07899e9e6653aa0438fae73aeb8c3ae2",
-    "qq_simA.csv": "2ceaa7a80ad2375aead65da44a51b215fb2de8279bb0c0dd930916d5e8282242",
+    "qq_simA.csv": "0eb0ca586af03e9d46d290278457eccc42d3b1c1a81a60b11c7a81f3f62e2616",
     "synth_summary.txt": "e8d5ab732d98e1036d9408eac092d8bb0572fb0f91766a11234be04904466104",
     "thresholds.json": "fed8db91ef23eca31c470f6d6232f7442537ce7f226dfccb58559dd706af2978",
     "trajectories_simA.csv": "7058efdc5d3a7696c557453707069a8aa204711ef212a44569d68bc64c8726ae",

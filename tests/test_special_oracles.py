@@ -14,10 +14,9 @@ import pytest
 from scipy import special, stats
 
 from longmatch import _special
-from longmatch.lmm import ModelSpec, fit_reml, fit_spec, likelihood_ratio_test
+from longmatch.lmm import ModelSpec, fit_spec, likelihood_ratio_test
 from longmatch.metrics import _pearson, wilson_interval
 from longmatch.synth import _normal_mass
-from longmatch.validation import residual_diagnostics
 
 from test_lmm import make_model_table
 
@@ -132,14 +131,15 @@ def test_lrt_p_value_is_chi_square_tail():
 
 @pytest.mark.parametrize("n", [51, 52])
 def test_qq_quantiles_are_normal_quantiles(n):
-    # odd n puts one plotting position at exactly 0.5, where a sign slip
-    # would write -0.0 into qq_*.csv
-    rng = np.random.default_rng(n)
-    g = np.repeat(np.arange(n), 2)[:n]
-    fit = fit_reml(rng.normal(0.0, 1.0, n), np.ones((n, 1)), None, g)
+    # the theoretical partner of qq_*.csv's i-th of n rows, as README gives
+    # it: ndtri of Blom's plotting position. Odd n puts one position at
+    # exactly 0.5, where a sign slip would give -0.0
     ranks = np.arange(1, n + 1)
-    expected = stats.norm.ppf((ranks - 0.375) / (n + 0.25))
-    assert same_bits(residual_diagnostics(fit).theoretical_quantiles, expected)
+    positions = (ranks - 0.375) / (n + 0.25)
+    got = _special.ndtri(positions)
+    assert same_bits(got, stats.norm.ppf(positions))
+    if n % 2:
+        assert positions[n // 2] == 0.5 and same_bits(got[n // 2], 0.0)
 
 
 def test_truncated_normal_mass():
