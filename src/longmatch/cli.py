@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import glob
 import hashlib
 import json
 import os
@@ -717,32 +716,30 @@ def cmd_report(ctx: RunContext) -> None:
             largest[chart.title] = max(largest.get(chart.title, top), top)
         return values
 
-    fnmr_files = sorted(glob.glob(str(ctx.outdir / "interval_fnmr_*.csv")))
+    fnmr_files = sorted(ctx.outdir.glob("interval_fnmr_*.csv"))
     if fnmr_files:
         chart = charts["fnmr.svg"] = Chart("Longitudinal FNMR by interval",
                                            "interval (months)", "FNMR (%)")
         for path in fnmr_files:
-            text = read_table(ctx.record_input(Path(path)), dict.fromkeys(
+            text = read_table(ctx.record_input(path), dict.fromkeys(
                 ("interval_months", "fnmr", "ci_low", "ci_high"), np.float64))
             x, y, low, high = (plotted(chart, path, text, c, scale) for c, scale in (
                 ("interval_months", 1.0), ("fnmr", 100.0), ("ci_low", 100.0), ("ci_high", 100.0)))
-            chart.series.append(Series(name=Path(path).stem.removeprefix("interval_fnmr_"),
+            chart.series.append(Series(name=path.stem.removeprefix("interval_fnmr_"),
                                        x=x, y=y, whisker_low=low, whisker_high=high))
 
-    det_files = [p for p in sorted(glob.glob(str(ctx.outdir / "det_*.csv")))
-                 if not p.endswith("det_summary.csv")]
+    det_files = [p for p in sorted(ctx.outdir.glob("det_*.csv")) if p.name != "det_summary.csv"]
     if det_files:
         chart = charts["det.svg"] = Chart("DET curves", "FMR", "FNMR", log_x=True, log_y=True)
         for path in det_files:
-            text = read_table(ctx.record_input(Path(path)),
-                              dict.fromkeys(("fmr", "fnmr"), np.float64))
+            text = read_table(ctx.record_input(path), dict.fromkeys(("fmr", "fnmr"), np.float64))
             chart.series.append(Series(
-                name=Path(path).stem.removeprefix("det_"), x=plotted(chart, path, text, "fmr"),
+                name=path.stem.removeprefix("det_"), x=plotted(chart, path, text, "fmr"),
                 y=plotted(chart, path, text, "fnmr"), markers=False))
 
-    for path in sorted(glob.glob(str(ctx.outdir / "trajectories_*.csv"))):
-        name = Path(path).stem.removeprefix("trajectories_")
-        text = read_table(ctx.record_input(Path(path)), {
+    for path in sorted(ctx.outdir.glob("trajectories_*.csv")):
+        name = path.stem.removeprefix("trajectories_")
+        text = read_table(ctx.record_input(path), {
             "age_group": object, "T_months": np.float64, "predicted": np.float64})
         if not len(text):
             continue
@@ -751,7 +748,7 @@ def cmd_report(ctx: RunContext) -> None:
         group = text.column("age_group")
         t_months = plotted(chart, path, text, "T_months")
         predicted = plotted(chart, path, text, "predicted")
-        for label in sorted(set(group)):
+        for label in dict.fromkeys(group):   # the table's order, that of model.age_groups
             sel = group == label
             chart.series.append(Series(name=f"enrolled {label}", x=t_months[sel],
                                        y=predicted[sel], markers=False))

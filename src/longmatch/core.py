@@ -82,7 +82,6 @@ PAIR_COLUMNS = {
     "gallery_image_id": object,
     "probe_image_id": object,
     "gap_T_months": np.int64,           # probe minus gallery time (impostors: absolute)
-    "delta_age_years": np.int64,        # probe minus gallery age
     "DC": np.float64,                   # dilation constancy 1 - |R_gallery - R_probe|
     "Q_gallery": np.float64,            # quality
     "Q_probe": np.float64,
@@ -90,19 +89,21 @@ PAIR_COLUMNS = {
     "U_probe": np.float64,
     "C_gallery": np.float64,            # circularity
     "C_probe": np.float64,
-    "R_gallery": np.float64,            # dilation ratio pupil / iris radius
-    "R_probe": np.float64,
 }
 # the ComparisonTable columns CaptureTable.joined alone derives from the capture
-# table through the image ids: subjects, ages and the nine capture covariates
-# (the float PAIR_COLUMNS), which are in both schemas: write_pairs writes them to
-# the genuine file for readers outside longmatch, and read_pairs never reads them
+# table through the image ids: subjects, ages, their difference and the nine
+# capture covariates; seven of those (the float PAIR_COLUMNS) are in both
+# schemas: write_pairs writes them to the genuine file for readers outside
+# longmatch, and read_pairs never reads them
 JOINED_COLUMNS = {
     "gallery_subject": object,
     "probe_subject": object,
     "A_gallery": np.float64,            # age in years at capture
     "A_probe": np.float64,
+    "delta_age_years": np.int64,        # probe minus gallery age
     **{name: dtype for name, dtype in PAIR_COLUMNS.items() if dtype is np.float64},
+    "R_gallery": np.float64,            # dilation ratio pupil / iris radius
+    "R_probe": np.float64,
 }
 # model names of two pair columns
 COLUMN_ALIASES = {"T": "gap_T_months", "delta_A": "delta_age_years"}
@@ -218,6 +219,27 @@ def _set_columns(table, spec: dict, columns: dict) -> None:
         setattr(table, name, _read_only(columns[name], dtype, n))
 
 
+def _difference(captures: CaptureTable, name: str, g: np.ndarray, p: np.ndarray, *,
+                absolute: bool = False, later: bool = False) -> np.ndarray:
+    """The `name` column of each probe row p[i] of `captures` minus that of its
+    gallery row g[i], or its absolute value. DataError names the first pair
+    whose difference does not fit in int64 or, when `later`, is not positive."""
+    a, b = getattr(captures, name)[p], getattr(captures, name)[g]
+    d = a - b
+    wraps = ((a ^ b) & (a ^ d)) < 0   # operands of unlike sign, result unlike a
+    if absolute:
+        wraps |= d == np.iinfo(np.int64).min   # whose absolute value does not fit
+        d = np.abs(d)
+    bad = wraps | (d <= 0) if later else wraps
+    if bad.any():
+        i = int(np.argmax(bad))
+        gallery, probe = captures.image_id[g[i]], captures.image_id[p[i]]
+        raise DataError(f"the {name} difference of gallery {gallery} and probe {probe} does "
+                        f"not fit in int64" if wraps[i] else f"probe {probe} in a later "
+                        f"collection than gallery {gallery} but not later in time")
+    return d
+
+
 def _first_rows(keys: list) -> dict:
     """key -> the row of its first occurrence in `keys`."""
     return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
@@ -258,7 +280,8 @@ class CaptureTable:
 
     def joined(self, gallery_rows, probe_rows) -> dict:
         """The JOINED_COLUMNS of the pairs of rows (gallery_rows[i], probe_rows[i]):
-        the one derivation of the capture covariates."""
+        the one derivation of the capture covariates. DataError names the first
+        pair whose age difference does not fit in int64."""
         values = {"Q": self.quality, "U": self.usable_area, "C": self.circularity,
                   "R": self.pupil_radius / self.iris_radius}
         columns = {f"{name}_{side}": column[rows] for name, column in values.items()
@@ -267,6 +290,7 @@ class CaptureTable:
                     probe_subject=self.subject_id[probe_rows],
                     A_gallery=self.age_years[gallery_rows].astype(np.float64),
                     A_probe=self.age_years[probe_rows].astype(np.float64),
+                    delta_age_years=_difference(self, "age_years", gallery_rows, probe_rows),
                     DC=1.0 - np.abs(columns["R_gallery"] - columns["R_probe"]), **columns)
 
 

@@ -6,7 +6,8 @@ matcher onto it. A genuine table holds every pair column, an impostor table
 the key columns only: no model reads impostor capture covariates.
 Every capture keeps the capture-row rules (`core.CAPTURE_RULES`, checked
 when its CaptureTable was built), so pairing checks only what relates two
-captures: the difference of their times and, for a genuine pair, of their ages.
+captures: the difference of their times (the capture join checks that of a
+genuine pair's ages).
 
 Both protocols are index arithmetic over one grouping of the capture table
 in its global sorted order (subject, eye, collection, time, image id): its
@@ -32,8 +33,8 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, DataError, MatcherProfile,
-    ScoreRangeError, ScoreTable,
+    GENUINE, IMPOSTOR, CaptureTable, ComparisonTable, MatcherProfile, ScoreRangeError,
+    ScoreTable, _difference,
 )
 from .rng import sample_indices
 
@@ -51,38 +52,16 @@ class PairingConfig:
 def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
                 kind: str) -> ComparisonTable:
     """Unscored table of the pairs of rows (g[i], p[i]) of `captures`; the
-    age difference and the JOINED_COLUMNS for genuine pairs only.
+    JOINED_COLUMNS for genuine pairs only.
 
     Genuine gaps are probe minus gallery time and must be positive; impostor
-    gaps are absolute. The time difference, and a genuine pair's age
-    difference, must fit in int64; the first offending pair raises
-    DataError. The rules on one capture, 0 < pupil < iris among them, held
-    when `captures` was built.
+    gaps are absolute. The time difference must fit in int64; the first
+    offending pair raises DataError. The rules on one capture, 0 < pupil <
+    iris among them, held when `captures` was built.
     """
-    def difference(column):
-        """column[p] - column[g] as int64 arrays wrap it, and where it wraps."""
-        a, b = column[p], column[g]
-        d = a - b
-        return d, ((a ^ b) & (a ^ d)) < 0   # operands of unlike sign, result unlike a
-
-    gap, gap_wraps = difference(captures.capture_time_months)
-    if kind == GENUINE:
-        delta_age, age_wraps = difference(captures.age_years)
-        bad = gap_wraps | age_wraps | (gap <= 0)
-    else:
-        gap_wraps |= gap == np.iinfo(np.int64).min   # whose absolute value does not fit
-        gap, age_wraps, bad = np.abs(gap), np.zeros(len(g), dtype=bool), gap_wraps
-    if bad.any():
-        i = int(np.argmax(bad))
-        if gap_wraps[i] or age_wraps[i]:
-            raise DataError(
-                f"the {'capture_time_months' if gap_wraps[i] else 'age_years'} difference of "
-                f"gallery {captures.image_id[g[i]]} and probe {captures.image_id[p[i]]} "
-                f"does not fit in int64")
-        raise DataError(
-            f"probe {captures.image_id[p[i]]} in a later collection than gallery "
-            f"{captures.image_id[g[i]]} but not later in time")
-    columns = dict(delta_age_years=delta_age, **captures.joined(g, p)) if kind == GENUINE else {}
+    gap = _difference(captures, "capture_time_months", g, p,
+                      absolute=kind == IMPOSTOR, later=kind == GENUINE)
+    columns = captures.joined(g, p) if kind == GENUINE else {}
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],

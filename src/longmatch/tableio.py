@@ -186,14 +186,14 @@ def read_pairs(path, kind: str, captures: Callable[[], CaptureTable], columns) -
     score_<matcher> column per matcher. `columns` names what to read, each
     required: PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher>
     file columns, `kind` always read with them; any other name raises
-    ValueError. The JOINED_COLUMNS (subjects, ages, and the capture
-    covariates DC, Q_*, U_*, C_*, R_* the genuine file also shows) are never
-    read from the file: all are joined in through the two image ids when one
-    is asked for, and only then is `captures` called, with no argument. A
-    column the file lacks, a row of another kind, an id missing from the
-    capture table (when joining), a non-finite score cell and a negative
-    gap_T_months read raise IngestError naming the row; a column not read
-    is not parsed or judged.
+    ValueError. The JOINED_COLUMNS (subjects, ages, delta_age_years and the
+    capture covariates DC, Q_*, U_*, C_*, R_*, the first seven of which the
+    genuine file also shows) are never read from the file: all are joined in
+    through the two image ids when one is asked for, and only then is
+    `captures` called, with no argument. A column the file lacks, a row of
+    another kind, an id missing from the capture table (when joining), a
+    non-finite score cell and a negative gap_T_months read raise IngestError
+    naming the row; a column not read is not parsed or judged.
     """
     path = Path(path)
     join = not JOINED_COLUMNS.keys().isdisjoint(columns)

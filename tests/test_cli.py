@@ -17,7 +17,7 @@ from longmatch import cli, tableio
 from longmatch.cli import _COMMANDS, build_parser, main
 from longmatch.core import QUALITY_TERMS
 from longmatch.rng import shuffled
-from longmatch.tableio import CAPTURE_HEADER
+from longmatch.tableio import CAPTURE_HEADER, read_table
 
 
 def write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -312,7 +312,7 @@ def test_synth_refuses_unbounded_work_before_drawing(tmp_path, capsys, monkeypat
 GOLDEN_SYNTH_PAIRS = {
     "captures.csv": "07e8231f4f6f141eb51416176da9f0c09d6dee9503e2a149c31b2ed3bcda5550",
     "scores.csv": "3a5db7b442ef6fbce7a963228a017eab7f46fe78db293cd7ee6ce408c1f19b80",
-    "pairs_genuine.csv": "2c7f3347d2e563e75c43bae9662c3aac0c0d10faeee1cd9f2082bf85391d25c3",
+    "pairs_genuine.csv": "f342fd7b81a9e6695745a47569520f06940a4aff5d428c871ec1e44dbc220608",
     "pairs_impostor.csv": "b45d6339f7ed4a0c2ea8a40664a29cce19862ce078afba3b255714dee1fa9ab5",
     "pairs_incomplete.csv": "da8e4b693bdd113b5e524c8f979798ce7a0167141f58e1c6cbf86cc8f8dce1ad",
 }
@@ -362,7 +362,7 @@ GOLDEN_PIPELINE = {
     "synth_summary.txt": "e8d5ab732d98e1036d9408eac092d8bb0572fb0f91766a11234be04904466104",
     "thresholds.json": "fed8db91ef23eca31c470f6d6232f7442537ce7f226dfccb58559dd706af2978",
     "trajectories_simA.csv": "7058efdc5d3a7696c557453707069a8aa204711ef212a44569d68bc64c8726ae",
-    "trajectories_simA.svg": "d5c11cbec69551673dbeb9fbabc40a4b02be8b6a99ca7113479b15a7fff854b1",
+    "trajectories_simA.svg": "c166fcb3b143a644d1ba300cf2781554e7703cd4c616255122572dd84caea602",
 }
 # (inputs, outputs) each manifest names; their digests are the files' above
 GOLDEN_MANIFESTS = {
@@ -1072,8 +1072,9 @@ FAULTS = [
     ("cv", {}, {"pairs_genuine.csv": _header_only}, 5, ["need at least k=3 subjects, have 0"]),
     ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "100000000000000000000")}, 5,
      ["pairs_genuine.csv", "gap_T_months", "data row 1"]),
-    ("lmm", {}, {"pairs_genuine.csv": _cell("delta_age_years", "-9223372036854775809", row=4)},
-     5, ["pairs_genuine.csv", "delta_age_years", "data row 4"]),
+    # an age difference past int64 stops the capture join, naming the pair
+    ("lmm", {}, {"captures.csv": _cell("age_years", str(-2**63))}, 5,
+     ["the age_years difference of gallery I0000000 and probe I0000002 does not fit in int64"]),
     ("pairs", {}, {"scores.csv": lambda data: _short(2)(_first("score")(data))}, 5,
      ["scores.csv", "data row 2"]),
     ("synth", {"synth.matchers[0].impostor": {"family": "uniform", "loc": 1e308, "scale": 1e308}},
@@ -1213,7 +1214,7 @@ FAULTS = [
     ("apc", {"model.eyes": []}, {}, 3,
      ["config model.eyes must be a non-empty list of 'L', 'R' or 'pooled', got []"]),
     # the model subcommands judge the pair columns a design reads, and no other
-    ("lmm", {}, {"pairs_genuine.csv": _cell("R_gallery", "inf", row=2)}, 0,
+    ("lmm", {}, {"pairs_genuine.csv": _cell("U_gallery", "inf", row=2)}, 0,
      ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
     # and DC is joined from captures.csv, not read from the pair file
     ("lmm", {}, {"pairs_genuine.csv": _cell("DC", "inf", row=2)}, 0,
@@ -1244,6 +1245,10 @@ FAULTS = [
        ["pairs_genuine.csv", "references image ids missing from the capture table"])
       for column, text in (("pupil_radius", "inf"), ("quality", "150"))
       for command in ("failures", "lmm")),
+    # and the model subcommands read no column the impostor layout lacks:
+    # delta_age_years is joined from captures.csv too
+    ("lmm", {}, {"pairs_genuine.csv": _impostor_layout}, 0,
+     ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",
@@ -1294,6 +1299,37 @@ def test_subject_stages_sort_no_object_column(fault_tree, tmp_path, monkeypatch)
     (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
     for command in ("failures", "lmm", "apc", "cv"):
         assert main([command, "--config", str(outdir / "config.json")]) == 0, command
+
+
+def test_report_output_path_is_no_glob_pattern(fault_tree, tmp_path, capsys):
+    outdir, config = _copy_tree(fault_tree, tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    # "[1]" in the path is no character class: report finds its inputs
+    brackets = shutil.copytree(fault_tree, tmp_path / "o[1]")
+    assert main(["report", "--config", str(cfg), "--out", str(brackets)]) == 0
+    for name in ("det.svg", "fnmr.svg", "trajectories_simA.svg"):
+        assert (brackets / name).read_bytes() == (outdir / name).read_bytes(), name
+    # and "?" matches no sibling: an empty "q?" next to a finished run "qX"
+    shutil.copytree(fault_tree, tmp_path / "qX")
+    (tmp_path / "q?").mkdir()
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "q?")]) == 4
+    assert "no report inputs found" in _one_error_line(capsys, "missing-input")
+    assert not any((tmp_path / "q?").iterdir())
+
+
+def test_trajectory_legend_in_table_order(fault_tree, tmp_path):
+    outdir, config = _copy_tree(fault_tree, tmp_path)
+    (outdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["report", "--config", str(outdir / "config.json")]) == 0
+    groups = read_table(outdir / "trajectories_simA.csv", {"age_group": object}).column(
+        "age_group").tolist()
+    svg = (outdir / "trajectories_simA.svg").read_text(encoding="utf-8")
+    # the model's age groups in numeric order, which a string sort would not keep
+    assert list(dict.fromkeys(groups)) == ["4-5", "6-7", "8-9", "10-12"]
+    assert re.findall(r">enrolled ([0-9-]+)<", svg) == list(dict.fromkeys(groups))
 
 
 @pytest.mark.parametrize("edits, flags, named", [

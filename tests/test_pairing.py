@@ -19,7 +19,7 @@ from conftest import (
 
 TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
 # the columns derived from the captures besides the gap, which only genuine tables hold
-COVARIATE_COLUMNS = ("delta_age_years", *JOINED_COLUMNS)
+COVARIATE_COLUMNS = tuple(JOINED_COLUMNS)
 # an impostor table holds exactly its file's columns
 IMPOSTOR_COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months")
 
@@ -222,6 +222,19 @@ class TestPreservedErrors:
         with pytest.raises(DataError, match="the age_years difference of gallery G1 and "
                                             "probe P1 does not fit in int64"):
             generate_genuine_pairs(capture_table(recs[2:]))
+
+    def test_time_fault_is_named_before_an_age_wrap(self):
+        # the gaps are checked before the capture join finds the age difference
+        # of the first pair, G0 -> P0, past int64
+        recs = [make_capture("G0", collection=1, months=6, age=-2**63),
+                make_capture("P0", collection=2, months=12, age=2**63 - 1),
+                make_capture("P1", collection=3, months=6)]
+        with pytest.raises(DataError, match="probe P1 in a later collection than "
+                                            "gallery G0 but not later in time"):
+            generate_genuine_pairs(capture_table(recs))
+        with pytest.raises(DataError, match="the age_years difference of gallery G0 and "
+                                            "probe P0 does not fit in int64"):
+            generate_genuine_pairs(capture_table(recs[:2]))
 
     def test_impostor_difference_past_int64_raises_data_error(self):
         # the true gaps are 2**63 and 2**63 + 6: one wraps, one's absolute value

@@ -267,8 +267,8 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     # each kind's file holds the pair columns its table holds, and an
     # impostor table holds no capture covariates
     headers = {"genuine": ("kind,eye,gallery_image_id,probe_image_id,gap_T_months,"
-                           "delta_age_years,DC,Q_gallery,Q_probe,U_gallery,U_probe,"
-                           "C_gallery,C_probe,R_gallery,R_probe,score_m1"),
+                           "DC,Q_gallery,Q_probe,U_gallery,U_probe,C_gallery,C_probe,"
+                           "score_m1"),
                "impostor": "kind,eye,gallery_image_id,probe_image_id,gap_T_months,score_m1"}
     tables, backs = {}, {}
     for kind, unscored in (("genuine", genuine), ("impostor", impostor)):
@@ -277,10 +277,14 @@ def test_pairs_round_trip_with_age_join(tmp_path):
         write_pairs(table, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == headers[kind]
-        # a pair column the file lacks: the impostor file holds no covariates
+        # a pair column the file lacks
         if kind == "impostor":
-            with pytest.raises(IngestError, match="missing mandatory column.*delta_age_years"):
-                read_pairs(path, kind, lambda: captures, EVERY_COLUMN)
+            cut = tmp_path / "cut.csv"
+            cut.write_text("".join(",".join(cells[:4] + cells[5:]) + "\r\n" for cells in (
+                line.split(",") for line in path.read_text(encoding="utf-8").splitlines())),
+                encoding="utf-8")
+            with pytest.raises(IngestError, match="missing mandatory column.*gap_T_months"):
+                read_pairs(cut, kind, lambda: captures, ("gap_T_months",))
         columns = (*(EVERY_COLUMN if kind == "genuine" else ("gap_T_months", "A_gallery")),
                    "score_m1")
         back = backs[kind] = read_pairs(path, kind, lambda: captures, columns)
@@ -324,12 +328,13 @@ def test_read_pairs_ingests_captures_only_to_join(tmp_path):
         calls.append(len(calls))
         return captures
 
-    read_pairs(tmp_path / "pairs.csv", "genuine", ingest,
-               ("kind", "gap_T_months", "delta_age_years", "score_m1"))
+    read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "gap_T_months", "score_m1"))
     assert calls == []
-    back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "A_probe"))
+    back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest,
+                      ("kind", "A_probe", "delta_age_years"))
     assert calls == [0]
     assert back.A_probe.tolist() == pairs.A_probe.tolist()
+    assert back.delta_age_years.tolist() == pairs.delta_age_years.tolist()
     # a capture covariate is joined, never read from the file
     back = read_pairs(tmp_path / "pairs.csv", "genuine", ingest, ("kind", "DC"))
     assert calls == [0, 1]
@@ -338,7 +343,30 @@ def test_read_pairs_ingests_captures_only_to_join(tmp_path):
     assert calls == [0, 1, 2]
 
 
-# the capture covariates: the genuine file shows them, read_pairs joins them
+def test_genuine_file_of_seventeen_columns_reads_to_the_same_tables(tmp_path):
+    # the layout that also wrote delta_age_years after gap_T_months and
+    # R_gallery, R_probe after C_probe: read_pairs reads neither, so their
+    # stale cells are not judged
+    captures = random_capture_table(np.random.default_rng(11), n_subjects=6)
+    pairs = generate_genuine_pairs(captures)
+    write_pairs(pairs.with_scores({"m1": np.arange(len(pairs), dtype=np.float64)}),
+                tmp_path / "pairs.csv")
+    lines = [line.split(",") for line in
+             (tmp_path / "pairs.csv").read_text(encoding="utf-8").splitlines()]
+    stale = [["delta_age_years", "R_gallery", "R_probe"], ["x", "inf", ""],
+             *([str(2**64), "nan", "-1"] for _ in lines[2:])]
+    (tmp_path / "old.csv").write_text("".join(
+        ",".join([*cells[:5], d, *cells[5:12], r_gallery, r_probe, *cells[12:]]) + "\r\n"
+        for cells, (d, r_gallery, r_probe) in zip(lines, stale)), encoding="utf-8")
+    for columns in ((*EVERY_COLUMN, "score_m1"), ("kind", "gap_T_months", "score_m1")):
+        new, old = (read_pairs(tmp_path / name, "genuine", lambda: captures, columns)
+                    for name in ("pairs.csv", "old.csv"))
+        assert old.columns == new.columns
+        assert _table_bits(old, old.columns) == _table_bits(new, new.columns)
+        assert _bits(old.scores["m1"]) == _bits(new.scores["m1"])
+
+
+# the capture covariates the genuine file shows; read_pairs joins them
 COVARIATES = tuple(name for name in JOINED_COLUMNS if name in PAIR_COLUMNS)
 
 
