@@ -74,14 +74,14 @@ SCORE_COLUMNS = {
     "score": np.float64,
 }
 
-# the pair-file columns in file order, each with the dtype a ComparisonTable
-# holds it in; the file then has one score_<matcher> column per matcher
+# the pair-file columns in file order (an impostor file's: the first four), each
+# with the dtype a ComparisonTable holds it in; then one score_<matcher> per matcher
 PAIR_COLUMNS = {
     "kind": object,                     # "genuine" or "impostor"
     "eye": object,
     "gallery_image_id": object,
     "probe_image_id": object,
-    "gap_T_months": np.int64,           # probe minus gallery time (impostors: absolute)
+    "gap_T_months": np.int64,           # probe minus gallery time (genuine pairs only)
     "DC": np.float64,                   # dilation constancy 1 - |R_gallery - R_probe|
     "Q_gallery": np.float64,            # quality
     "Q_probe": np.float64,
@@ -220,16 +220,13 @@ def _set_columns(table, spec: dict, columns: dict) -> None:
 
 
 def _difference(captures: CaptureTable, name: str, g: np.ndarray, p: np.ndarray, *,
-                absolute: bool = False, later: bool = False) -> np.ndarray:
+                later: bool = False) -> np.ndarray:
     """The `name` column of each probe row p[i] of `captures` minus that of its
-    gallery row g[i], or its absolute value. DataError names the first pair
-    whose difference does not fit in int64 or, when `later`, is not positive."""
+    gallery row g[i]. DataError names the first pair whose difference does
+    not fit in int64 or, when `later`, is not positive."""
     a, b = getattr(captures, name)[p], getattr(captures, name)[g]
     d = a - b
     wraps = ((a ^ b) & (a ^ d)) < 0   # operands of unlike sign, result unlike a
-    if absolute:
-        wraps |= d == np.iinfo(np.int64).min   # whose absolute value does not fit
-        d = np.abs(d)
     bad = wraps | (d <= 0) if later else wraps
     if bad.any():
         i = int(np.argmax(bad))

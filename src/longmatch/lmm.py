@@ -159,14 +159,18 @@ def _check_design(y: np.ndarray, X: np.ndarray, names: list[str], label: str, fi
     `fitted`, RankDeficientError naming the columns of X aliased with those
     before them; for every design, ModelError naming the outcome `label`
     where the spread of y overflows float64, as it then overflows every sum
-    of squares after this one, in the fit and in scoring held-out rows alike."""
-    keep = _independent_columns(X) if fitted else np.ones(X.shape[1], dtype=bool)
-    if not keep.all():
-        raise RankDeficientError([name for name, kept in zip(names, keep) if not kept])
+    of squares after this one; for a fitted design, ModelError where a y that
+    is not constant (the fit names that fault) is a linear function of X."""
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(y))
+        # Gram-Schmidt runs in column order: with y last, X's flags are X's own
+        keep = _independent_columns(np.column_stack([X, y])) if fitted else None
+    if fitted and not keep[:-1].all():
+        raise RankDeficientError([name for name, kept in zip(names, keep) if not kept])
     if not np.isfinite(spread):
         raise ModelError(f"the spread of {label} overflows float64")
+    if fitted and not keep[-1] and (y != y[:1]).any():
+        raise ModelError(f"{label} is a linear function of the fixed effects")
 
 
 def build_design(table: ComparisonTable, spec: ModelSpec, *,

@@ -3,11 +3,11 @@
 Both protocols return an unscored ComparisonTable (no score columns), one
 row per pair in protocol order; `attach_scores` then joins one score per
 matcher onto it. A genuine table holds every pair column, an impostor table
-the key columns only: no model reads impostor capture covariates.
+the key columns only: no stage reads an impostor pair's gap or covariates.
 Every capture keeps the capture-row rules (`core.CAPTURE_RULES`, checked
-when its CaptureTable was built), so pairing checks only what relates two
-captures: the difference of their times (the capture join checks that of a
-genuine pair's ages).
+when its CaptureTable was built), so pairing checks only what relates the
+two captures of a genuine pair: their time difference (the capture join
+checks their age difference).
 
 Both protocols are index arithmetic over one grouping of the capture table
 in its global sorted order (subject, eye, collection, time, image id): its
@@ -51,21 +51,18 @@ class PairingConfig:
 
 def _pair_table(captures: CaptureTable, g: np.ndarray, p: np.ndarray,
                 kind: str) -> ComparisonTable:
-    """Unscored table of the pairs of rows (g[i], p[i]) of `captures`; the
-    JOINED_COLUMNS for genuine pairs only.
-
-    Genuine gaps are probe minus gallery time and must be positive; impostor
-    gaps are absolute. The time difference must fit in int64; the first
-    offending pair raises DataError. The rules on one capture, 0 < pupil <
-    iris among them, held when `captures` was built.
-    """
-    gap = _difference(captures, "capture_time_months", g, p,
-                      absolute=kind == IMPOSTOR, later=kind == GENUINE)
-    columns = captures.joined(g, p) if kind == GENUINE else {}
+    """Unscored table of the pairs of rows (g[i], p[i]) of `captures`: the
+    key columns and, for genuine pairs, the gap and the JOINED_COLUMNS.
+    DataError names the first genuine gap that does not fit in int64 or is
+    not positive, before the capture join judges the ages."""
+    columns = {}
+    if kind == GENUINE:
+        columns = dict(gap_T_months=_difference(captures, "capture_time_months", g, p,
+                                                later=True), **captures.joined(g, p))
     return ComparisonTable(
         kind=np.full(len(g), kind, dtype=object), eye=captures.eye[g],
         gallery_image_id=captures.image_id[g], probe_image_id=captures.image_id[p],
-        gap_T_months=gap, **columns, scores={})
+        **columns, scores={})
 
 
 def _sorted_runs(captures: CaptureTable):

@@ -182,7 +182,7 @@ def read_pairs(path, kind: str, captures: Callable[[], CaptureTable], columns) -
     `columns` a caller uses.
 
     The pair file holds the PAIR_COLUMNS its table held (`write_pairs`:
-    every one for genuine pairs, the key columns for impostor pairs) and one
+    every one for genuine pairs, the four keys for impostor pairs) and one
     score_<matcher> column per matcher. `columns` names what to read, each
     required: PAIR_COLUMNS and JOINED_COLUMNS names and score_<matcher>
     file columns, `kind` always read with them; any other name raises
@@ -193,7 +193,8 @@ def read_pairs(path, kind: str, captures: Callable[[], CaptureTable], columns) -
     `captures` called, with no argument. A column the file lacks, a row of
     another kind, an id missing from the capture table (when joining), a
     non-finite score cell and a negative gap_T_months read raise IngestError
-    naming the row; a column not read is not parsed or judged.
+    naming the row; a column not read, such as the impostor gap an earlier
+    version wrote, is not parsed or judged.
     """
     path = Path(path)
     join = not JOINED_COLUMNS.keys().isdisjoint(columns)

@@ -313,7 +313,7 @@ GOLDEN_SYNTH_PAIRS = {
     "captures.csv": "07e8231f4f6f141eb51416176da9f0c09d6dee9503e2a149c31b2ed3bcda5550",
     "scores.csv": "3a5db7b442ef6fbce7a963228a017eab7f46fe78db293cd7ee6ce408c1f19b80",
     "pairs_genuine.csv": "f342fd7b81a9e6695745a47569520f06940a4aff5d428c871ec1e44dbc220608",
-    "pairs_impostor.csv": "b45d6339f7ed4a0c2ea8a40664a29cce19862ce078afba3b255714dee1fa9ab5",
+    "pairs_impostor.csv": "089a3c11e375b0b09b94eaea2101003d940869ac15f08cb4f0eda1594aa41fbf",
     "pairs_incomplete.csv": "da8e4b693bdd113b5e524c8f979798ce7a0167141f58e1c6cbf86cc8f8dce1ad",
 }
 
@@ -410,6 +410,37 @@ def test_pipeline_golden_digests(tmp_path):
         assert manifest["command"] == command and manifest["seed"] == 404
         assert manifest["inputs"] == {name: GOLDEN_PIPELINE[name] for name in inputs}
         assert manifest["outputs"] == {name: GOLDEN_PIPELINE[name] for name in outputs}
+
+
+def test_impostor_file_with_a_gap_column_gives_the_same_outputs(tmp_path):
+    # the file an earlier version wrote, byte for byte: gap_T_months, the
+    # absolute capture-time difference, after the image ids. No subcommand
+    # reads it, so calibrate, det and fuse write the same files, and their
+    # manifests differ only in the impostor file's hash
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    commands = ["calibrate", "det", "fuse"]
+    run_pipeline(cfg, ["synth", "pairs", *commands])
+    new = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    header, *rows = [line.split(",") for line in new["captures.csv"].decode().splitlines()]
+    month = {cells[header.index("image_id")]: int(cells[header.index("capture_time_months")])
+             for cells in rows}
+    lines = [line.split(",") for line in new["pairs_impostor.csv"].decode().splitlines()]
+    assert lines[0][:5] == ["kind", "eye", "gallery_image_id", "probe_image_id", "score_simA"]
+    gaps = ["gap_T_months", *(str(abs(month[cells[3]] - month[cells[2]])) for cells in lines[1:])]
+    (outdir / "pairs_impostor.csv").write_text("".join(
+        ",".join([*cells[:4], gap, *cells[4:]]) + "\r\n" for cells, gap in zip(lines, gaps)),
+        encoding="utf-8")
+    run_pipeline(cfg, commands)
+    old = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert sorted(name for name in new if old[name] != new[name]) == [
+        *(f"manifest_{command}.json" for command in commands), "pairs_impostor.csv"]
+    for command in commands:
+        a, b = (json.loads(tree[f"manifest_{command}.json"]) for tree in (new, old))
+        assert b["inputs"].pop("pairs_impostor.csv") == hashlib.sha256(
+            old["pairs_impostor.csv"]).hexdigest()
+        del a["inputs"]["pairs_impostor.csv"]
+        assert a == b, command
 
 
 @pytest.mark.parametrize("fnmr, key", [
@@ -936,9 +967,9 @@ def _repeated(row: int):
     return damage
 
 
-def _impostor_layout(data: bytes) -> bytes:
-    """Damage: the pair file cut to the columns of the impostor layout, the
-    key columns and the scores."""
+def _key_layout(data: bytes) -> bytes:
+    """Damage: the pair file cut to its key columns, its gap and its scores,
+    the genuine layout without the capture covariates."""
     lines = [line.split(",") for line in data.decode("utf-8").split("\r\n")]
     keep = [i for i, name in enumerate(lines[0]) if name.startswith("score_") or name in (
         "kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months")]
@@ -1136,7 +1167,7 @@ FAULTS = [
     ("failures", {}, {"captures.csv": _removed}, 4, ["capture table", "captures.csv",
                                                      "does not exist"]),
     ("lmm", {}, {"captures.csv": _at(9000)}, 5, ["captures.csv", "byte offset 9000"]),
-    # a gap is never negative: genuine gaps are positive, impostor gaps absolute
+    # a gap is never negative: the genuine protocol makes it positive
     ("fnmr", {}, {"pairs_genuine.csv": _cell("gap_T_months", "-6")}, 5,
      ["pairs_genuine.csv", "negative gap_T_months at data row 1"]),
     ("lmm", {}, {"pairs_genuine.csv": _cell("gap_T_months", "-1", row=5)}, 5,
@@ -1184,9 +1215,9 @@ FAULTS = [
     # ages synth would draw beyond int64 are a config fault, not a fault of its data
     ("synth", {"synth.enrollment_age_low": -2**63, "synth.enrollment_age_high": 2**63 - 1},
      {}, 3, ["config synth: ", "enrollment ages over the session_schedule"]),
-    # a genuine pair file in the impostor layout holds every column failures reads
-    # from it: the covariates are joined from captures.csv
-    ("failures", {}, {"pairs_genuine.csv": _impostor_layout}, 0,
+    # a genuine pair file cut to its keys, gap and scores holds every column
+    # failures reads from it: the covariates are joined from captures.csv
+    ("failures", {}, {"pairs_genuine.csv": _key_layout}, 0,
      ["matchers: simA vs simB\n", "genuine pairs: "]),
     # report plots finite numbers only, on axes whose span float64 holds
     ("report", {}, {"det_simA.csv": _cell("fmr", "inf", row=3)}, 5,
@@ -1245,10 +1276,16 @@ FAULTS = [
        ["pairs_genuine.csv", "references image ids missing from the capture table"])
       for column, text in (("pupil_radius", "inf"), ("quality", "150"))
       for command in ("failures", "lmm")),
-    # and the model subcommands read no column the impostor layout lacks:
+    # and the model subcommands read no column that layout lacks:
     # delta_age_years is joined from captures.csv too
-    ("lmm", {}, {"pairs_genuine.csv": _impostor_layout}, 0,
+    ("lmm", {}, {"pairs_genuine.csv": _key_layout}, 0,
      ["=== simA ~ gallery_age_plus_t + quality ===", "rows dropped for missing values: 0"]),
+    # an outcome that is a linear function of the fixed effects is fitted
+    # exactly: a score the model also adjusts for, or T under the APC pair
+    *((command, edits, {}, 7, [f"outcome {outcome!r} is a linear function of the fixed effects"])
+      for outcome, edits in (("simB", {"model.outcome": "simB", "model.quality_terms": ["simB"]}),
+                             ("T", {"model.outcome": "T"}))
+      for command in ("lmm", "apc", "cv")),
 ]
 # the text report of the subcommands that write no <subcommand>_summary.txt
 REPORTS = {"failures": "failure_report.txt", "fuse": "fusion_report.txt",

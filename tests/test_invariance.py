@@ -167,3 +167,107 @@ def test_orientation_flip_negates_only_the_flipped_matcher(tmp_path):
                 for changed in set(manifest[side]) & {*texts, *tables}:
                     del manifest[side][changed]
         assert a == b, name
+
+
+def _renamed(data: bytes, names: dict[str, str]) -> bytes:
+    """`data` with each of its alphanumeric words that `names` maps replaced."""
+    return re.sub(rb"[0-9A-Za-z]+", lambda m: names.get(m[0].decode(), m[0].decode()).encode(),
+                  data)
+
+
+def assert_manifests_differ_in_hashes(given: dict, changed: dict, files) -> None:
+    """Each manifest of the analysis in the `changed` tree equals its `given`
+    one, apart from the hashes of `files`, which are those of the `changed`
+    tree's files; synth's manifest is a copy, as the inputs were."""
+    for name in (name for name in given if name.startswith("manifest_")
+                 and name != "manifest_synth.json"):
+        a, b = json.loads(given[name]), json.loads(changed[name])
+        for side in ("inputs", "outputs"):
+            for file in set(b[side]) & set(files):
+                assert b[side].pop(file) == hashlib.sha256(changed[file]).hexdigest()
+                del a[side][file]
+        assert a == b, name
+
+
+def test_order_preserving_id_renaming_changes_only_id_cells(tmp_path):
+    # every image and subject id gets a new text of another length and other
+    # digits, in the same sorted order: codes, folds and sampled positions
+    # follow that order, never the text
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    inputs = run(cfg, ["synth"], outdir)
+    given = run(cfg, ANALYSIS, outdir)
+    header, *rows = _cells(inputs["captures.csv"])
+    names = {}
+    for column, form in (("image_id", "J{:09d}"), ("subject_id", "P{:07d}")):
+        ids = sorted({row[header.index(column)] for row in rows})
+        names.update((old, form.format(7 * rank + 3)) for rank, old in enumerate(ids))
+
+    renamed_inputs = ("captures.csv", "scores.csv")
+    shutil.rmtree(outdir)
+    outdir.mkdir()
+    for name, data in inputs.items():
+        (outdir / name).write_bytes(_renamed(data, names) if name in renamed_inputs else data)
+    renamed = run(cfg, ANALYSIS, outdir)
+
+    # the files that hold ids, and the manifests that hash them; every model
+    # output, cv_report.csv among them, is byte-identical
+    id_files = [*renamed_inputs, "pairs_genuine.csv", "pairs_impostor.csv"]
+    manifests = [f"manifest_{c}.json" for c in ("ingest", "pairs", "calibrate", "fnmr", "det",
+                                                "failures", "fuse", "lmm", "apc", "cv")]
+    assert differing(given, renamed) == sorted([*id_files, *manifests])
+    for name in id_files:
+        assert renamed[name] == _renamed(given[name], names) != given[name], name
+    assert_manifests_differ_in_hashes(given, renamed, id_files)
+
+
+def test_subject_with_one_collection_changes_only_the_impostor_side(tmp_path):
+    # one more subject, sorting among the others, with two images per eye in
+    # its one session and a score for every ordered same-eye pair it is in:
+    # it has no genuine pair, so the genuine file and every model output are
+    # unchanged, while it joins every impostor pool
+    outdir = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", outdir)
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    inputs = run(cfg, ["synth"], outdir)
+    given = run(cfg, ANALYSIS, outdir)
+
+    captures = _cells(inputs["captures.csv"])
+    column = {name: i for i, name in enumerate(captures[0])}
+    template = captures[1]
+    added = []
+    for i, eye in enumerate("LLRR"):
+        row = list(template)
+        row[column["image_id"]] = f"{template[column['image_id']]}{'abcd'[i]}"
+        row[column["subject_id"]] = "S00011a"
+        row[column["eye"]], row[column["collection_index"]] = eye, "1"
+        added.append(row)
+    eye_of = {row[column["image_id"]]: row[column["eye"]] for row in captures[1:] + added}
+    new = {row[column["image_id"]] for row in added}
+    rng = np.random.default_rng(4)
+    scores = [f"{g},{p},{m['name']},{rng.normal(m['impostor']['loc'], m['impostor']['scale'])!r}"
+              for m in config["synth"]["matchers"] for g in eye_of for p in eye_of
+              if g != p and eye_of[g] == eye_of[p] and new & {g, p}]
+    shutil.rmtree(outdir)
+    outdir.mkdir()
+    for name, data in inputs.items():
+        (outdir / name).write_bytes(data)
+    with (outdir / "captures.csv").open("ab") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in added).encode())
+    with (outdir / "scores.csv").open("ab") as fh:
+        fh.write("".join(line + "\r\n" for line in scores).encode())
+    grown = run(cfg, ANALYSIS, outdir)
+
+    # the impostor pools change, and with them the pairs drawn, the pairs the
+    # synthetic scores do not cover, the DET rows, the thresholds calibrated
+    # on them and the reports that print those; on this cohort no genuine
+    # decision, EER, failure category or figure changes
+    impostor_side = [
+        "pairs_impostor.csv", "pairs_incomplete.csv", "pairs_summary.txt",
+        "calibrate_summary.txt", "thresholds.json", "det_simA.csv", "det_simB.csv",
+        "fnmr_summary.txt", "fusion_report.txt"]
+    changed = ["captures.csv", "scores.csv", "ingest_summary.txt", *impostor_side]
+    manifests = [name for name in given if name.startswith("manifest_")
+                 and name != "manifest_synth.json"]
+    assert differing(given, grown) == sorted([*changed, *manifests])
+    assert_manifests_differ_in_hashes(given, grown, changed)

@@ -439,16 +439,36 @@ class TestFitReml:
             with pytest.raises(ModelError, match="spread of the outcome overflows float64"):
                 fit_reml(y, np.ones((100, 1)), None, np.repeat(np.arange(20), 5))
 
+    def test_outcome_linear_in_the_fixed_effects_raises_model_error(self):
+        # y = 2 Q_gallery + 1 is fitted exactly; without the check the fit
+        # does not converge and reports SEs near 1e-14 and a z near 4e14
+        table = make_model_table(np.random.default_rng(12), n_subjects=10, obs_per=4)
+        exact = table.with_scores({"m1": 2.0 * table.Q_gallery + 1.0})
+        spec = ModelSpec(outcome="m1", fixed_terms=(Continuous("Q_gallery"),))
+        with pytest.raises(ModelError, match="outcome 'm1' is a linear function of the "
+                                             "fixed effects"):
+            fit_spec(exact, spec)
+        design = build_design(table, spec)
+        with pytest.raises(ModelError, match="the outcome is a linear function of the "
+                                             "fixed effects"):
+            fit_reml(exact.scores["m1"], design.X, design.t, design.group_index)
+        # rows scored against a fitted design are not checked
+        assert build_design(exact, spec, like=design).n_obs == design.n_obs
+
     def test_order_invariance(self):
+        # README: fits are bitwise order-invariant, and so are their ML refits
         rng = np.random.default_rng(10)
         table = make_model_table(rng, n_subjects=30, obs_per=8,
                                  Sigma=[[1.0, 0.0], [0.0, 0.001]])
         spec = ModelSpec(outcome="m1", fixed_terms=(Continuous("Q_gallery"),))
         fit = fit_spec(table, spec)
-        perm = rng.permutation(len(table))
-        fit2 = fit_spec(table.select(perm), spec)
-        np.testing.assert_allclose(fit2.beta, fit.beta, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(fit2.Sigma, fit.Sigma, rtol=0, atol=1e-10)
+        fits = (fit, refit(fit, "ml"))
+        for _ in range(5):
+            permuted = fit_spec(table.select(rng.permutation(len(table))), spec)
+            for a, b in zip(fits, (permuted, refit(permuted, "ml"))):
+                for name in ("beta", "se", "Sigma", "sigma2", "loglik"):
+                    assert np.asarray(getattr(b, name)).tobytes() == \
+                        np.asarray(getattr(a, name)).tobytes(), name
 
     def test_affine_outcome_scaling_invariance(self):
         rng = np.random.default_rng(11)

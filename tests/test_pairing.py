@@ -18,10 +18,10 @@ from conftest import (
 
 
 TABLE_COLUMNS = {**PAIR_COLUMNS, **JOINED_COLUMNS}
-# the columns derived from the captures besides the gap, which only genuine tables hold
-COVARIATE_COLUMNS = tuple(JOINED_COLUMNS)
-# an impostor table holds exactly its file's columns
-IMPOSTOR_COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id", "gap_T_months")
+# the columns only genuine tables hold: the gap and those derived from the captures
+GENUINE_ONLY = ("gap_T_months", *JOINED_COLUMNS)
+# an impostor table holds exactly its file's columns, the keys
+IMPOSTOR_COLUMNS = ("kind", "eye", "gallery_image_id", "probe_image_id")
 
 
 def _pair_keys(table):
@@ -149,10 +149,10 @@ class TestImpostorPairs:
         table = random_capture_table(rng, n_subjects=10)
         genuine = generate_genuine_pairs(table)
         impostor = generate_impostor_pairs(table, PairingConfig(base_seed=2))
-        # capture covariates on genuine pairs only
+        # the gap and the capture covariates on genuine pairs only
         assert genuine.columns == tuple(TABLE_COLUMNS)
         assert impostor.columns == IMPOSTOR_COLUMNS
-        for name in COVARIATE_COLUMNS:
+        for name in GENUINE_ONLY:
             with pytest.raises(AttributeError, match=name):
                 getattr(impostor, name)
         assert np.all(genuine.gap_T_months > 0)
@@ -236,20 +236,18 @@ class TestPreservedErrors:
                                             "probe P0 does not fit in int64"):
             generate_genuine_pairs(capture_table(recs[:2]))
 
-    def test_impostor_difference_past_int64_raises_data_error(self):
-        # the true gaps are 2**63 and 2**63 + 6: one wraps, one's absolute value
-        # does not fit
+    def test_impostor_difference_past_int64_is_not_judged(self):
+        # an impostor table holds no time gap, so the true gaps of 2**63 and
+        # 2**63 + 6 across the two subjects are no fault
         recs = [make_capture("A0", subject="S1", collection=1, months=0),
                 make_capture("A1", subject="S1", collection=2, months=6),
                 make_capture("B0", subject="S2", collection=1, months=-2**63),
                 make_capture("B1", subject="S2", collection=2, months=-2**63 + 6)]
-        with pytest.raises(DataError, match="the capture_time_months difference of gallery "
-                                            "A0 and probe B0 does not fit in int64"):
-            generate_impostor_pairs(capture_table(recs), PairingConfig(base_seed=1))
-        # every difference in range: the extreme gaps are kept exactly
-        recs[2]["capture_time_months"] = -2**63 + 7
-        pairs = generate_impostor_pairs(capture_table(recs[:3]), PairingConfig(base_seed=1))
-        assert sorted(pairs.gap_T_months.tolist()) == [2**63 - 7] * 2 + [2**63 - 1] * 2
+        assert generate_genuine_pairs(capture_table(recs)).gap_T_months.tolist() == [6, 6]
+        pairs = generate_impostor_pairs(capture_table(recs), PairingConfig(base_seed=1))
+        assert pairs.columns == IMPOSTOR_COLUMNS
+        assert sorted(_pair_keys(pairs)) == [(f"{a}{i}", f"{b}{j}") for a, b in ("AB", "BA")
+                                             for i in range(2) for j in range(2)]
 
     def test_impostor_age_difference_past_int64_is_not_judged(self):
         # an impostor table holds no age difference, so one past int64 is no fault
@@ -272,9 +270,9 @@ class TestUnscoredTable:
         for kind, pairs in ((GENUINE, generate_genuine_pairs(table)), (IMPOSTOR, impostor)):
             assert isinstance(pairs, ComparisonTable)
             assert pairs.matchers == ()
-            # only genuine tables hold the capture covariates
-            held = set(COVARIATE_COLUMNS) & set(pairs.columns)
-            assert held == (set(COVARIATE_COLUMNS) if kind == GENUINE else set())
+            # only genuine tables hold the gap and the capture covariates
+            held = set(GENUINE_ONLY) & set(pairs.columns)
+            assert held == (set(GENUINE_ONLY) if kind == GENUINE else set())
             for i, (gid, pid) in enumerate(_pair_keys(pairs)):
                 g, p = by_id[gid], by_id[pid]
                 if kind == IMPOSTOR:

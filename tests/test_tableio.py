@@ -269,7 +269,7 @@ def test_pairs_round_trip_with_age_join(tmp_path):
     headers = {"genuine": ("kind,eye,gallery_image_id,probe_image_id,gap_T_months,"
                            "DC,Q_gallery,Q_probe,U_gallery,U_probe,C_gallery,C_probe,"
                            "score_m1"),
-               "impostor": "kind,eye,gallery_image_id,probe_image_id,gap_T_months,score_m1"}
+               "impostor": "kind,eye,gallery_image_id,probe_image_id,score_m1"}
     tables, backs = {}, {}
     for kind, unscored in (("genuine", genuine), ("impostor", impostor)):
         table = tables[kind] = attach_scores(unscored, scores, [profile]).table
@@ -277,19 +277,23 @@ def test_pairs_round_trip_with_age_join(tmp_path):
         write_pairs(table, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == headers[kind]
-        # a pair column the file lacks
+        # a pair column the file lacks: the gap, which only genuine files
+        # hold, and a key column cut out
         if kind == "impostor":
+            with pytest.raises(IngestError, match="missing mandatory column.*gap_T_months"):
+                read_pairs(path, kind, lambda: captures, ("gap_T_months",))
             cut = tmp_path / "cut.csv"
-            cut.write_text("".join(",".join(cells[:4] + cells[5:]) + "\r\n" for cells in (
+            cut.write_text("".join(",".join(cells[:1] + cells[2:]) + "\r\n" for cells in (
                 line.split(",") for line in path.read_text(encoding="utf-8").splitlines())),
                 encoding="utf-8")
-            with pytest.raises(IngestError, match="missing mandatory column.*gap_T_months"):
-                read_pairs(cut, kind, lambda: captures, ("gap_T_months",))
-        columns = (*(EVERY_COLUMN if kind == "genuine" else ("gap_T_months", "A_gallery")),
-                   "score_m1")
+            with pytest.raises(IngestError, match="missing mandatory column.*eye"):
+                read_pairs(cut, kind, lambda: captures, ("eye",))
+        columns = (*(EVERY_COLUMN if kind == "genuine" else ("eye", "A_gallery")), "score_m1")
         back = backs[kind] = read_pairs(path, kind, lambda: captures, columns)
         assert len(back) == len(table)
-        np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
+        np.testing.assert_array_equal(back.eye, table.eye)
+        if kind == "genuine":
+            np.testing.assert_array_equal(back.gap_T_months, table.gap_T_months)
         np.testing.assert_array_equal(back.kind, table.kind)
         np.testing.assert_allclose(back.scores["m1"], table.scores["m1"])
         # ages and subjects joined through the capture table
@@ -516,7 +520,7 @@ def test_read_pairs_reads_a_file_as_the_kind_it_holds(tmp_path):
                             + "\r\n", encoding="utf-8")
             with pytest.raises(IngestError, match=re.escape(
                     f"{path}: '{label}' pair at data row 3 of a file of {kind} pairs")):
-                read_pairs(path, kind, lambda: captures, ("kind", "gap_T_months"))
+                read_pairs(path, kind, lambda: captures, ("kind", "eye"))
     # a name no pair file holds is the caller's error, whatever the file
     with pytest.raises(ValueError, match=r"cannot read column\(s\) \['T', 'nope'\]"):
         read_pairs(tmp_path / "absent.csv", "genuine", lambda: captures, ("nope", "T", "DC"))
